@@ -4,18 +4,15 @@ adaptive penalty heuristic."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
-from .init_eval import RunState, TraceRow
+from .init_eval import RunState
 from .mm import minimize_quad_plus_huber
-from .numerics import cg_solve, power_method, soft_threshold
-from .objectives import HuberTV, PoissonObjective
+from .numerics import cg_solve, cubic_roots, power_method, soft_threshold
+from .objectives import HuberTV, PoissonObjective, RegularizedObjective
 from .operators import FieldTag, ForwardModel, SignalVector, project_field
-from .wf import _metrics
+from .wf import iterate
 
 
 def complex_sign(z: NDArray) -> NDArray:
@@ -37,67 +34,24 @@ def update_v_magnitude_b0(t, y, rho: float):
     return out if out.ndim else float(out)
 
 
-def _lagrangian_term(m, y, b, rho, t):
-    rate = m * m + b
-    return rate - y * np.log(np.where(rate > 0, rate, 1.0)) + 0.5 * rho * (m - t) ** 2
-
-
-def _cubic_roots_vectorized(t, y, b, rho):
-    """Real roots of (2+rho) m^3 - rho t m^2 + (2b - 2y + rho b) m - rho b t.
-
-    Returns an (n, 3) array with NaN padding; trig form where three real
-    roots exist, Cardano otherwise, then two Newton polish sweeps.
-    """
-    a3 = 2.0 + rho
-    a2 = -rho * t
-    a1 = 2.0 * b - 2.0 * y + rho * b
-    a0 = -rho * b * t
-    shift = a2 / (3.0 * a3)
-    p = (3.0 * a3 * a1 - a2 * a2) / (3.0 * a3 * a3)
-    q = (2.0 * a2**3 - 9.0 * a3 * a2 * a1 + 27.0 * a3 * a3 * a0) / (27.0 * a3**3)
-    disc = -4.0 * p**3 - 27.0 * q * q
-
-    n = t.shape[0]
-    roots = np.full((n, 3), np.nan)
-    three = disc > 0
-    if np.any(three):
-        pm = p[three]
-        m = 2.0 * np.sqrt(-pm / 3.0)
-        theta = np.arccos(np.clip(3.0 * q[three] / (pm * m), -1.0, 1.0)) / 3.0
-        for k in range(3):
-            roots[three, k] = m * np.cos(theta - 2.0 * np.pi * k / 3.0)
-    one = ~three
-    if np.any(one):
-        hq = q[one] / 2.0
-        s = np.sqrt(np.maximum(hq * hq + p[one] ** 3 / 27.0, 0.0))
-        roots[one, 0] = np.cbrt(-hq + s) + np.cbrt(-hq - s)
-    roots -= shift[:, None]
-
-    # Newton polish on the original cubic
-    for _ in range(2):
-        f = ((a3 * roots + a2[:, None]) * roots + a1[:, None]) * roots + a0[:, None]
-        df = (3.0 * a3 * roots + 2.0 * a2[:, None]) * roots + a1[:, None]
-        step = np.divide(f, df, out=np.zeros_like(f), where=np.abs(df) > 0)
-        roots = roots - step
-    return roots
-
-
 def update_v_magnitude_bpos(t, y, b, rho: float):
-    """Positive-background magnitude update: the positive cubic root that
-    minimizes the marginal augmented Lagrangian."""
+    """Positive-background magnitude update: the nonnegative root of
+    (2+rho) m^3 - rho t m^2 + (2b - 2y + rho b) m - rho b t that minimizes
+    the marginal augmented Lagrangian. m = 0 is a root only where t = 0."""
     t = np.atleast_1d(np.asarray(t, float))
     y = np.broadcast_to(np.asarray(y, float), t.shape)
     b = np.broadcast_to(np.asarray(b, float), t.shape)
     if np.any(b <= 0):
         raise ValueError("update_v_magnitude_bpos requires b > 0")
-    roots = _cubic_roots_vectorized(t, y, b, rho)
-    positive = np.isfinite(roots) & (roots > 0)
-    if not np.all(np.any(positive, axis=1)):
-        raise RuntimeError("cubic magnitude update found no positive root")
-    lag = _lagrangian_term(
-        np.where(positive, roots, 1.0), y[:, None], b[:, None], rho, t[:, None]
-    )
-    lag = np.where(positive, lag, np.inf)
+    roots = cubic_roots(2.0 + rho, -rho * t, 2.0 * b - 2.0 * y + rho * b, -rho * b * t)
+    feasible = np.isfinite(roots) & (roots >= 0)
+    if not np.all(np.any(feasible, axis=1)):
+        raise RuntimeError("cubic magnitude update found no nonnegative root")
+    # marginal augmented Lagrangian at each candidate; rate >= b > 0
+    m = np.where(feasible, roots, 1.0)
+    rate = m * m + b[:, None]
+    lag = rate - y[:, None] * np.log(rate) + 0.5 * rho * (m - t[:, None]) ** 2
+    lag = np.where(feasible, lag, np.inf)
     pick = np.argmin(lag, axis=1)
     out = roots[np.arange(t.shape[0]), pick]
     return out if out.shape[0] > 1 else float(out[0])
@@ -168,12 +122,11 @@ def update_x(
     start = x0 if x0 is not None else np.zeros(model.cols, dtype=complex)
     if not l1:
         # (rho/2)||Ax - w||^2 + beta 1'h.(Tx) = 1/2 x'(rho A'A)x - Re<rho A'w, x> + ...
-        scaled_reg = HuberTV(reg.beta, reg.alpha, reg.diff_op)
         return minimize_quad_plus_huber(
             lambda z: rho * normal_op(z),
             rho * rhs,
             start,
-            scaled_reg,
+            reg,
             field,
             inner_iters=inner_iters,
             tol=inner_tol,
@@ -216,28 +169,14 @@ def run_admm(
 ) -> RunState:
     """ADMM outer loop: v (phase then magnitude), x, dual, penalty update."""
     model = obj.model
-    field = x0.field
-    x = x0.values.copy()
-    ax = model.apply(x)
+    ax = model.apply(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
     rho = float(rho0)
     b_zero = np.all(obj.b == 0)
-    state = RunState(x=x)
-    beta = reg.beta if reg is not None else 0.0
 
-    def total_cost(z):
-        c = obj.cost(z)
-        if reg is not None:
-            if l1:
-                c += beta * float(np.sum(np.abs(reg.diff_op.apply(z))))
-            else:
-                c += beta * reg.value(z)
-        return c
-
-    elapsed = 0.0
-    for k in range(1, n_iters + 1):
-        t0 = time.perf_counter()
+    def step(k, x, warnings):
+        nonlocal ax, v, eta, rho
         v_old = v
         u = ax - eta
         phase = update_v_phase(ax, eta)
@@ -248,7 +187,7 @@ def run_admm(
             mag = update_v_magnitude_bpos(t, obj.y, obj.b, rho)
         v = np.atleast_1d(mag) * phase
         x = update_x(
-            model, v, eta, field=field, reg=reg, rho=rho, l1=l1,
+            model, v, eta, field=x0.field, reg=reg, rho=rho, l1=l1,
             x0=x, inner_iters=inner_iters,
         )
         ax = model.apply(x)
@@ -256,8 +195,7 @@ def run_admm(
         primal = float(np.linalg.norm(ax - v))
         dual = float(np.linalg.norm(rho * model.adjoint(v - v_old)))
         rho = update_rho(rho, primal, dual, k)
-        elapsed += time.perf_counter() - t0
-        nr, ps = _metrics(x, x_true)
-        state.trace.append(TraceRow(k, elapsed, total_cost(x), nr, ps))
-    state.x = x
-    return state
+        return x
+
+    return iterate(step, x0.values, n_iters, RegularizedObjective(obj, reg, l1).cost,
+                   x_true)

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 from numpy.typing import NDArray
 
 from .init_eval import RunState, TraceRow
 from .numerics import lbfgs_minimize
-from .objectives import HuberTV, PoissonObjective
+from .objectives import HuberTV, PoissonObjective, RegularizedObjective
 from .wf import _metrics
 
 
@@ -21,28 +20,21 @@ def run_lbfgs(
     memory: int = 10,
     x_true: NDArray | None = None,
 ) -> RunState:
-    beta = reg.beta if reg is not None else 0.0
-
-    def fg(z):
-        c = obj.cost(z)
-        g = obj.gradient(z)
-        if reg is not None:
-            c += beta * reg.value(z)
-            g = obj._fieldify(g + reg.gradient(z))
-        return c, g
-
+    """LBFGS on f + beta R. Each trace row holds the cost LBFGS computed at
+    the new iterate; its time counts the iterations only, not the trace."""
+    cost = RegularizedObjective(obj, reg)
     state = RunState(x=x0.values.copy())
-    start = time.perf_counter()
-    k = 0
+    elapsed = 0.0
+    t0 = time.perf_counter()
 
-    def callback(z):
-        nonlocal k
-        k += 1
-        elapsed = time.perf_counter() - start
+    def record(z, f):
+        nonlocal elapsed, t0
+        elapsed += time.perf_counter() - t0
         nr, ps = _metrics(z, x_true)
-        state.trace.append(TraceRow(k, elapsed, fg(z)[0], nr, ps))
+        state.trace.append(TraceRow(len(state.trace) + 1, elapsed, f, nr, ps))
+        t0 = time.perf_counter()
 
-    x = lbfgs_minimize(fg, x0.values.copy(), memory=memory, n_iters=n_iters,
-                       callback=callback)
-    state.x = x
+    state.x = lbfgs_minimize(lambda z: (cost.cost(z), cost.gradient(z)),
+                             x0.values.copy(), memory=memory, n_iters=n_iters,
+                             callback=record)
     return state

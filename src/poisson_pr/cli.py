@@ -25,7 +25,9 @@ from .admm import run_admm, update_v_magnitude_b0
 from .baselines import run_lbfgs
 from .init_eval import initialize, nrmse as _nrmse, psnr as _psnr
 from .mm import CurvatureKind, curvature_improved, curvature_max, run_mm
-from .objectives import DiffOp, GaussianObjective, HuberTV, PoissonObjective
+from .objectives import (
+    DiffOp, GaussianObjective, HuberTV, PoissonObjective, RegularizedObjective,
+)
 from .operators import (
     CanonicalDftModel,
     DenseModel,
@@ -205,10 +207,17 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = int(cfg["seed"])
+    background, mean_count = float(cfg["background"]), float(cfg["mean_count"])
+    if int(cfg["n_iters"]) < 0:
+        raise ConfigError("n_iters must be nonnegative")
+    if mean_count <= 0 or mean_count < background:
+        raise ConfigError("mean_count must be positive and at least the background")
+    if background <= 0 and cfg["algorithm"].get("kind") == "mm":
+        raise ConfigError("MM needs a positive background (no majorizer at b = 0)")
 
     signal = build_signal(cfg["signal"])
-    model = build_model(cfg["model"], signal, float(cfg["background"]))
-    calibrate_scale(model, signal.values, float(cfg["mean_count"]))
+    model = build_model(cfg["model"], signal, background)
+    calibrate_scale(model, signal.values, mean_count)
     meas = simulate_poisson(model, signal.values, seed)
 
     x0 = initialize(model, meas.y, field=signal.field,
@@ -230,9 +239,7 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> dict:
     with open(trace_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["iter", "time_s", "cost", "nrmse", "psnr"])
-        init_cost = obj.cost(x0.values) + (
-            reg.beta * reg.value(x0.values) if reg is not None else 0.0
-        )
+        init_cost = RegularizedObjective(obj, reg).cost(x0.values)
         writer.writerow([0, 0.0, repr(init_cost),
                          repr(_nrmse(x0.values, signal.values)),
                          repr(_psnr(x0.values, signal.values))])

@@ -1,26 +1,24 @@
-"""Majorize-minimize solver with maximum, improved, and numerically-optimal
-quadratic-majorizer curvatures, plus the inner solvers it needs."""
+"""Majorize-minimize solver with maximum and improved quadratic-majorizer
+curvatures, plus the inner solvers it needs."""
 
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .init_eval import RunState, TraceRow
+from .init_eval import RunState
 from .numerics import cg_solve, power_method, real_dot, soft_threshold
-from .objectives import HuberTV, PoissonObjective, psi_ddot
+from .objectives import HuberTV, PoissonObjective, RegularizedObjective, psi, psi_dot
 from .operators import FieldTag, SignalVector, project_field
-from .wf import _metrics
+from .wf import iterate
 
 
 class CurvatureKind(enum.Enum):
     MAX = "max"
     IMPROVED = "improved"
-    OPTIMAL_NUMERIC = "optimal_numeric"
 
 
 def curvature_max(y: NDArray, b: NDArray) -> NDArray:
@@ -33,52 +31,33 @@ def curvature_max(y: NDArray, b: NDArray) -> NDArray:
 
 
 def curvature_improved(s, y, b):
-    """Sharper curvature psi_ddot evaluated at u(s) = (b + sqrt(b^2+b|s|^2))/|s|.
+    """Sharper curvature psi_ddot(u), u = (b + r)/|s|, r = sqrt(b^2 + b|s|^2), in
+    the closed form 2 + y|s|^2 (b + r) / (b (b + |s|^2 + r)^2).
 
-    Continuous in s with value 2 at s = 0; never exceeds curvature_max.
+    Continuous in s with value 2 at s = 0; never exceeds curvature_max. |s| is
+    capped at 1e75, where the value is 2 in double precision, so |s|^4 is finite.
     """
-    s = np.abs(np.asarray(s, complex))
-    y = np.broadcast_to(np.asarray(y, float), s.shape)
-    b = np.broadcast_to(np.asarray(b, float), s.shape)
+    b = np.asarray(b, float)
     if np.any(b <= 0):
         raise ValueError("no quadratic majorizer exists with zero background")
-    safe_s = np.where(s > 0, s, 1.0)
-    with np.errstate(over="ignore"):
-        u = (b + np.sqrt(b * b + b * safe_s**2)) / safe_s
-    # u ~ 2b/s blows up as s -> 0, where the curvature limit is 2; guard
-    # values whose square would overflow
-    usable = (s > 0) & np.isfinite(u) & (u < 1e75)
-    c = psi_ddot(np.where(usable, u, 1.0), y, b)
-    out = np.where(usable, c, 2.0)
-    return out if out.ndim else float(out)
-
-
-def curvature_improved_closed_form(s, y, b):
-    """Algebraic form of the improved curvature, for cross-checking."""
-    s2 = np.abs(np.asarray(s, complex)) ** 2
+    s2 = np.minimum(np.abs(np.asarray(s)), 1e75) ** 2
     root = np.sqrt(b * b + b * s2)
-    return 2.0 + y * s2 * (b + root) / (b * (b + s2 + root) ** 2)
-
-
-def _phi(r, y, b):
-    return (r * r + b) - y * np.log(r * r + b)
-
-
-def _phi_dot(r, y, b):
-    return 2.0 * r * (1.0 - y / (r * r + b))
+    out = 2.0 + y * s2 * (b + root) / (b * (b + s2 + root) ** 2)
+    return out if out.ndim else float(out)
 
 
 def curvature_optimal_numeric(
     s: float, y: float, b: float, grid_points: int = 4001, range_mult: float = 1.0
 ) -> float:
-    """Numerical supremum of the secant-curvature ratio over a fixed r grid."""
+    """Numerical supremum of the secant-curvature ratio over a fixed r grid
+    (a test oracle for the closed-form curvatures, not a solver option)."""
     if y == 0.0:
         return 2.0
     s = float(np.abs(s))
     radius = range_mult * max(20.0, 4.0 * s, 8.0 * np.sqrt(b))
     r = np.linspace(-radius, radius, grid_points)
     r = r[np.abs(r - s) >= 1e-8]
-    num = 2.0 * (_phi(r, y, b) - _phi(s, y, b) - _phi_dot(s, y, b) * (r - s))
+    num = 2.0 * (psi(r, y, b) - psi(s, y, b) - psi_dot(s, y, b).real * (r - s))
     return float(np.max(num / (r - s) ** 2))
 
 
@@ -109,13 +88,8 @@ def build_majorizer(
     s = obj.model.apply(x)
     if kind is CurvatureKind.MAX:
         w = curvature_max(obj.y, obj.b)
-    elif kind is CurvatureKind.IMPROVED:
-        w = curvature_improved(s, obj.y, obj.b)
     else:
-        w = np.array(
-            [curvature_optimal_numeric(si, yi, bi)
-             for si, yi, bi in zip(np.abs(s), obj.y, obj.b)]
-        )
+        w = curvature_improved(s, obj.y, obj.b)
     grad = obj._fieldify(obj.model.adjoint(obj.marginal_grad(s)))
     return MajorizerContext(obj=obj, x_k=x.copy(), s=s, grad=grad, w=w, f_k=obj.cost(x))
 
@@ -309,35 +283,21 @@ def run_mm(
     penalty; unregularized updates use a direct solve or CG.
     """
     inner = inner or InnerConfig()
-    x = x0.values.copy()
-    state = RunState(x=x)
-    beta = reg.beta if reg is not None else 0.0
 
-    def total_cost(z):
-        if reg is None:
-            return obj.cost(z)
-        if l1:
-            return obj.cost(z) + beta * float(np.sum(np.abs(reg.diff_op.apply(z))))
-        return obj.cost(z) + beta * reg.value(z)
-
-    elapsed = 0.0
-    for k in range(1, n_outer + 1):
-        t0 = time.perf_counter()
+    def step(k, x, warnings):
         ctx = build_majorizer(obj, x, curvature)
         if reg is not None and l1:
             x, ok = mm_update_prox_l1(
-                ctx, reg.diff_op, beta, inner_iters=inner.prox_iters
+                ctx, reg.diff_op, reg.beta, inner_iters=inner.prox_iters
             )
             if not ok:
-                state.warnings.append(f"outer {k}: inner prox loop hit max iters")
-        elif reg is not None:
-            x = mm_update_huber(ctx, reg, inner_iters=inner.huber_iters)
-        else:
-            x = mm_update_unregularized(
-                ctx, inner.direct_threshold, inner.cg_iters, inner.cg_tol
-            )
-        elapsed += time.perf_counter() - t0
-        nr, ps = _metrics(x, x_true)
-        state.trace.append(TraceRow(k, elapsed, total_cost(x), nr, ps))
-    state.x = x
-    return state
+                warnings.append(f"outer {k}: inner prox loop hit max iters")
+            return x
+        if reg is not None:
+            return mm_update_huber(ctx, reg, inner_iters=inner.huber_iters)
+        return mm_update_unregularized(
+            ctx, inner.direct_threshold, inner.cg_iters, inner.cg_tol
+        )
+
+    return iterate(step, x0.values, n_outer, RegularizedObjective(obj, reg, l1).cost,
+                   x_true)

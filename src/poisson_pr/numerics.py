@@ -1,4 +1,4 @@
-"""Shared numerical kernels: power method, CG, root finders, LBFGS."""
+"""Shared numerical kernels: power method, CG, cubic roots, LBFGS."""
 
 from __future__ import annotations
 
@@ -76,23 +76,60 @@ def cg_solve(
     return x
 
 
-def _newton_polish_cubic(coeffs: tuple[float, float, float, float], r: float) -> float:
-    c3, c2, c1, c0 = coeffs
+def cubic_roots(c3: float, c2: NDArray, c1: NDArray, c0: NDArray) -> NDArray:
+    """Real roots of c3 m^3 + c2 m^2 + c1 m + c0 for a nonzero scalar c3 and
+    1-D arrays c2, c1, c0, as an (n, 3) array padded with NaN.
+
+    Trigonometric form for three roots, Cardano for one, closed forms for a
+    repeated root (where the generic forms cancel catastrophically), then two
+    Newton sweeps on the original cubic.
+    """
+    # depressed cubic z^3 + p z + q with m = z - c2/(3 c3)
+    shift = c2 / (3.0 * c3)
+    p = (3.0 * c3 * c1 - c2 * c2) / (3.0 * c3 * c3)
+    q = (2.0 * c2**3 - 9.0 * c3 * c2 * c1 + 27.0 * c3 * c3 * c0) / (27.0 * c3**3)
+    neg4p3 = -4.0 * p**3
+    q2 = 27.0 * q * q
+    disc = neg4p3 - q2
+    # |disc| small against both terms needs p <= 0, where neg4p3 = |4 p^3|
+    repeated = np.abs(disc) <= 1e-12 * np.maximum(neg4p3, q2)
+
+    roots = np.full((c2.shape[0], 3), np.nan)
+    three = disc > 0
+    one = ~three
+    if np.any(repeated):
+        three &= ~repeated
+        one &= ~repeated
+        pr, qr = p[repeated], q[repeated]
+        zero = (np.abs(pr) < 1e-300) & (np.abs(qr) < 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            simple = np.where(zero, 0.0, 3.0 * qr / pr)
+        roots[repeated] = np.stack([simple, -simple / 2.0, -simple / 2.0], axis=1)
+    if np.any(three):
+        pm = p[three]
+        m = 2.0 * np.sqrt(-pm / 3.0)
+        theta = np.arccos(np.clip(3.0 * q[three] / (pm * m), -1.0, 1.0)) / 3.0
+        offsets = np.array([2.0 * np.pi * k / 3.0 for k in range(3)])
+        roots[three] = m[:, None] * np.cos(theta[:, None] - offsets)
+    if np.any(one):
+        hq = q[one] / 2.0
+        s = np.sqrt(np.maximum(hq * hq + p[one] ** 3 / 27.0, 0.0))
+        roots[one, 0] = np.cbrt(-hq + s) + np.cbrt(-hq - s)
+    roots -= shift[:, None]
+
+    # Newton polish on the original cubic
     for _ in range(2):
-        f = ((c3 * r + c2) * r + c1) * r + c0
-        df = (3.0 * c3 * r + 2.0 * c2) * r + c1
-        if df == 0.0:
-            break
-        r = r - f / df
-    return r
+        f = ((c3 * roots + c2[:, None]) * roots + c1[:, None]) * roots + c0[:, None]
+        df = (3.0 * c3 * roots + 2.0 * c2[:, None]) * roots + c1[:, None]
+        step = np.divide(f, df, out=np.zeros_like(f), where=df != 0)
+        roots = roots - step
+    return roots
 
 
 def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """All real roots (with multiplicity) of c3 m^3 + c2 m^2 + c1 m + c0.
-
-    Uses the trigonometric/Cardano closed form followed by a Newton polish,
-    which behaves better than naive Cardano near repeated roots.
-    """
+    """All real roots (with multiplicity) of c3 m^3 + c2 m^2 + c1 m + c0,
+    sorted: `cubic_roots` for one cubic, with the quadratic and linear
+    cases when c3 = 0."""
     if c3 == 0.0:
         if c2 == 0.0:
             if c1 == 0.0:
@@ -103,33 +140,8 @@ def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
             return []
         sq = np.sqrt(disc)
         return sorted([(-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)])
-
-    # Depressed cubic z^3 + p z + q with m = z - c2/(3 c3).
-    shift = c2 / (3.0 * c3)
-    p = (3.0 * c3 * c1 - c2 * c2) / (3.0 * c3 * c3)
-    q = (2.0 * c2**3 - 9.0 * c3 * c2 * c1 + 27.0 * c3 * c3 * c0) / (27.0 * c3**3)
-    disc = -4.0 * p**3 - 27.0 * q * q
-    disc_scale = max(abs(4.0 * p**3), abs(27.0 * q * q))
-    roots: list[float]
-    if abs(p) < 1e-300 and abs(q) < 1e-300:
-        roots = [0.0, 0.0, 0.0]
-    elif abs(disc) <= 1e-12 * disc_scale:
-        # repeated root: disc = 0 up to rounding; closed forms avoid the
-        # catastrophic cancellation of the generic branches
-        roots = [3.0 * q / p, -3.0 * q / (2.0 * p), -3.0 * q / (2.0 * p)]
-    elif disc > 0.0:
-        # three real roots, trigonometric form (p < 0 here)
-        m = 2.0 * np.sqrt(-p / 3.0)
-        theta = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
-        roots = [m * np.cos(theta - 2.0 * np.pi * k / 3.0) for k in range(3)]
-    else:
-        half_q = q / 2.0
-        s = np.sqrt(max(half_q * half_q + p**3 / 27.0, 0.0))
-        u = np.cbrt(-half_q + s)
-        v = np.cbrt(-half_q - s)
-        roots = [u + v]
-    out = [_newton_polish_cubic((c3, c2, c1, c0), z - shift) for z in roots]
-    return sorted(out)
+    roots = cubic_roots(c3, *(np.array([c], float) for c in (c2, c1, c0)))[0]
+    return sorted(float(r) for r in roots if not np.isnan(r))
 
 
 def soft_threshold(z: NDArray | complex, tau: float) -> NDArray | complex:
@@ -169,12 +181,15 @@ def _wolfe_line_search(
     c2: float = 0.9,
     max_evals: int = 25,
 ) -> tuple[float, float, NDArray]:
-    """Backtracking/expanding line search satisfying the weak Wolfe conditions."""
+    """Backtracking/expanding line search satisfying the weak Wolfe conditions.
+
+    Returns (t, f, g) with (f, g) = fg(x + t p); when `max_evals` trials find
+    no Wolfe point, the last trial is returned.
+    """
     d0 = real_dot(g0, p)
     lo, hi = 0.0, np.inf
     t = 1.0
-    f_t, g_t = f0, g0
-    for _ in range(max_evals):
+    for evals in range(1, max_evals + 1):
         f_t, g_t = fg(x + t * p)
         d_t = real_dot(g_t, p)
         if f_t > f0 + c1 * t * d0:
@@ -191,9 +206,9 @@ def _wolfe_line_search(
                     if f_s <= f_t:
                         return t_star, f_s, g_s
             return t, f_t, g_t
-        t = 2.0 * lo if np.isinf(hi) else 0.5 * (lo + hi)
-        if t == 0.0:
+        if evals == max_evals:
             break
+        t = 2.0 * lo if np.isinf(hi) else 0.5 * (lo + hi)
     return t, f_t, g_t
 
 
@@ -203,12 +218,13 @@ def lbfgs_minimize(
     memory: int = 10,
     n_iters: int = 100,
     grad_tol: float = 0.0,
-    callback: Callable[[NDArray], None] | None = None,
+    callback: Callable[[NDArray, float], None] | None = None,
 ) -> NDArray:
     """LBFGS with the standard two-loop recursion and a weak Wolfe search.
 
     `fg` returns (cost, gradient); complex iterates use the real inner
-    product, so gradients may be Wirtinger ascent directions.
+    product, so gradients may be Wirtinger ascent directions. `callback`
+    receives each new iterate and its cost.
     """
     x = x0.copy()
     f, g = fg(x)
@@ -247,5 +263,5 @@ def lbfgs_minimize(
         x = x + s_vec
         f, g = f_new, g_new
         if callback is not None:
-            callback(x)
+            callback(x, f)
     return x

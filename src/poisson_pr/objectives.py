@@ -222,26 +222,30 @@ class HuberTV:
         return huber_weight(self.diff_op.apply(x), self.alpha)
 
 
-def reg_cost(x: NDArray, reg: HuberTV) -> float:
-    return reg.value(x)
-
-
-def reg_gradient(x: NDArray, reg: HuberTV) -> NDArray:
-    return reg.gradient(x)
-
-
 class RegularizedObjective:
-    """Psi(x) = f(x) + beta R(x) with gradient for WF-style solvers."""
+    """Psi(x) = f(x) + beta R(x), the cost every solver descends and reports.
+    R is the Huber-smoothed TV of `reg`, or ||T x||_1 with l1=True (which has
+    no gradient); reg=None leaves the data term f alone."""
 
-    def __init__(self, data: PoissonObjective, reg: HuberTV):
+    def __init__(self, data: PoissonObjective, reg: HuberTV | None = None,
+                 l1: bool = False):
         self.data = data
         self.reg = reg
-        self.model = data.model
-        self.field = data.field
+        self.l1 = l1
 
     def cost(self, x: NDArray) -> float:
-        return self.data.cost(x) + self.reg.beta * self.reg.value(x)
+        c = self.data.cost(x)
+        if self.reg is None:
+            return c
+        if self.l1:
+            return c + self.reg.beta * float(np.sum(np.abs(self.reg.diff_op.apply(x))))
+        return c + self.reg.beta * self.reg.value(x)
 
     def gradient(self, x: NDArray) -> NDArray:
-        g = self.data.gradient(x) + self.reg.gradient(x)
-        return self.data._fieldify(g)
+        return self.add_penalty_gradient(self.data.gradient(x), x)
+
+    def add_penalty_gradient(self, g: NDArray, x: NDArray) -> NDArray:
+        """A data-term gradient `g` at x plus the penalty's gradient there."""
+        if self.reg is None:
+            return g
+        return self.data._fieldify(g + self.reg.gradient(x))

@@ -6,13 +6,16 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .init_eval import RunState, TraceRow, nrmse as _nrmse, psnr as _psnr
 from .numerics import cubic_real_roots, real_dot
-from .objectives import GaussianObjective, HuberTV, PoissonObjective
+from .objectives import (
+    GaussianObjective, HuberTV, PoissonObjective, RegularizedObjective,
+)
 from .operators import FieldTag, SignalVector, project_field
 
 
@@ -153,6 +156,29 @@ def _metrics(x, x_true):
     return _nrmse(x, x_true), _psnr(x, x_true)
 
 
+def iterate(step: Callable, x0: NDArray, n_iters: int, cost: Callable,
+            x_true: NDArray | None = None) -> RunState:
+    """The solver loop x_k = step(k, x_{k-1}, warnings), k = 1..n_iters.
+
+    Trace rows hold the steps' cumulative wall time, cost(x_k) and the
+    phase-corrected NRMSE/PSNR; a DegenerateIterateError ends the run."""
+    x = x0.copy()
+    state = RunState(x=x)
+    elapsed = 0.0
+    for k in range(1, n_iters + 1):
+        t0 = time.perf_counter()
+        try:
+            x = step(k, x, state.warnings)
+        except DegenerateIterateError as exc:
+            state.status = f"terminated: {exc}"
+            break
+        elapsed += time.perf_counter() - t0
+        nr, ps = _metrics(x, x_true)
+        state.trace.append(TraceRow(k, elapsed, cost(x), nr, ps))
+    state.x = x
+    return state
+
+
 def run_wf(
     obj: PoissonObjective,
     x0: SignalVector,
@@ -164,67 +190,47 @@ def run_wf(
 ) -> RunState:
     """Wirtinger flow x_{k+1} = x_k - mu_k * grad, with per-iteration trace.
 
-    The trace records cost, phase-corrected NRMSE/PSNR, and cumulative wall
-    time of the updates only. Real-nonnegative signals are clamped to the
-    nonnegative orthant after each update.
+    Real-nonnegative signals are clamped to the nonnegative orthant after
+    each update.
     """
     rule = rule or StepRule()
     trunc = trunc or TruncationRule()
     field = x0.field
-    x = x0.values.copy()
-    state = RunState(x=x)
-    beta = reg.beta if reg is not None else 0.0
+    cost = RegularizedObjective(obj, reg)
 
-    def total_cost(z):
-        c = obj.cost(z)
-        if reg is not None:
-            c += beta * reg.value(z)
-        return c
+    def step(k, x, warnings):
+        if trunc.enabled:
+            mg = obj.marginal_grad(obj.model.apply(x))
+            mg = np.where(truncation_mask(obj, x, trunc.a_h), mg, 0.0)
+            grad = cost.add_penalty_gradient(obj._fieldify(obj.model.adjoint(mg)), x)
+        else:
+            grad = cost.gradient(x)
 
-    elapsed = 0.0
-    for k in range(1, n_iters + 1):
-        t0 = time.perf_counter()
-        try:
-            if trunc.enabled:
-                mg = obj.marginal_grad(obj.model.apply(x))
-                mg = np.where(truncation_mask(obj, x, trunc.a_h), mg, 0.0)
-                grad = obj._fieldify(obj.model.adjoint(mg))
-            else:
-                grad = obj.gradient(x)
+        if rule.kind is StepKind.FISHER:
             if reg is not None:
-                grad = obj._fieldify(grad + reg.gradient(x))
+                mu = step_fisher_reg(obj, reg, x, grad)
+            else:
+                mu = step_fisher(obj, x, grad)
+        elif rule.kind is StepKind.BACKTRACKING:
+            mu, ok = step_backtracking(cost.cost, x, grad, rule)
+            if not ok:
+                warnings.append(f"iter {k}: backtracking exhausted trials")
+        elif rule.kind is StepKind.EXACT_GAUSSIAN:
+            if not isinstance(obj, GaussianObjective):
+                raise TypeError("exact Gaussian line search needs a Gaussian cost")
+            mu = step_exact_gaussian(obj, x, grad)
+        else:  # pragma: no cover
+            raise ValueError(f"unknown step rule {rule.kind}")
 
-            if rule.kind is StepKind.FISHER:
-                if reg is not None:
-                    mu = step_fisher_reg(obj, reg, x, grad)
-                else:
-                    mu = step_fisher(obj, x, grad)
-            elif rule.kind is StepKind.BACKTRACKING:
-                mu, ok = step_backtracking(total_cost, x, grad, rule)
-                if not ok:
-                    state.warnings.append(f"iter {k}: backtracking exhausted trials")
-            elif rule.kind is StepKind.EXACT_GAUSSIAN:
-                if not isinstance(obj, GaussianObjective):
-                    raise TypeError("exact Gaussian line search needs a Gaussian cost")
-                mu = step_exact_gaussian(obj, x, grad)
-            else:  # pragma: no cover
-                raise ValueError(f"unknown step rule {rule.kind}")
+        x_new = project_field(x - mu * grad, field)
+        if rule.kind is StepKind.FISHER:
+            # rare early-iteration overshoot safeguard: halve once
+            c_old = cost.cost(x)
+            c_new = cost.cost(x_new)
+            if c_new > c_old + 10.0 * abs(c_old):
+                mu *= 0.5
+                x_new = project_field(x - mu * grad, field)
+                warnings.append(f"iter {k}: Fisher step halved once")
+        return x_new
 
-            x_new = project_field(x - mu * grad, field)
-            if rule.kind is StepKind.FISHER:
-                # rare early-iteration overshoot safeguard: halve once
-                c_old = total_cost(x)
-                c_new = total_cost(x_new)
-                if c_new > c_old + 10.0 * abs(c_old):
-                    mu *= 0.5
-                    x_new = project_field(x - mu * grad, field)
-                    state.warnings.append(f"iter {k}: Fisher step halved once")
-            x = x_new
-        except DegenerateIterateError as exc:
-            state.status = f"terminated: {exc}"
-            break
-        elapsed += time.perf_counter() - t0
-        nr, ps = _metrics(x, x_true)
-        state.trace.append(TraceRow(k, elapsed, total_cost(x), nr, ps))
-    state.x = x
-    return state
+    return iterate(step, x0.values, n_iters, cost.cost, x_true)

@@ -12,11 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poisson_pr.admm import (
-    _cubic_roots_vectorized,
-    update_v_magnitude_b0,
-    update_v_magnitude_bpos,
-)
+from poisson_pr.admm import update_v_magnitude_b0, update_v_magnitude_bpos
 from poisson_pr.init_eval import (
     finalize_init,
     initialize,
@@ -32,7 +28,7 @@ from poisson_pr.mm import (
     curvature_optimal_numeric,
     run_mm,
 )
-from poisson_pr.numerics import finite_diff_grad
+from poisson_pr.numerics import cubic_roots, finite_diff_grad
 from poisson_pr.objectives import (
     DiffOp,
     GaussianObjective,
@@ -319,7 +315,7 @@ def test_criterion_9_admm_subproblem_exactness():
              + (2 * b - 2 * y + rho * b) * mb - rho * b * t)
     cubic_resid = np.max(np.abs(cubic) / (2 + rho))
     # root selection vs brute-force Lagrangian minimization
-    roots = _cubic_roots_vectorized(t, y, b, rho)
+    roots = cubic_roots(2 + rho, -rho * t, 2 * b - 2 * y + rho * b, -rho * b * t)
 
     def lag(m, i):
         rate = m * m + b[i]
@@ -327,7 +323,7 @@ def test_criterion_9_admm_subproblem_exactness():
 
     select_ok = True
     for i in range(n):
-        pos = [r for r in roots[i] if np.isfinite(r) and r > 0]
+        pos = [r for r in roots[i] if np.isfinite(r) and r >= 0]
         best = min(lag(r, i) for r in pos)
         if lag(mb[i], i) > best + 1e-12:
             select_ok = False

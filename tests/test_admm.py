@@ -16,6 +16,7 @@ from poisson_pr.admm import (
 from poisson_pr.init_eval import initialize
 from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective
 from poisson_pr.operators import (
+    CanonicalDftModel,
     DenseModel,
     FieldTag,
     MaskedDftModel,
@@ -25,6 +26,7 @@ from poisson_pr.operators import (
     random_gaussian_model,
     simulate_poisson,
 )
+from poisson_pr.phantoms import disk
 
 
 def _lagrangian(m, y, b, rho, t):
@@ -104,16 +106,16 @@ class TestMagnitudeBpos:
     def test_selection_minimizes_lagrangian(self):
         # whenever multiple positive roots exist, the chosen one attains the
         # smallest Lagrangian value among them
-        from poisson_pr.admm import _cubic_roots_vectorized
+        from poisson_pr.numerics import cubic_roots
         rng = np.random.default_rng(2)
         t = rng.uniform(0, 10, 5000)
         y = rng.uniform(0, 20, 5000)
         b = rng.uniform(0.05, 5, 5000)
         rho = 1.5
         m = update_v_magnitude_bpos(t, y, b, rho)
-        roots = _cubic_roots_vectorized(t, y, b, rho)
+        roots = cubic_roots(2 + rho, -rho * t, 2 * b - 2 * y + rho * b, -rho * b * t)
         for i in range(len(t)):
-            pos = [r for r in roots[i] if np.isfinite(r) and r > 0]
+            pos = [r for r in roots[i] if np.isfinite(r) and r >= 0]
             best = min(pos, key=lambda r: _lagrangian(r, y[i], b[i], rho, t[i]))
             assert _lagrangian(m[i], y[i], b[i], rho, t[i]) <= \
                 _lagrangian(best, y[i], b[i], rho, t[i]) + 1e-12
@@ -130,6 +132,11 @@ class TestMagnitudeBpos:
     def test_nonpositive_background_rejected(self):
         with pytest.raises(ValueError):
             update_v_magnitude_bpos(1.0, 1.0, 0.0, 1.0)
+
+    def test_zero_target_and_counts_gives_zero(self):
+        # t = 0, y = 0: m = 0 is the only real root
+        for b, rho in ((0.1, 8.0), (2.0, 0.5)):
+            assert update_v_magnitude_bpos(0.0, 0.0, b, rho) == 0.0
 
 
 class TestXUpdate:
@@ -259,3 +266,17 @@ class TestRunAdmm:
             return obj.cost(z) + reg.beta * reg.value(z)
 
         assert state.trace[-1].cost < total(x0.values)
+
+    def test_canonical_dft_runs(self):
+        # the zero-padded DFT has measurements with t = 0 and y = 0
+        sig = disk(16, 16)
+        model = CanonicalDftModel(sig.dims, sig.values.real.reshape(sig.dims),
+                                  background=0.1)
+        calibrate_scale(model, sig.values, 0.25)
+        y = simulate_poisson(model, sig.values, 5).y
+        obj = PoissonObjective(model, y, field=sig.field)
+        x0 = initialize(model, y, field=sig.field, seed=5)
+        state = run_admm(obj, x0, 10)
+        assert state.status == "ok"
+        assert len(state.trace) == 10
+        assert np.all(np.isfinite(state.costs()))

@@ -199,10 +199,16 @@ class TestMain:
         assert rc == 1
 
     def test_bad_config_value_exit_one(self, tmp_path, capsys):
-        cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({"signal": {"source": "nope"}}))
-        rc = main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
-        assert rc == 1
+        for i, cfg in enumerate([
+            {"signal": {"source": "nope"}},
+            dict(TINY, background=0.0, algorithm={"kind": "mm"}),
+            dict(TINY, mean_count=0.05, background=0.1),
+            dict(TINY, n_iters=-3),
+        ]):
+            cfgp = tmp_path / f"cfg{i}.json"
+            cfgp.write_text(json.dumps(cfg))
+            rc = main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+            assert rc == 1, cfg
 
     def test_check_verb(self, capsys):
         rc = main(["check"])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisson_pr.init_eval import initialize
@@ -11,7 +11,6 @@ from poisson_pr.mm import (
     InnerConfig,
     build_majorizer,
     curvature_improved,
-    curvature_improved_closed_form,
     curvature_max,
     curvature_optimal_numeric,
     majorizer_value,
@@ -21,7 +20,14 @@ from poisson_pr.mm import (
     run_mm,
 )
 from poisson_pr.numerics import finite_diff_grad, soft_threshold
-from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective, psi, psi_dot
+from poisson_pr.objectives import (
+    DiffOp,
+    HuberTV,
+    PoissonObjective,
+    psi,
+    psi_ddot,
+    psi_dot,
+)
 from poisson_pr.operators import (
     DenseModel,
     FieldTag,
@@ -65,16 +71,22 @@ class TestCurvatureImproved:
 
     def test_matches_closed_form(self):
         c1 = curvature_improved(10.0, 6.0, 2.0)
-        c2 = curvature_improved_closed_form(10.0, 6.0, 2.0)
+        c2 = psi_ddot((2.0 + np.sqrt(2.0**2 + 2.0 * 10.0**2)) / 10.0, 6.0, 2.0)
         assert 2.0 < c1 <= 2.75
         assert c1 == pytest.approx(c2, abs=1e-12)
 
     @given(
-        st.floats(-10, 10), st.floats(0, 20), st.floats(0.05, 5),
+        st.one_of(st.floats(-10, 10), st.just(0.0), st.floats(1e-300, 1e300),
+                  st.floats(-1e300, -1e-300)),
+        st.floats(0, 20), st.floats(0.05, 5),
     )
+    @example(1e-300, 20.0, 0.05)
+    @example(1e75, 20.0, 0.05)
+    @example(-1e300, 20.0, 5.0)
     @settings(max_examples=200, deadline=None)
     def test_ordering_between_two_and_max(self, s, y, b):
         c = curvature_improved(s, y, b)
+        assert np.isfinite(c)
         assert 2.0 - 1e-12 <= c <= 2.0 + y / (4.0 * b) + 1e-12
 
     def test_continuous_at_zero(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_pr.numerics import (
+    _wolfe_line_search,
     cg_solve,
     cubic_real_roots,
     finite_diff_grad,
@@ -145,6 +146,24 @@ class TestSoftThreshold:
         z = re + 1j * im
         out = soft_threshold(z, tau)
         assert abs(out) == pytest.approx(max(abs(z) - tau, 0.0), abs=1e-10)
+
+
+class TestWolfeLineSearch:
+    def test_exhausted_search_returns_its_own_cost_and_gradient(self):
+        # an ascent direction fails sufficient decrease at every trial step
+        calls = []
+
+        def fg(x):
+            calls.append(x.copy())
+            return float(np.sum(x**2)), 2.0 * x
+
+        x, p = np.array([1.0, -0.5]), np.array([1.0, -0.5])
+        f0, g0 = fg(x)
+        t, f, g = _wolfe_line_search(fg, x, f0, g0, p, max_evals=25)
+        assert len(calls) == 1 + 25
+        f_t, g_t = fg(x + t * p)
+        assert f == f_t
+        assert np.array_equal(g, g_t)
 
 
 class TestLbfgs:
