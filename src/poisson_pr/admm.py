@@ -8,11 +8,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .init_eval import RunState
-from .mm import minimize_quad_plus_huber
-from .numerics import cg_solve, cubic_roots, power_method, soft_threshold
+from .mm import lipschitz, minimize_quad_plus_huber, normal_op, prox_l1, solve_normal
+# cg_solve, power_method: only for the benchmark's tracer (mm's kernels call mm's)
+from .numerics import cg_solve, cubic_roots, power_method  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
-from .operators import FieldTag, ForwardModel, SignalVector, project_field
+from .operators import FieldTag, ForwardModel, SignalVector, project_field, realify
 from .wf import iterate
+
+# inner-solver iterations and tolerance of the x update (CG, nonlinear CG or
+# proximal gradient)
+X_ITERS, X_TOL = 50, 1e-8
 
 
 def complex_sign(z: NDArray) -> NDArray:
@@ -82,76 +87,30 @@ def update_x(
     rho: float = 1.0,
     l1: bool = False,
     x0: NDArray | None = None,
-    inner_iters: int = 50,
-    inner_tol: float = 1e-8,
-    direct_threshold: int = 64,
 ) -> NDArray:
     """Least-squares x update, with optional Huber or l1 regularization.
 
-    Unregularized: solves A'A x = A'(v + eta), via the diagonal of A'A when
-    available, a direct solve for small N, else CG. Regularized: minimizes
-    (rho/2)||Ax - v - eta||^2 + beta R(x).
+    Unregularized: solves A'A x = A'(v + eta) (mm.solve_normal). Regularized:
+    minimizes (rho/2)||Ax - v - eta||^2 + beta R(x), i.e.
+    1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x).
     """
     w = v + eta
     if model.offset_raw is not None:
         w = w - model.scale * model.offset_raw
-    rhs = model.adjoint(w)
-    if field.is_real:
-        rhs = rhs.real.astype(complex)
-
-    def normal_op(z):
-        out = model.adjoint(model.apply_linear(z))
-        return out.real.astype(complex) if field.is_real else out
-
+    rhs = realify(model.adjoint(w), field)
     if reg is None or reg.beta == 0.0:
-        diag = model.normal_diag()
-        if diag is not None:
-            x = rhs / diag
-        elif model.cols <= direct_threshold:
-            a = model.densify()
-            h = a.conj().T @ a
-            if field.is_real:
-                h = h.real
-            if np.linalg.cond(h) > 1e14:
-                raise np.linalg.LinAlgError("A'A is singular")
-            x = np.linalg.solve(h, rhs.real if field.is_real else rhs).astype(complex)
-        else:
-            x = cg_solve(normal_op, rhs, iters=inner_iters, tol=inner_tol)
-        return project_field(x, field)
+        return project_field(solve_normal(model, 1.0, rhs, field, X_ITERS, X_TOL), field)
 
-    start = x0 if x0 is not None else np.zeros(model.cols, dtype=complex)
+    x = x0 if x0 is not None else np.zeros(model.cols, dtype=complex)
+    op, lin = normal_op(model, rho, field), rho * rhs
     if not l1:
-        # (rho/2)||Ax - w||^2 + beta 1'h.(Tx) = 1/2 x'(rho A'A)x - Re<rho A'w, x> + ...
-        return minimize_quad_plus_huber(
-            lambda z: rho * normal_op(z),
-            rho * rhs,
-            start,
-            reg,
-            field,
-            inner_iters=inner_iters,
-            tol=inner_tol,
-        )
+        return minimize_quad_plus_huber(op, lin, x, reg, field,
+                                        inner_iters=X_ITERS, tol=X_TOL)
     # proximal gradient on the smooth LS part with T-domain soft-thresholding
-    diag = model.normal_diag()
-    if diag is not None:
-        lip = rho * float(np.max(diag))
-    else:
-        a = model.densify() if model.cols <= direct_threshold else None
-        if a is not None:
-            lip = rho * float(np.linalg.norm(a, ord=2) ** 2)
-        else:
-            lam, _ = power_method(normal_op, model.cols, iters=50, seed=5)
-            lip = rho * 1.05 * lam
-    step = 1.0 / max(lip, 1e-30)
-    x = start.copy()
-    top = reg.diff_op
-    for _ in range(inner_iters):
-        g = rho * (normal_op(x) - rhs)
-        z = x - step * g
-        tz = top.apply(z)
-        x_new = z + top.adjoint(soft_threshold(tz, step * reg.beta) - tz)
-        x_new = project_field(x_new, field)
-        if np.linalg.norm(x_new - x) <= inner_tol * max(1.0, np.linalg.norm(x)):
+    step = 1.0 / max(lipschitz(model, rho, field), 1e-30)
+    for _ in range(X_ITERS):
+        x_new = prox_l1(x - step * (op(x) - lin), reg.diff_op, step * reg.beta, field)
+        if np.linalg.norm(x_new - x) <= X_TOL * max(1.0, np.linalg.norm(x)):
             return x_new
         x = x_new
     return x
@@ -165,7 +124,6 @@ def run_admm(
     reg: HuberTV | None = None,
     l1: bool = False,
     x_true: NDArray | None = None,
-    inner_iters: int = 50,
 ) -> RunState:
     """ADMM outer loop: v (phase then magnitude), x, dual, penalty update."""
     model = obj.model
@@ -186,10 +144,7 @@ def run_admm(
         else:
             mag = update_v_magnitude_bpos(t, obj.y, obj.b, rho)
         v = np.atleast_1d(mag) * phase
-        x = update_x(
-            model, v, eta, field=x0.field, reg=reg, rho=rho, l1=l1,
-            x0=x, inner_iters=inner_iters,
-        )
+        x = update_x(model, v, eta, field=x0.field, reg=reg, rho=rho, l1=l1, x0=x)
         ax = model.apply(x)
         eta = update_dual(eta, v, ax)
         primal = float(np.linalg.norm(ax - v))

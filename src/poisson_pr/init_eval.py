@@ -9,7 +9,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .numerics import power_method
-from .operators import FieldTag, ForwardModel, SignalVector
+from .operators import FieldTag, ForwardModel, SignalVector, realify
 
 PSNR_CAP_DB = 300.0
 
@@ -82,9 +82,7 @@ def finalize_init(x0: NDArray, alpha: float, field: FieldTag) -> NDArray:
     scaled = alpha * np.asarray(x0, complex)
     if field is FieldTag.REAL_NONNEGATIVE:
         return np.abs(scaled).astype(complex)
-    if field is FieldTag.REAL:
-        return scaled.real.astype(complex)
-    return scaled
+    return realify(scaled, field)
 
 
 def initialize(

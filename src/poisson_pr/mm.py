@@ -12,7 +12,7 @@ from numpy.typing import NDArray
 from .init_eval import RunState
 from .numerics import cg_solve, power_method, real_dot, soft_threshold
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective, psi, psi_dot
-from .operators import FieldTag, SignalVector, project_field
+from .operators import FieldTag, ForwardModel, SignalVector, project_field, realify
 from .wf import iterate
 
 
@@ -61,14 +61,76 @@ def curvature_optimal_numeric(
     return float(np.max(num / (r - s) ** 2))
 
 
+# MM's inner solvers (unregularized CG, l1 APG, Huber nonlinear CG); normal
+# equations with at most DIRECT_MAX_COLS unknowns are solved directly
+CG_ITERS, CG_TOL = 30, 1e-9
+PROX_ITERS, PROX_TOL = 100, 1e-10
+HUBER_ITERS, HUBER_TOL = 50, 1e-9
+DIRECT_MAX_COLS = 64
+
+
+def normal_op(model: ForwardModel, w, field: FieldTag):
+    """z -> A'diag(w)A z (real part for real fields); w is a scalar or a
+    per-measurement weight vector."""
+    def op(z):
+        return realify(model.adjoint(w * model.apply_linear(z)), field)
+    return op
+
+
+def solve_normal(model: ForwardModel, w, rhs: NDArray, field: FieldTag,
+                 iters: int, tol: float) -> NDArray:
+    """Solve A'diag(w)A x = rhs: by the diagonal of A'A for a scalar w when
+    the model has one, directly for at most DIRECT_MAX_COLS unknowns, else by
+    CG with `iters`/`tol`."""
+    diag = model.normal_diag() if np.ndim(w) == 0 else None
+    if diag is not None:
+        return rhs / (w * diag)
+    if model.cols <= DIRECT_MAX_COLS:
+        a = model.densify()
+        h = a.conj().T @ (w[:, None] * a) if np.ndim(w) else w * (a.conj().T @ a)
+        if field.is_real:
+            h, rhs = h.real, rhs.real
+        if np.linalg.cond(h) > 1e14:
+            raise np.linalg.LinAlgError("A'WA is singular: rank-deficient model")
+        return np.linalg.solve(h, rhs).astype(complex)
+    return cg_solve(normal_op(model, w, field), rhs, iters=iters, tol=tol)
+
+
+def lipschitz(model: ForwardModel, w, field: FieldTag) -> float:
+    """A Lipschitz constant of z -> A'diag(w)A z, chosen like solve_normal's
+    path: exact from the diagonal, the 2-norm^2 of the densified W^{1/2}A
+    (exact for complex fields, an upper bound for real ones), or 1.05 x a
+    power-method estimate."""
+    diag = model.normal_diag() if np.ndim(w) == 0 else None
+    if diag is not None:
+        return float(np.max(w * diag))
+    if model.cols <= DIRECT_MAX_COLS:
+        # factor out max(w) so that a scalar w multiplies the norm exactly
+        top = np.max(w)
+        a = np.sqrt(w / top)[..., None] * model.densify()
+        return float(top * np.linalg.norm(a, ord=2) ** 2)
+    lam, _ = power_method(normal_op(model, w, field), model.cols, iters=50, seed=3)
+    return 1.05 * lam
+
+
+def prox_l1(z: NDArray, diff_op, tau: float, field: FieldTag) -> NDArray:
+    """Soft-threshold T z at tau (T the identity when diff_op is None), then
+    project onto the field: the prox of tau ||T z||_1 when T is orthonormal."""
+    if diff_op is None:
+        out = soft_threshold(z, tau)
+    else:
+        tz = diff_op.apply(z)
+        out = z + diff_op.adjoint(soft_threshold(tz, tau) - tz)
+    return project_field(out, field)
+
+
 @dataclass
 class MajorizerContext:
     """Anchor-point data of the quadratic majorizer q(x; x_k)."""
 
     obj: PoissonObjective
     x_k: NDArray
-    s: NDArray          # A x_k (field at the anchor)
-    grad: NDArray       # A' psi_dot(s), field-projected
+    grad: NDArray       # A' psi_dot(A x_k), field-projected
     w: NDArray          # positive diagonal curvature vector
     f_k: float
 
@@ -76,10 +138,10 @@ class MajorizerContext:
     def field(self) -> FieldTag:
         return self.obj.field
 
-    def quad_op(self, z: NDArray) -> NDArray:
-        """Action of A'WA (real part for real fields)."""
-        out = self.obj.model.adjoint(self.w * self.obj.model.apply_linear(z))
-        return out.real.astype(complex) if self.field.is_real else out
+    @property
+    def quad_op(self):
+        """z -> A'WA z (real part for real fields)."""
+        return normal_op(self.obj.model, self.w, self.field)
 
 
 def build_majorizer(
@@ -90,8 +152,8 @@ def build_majorizer(
         w = curvature_max(obj.y, obj.b)
     else:
         w = curvature_improved(s, obj.y, obj.b)
-    grad = obj._fieldify(obj.model.adjoint(obj.marginal_grad(s)))
-    return MajorizerContext(obj=obj, x_k=x.copy(), s=s, grad=grad, w=w, f_k=obj.cost(x))
+    grad = realify(obj.model.adjoint(obj.marginal_grad(s)), obj.field)
+    return MajorizerContext(obj=obj, x_k=x.copy(), grad=grad, w=w, f_k=obj.cost(x))
 
 
 def majorizer_value(ctx: MajorizerContext, x: NDArray) -> float:
@@ -102,28 +164,9 @@ def majorizer_value(ctx: MajorizerContext, x: NDArray) -> float:
     return ctx.f_k + real_dot(ctx.grad, dx) + quad
 
 
-def _densified_quad(ctx: MajorizerContext) -> NDArray:
-    a = ctx.obj.model.densify()
-    h = a.conj().T @ (ctx.w[:, None] * a)
-    return h.real if ctx.field.is_real else h
-
-
-def mm_update_unregularized(
-    ctx: MajorizerContext,
-    direct_threshold: int = 64,
-    cg_iters: int = 30,
-    cg_tol: float = 1e-9,
-) -> NDArray:
-    """x_k - (A'WA)^{-1} A' psi_dot(A x_k); direct solve for small N, else CG."""
-    n = ctx.obj.model.cols
-    rhs = ctx.grad
-    if n <= direct_threshold:
-        h = _densified_quad(ctx)
-        if np.linalg.cond(h) > 1e14:
-            raise np.linalg.LinAlgError("A'WA is singular: rank-deficient model")
-        d = np.linalg.solve(h, rhs.real if ctx.field.is_real else rhs)
-    else:
-        d = cg_solve(ctx.quad_op, rhs, iters=cg_iters, tol=cg_tol)
+def mm_update_unregularized(ctx: MajorizerContext) -> NDArray:
+    """x_k - (A'WA)^{-1} A' psi_dot(A x_k)."""
+    d = solve_normal(ctx.obj.model, ctx.w, ctx.grad, ctx.field, CG_ITERS, CG_TOL)
     return project_field(ctx.x_k - d, ctx.field)
 
 
@@ -132,35 +175,22 @@ def _quad_grad(ctx: MajorizerContext, x: NDArray) -> NDArray:
     return ctx.grad + ctx.quad_op(x - ctx.x_k)
 
 
-def estimate_lipschitz(ctx: MajorizerContext, iters: int = 50, seed: int = 3) -> float:
-    lam, _ = power_method(ctx.quad_op, ctx.obj.model.cols, iters=iters, seed=seed)
-    return 1.05 * lam
-
-
 def mm_update_prox_l1(
     ctx: MajorizerContext,
     diff_op=None,
     beta: float = 0.0,
-    inner_iters: int = 100,
-    tol: float = 1e-10,
+    inner_iters: int = PROX_ITERS,
+    tol: float = PROX_TOL,
 ) -> tuple[NDArray, bool]:
     """Approximately minimize q(x; x_k) + beta ||T x||_1.
 
     Accelerated proximal gradient with function-value restart; the prox
     assumes T is orthonormal (identity when diff_op is None).
     """
-    lip = estimate_lipschitz(ctx)
+    lip = lipschitz(ctx.obj.model, ctx.w, ctx.field)
     if lip <= 0:
         return ctx.x_k.copy(), True
     step = 1.0 / lip
-
-    def prox(z, tau):
-        if diff_op is None:
-            out = soft_threshold(z, tau)
-        else:
-            tz = diff_op.apply(z)
-            out = z + diff_op.adjoint(soft_threshold(tz, tau) - tz)
-        return project_field(out, ctx.field)
 
     def total(z):
         pen = np.sum(np.abs(z if diff_op is None else diff_op.apply(z)))
@@ -174,12 +204,13 @@ def mm_update_prox_l1(
     best_x, best_f = x.copy(), f_start
     converged = False
     for _ in range(inner_iters):
-        x_new = prox(z - step * _quad_grad(ctx, z), step * beta)
+        x_new = prox_l1(z - step * _quad_grad(ctx, z), diff_op, step * beta, ctx.field)
         f_new = total(x_new)
         if f_new > f_prev:  # function-value restart
             t = 1.0
             z = x.copy()
-            x_new = prox(z - step * _quad_grad(ctx, z), step * beta)
+            x_new = prox_l1(z - step * _quad_grad(ctx, z), diff_op, step * beta,
+                            ctx.field)
             f_new = total(x_new)
         if f_new < best_f:
             best_x, best_f = x_new.copy(), f_new
@@ -204,8 +235,8 @@ def minimize_quad_plus_huber(
     x0: NDArray,
     reg: HuberTV,
     field: FieldTag,
-    inner_iters: int = 50,
-    tol: float = 1e-9,
+    inner_iters: int = HUBER_ITERS,
+    tol: float = HUBER_TOL,
 ) -> NDArray:
     """Nonlinear CG for F(x) = 1/2 x'Qx - Re<lin, x> + beta 1'h.(Tx; alpha).
 
@@ -219,7 +250,7 @@ def minimize_quad_plus_huber(
         g = quad_op(z) - lin
         if beta > 0:
             g = g + reg.gradient(z)
-        return g.real.astype(complex) if field.is_real else g
+        return realify(g, field)
 
     x = x0.copy()
     g = grad_fn(x)
@@ -248,22 +279,14 @@ def minimize_quad_plus_huber(
 
 
 def mm_update_huber(
-    ctx: MajorizerContext, reg: HuberTV, inner_iters: int = 50, tol: float = 1e-9
+    ctx: MajorizerContext, reg: HuberTV, inner_iters: int = HUBER_ITERS,
+    tol: float = HUBER_TOL,
 ) -> NDArray:
     """Minimize q(x; x_k) + beta 1'h.(Tx; alpha) by nonlinear CG."""
     lin = ctx.quad_op(ctx.x_k) - ctx.grad
     return minimize_quad_plus_huber(
         ctx.quad_op, lin, ctx.x_k, reg, ctx.field, inner_iters=inner_iters, tol=tol
     )
-
-
-@dataclass
-class InnerConfig:
-    direct_threshold: int = 64
-    cg_iters: int = 30
-    cg_tol: float = 1e-9
-    prox_iters: int = 100
-    huber_iters: int = 50
 
 
 def run_mm(
@@ -273,31 +296,25 @@ def run_mm(
     curvature: CurvatureKind = CurvatureKind.IMPROVED,
     reg: HuberTV | None = None,
     l1: bool = False,
-    inner: InnerConfig | None = None,
     x_true: NDArray | None = None,
 ) -> RunState:
     """MM outer loop: build the quadratic majorizer, minimize it, repeat.
 
     With a regularizer, the inner problem is solved by accelerated proximal
     gradient (l1=True, prox-friendly T) or nonlinear CG on the Huber-smoothed
-    penalty; unregularized updates use a direct solve or CG.
+    penalty; unregularized updates solve the normal equations (solve_normal).
     """
-    inner = inner or InnerConfig()
 
     def step(k, x, warnings):
         ctx = build_majorizer(obj, x, curvature)
         if reg is not None and l1:
-            x, ok = mm_update_prox_l1(
-                ctx, reg.diff_op, reg.beta, inner_iters=inner.prox_iters
-            )
+            x, ok = mm_update_prox_l1(ctx, reg.diff_op, reg.beta)
             if not ok:
                 warnings.append(f"outer {k}: inner prox loop hit max iters")
             return x
         if reg is not None:
-            return mm_update_huber(ctx, reg, inner_iters=inner.huber_iters)
-        return mm_update_unregularized(
-            ctx, inner.direct_threshold, inner.cg_iters, inner.cg_tol
-        )
+            return mm_update_huber(ctx, reg)
+        return mm_update_unregularized(ctx)
 
     return iterate(step, x0.values, n_outer, RegularizedObjective(obj, reg, l1).cost,
                    x_true)

@@ -18,7 +18,6 @@ def power_method(
     n: int,
     iters: int = 200,
     seed: int = 0,
-    dtype=np.complex128,
 ) -> tuple[float, NDArray]:
     """Leading eigenpair of a Hermitian PSD operator given as a callable.
 
@@ -26,9 +25,7 @@ def power_method(
     non-decreasing across iterations for PSD operators.
     """
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n).astype(dtype)
-    if np.issubdtype(dtype, np.complexfloating):
-        v = v + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
@@ -46,14 +43,13 @@ def cg_solve(
     rhs: NDArray,
     iters: int = 30,
     tol: float = 1e-9,
-    x0: NDArray | None = None,
 ) -> NDArray:
     """Conjugate gradient for Hermitian positive-semidefinite `op`.
 
     Stops when the relative residual drops below `tol` or after `iters`
     iterations. Exact in <= N steps in exact arithmetic.
     """
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    x = np.zeros_like(rhs)
     r = rhs - op(x)
     p = r.copy()
     rs = real_dot(r, r)
@@ -224,13 +220,17 @@ def lbfgs_minimize(
 
     `fg` returns (cost, gradient); complex iterates use the real inner
     product, so gradients may be Wirtinger ascent directions. `callback`
-    receives each new iterate and its cost.
+    receives each new iterate and its cost. A non-finite cost at the start
+    or from a line search raises FloatingPointError; the callback has then
+    seen the last iterate.
     """
     x = x0.copy()
     f, g = fg(x)
     s_hist: list[NDArray] = []
     y_hist: list[NDArray] = []
     for _ in range(n_iters):
+        if not np.isfinite(f):
+            raise FloatingPointError("non-finite cost")
         gnorm = np.linalg.norm(g)
         if gnorm == 0.0 or gnorm <= grad_tol:
             break
@@ -250,7 +250,9 @@ def lbfgs_minimize(
         if real_dot(g, p) >= 0.0:
             p = -g  # fall back to steepest descent
         t, f_new, g_new = _wolfe_line_search(fg, x, f, g, p)
-        if t == 0.0 or not np.isfinite(f_new):
+        if not np.isfinite(f_new):
+            raise FloatingPointError("non-finite cost")
+        if t == 0.0:
             break
         s_vec = t * p
         y_vec = g_new - g

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .operators import FieldTag, ForwardModel
+from .operators import FieldTag, ForwardModel, realify
 
 
 def psi(v, y, b):
@@ -86,13 +86,10 @@ class PoissonObjective:
 
     def gradient(self, x: NDArray) -> NDArray:
         g = self.model.adjoint(self.marginal_grad(self.model.apply(x)))
-        return self._fieldify(g)
+        return realify(g, self.field)
 
     def fisher_diag(self, v: NDArray) -> NDArray:
         return fisher_marginal_poisson(v, self.b)
-
-    def _fieldify(self, g: NDArray) -> NDArray:
-        return g.real.astype(complex) if self.field.is_real else g
 
 
 class GaussianObjective(PoissonObjective):
@@ -248,4 +245,4 @@ class RegularizedObjective:
         """A data-term gradient `g` at x plus the penalty's gradient there."""
         if self.reg is None:
             return g
-        return self.data._fieldify(g + self.reg.gradient(x))
+        return realify(g + self.reg.gradient(x), self.data.field)

@@ -49,11 +49,14 @@ class SignalVector:
         return self.values.size
 
 
+def realify(x: NDArray, field: FieldTag) -> NDArray:
+    """The real part (complex dtype) for real fields, x itself otherwise; no clamp."""
+    return x.real.astype(complex) if field.is_real else x
+
+
 def project_field(x: NDArray, field: FieldTag) -> NDArray:
     """Project an iterate onto its field: realify, clamp negatives."""
-    if field is FieldTag.COMPLEX:
-        return x
-    x = x.real.astype(complex)
+    x = realify(x, field)
     if field is FieldTag.REAL_NONNEGATIVE:
         x = np.maximum(x.real, 0.0).astype(complex)
     return x

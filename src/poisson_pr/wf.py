@@ -16,7 +16,7 @@ from .numerics import cubic_real_roots, real_dot
 from .objectives import (
     GaussianObjective, HuberTV, PoissonObjective, RegularizedObjective,
 )
-from .operators import FieldTag, SignalVector, project_field
+from .operators import FieldTag, SignalVector, project_field, realify
 
 
 class StepKind(enum.Enum):
@@ -161,20 +161,26 @@ def iterate(step: Callable, x0: NDArray, n_iters: int, cost: Callable,
     """The solver loop x_k = step(k, x_{k-1}, warnings), k = 1..n_iters.
 
     Trace rows hold the steps' cumulative wall time, cost(x_k) and the
-    phase-corrected NRMSE/PSNR; a DegenerateIterateError ends the run."""
+    phase-corrected NRMSE/PSNR. A DegenerateIterateError ends the run, and so
+    does a non-finite cost, whose iterate is dropped: the run returns the one
+    before it."""
     x = x0.copy()
     state = RunState(x=x)
     elapsed = 0.0
     for k in range(1, n_iters + 1):
         t0 = time.perf_counter()
         try:
-            x = step(k, x, state.warnings)
+            x_new = step(k, x, state.warnings)
+            elapsed += time.perf_counter() - t0
+            c = cost(x_new)
+            if not np.isfinite(c):
+                raise DegenerateIterateError("non-finite cost")
         except DegenerateIterateError as exc:
             state.status = f"terminated: {exc}"
             break
-        elapsed += time.perf_counter() - t0
+        x = x_new
         nr, ps = _metrics(x, x_true)
-        state.trace.append(TraceRow(k, elapsed, cost(x), nr, ps))
+        state.trace.append(TraceRow(k, elapsed, c, nr, ps))
     state.x = x
     return state
 
@@ -202,7 +208,7 @@ def run_wf(
         if trunc.enabled:
             mg = obj.marginal_grad(obj.model.apply(x))
             mg = np.where(truncation_mask(obj, x, trunc.a_h), mg, 0.0)
-            grad = cost.add_penalty_gradient(obj._fieldify(obj.model.adjoint(mg)), x)
+            grad = cost.add_penalty_gradient(realify(obj.model.adjoint(mg), obj.field), x)
         else:
             grad = cost.gradient(x)
 

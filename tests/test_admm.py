@@ -14,6 +14,7 @@ from poisson_pr.admm import (
     update_x,
 )
 from poisson_pr.init_eval import initialize
+from poisson_pr.mm import DIRECT_MAX_COLS
 from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective
 from poisson_pr.operators import (
     CanonicalDftModel,
@@ -147,15 +148,14 @@ class TestXUpdate:
         assert np.allclose(out, v, atol=1e-12)
 
     def test_masked_dft_diagonal_vs_cg(self):
-        m = MaskedDftModel(make_masks(3, 8, seed=4))
+        m = MaskedDftModel(make_masks(3, DIRECT_MAX_COLS + 8, seed=4))
         rng = np.random.default_rng(5)
         v = rng.standard_normal(m.rows) + 1j * rng.standard_normal(m.rows)
         fast = update_x(m, v, np.zeros(m.rows, dtype=complex))
-        # force the CG path by hiding the diagonal
+        # force the CG path (N > DIRECT_MAX_COLS) by hiding the diagonal
         diag_fn = m.normal_diag
         m.normal_diag = lambda: None
-        slow = update_x(m, v, np.zeros(m.rows, dtype=complex),
-                        direct_threshold=0, inner_iters=200, inner_tol=1e-12)
+        slow = update_x(m, v, np.zeros(m.rows, dtype=complex))
         m.normal_diag = diag_fn
         assert np.linalg.norm(fast - slow) < 1e-8 * max(1.0, np.linalg.norm(fast))
 
@@ -171,8 +171,7 @@ class TestXUpdate:
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         reg = HuberTV(0.8, 0.2, DiffOp(4))
         rho = 2.0
-        out = update_x(m, v, np.zeros(12, dtype=complex), reg=reg, rho=rho,
-                       inner_iters=300, inner_tol=1e-12)
+        out = update_x(m, v, np.zeros(12, dtype=complex), reg=reg, rho=rho)
         # stationarity of (rho/2)||Ax - v||^2 + beta R(x)
         g = rho * m.adjoint(m.apply_linear(out) - v) + reg.gradient(out)
         assert np.linalg.norm(g) < 1e-6 * max(1.0, np.linalg.norm(v))

@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 
 from poisson_pr.init_eval import initialize
 from poisson_pr.mm import (
+    DIRECT_MAX_COLS,
     CurvatureKind,
-    InnerConfig,
     build_majorizer,
     curvature_improved,
     curvature_max,
     curvature_optimal_numeric,
+    lipschitz,
     majorizer_value,
     mm_update_huber,
     mm_update_prox_l1,
     mm_update_unregularized,
     run_mm,
+    solve_normal,
 )
-from poisson_pr.numerics import finite_diff_grad, soft_threshold
+from poisson_pr.numerics import cg_solve, finite_diff_grad, soft_threshold
 from poisson_pr.objectives import (
     DiffOp,
     HuberTV,
@@ -31,8 +33,10 @@ from poisson_pr.objectives import (
 from poisson_pr.operators import (
     DenseModel,
     FieldTag,
+    MaskedDftModel,
     SignalVector,
     calibrate_scale,
+    make_masks,
     random_gaussian_model,
     simulate_poisson,
 )
@@ -156,6 +160,52 @@ class TestMajorizer:
             assert np.all(ctx.w > 0)
 
 
+N_CG = DIRECT_MAX_COLS + 8  # unknowns above the direct-solve limit
+# the three paths of solve_normal/lipschitz: scalar weight with the diagonal
+# of A'A, a weight vector at N <= DIRECT_MAX_COLS (densified), and above it
+KERNEL_CASES = {
+    "diagonal": (MaskedDftModel(make_masks(3, 10, seed=1)), 2.0),
+    "direct": (random_gaussian_model(60, 12, seed=2),
+               np.random.default_rng(3).uniform(0.5, 2.0, 60)),
+    "iterative": (random_gaussian_model(4 * N_CG, N_CG, seed=4),
+                  np.random.default_rng(5).uniform(0.5, 2.0, 4 * N_CG)),
+}
+
+
+def densified_normal(model, w, field):
+    a = model.densify()
+    h = a.conj().T @ (np.reshape(w, (-1, 1)) * a)
+    return h.real if field.is_real else h
+
+
+class TestNormalEquationKernels:
+    @pytest.mark.parametrize("path", KERNEL_CASES)
+    @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
+    def test_solve_normal_matches_dense_solve(self, path, field):
+        model, w = KERNEL_CASES[path]
+        rng = np.random.default_rng(6)
+        rhs = rng.standard_normal(model.cols) + 1j * rng.standard_normal(model.cols)
+        if field.is_real:
+            rhs = rhs.real.astype(complex)
+        out = solve_normal(model, w, rhs, field, iters=500, tol=1e-13)
+        h = densified_normal(model, w, field)
+        expected = np.linalg.solve(h, rhs.real if field.is_real else rhs)
+        assert np.linalg.norm(out - expected) < 1e-9 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("path", ["diagonal", "direct"])
+    def test_lipschitz_exact_on_diagonal_and_small_dense(self, path):
+        model, w = KERNEL_CASES[path]
+        lam = np.linalg.eigvalsh(densified_normal(model, w, FieldTag.COMPLEX))[-1]
+        assert lipschitz(model, w, FieldTag.COMPLEX) == pytest.approx(lam, rel=1e-12)
+
+    @pytest.mark.parametrize("path", KERNEL_CASES)
+    @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
+    def test_lipschitz_bounds_the_largest_eigenvalue(self, path, field):
+        model, w = KERNEL_CASES[path]
+        lam = np.linalg.eigvalsh(densified_normal(model, w, field))[-1]
+        assert lipschitz(model, w, field) >= lam * (1.0 - 1e-12)
+
+
 class TestMmUpdateUnregularized:
     def test_diagonal_system(self):
         # A = I: componentwise x - psi_dot(x)/W
@@ -172,8 +222,8 @@ class TestMmUpdateUnregularized:
     def test_direct_vs_cg(self):
         model, x, obj = poisson_instance(n=16, m=96, seed=6)
         ctx = build_majorizer(obj, x)
-        direct = mm_update_unregularized(ctx, direct_threshold=64)
-        cg = mm_update_unregularized(ctx, direct_threshold=0, cg_iters=30)
+        direct = mm_update_unregularized(ctx)
+        cg = ctx.x_k - cg_solve(ctx.quad_op, ctx.grad, iters=30)
         assert np.linalg.norm(direct - cg) < 1e-8
 
     def test_descent(self):
@@ -285,9 +335,9 @@ class TestRunMm:
         mx = run_mm(obj, x0, 30, curvature=CurvatureKind.MAX)
         assert np.all(imp.costs() <= mx.costs() + 1e-9 * np.abs(mx.costs()))
 
-    def test_inner_config_respected(self):
-        model, x, obj = poisson_instance(seed=16)
+    def test_cg_path_above_direct_limit(self):
+        model, x, obj = poisson_instance(n=N_CG, m=8 * N_CG, seed=16)
         x0 = initialize(model, obj.y, seed=6)
-        state = run_mm(obj, x0, 3, inner=InnerConfig(direct_threshold=0, cg_iters=40))
+        state = run_mm(obj, x0, 3)
         assert state.status == "ok"
         assert len(state.trace) == 3

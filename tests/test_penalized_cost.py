@@ -1,5 +1,6 @@
 """Every solver reports the one penalized cost f(x) + beta R(x)."""
 
+import numpy as np
 import pytest
 
 from poisson_pr.admm import run_admm
@@ -14,6 +15,7 @@ from poisson_pr.objectives import (
     RegularizedObjective,
 )
 from poisson_pr.operators import (
+    SignalVector,
     calibrate_scale,
     random_gaussian_model,
     simulate_poisson,
@@ -65,3 +67,18 @@ def test_trace_reports_the_penalized_cost(solver, penalty):
     assert state.status == "ok"
     assert state.trace
     assert state.trace[-1].cost == RegularizedObjective(obj, reg, l1).cost(state.x)
+
+
+@pytest.mark.parametrize("solver", ["wf-fisher", "wf-backtracking", "mm-improved", "lbfgs"])
+def test_non_finite_cost_ends_the_run(solver):
+    sig = blocks(N, seed=0)
+    model = random_gaussian_model(64, N, seed=3, background=0.1)
+    calibrate_scale(model, sig.values, 0.25)
+    obj = PoissonObjective(model, simulate_poisson(model, sig.values, 4).y,
+                           field=sig.field)
+    x0 = SignalVector(np.full(N, 1e200, dtype=complex), sig.field)
+    with np.errstate(all="ignore"):
+        state = SOLVERS[solver](obj, x0, None, False)
+    assert state.status == "terminated: non-finite cost"
+    assert state.trace == []
+    assert np.array_equal(state.x, x0.values)
