@@ -4,16 +4,18 @@ adaptive penalty heuristic."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 from numpy.typing import NDArray
 
 from .init_eval import RunState
-from .mm import lipschitz, minimize_quad_plus_huber, normal_op, prox_l1, solve_normal
+from .mm import lipschitz, minimize_quad_plus_huber, normal_op, normal_solver, prox_l1
 # cg_solve, power_method: only for the benchmark's tracer (mm's kernels call mm's)
 from .numerics import cg_solve, cubic_roots, power_method  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
 from .operators import FieldTag, ForwardModel, SignalVector, project_field, realify
-from .wf import iterate
+from .wf import DegenerateIterateError, iterate
 
 # inner-solver iterations and tolerance of the x update (CG, nonlinear CG or
 # proximal gradient)
@@ -50,7 +52,11 @@ def update_v_magnitude_bpos(t, y, b, rho: float):
         raise ValueError("update_v_magnitude_bpos requires b > 0")
     roots = cubic_roots(2.0 + rho, -rho * t, 2.0 * b - 2.0 * y + rho * b, -rho * b * t)
     feasible = np.isfinite(roots) & (roots >= 0)
-    if not np.all(np.any(feasible, axis=1)):
+    missing = ~np.any(feasible, axis=1)
+    if np.any(missing):
+        # at a huge iterate the powers of t overflow and every root is NaN
+        if not np.all(np.isfinite(roots[missing])):
+            raise DegenerateIterateError("non-finite cost")
         raise RuntimeError("cubic magnitude update found no nonnegative root")
     # marginal augmented Lagrangian at each candidate; rate >= b > 0
     m = np.where(feasible, roots, 1.0)
@@ -78,6 +84,10 @@ def update_rho(rho: float, primal_res_norm: float, dual_res_norm: float, k: int)
     return rho
 
 
+def _unregularized(reg: HuberTV | None) -> bool:
+    return reg is None or reg.beta == 0.0
+
+
 def update_x(
     model: ForwardModel,
     v: NDArray,
@@ -87,19 +97,22 @@ def update_x(
     rho: float = 1.0,
     l1: bool = False,
     x0: NDArray | None = None,
+    solve: Callable[[NDArray], NDArray] | None = None,
 ) -> NDArray:
     """Least-squares x update, with optional Huber or l1 regularization.
 
-    Unregularized: solves A'A x = A'(v + eta) (mm.solve_normal). Regularized:
-    minimizes (rho/2)||Ax - v - eta||^2 + beta R(x), i.e.
-    1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x).
+    Unregularized: solves A'A x = A'(v + eta) with `solve`, the fixed
+    `mm.normal_solver` of A'A that run_admm builds once per run (built here
+    when None). Regularized: minimizes (rho/2)||Ax - v - eta||^2 + beta R(x),
+    i.e. 1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x).
     """
     w = v + eta
     if model.offset_raw is not None:
         w = w - model.scale * model.offset_raw
     rhs = realify(model.adjoint(w), field)
-    if reg is None or reg.beta == 0.0:
-        return project_field(solve_normal(model, 1.0, rhs, field, X_ITERS, X_TOL), field)
+    if _unregularized(reg):
+        solve = solve or normal_solver(model, 1.0, field, X_ITERS, X_TOL)
+        return project_field(solve(rhs), field)
 
     x = x0 if x0 is not None else np.zeros(model.cols, dtype=complex)
     op, lin = normal_op(model, rho, field), rho * rhs
@@ -127,7 +140,9 @@ def run_admm(
 ) -> RunState:
     """ADMM outer loop: v (phase then magnitude), x, dual, penalty update."""
     model = obj.model
-    ax = model.apply(x0.values)
+    solve = (normal_solver(model, 1.0, x0.field, X_ITERS, X_TOL)
+             if _unregularized(reg) else None)
+    ax = obj.forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
     rho = float(rho0)
@@ -144,8 +159,9 @@ def run_admm(
         else:
             mag = update_v_magnitude_bpos(t, obj.y, obj.b, rho)
         v = np.atleast_1d(mag) * phase
-        x = update_x(model, v, eta, field=x0.field, reg=reg, rho=rho, l1=l1, x0=x)
-        ax = model.apply(x)
+        x = update_x(model, v, eta, field=x0.field, reg=reg, rho=rho, l1=l1, x0=x,
+                     solve=solve)
+        ax = obj.forward(x)
         eta = update_dual(eta, v, ax)
         primal = float(np.linalg.norm(ax - v))
         dual = float(np.linalg.norm(rho * model.adjoint(v - v_old)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -77,30 +78,33 @@ def normal_op(model: ForwardModel, w, field: FieldTag):
     return op
 
 
-def solve_normal(model: ForwardModel, w, rhs: NDArray, field: FieldTag,
-                 iters: int, tol: float) -> NDArray:
-    """Solve A'diag(w)A x = rhs: by the diagonal of A'A for a scalar w when
-    the model has one, directly for at most DIRECT_MAX_COLS unknowns, else by
-    CG with `iters`/`tol`."""
+def normal_solver(model: ForwardModel, w, field: FieldTag, iters: int,
+                  tol: float) -> Callable[[NDArray], NDArray]:
+    """rhs -> the solution of A'diag(w)A x = rhs: by the diagonal of A'A for a
+    scalar w when the model has one, directly for at most DIRECT_MAX_COLS
+    unknowns (A'WA is formed and checked once, here), else by CG with
+    `iters`/`tol`."""
     diag = model.normal_diag() if np.ndim(w) == 0 else None
     if diag is not None:
-        return rhs / (w * diag)
+        return lambda rhs: rhs / (w * diag)
     if model.cols <= DIRECT_MAX_COLS:
         a = model.densify()
         h = a.conj().T @ (w[:, None] * a) if np.ndim(w) else w * (a.conj().T @ a)
         if field.is_real:
-            h, rhs = h.real, rhs.real
+            h = h.real
         if np.linalg.cond(h) > 1e14:
             raise np.linalg.LinAlgError("A'WA is singular: rank-deficient model")
-        return np.linalg.solve(h, rhs).astype(complex)
-    return cg_solve(normal_op(model, w, field), rhs, iters=iters, tol=tol)
+        return lambda rhs: np.linalg.solve(
+            h, rhs.real if field.is_real else rhs).astype(complex)
+    op = normal_op(model, w, field)
+    return lambda rhs: cg_solve(op, rhs, iters=iters, tol=tol)
 
 
 def lipschitz(model: ForwardModel, w, field: FieldTag) -> float:
-    """A Lipschitz constant of z -> A'diag(w)A z, chosen like solve_normal's
-    path: exact from the diagonal, the 2-norm^2 of the densified W^{1/2}A
-    (exact for complex fields, an upper bound for real ones), or 1.05 x a
-    power-method estimate."""
+    """A Lipschitz constant of z -> A'diag(w)A z, chosen like normal_solver's
+    path: exact from the diagonal, exact as the 2-norm^2 of the densified
+    W^{1/2}A (of [Re; Im] W^{1/2}A for real fields, whose operator is
+    Re(A'WA)), or 1.05 x a power-method estimate."""
     diag = model.normal_diag() if np.ndim(w) == 0 else None
     if diag is not None:
         return float(np.max(w * diag))
@@ -108,6 +112,8 @@ def lipschitz(model: ForwardModel, w, field: FieldTag) -> float:
         # factor out max(w) so that a scalar w multiplies the norm exactly
         top = np.max(w)
         a = np.sqrt(w / top)[..., None] * model.densify()
+        if field.is_real:
+            a = np.concatenate([a.real, a.imag])
         return float(top * np.linalg.norm(a, ord=2) ** 2)
     lam, _ = power_method(normal_op(model, w, field), model.cols, iters=50, seed=3)
     return 1.05 * lam
@@ -147,7 +153,7 @@ class MajorizerContext:
 def build_majorizer(
     obj: PoissonObjective, x: NDArray, kind: CurvatureKind = CurvatureKind.IMPROVED
 ) -> MajorizerContext:
-    s = obj.model.apply(x)
+    s = obj.forward(x)
     if kind is CurvatureKind.MAX:
         w = curvature_max(obj.y, obj.b)
     else:
@@ -165,9 +171,24 @@ def majorizer_value(ctx: MajorizerContext, x: NDArray) -> float:
 
 
 def mm_update_unregularized(ctx: MajorizerContext) -> NDArray:
-    """x_k - (A'WA)^{-1} A' psi_dot(A x_k)."""
-    d = solve_normal(ctx.obj.model, ctx.w, ctx.grad, ctx.field, CG_ITERS, CG_TOL)
-    return project_field(ctx.x_k - d, ctx.field)
+    """x_k - (A'WA)^{-1} A' psi_dot(A x_k), projected onto the field.
+
+    Clamping onto the nonnegative orthant can raise q above f(x_k); then the
+    exact minimizer of q on the segment from x_k to the clamped point is
+    returned instead, which is feasible and keeps q(x_new) <= f(x_k)."""
+    solve = normal_solver(ctx.obj.model, ctx.w, ctx.field, CG_ITERS, CG_TOL)
+    z = ctx.x_k - solve(ctx.grad)
+    x = project_field(z, ctx.field)
+    if ctx.field is not FieldTag.REAL_NONNEGATIVE or not np.any(z.real < 0):
+        return x
+    # q(x_k + t p) = f_k + t slope + t^2 curv / 2
+    p = x - ctx.x_k
+    slope = real_dot(ctx.grad, p)
+    curv = float(np.sum(ctx.w * np.abs(ctx.obj.model.apply_linear(p)) ** 2))
+    if slope + 0.5 * curv <= 0.0:
+        return x
+    t = min(max(-slope / curv, 0.0), 1.0)
+    return project_field(ctx.x_k + t * p, ctx.field)
 
 
 def _quad_grad(ctx: MajorizerContext, x: NDArray) -> NDArray:
@@ -302,7 +323,7 @@ def run_mm(
 
     With a regularizer, the inner problem is solved by accelerated proximal
     gradient (l1=True, prox-friendly T) or nonlinear CG on the Huber-smoothed
-    penalty; unregularized updates solve the normal equations (solve_normal).
+    penalty; unregularized updates solve the normal equations (normal_solver).
     """
 
     def step(k, x, warnings):

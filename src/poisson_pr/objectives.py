@@ -77,15 +77,31 @@ class PoissonObjective:
         self.y = y
         self.b = model.background
         self.field = field
+        self._memo = None  # (copy of x, model.scale, read-only A x)
+
+    def forward(self, x: NDArray) -> NDArray:
+        """model.apply(x), read-only. The last result is kept, keyed by a copy
+        of x's values and by model.scale, so that the cost, gradient and step
+        rules of one iterate share one forward product."""
+        x = np.asarray(x)
+        memo = self._memo
+        if (memo is not None and memo[1] == self.model.scale
+                and memo[0].dtype == x.dtype and memo[0].shape == x.shape
+                and memo[0].tobytes() == x.tobytes()):
+            return memo[2]
+        ax = self.model.apply(x)
+        ax.flags.writeable = False
+        self._memo = (x.copy(), self.model.scale, ax)
+        return ax
 
     def cost(self, x: NDArray) -> float:
-        return float(np.sum(psi(self.model.apply(x), self.y, self.b)))
+        return float(np.sum(psi(self.forward(x), self.y, self.b)))
 
     def marginal_grad(self, v: NDArray) -> NDArray:
         return psi_dot(v, self.y, self.b)
 
     def gradient(self, x: NDArray) -> NDArray:
-        g = self.model.adjoint(self.marginal_grad(self.model.apply(x)))
+        g = self.model.adjoint(self.marginal_grad(self.forward(x)))
         return realify(g, self.field)
 
     def fisher_diag(self, v: NDArray) -> NDArray:
@@ -96,7 +112,7 @@ class GaussianObjective(PoissonObjective):
     """Gaussian ML cost g(x) = sum_i (y_i - b_i - |(Ax)_i|^2)^2."""
 
     def cost(self, x: NDArray) -> float:
-        r = self.y - self.b - np.abs(self.model.apply(x)) ** 2
+        r = self.y - self.b - np.abs(self.forward(x)) ** 2
         return float(np.sum(r * r))
 
     def marginal_grad(self, v: NDArray) -> NDArray:

@@ -106,7 +106,7 @@ class ForwardModel:
             raise ValueError(
                 f"apply: x has shape {x.shape}, operator expects ({self.cols},)"
             )
-        return x.astype(complex)
+        return x.astype(complex, copy=False)
 
     def apply(self, x: NDArray) -> NDArray:
         """Scaled field c * (A x), including the fixed offset if present."""
@@ -125,7 +125,7 @@ class ForwardModel:
             raise ValueError(
                 f"adjoint: v has shape {v.shape}, operator expects ({self.rows},)"
             )
-        return self.scale * self._adjoint(v.astype(complex))
+        return self.scale * self._adjoint(v.astype(complex, copy=False))
 
     def intensities(self, x: NDArray) -> NDArray:
         """Measurement means |c (A x)_i|^2 + b_i."""
@@ -161,7 +161,11 @@ class DenseModel(ForwardModel):
         return self.entries @ x
 
     def _adjoint(self, v):
-        return self.entries.conj().T @ v
+        # conjugating the two vectors instead of the matrix copies nothing M x N
+        return (v.conj() @ self.entries).conj()
+
+    def densify(self) -> NDArray:
+        return self.scale * self.entries
 
 
 def random_gaussian_model(

@@ -59,7 +59,7 @@ def step_fisher(obj: PoissonObjective, x: NDArray, grad: NDArray) -> float:
     if gnorm2 == 0.0:
         raise DegenerateIterateError("zero gradient")
     d = obj.model.apply_linear(grad)
-    d1 = obj.fisher_diag(obj.model.apply(x))
+    d1 = obj.fisher_diag(obj.forward(x))
     denom = float(np.sum(d1 * np.abs(d) ** 2))
     if denom <= 0.0:
         raise DegenerateIterateError("zero Fisher curvature along the gradient")
@@ -74,7 +74,7 @@ def step_fisher_reg(
     if gnorm2 == 0.0:
         raise DegenerateIterateError("zero gradient")
     d = obj.model.apply_linear(grad_reg)
-    d1 = obj.fisher_diag(obj.model.apply(x))
+    d1 = obj.fisher_diag(obj.forward(x))
     denom = float(np.sum(d1 * np.abs(d) ** 2))
     if reg.beta > 0:
         td = reg.diff_op.apply(grad_reg)
@@ -109,7 +109,7 @@ def gaussian_line_coeffs(
     obj: GaussianObjective, x: NDArray, grad: NDArray
 ) -> tuple[float, float, float, float, float]:
     """Coefficients (a0..a4) of the quartic mu -> g(x - mu*grad)."""
-    u = obj.model.apply(x)
+    u = obj.forward(x)
     w = obj.model.apply_linear(grad)
     r = obj.y - obj.b - np.abs(u) ** 2
     c = np.real(np.conj(u) * w)
@@ -144,7 +144,7 @@ def truncation_mask(obj: PoissonObjective, x: NDArray, a_h: float) -> NDArray:
     xnorm = float(np.linalg.norm(x))
     if xnorm == 0.0:
         raise ValueError("truncation undefined at x = 0")
-    ax2 = np.abs(obj.model.apply(x)) ** 2
+    ax2 = np.abs(obj.forward(x)) ** 2
     resid = np.abs(obj.y - ax2)
     level = a_h * (np.sum(resid) / obj.model.rows) * (ax2 / xnorm)
     return resid <= level
@@ -206,7 +206,7 @@ def run_wf(
 
     def step(k, x, warnings):
         if trunc.enabled:
-            mg = obj.marginal_grad(obj.model.apply(x))
+            mg = obj.marginal_grad(obj.forward(x))
             mg = np.where(truncation_mask(obj, x, trunc.a_h), mg, 0.0)
             grad = cost.add_penalty_gradient(realify(obj.model.adjoint(mg), obj.field), x)
         else:

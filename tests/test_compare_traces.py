@@ -1,0 +1,41 @@
+"""scripts/compare_traces.py: match solves of two benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_traces.py"
+spec = importlib.util.spec_from_file_location("compare_traces", SCRIPT)
+compare_traces = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_traces)
+
+
+def record(pass_, solver, sha1="aa", hit=3):
+    return {"pass": pass_, "instance": "dense", "solver": solver,
+            "cost_trace_sha1": sha1, "iters_to_gap": hit}
+
+
+def write(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(path)
+
+
+def test_identical_runs_exit_zero(tmp_path, capsys):
+    recs = [record(0, "wf"), record(0, "mm"), record(1, "wf")]
+    a = write(tmp_path / "a.jsonl", recs)
+    # a pass only one run reached is not compared
+    b = write(tmp_path / "b.jsonl", recs + [record(2, "wf", sha1="zz")])
+    assert compare_traces.main([a, b]) == 0
+    assert "compared 3 solves; 0 differ" in capsys.readouterr().out
+
+
+def test_differences_are_named_and_exit_one(tmp_path, capsys):
+    a = write(tmp_path / "a.jsonl", [record(0, "wf"), record(0, "mm"), record(0, "admm")])
+    b = write(tmp_path / "b.jsonl", [record(0, "wf"), record(0, "mm", sha1="bb"),
+                                     record(0, "admm", hit=None)])
+    assert compare_traces.main([a, b]) == 1
+    out = capsys.readouterr().out
+    assert "compared 3 solves; 2 differ" in out
+    assert "pass 0 dense mm: cost_trace_sha1" in out
+    assert "pass 0 dense admm: iters_to_gap" in out
+    assert "dense wf" not in out

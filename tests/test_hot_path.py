@@ -1,0 +1,131 @@
+"""Operator calls per iteration on the dense hot path, and the forward memo."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from poisson_pr.admm import run_admm
+from poisson_pr.baselines import run_lbfgs
+from poisson_pr.init_eval import initialize
+from poisson_pr.mm import run_mm
+from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective
+from poisson_pr.operators import (
+    DenseModel,
+    ForwardModel,
+    calibrate_scale,
+    random_gaussian_model,
+    simulate_poisson,
+)
+from poisson_pr.phantoms import blocks
+from poisson_pr.wf import run_wf
+
+N, M, ITERS = 16, 128, 20
+
+
+def instance():
+    """(objective, x0) of a small dense real-nonnegative Poisson instance."""
+    sig = blocks(N, seed=0)
+    model = random_gaussian_model(M, N, seed=5, background=0.1)
+    calibrate_scale(model, sig.values, 0.25)
+    y = simulate_poisson(model, sig.values, 6).y
+    x0 = initialize(model, y, field=sig.field, iters=50, seed=0)
+    return PoissonObjective(model, y, field=sig.field), x0
+
+
+def count_calls(model) -> Counter:
+    """Shadow the model's operator methods with counting instance attributes."""
+    counts = Counter()
+    for name in ("apply", "apply_linear", "adjoint", "densify"):
+        def counted(*args, _fn=getattr(model, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        setattr(model, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("huber", [False, True])
+def test_wf_fisher_one_product_of_each_kind_per_iteration(huber):
+    obj, x0 = instance()
+    reg = HuberTV(2.0, 0.1, DiffOp(N)) if huber else None
+    counts = count_calls(obj.model)
+    state = run_wf(obj, x0, ITERS, reg=reg)
+    assert state.status == "ok" and len(state.trace) == ITERS
+    assert not state.warnings  # no halved step, which costs one more apply
+    # the one extra apply is the forward product at the start
+    assert counts["apply"] <= ITERS + 1
+    assert counts["apply_linear"] <= ITERS
+    assert counts["adjoint"] <= ITERS
+
+
+def test_mm_densifies_once_per_outer_iteration():
+    obj, x0 = instance()
+    counts = count_calls(obj.model)
+    state = run_mm(obj, x0, ITERS)
+    assert len(state.trace) == ITERS
+    assert counts["densify"] == ITERS
+    assert counts["apply"] <= ITERS + 1
+    # the only matrix-vector product besides: the clamp guard's A p
+    assert counts["apply_linear"] <= ITERS
+
+
+def test_unregularized_admm_densifies_once_per_solve():
+    obj, x0 = instance()
+    counts = count_calls(obj.model)
+    state = run_admm(obj, x0, ITERS)
+    assert len(state.trace) == ITERS
+    assert counts["densify"] == 1
+    assert counts["apply"] <= ITERS + 1
+
+
+def test_lbfgs_one_apply_per_gradient():
+    obj, x0 = instance()
+    counts = count_calls(obj.model)
+    gradient = obj.gradient
+
+    def counted_gradient(x):
+        counts["gradient"] += 1
+        return gradient(x)
+    obj.gradient = counted_gradient
+    state = run_lbfgs(obj, x0, ITERS)
+    assert state.trace
+    assert counts["apply"] == counts["gradient"]
+
+
+class TestForwardMemo:
+    def test_fresh_after_in_place_change_of_x(self):
+        obj, x0 = instance()
+        x = x0.values.copy()
+        first = obj.forward(x).copy()
+        x[0] += 1.0
+        again = obj.forward(x)
+        assert np.array_equal(again, obj.model.apply(x))
+        assert not np.array_equal(again, first)
+        assert obj.cost(x) == PoissonObjective(obj.model, obj.y, obj.field).cost(x)
+
+    def test_fresh_after_scale_change(self):
+        obj, x0 = instance()
+        first = obj.forward(x0.values).copy()
+        obj.model.scale *= 2.0
+        again = obj.forward(x0.values)
+        assert np.array_equal(again, obj.model.apply(x0.values))
+        assert np.array_equal(again, 2.0 * first)
+
+    def test_cached_array_is_read_only(self):
+        obj, x0 = instance()
+        ax = obj.forward(x0.values)
+        assert obj.forward(x0.values.copy()) is ax
+        assert not ax.flags.writeable
+        with pytest.raises(ValueError):
+            ax[0] = 0.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 64)])
+def test_dense_fast_paths_match_the_generic_ones_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    model = DenseModel(a, scale=0.37)
+    assert model.densify().tobytes() == ForwardModel.densify(model).tobytes()
+    v = rng.standard_normal(shape[0]) + 1j * rng.standard_normal(shape[0])
+    expected = model.scale * (model.entries.conj().T @ v)
+    assert model.adjoint(v).tobytes() == expected.tobytes()

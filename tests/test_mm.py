@@ -18,8 +18,8 @@ from poisson_pr.mm import (
     mm_update_huber,
     mm_update_prox_l1,
     mm_update_unregularized,
+    normal_solver,
     run_mm,
-    solve_normal,
 )
 from poisson_pr.numerics import cg_solve, finite_diff_grad, soft_threshold
 from poisson_pr.objectives import (
@@ -40,6 +40,7 @@ from poisson_pr.operators import (
     random_gaussian_model,
     simulate_poisson,
 )
+from poisson_pr.phantoms import blocks
 
 
 def poisson_instance(n=8, m=48, seed=0, mean=0.25, background=0.1):
@@ -161,7 +162,7 @@ class TestMajorizer:
 
 
 N_CG = DIRECT_MAX_COLS + 8  # unknowns above the direct-solve limit
-# the three paths of solve_normal/lipschitz: scalar weight with the diagonal
+# the three paths of normal_solver/lipschitz: scalar weight with the diagonal
 # of A'A, a weight vector at N <= DIRECT_MAX_COLS (densified), and above it
 KERNEL_CASES = {
     "diagonal": (MaskedDftModel(make_masks(3, 10, seed=1)), 2.0),
@@ -187,7 +188,7 @@ class TestNormalEquationKernels:
         rhs = rng.standard_normal(model.cols) + 1j * rng.standard_normal(model.cols)
         if field.is_real:
             rhs = rhs.real.astype(complex)
-        out = solve_normal(model, w, rhs, field, iters=500, tol=1e-13)
+        out = normal_solver(model, w, field, iters=500, tol=1e-13)(rhs)
         h = densified_normal(model, w, field)
         expected = np.linalg.solve(h, rhs.real if field.is_real else rhs)
         assert np.linalg.norm(out - expected) < 1e-9 * np.linalg.norm(expected)
@@ -195,8 +196,10 @@ class TestNormalEquationKernels:
     @pytest.mark.parametrize("path", ["diagonal", "direct"])
     def test_lipschitz_exact_on_diagonal_and_small_dense(self, path):
         model, w = KERNEL_CASES[path]
-        lam = np.linalg.eigvalsh(densified_normal(model, w, FieldTag.COMPLEX))[-1]
-        assert lipschitz(model, w, FieldTag.COMPLEX) == pytest.approx(lam, rel=1e-12)
+        for field in (FieldTag.COMPLEX, FieldTag.REAL):
+            # for real fields, the operator is the realified Re(A'WA)
+            lam = np.linalg.eigvalsh(densified_normal(model, w, field))[-1]
+            assert lipschitz(model, w, field) == pytest.approx(lam, rel=1e-12)
 
     @pytest.mark.parametrize("path", KERNEL_CASES)
     @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
@@ -225,6 +228,26 @@ class TestMmUpdateUnregularized:
         direct = mm_update_unregularized(ctx)
         cg = ctx.x_k - cg_solve(ctx.quad_op, ctx.grad, iters=30)
         assert np.linalg.norm(direct - cg) < 1e-8
+
+    def test_clamp_keeps_the_majorizer_below_the_cost(self):
+        # a nonnegative instance on which clamping the unconstrained minimizer
+        # raised q (and, from iteration 19, the cost) above f(x_k)
+        sig = blocks(16, seed=0)
+        model = random_gaussian_model(256, 16, seed=4, background=0.1)
+        calibrate_scale(model, sig.values, 0.25)
+        obj = PoissonObjective(model, simulate_poisson(model, sig.values, 1004).y,
+                               field=sig.field)
+        z = initialize(model, obj.y, field=sig.field, iters=100, seed=4).values
+        clamped = 0
+        for _ in range(50):
+            ctx = build_majorizer(obj, z)
+            z_new = mm_update_unregularized(ctx)
+            clamped += np.any(z_new.real == 0.0)
+            assert np.min(z_new.real) >= 0.0
+            assert majorizer_value(ctx, z_new) <= ctx.f_k + 1e-12 * abs(ctx.f_k)
+            assert obj.cost(z_new) <= ctx.f_k + 1e-12 * abs(ctx.f_k)
+            z = z_new
+        assert clamped
 
     def test_descent(self):
         model, x, obj = poisson_instance(seed=7)

@@ -69,7 +69,8 @@ def test_trace_reports_the_penalized_cost(solver, penalty):
     assert state.trace[-1].cost == RegularizedObjective(obj, reg, l1).cost(state.x)
 
 
-@pytest.mark.parametrize("solver", ["wf-fisher", "wf-backtracking", "mm-improved", "lbfgs"])
+@pytest.mark.parametrize("solver", ["wf-fisher", "wf-backtracking", "mm-improved", "admm",
+                                    "lbfgs"])
 def test_non_finite_cost_ends_the_run(solver):
     sig = blocks(N, seed=0)
     model = random_gaussian_model(64, N, seed=3, background=0.1)
