@@ -5,9 +5,10 @@
 
 Solves are matched by (pass, instance, solver); passes that only one run
 reached are skipped. Prints the number of solves compared and the name of
-every one whose `cost_trace_sha1` or `iters_to_gap` differs, and exits 1 on
-any difference, so that a change meant to leave the mathematics alone can
-show that its cost traces are bit-identical.
+every one whose `cost_trace_sha1` or `iters_to_gap` differs, with the
+relative difference of its `final_cost`, and exits 1 on any difference, so
+that a change meant to leave the mathematics alone can show that its cost
+traces are bit-identical, or how far they moved.
 """
 
 import argparse
@@ -23,14 +24,23 @@ def load(path):
     return {(r["pass"], r["instance"], r["solver"]): r for r in records}
 
 
+def relative_change(a, b):
+    """|a - b| / max(|a|, |b|), 0 when equal, None when either is missing."""
+    if a is None or b is None:
+        return None
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
 def differences(a, b):
-    """(number of common solves, sorted [(key, differing fields)])."""
+    """(number of common solves, sorted [(key, differing fields, relative
+    change of the final cost)])."""
     common = sorted(a.keys() & b.keys())
     diff = []
     for key in common:
         fields = [f for f in FIELDS if a[key].get(f) != b[key].get(f)]
         if fields:
-            diff.append((key, fields))
+            rel = relative_change(a[key].get("final_cost"), b[key].get("final_cost"))
+            diff.append((key, fields, rel))
     return len(common), diff
 
 
@@ -41,8 +51,10 @@ def main(argv=None):
     args = p.parse_args(argv)
     n, diff = differences(load(args.a), load(args.b))
     print(f"compared {n} solves; {len(diff)} differ")
-    for (pass_, instance, solver), fields in diff:
-        print(f"  pass {pass_} {instance} {solver}: {', '.join(fields)}")
+    for (pass_, instance, solver), fields, rel in diff:
+        moved = "n/a" if rel is None else f"{rel:.2e}"
+        print(f"  pass {pass_} {instance} {solver}: {', '.join(fields)}; "
+              f"final_cost relative difference {moved}")
     return 1 if diff else 0
 
 

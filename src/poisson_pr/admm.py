@@ -52,19 +52,26 @@ def update_v_magnitude_bpos(t, y, b, rho: float):
         raise ValueError("update_v_magnitude_bpos requires b > 0")
     roots = cubic_roots(2.0 + rho, -rho * t, 2.0 * b - 2.0 * y + rho * b, -rho * b * t)
     feasible = np.isfinite(roots) & (roots >= 0)
-    missing = ~np.any(feasible, axis=1)
+    # for t > 0 exactly one root is positive (Descartes' rule where
+    # y >= b (1 + rho/2), a convex Lagrangian elsewhere) and column 0 holds
+    # it, so columns 1-2 add candidates only where t = 0
+    more = feasible[:, 1] | feasible[:, 2]
+    missing = ~(feasible[:, 0] | more)
     if np.any(missing):
         # at a huge iterate the powers of t overflow and every root is NaN
         if not np.all(np.isfinite(roots[missing])):
             raise DegenerateIterateError("non-finite cost")
         raise RuntimeError("cubic magnitude update found no nonnegative root")
-    # marginal augmented Lagrangian at each candidate; rate >= b > 0
-    m = np.where(feasible, roots, 1.0)
-    rate = m * m + b[:, None]
-    lag = rate - y[:, None] * np.log(rate) + 0.5 * rho * (m - t[:, None]) ** 2
-    lag = np.where(feasible, lag, np.inf)
-    pick = np.argmin(lag, axis=1)
-    out = roots[np.arange(t.shape[0]), pick]
+    out = roots[:, 0].copy()
+    rows = np.flatnonzero(more)
+    if rows.size:
+        # marginal augmented Lagrangian at each candidate; rate >= b > 0
+        ok = feasible[rows]
+        m = np.where(ok, roots[rows], 1.0)
+        rate = m * m + b[rows, None]
+        lag = rate - y[rows, None] * np.log(rate) + 0.5 * rho * (m - t[rows, None]) ** 2
+        pick = np.argmin(np.where(ok, lag, np.inf), axis=1)
+        out[rows] = roots[rows, pick]
     return out if out.shape[0] > 1 else float(out[0])
 
 
@@ -98,13 +105,16 @@ def update_x(
     l1: bool = False,
     x0: NDArray | None = None,
     solve: Callable[[NDArray], NDArray] | None = None,
+    lip: float | None = None,
 ) -> NDArray:
     """Least-squares x update, with optional Huber or l1 regularization.
 
     Unregularized: solves A'A x = A'(v + eta) with `solve`, the fixed
     `mm.normal_solver` of A'A that run_admm builds once per run (built here
     when None). Regularized: minimizes (rho/2)||Ax - v - eta||^2 + beta R(x),
-    i.e. 1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x).
+    i.e. 1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x); the l1
+    proximal gradient steps by 1 / (rho `lip`), `lip` the Lipschitz constant
+    of A'A that run_admm computes once per run (computed here when None).
     """
     w = v + eta
     if model.offset_raw is not None:
@@ -120,7 +130,9 @@ def update_x(
         return minimize_quad_plus_huber(op, lin, x, reg, field,
                                         inner_iters=X_ITERS, tol=X_TOL)
     # proximal gradient on the smooth LS part with T-domain soft-thresholding
-    step = 1.0 / max(lipschitz(model, rho, field), 1e-30)
+    if lip is None:
+        lip = lipschitz(model, 1.0, field)
+    step = 1.0 / max(rho * lip, 1e-30)
     for _ in range(X_ITERS):
         x_new = prox_l1(x - step * (op(x) - lin), reg.diff_op, step * reg.beta, field)
         if np.linalg.norm(x_new - x) <= X_TOL * max(1.0, np.linalg.norm(x)):
@@ -142,6 +154,7 @@ def run_admm(
     model = obj.model
     solve = (normal_solver(model, 1.0, x0.field, X_ITERS, X_TOL)
              if _unregularized(reg) else None)
+    lip = lipschitz(model, 1.0, x0.field) if l1 and solve is None else None
     ax = obj.forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
@@ -160,12 +173,13 @@ def run_admm(
             mag = update_v_magnitude_bpos(t, obj.y, obj.b, rho)
         v = np.atleast_1d(mag) * phase
         x = update_x(model, v, eta, field=x0.field, reg=reg, rho=rho, l1=l1, x0=x,
-                     solve=solve)
+                     solve=solve, lip=lip)
         ax = obj.forward(x)
         eta = update_dual(eta, v, ax)
-        primal = float(np.linalg.norm(ax - v))
-        dual = float(np.linalg.norm(rho * model.adjoint(v - v_old)))
-        rho = update_rho(rho, primal, dual, k)
+        if k % 10 == 0:  # the only iterations whose residuals update_rho reads
+            primal = float(np.linalg.norm(ax - v))
+            dual = float(np.linalg.norm(rho * model.adjoint(v - v_old)))
+            rho = update_rho(rho, primal, dual, k)
         return x
 
     return iterate(step, x0.values, n_iters, RegularizedObjective(obj, reg, l1).cost,

@@ -74,51 +74,67 @@ def cg_solve(
 
 def cubic_roots(c3: float, c2: NDArray, c1: NDArray, c0: NDArray) -> NDArray:
     """Real roots of c3 m^3 + c2 m^2 + c1 m + c0 for a nonzero scalar c3 and
-    1-D arrays c2, c1, c0, as an (n, 3) array padded with NaN.
+    1-D arrays c2, c1, c0, as an (n, 3) array padded with NaN; column 0 always
+    holds a real root.
 
-    Trigonometric form for three roots, Cardano for one, closed forms for a
+    Cardano for one root, the trigonometric form for three, closed forms for a
     repeated root (where the generic forms cancel catastrophically), then two
-    Newton sweeps on the original cubic.
+    Newton sweeps on the original cubic for every root but a double one. Only
+    the rows with three real or a repeated root fill columns 1-2. Cubes are
+    products: numpy's `power` takes a slow scalar path for negative bases, and
+    c2 <= 0 in ADMM's cubic.
     """
     # depressed cubic z^3 + p z + q with m = z - c2/(3 c3)
     shift = c2 / (3.0 * c3)
     p = (3.0 * c3 * c1 - c2 * c2) / (3.0 * c3 * c3)
-    q = (2.0 * c2**3 - 9.0 * c3 * c2 * c1 + 27.0 * c3 * c3 * c0) / (27.0 * c3**3)
-    neg4p3 = -4.0 * p**3
+    q = ((2.0 * c2 * c2 * c2 - 9.0 * c3 * c2 * c1 + 27.0 * c3 * c3 * c0)
+         / (27.0 * c3 * c3 * c3))
+    p3 = p * p * p
+    neg4p3 = -4.0 * p3
     q2 = 27.0 * q * q
     disc = neg4p3 - q2
     # |disc| small against both terms needs p <= 0, where neg4p3 = |4 p^3|
     repeated = np.abs(disc) <= 1e-12 * np.maximum(neg4p3, q2)
 
+    # Cardano on every row; the rows with three or a repeated root replace it
+    hq = q / 2.0
+    s = np.sqrt(np.maximum(hq * hq + p3 / 27.0, 0.0))
+    first = np.cbrt(-hq + s) + np.cbrt(-hq - s) - shift
     roots = np.full((c2.shape[0], 3), np.nan)
-    three = disc > 0
-    one = ~three
-    if np.any(repeated):
-        three &= ~repeated
-        one &= ~repeated
-        pr, qr = p[repeated], q[repeated]
-        zero = (np.abs(pr) < 1e-300) & (np.abs(qr) < 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            simple = np.where(zero, 0.0, 3.0 * qr / pr)
-        roots[repeated] = np.stack([simple, -simple / 2.0, -simple / 2.0], axis=1)
-    if np.any(three):
-        pm = p[three]
-        m = 2.0 * np.sqrt(-pm / 3.0)
-        theta = np.arccos(np.clip(3.0 * q[three] / (pm * m), -1.0, 1.0)) / 3.0
-        offsets = np.array([2.0 * np.pi * k / 3.0 for k in range(3)])
-        roots[three] = m[:, None] * np.cos(theta[:, None] - offsets)
-    if np.any(one):
-        hq = q[one] / 2.0
-        s = np.sqrt(np.maximum(hq * hq + p[one] ** 3 / 27.0, 0.0))
-        roots[one, 0] = np.cbrt(-hq + s) + np.cbrt(-hq - s)
-    roots -= shift[:, None]
+    rare = np.flatnonzero((disc > 0) | repeated)
+    if rare.size:
+        pr, qr, rep = p[rare], q[rare], repeated[rare]
+        more = np.empty((rare.size, 3))
+        three = ~rep
+        if np.any(three):
+            pm = pr[three]
+            m = 2.0 * np.sqrt(-pm / 3.0)
+            theta = np.arccos(np.clip(3.0 * qr[three] / (pm * m), -1.0, 1.0)) / 3.0
+            offsets = np.array([2.0 * np.pi * k / 3.0 for k in range(3)])
+            more[three] = m[:, None] * np.cos(theta[:, None] - offsets)
+        if np.any(rep):
+            pz, qz = pr[rep], qr[rep]
+            zero = (np.abs(pz) < 1e-300) & (np.abs(qz) < 1e-300)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                simple = np.where(zero, 0.0, 3.0 * qz / pz)
+            more[rep] = np.stack([simple, -simple / 2.0, -simple / 2.0], axis=1)
+        more -= shift[rare, None]
+        first[rare] = more[:, 0]
+        # Newton at a double root divides rounding noise by a vanishing
+        # derivative: the closed form stays unpolished there
+        k = rare[three]
+        more[three, 1:] = _newton(c3, c2[k, None], c1[k, None], c0[k, None], more[three, 1:])
+        roots[rare, 1:] = more[:, 1:]
+    roots[:, 0] = _newton(c3, c2, c1, c0, first)
+    return roots
 
-    # Newton polish on the original cubic
+
+def _newton(c3, c2, c1, c0, roots):
+    """Two Newton sweeps on c3 m^3 + c2 m^2 + c1 m + c0 from `roots`."""
     for _ in range(2):
-        f = ((c3 * roots + c2[:, None]) * roots + c1[:, None]) * roots + c0[:, None]
-        df = (3.0 * c3 * roots + 2.0 * c2[:, None]) * roots + c1[:, None]
-        step = np.divide(f, df, out=np.zeros_like(f), where=df != 0)
-        roots = roots - step
+        f = ((c3 * roots + c2) * roots + c1) * roots + c0
+        df = (3.0 * c3 * roots + 2.0 * c2) * roots + c1
+        roots = roots - np.divide(f, df, out=np.zeros_like(f), where=df != 0)
     return roots
 
 

@@ -10,9 +10,9 @@ compare_traces = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_traces)
 
 
-def record(pass_, solver, sha1="aa", hit=3):
+def record(pass_, solver, sha1="aa", hit=3, final=2.0):
     return {"pass": pass_, "instance": "dense", "solver": solver,
-            "cost_trace_sha1": sha1, "iters_to_gap": hit}
+            "cost_trace_sha1": sha1, "iters_to_gap": hit, "final_cost": final}
 
 
 def write(path, records):
@@ -39,3 +39,20 @@ def test_differences_are_named_and_exit_one(tmp_path, capsys):
     assert "pass 0 dense mm: cost_trace_sha1" in out
     assert "pass 0 dense admm: iters_to_gap" in out
     assert "dense wf" not in out
+
+
+def test_differing_solves_show_how_far_the_final_cost_moved(tmp_path, capsys):
+    a = write(tmp_path / "a.jsonl", [record(0, "wf"), record(0, "mm", final=-4.0),
+                                     record(0, "admm"), record(0, "lbfgs", final=None)])
+    b = write(tmp_path / "b.jsonl", [record(0, "wf"),
+                                     record(0, "mm", sha1="bb", final=-5.0),
+                                     record(0, "admm", sha1="bb"),
+                                     record(0, "lbfgs", sha1="bb", final=1.0)])
+    assert compare_traces.main([a, b]) == 1
+    out = capsys.readouterr().out
+    assert "compared 4 solves; 3 differ" in out
+    moved = "cost_trace_sha1; final_cost relative difference"
+    assert f"pass 0 dense mm: {moved} 2.00e-01" in out
+    assert f"pass 0 dense admm: {moved} 0.00e+00" in out
+    # a failed solve records no final cost
+    assert f"pass 0 dense lbfgs: {moved} n/a" in out

@@ -8,7 +8,7 @@ import pytest
 from poisson_pr.admm import run_admm
 from poisson_pr.baselines import run_lbfgs
 from poisson_pr.init_eval import initialize
-from poisson_pr.mm import run_mm
+from poisson_pr.mm import DIRECT_MAX_COLS, run_mm
 from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective
 from poisson_pr.operators import (
     DenseModel,
@@ -76,6 +76,24 @@ def test_unregularized_admm_densifies_once_per_solve():
     assert len(state.trace) == ITERS
     assert counts["densify"] == 1
     assert counts["apply"] <= ITERS + 1
+
+
+def test_unregularized_admm_reads_residuals_only_every_tenth_iteration():
+    obj, x0 = instance()
+    counts = count_calls(obj.model)
+    state = run_admm(obj, x0, ITERS)
+    assert len(state.trace) == ITERS
+    # one adjoint per x-update, one per penalty update (k = 10, 20, ...)
+    assert counts["adjoint"] <= ITERS + ITERS // 10 + 1
+
+
+def test_admm_l1_lipschitz_constant_once_per_solve():
+    obj, x0 = instance()
+    assert obj.model.cols <= DIRECT_MAX_COLS
+    counts = count_calls(obj.model)
+    state = run_admm(obj, x0, ITERS, reg=HuberTV(2.0, 0.1, DiffOp(N)), l1=True)
+    assert len(state.trace) == ITERS
+    assert counts["densify"] == 1
 
 
 def test_lbfgs_one_apply_per_gradient():

@@ -10,6 +10,7 @@ from poisson_pr.numerics import (
     _wolfe_line_search,
     cg_solve,
     cubic_real_roots,
+    cubic_roots,
     finite_diff_grad,
     lbfgs_minimize,
     power_method,
@@ -125,6 +126,53 @@ class TestCubicRealRoots:
         roots = cubic_real_roots(1.0, c2, c1, c0)
         assert len(roots) == 3
         assert np.allclose(roots, rs, atol=1e-6)
+
+
+class TestCubicRoots:
+    def test_real_roots_match_numpy_roots(self):
+        # 2,000 cubics: three distinct real roots, one real root, a double
+        # root (integer roots, so that the coefficients are exact) and ADMM's
+        # magnitude cubics, whose c2 = -rho t is never positive
+        n = 500
+        rng = np.random.default_rng(7)
+        lo = rng.uniform(-5, 5, n)
+        three = np.stack([lo, lo + rng.uniform(0.5, 3, n),
+                          lo + rng.uniform(3.5, 6, n)], 1)
+        re, im = rng.uniform(-5, 5, n), rng.uniform(0.5, 3, n)
+        one = np.stack([rng.uniform(-5, 5, n), re + 1j * im, re - 1j * im], 1)
+        d, s = rng.integers(-5, 6, n), rng.integers(-5, 6, n)
+        s[s == d] += 11  # a double root, not a triple one
+        double = np.stack([d, d, s], 1).astype(float)
+        c3, c2, c1, c0 = np.array([np.poly(r) for r in np.concatenate(
+            [three, one, double])]).real.T
+        rho = rng.choice([0.5, 2.0, 8.0, 32.0], n)
+        t, y, b = rng.uniform(0, 10, n), rng.integers(0, 6, n), rng.uniform(0.01, 2, n)
+        c3 = np.concatenate([c3, 2.0 + rho])
+        c2 = np.concatenate([c2, -rho * t])
+        c1 = np.concatenate([c1, 2.0 * b - 2.0 * y + rho * b])
+        c0 = np.concatenate([c0, -rho * b * t])
+        kind = np.repeat(["three", "one", "double", "admm"], n)
+
+        # cubic_roots takes a scalar c3: one call per leading coefficient
+        roots = np.full((4 * n, 3), np.nan)
+        for lead in np.unique(c3):
+            rows = c3 == lead
+            roots[rows] = cubic_roots(lead, c2[rows], c1[rows], c0[rows])
+        assert np.all(np.isfinite(roots[:, 0]))
+        assert np.all(np.isfinite(roots[kind == "three"]))
+        assert np.all(np.isnan(roots[kind == "one", 1:]))
+        err = np.sort(roots[kind == "double"], axis=1) - np.sort(double, axis=1)
+        assert np.all(np.abs(err) <= 1e-9 * np.max(np.abs(double), axis=1, keepdims=True))
+        for i in range(4 * n):
+            ref = np.roots([c3[i], c2[i], c1[i], c0[i]])
+            # np.roots splits a double root by about sqrt(eps) (it is an
+            # eigenvalue of a defective companion matrix), so it is only that
+            # good there; the exact integer roots are checked above
+            tol = (1e-6 if kind[i] == "double" else 1e-9) * np.max(np.abs(ref))
+            real = np.sort(ref.real[np.abs(ref.imag) <= tol])
+            ours = np.sort(roots[i][np.isfinite(roots[i])])
+            assert ours.size == real.size, (kind[i], ours, ref)
+            assert np.all(np.abs(ours - real) <= tol), (kind[i], ours, ref)
 
 
 class TestSoftThreshold:
