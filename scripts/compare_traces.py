@@ -4,11 +4,13 @@
     python3 scripts/compare_traces.py A.solves.jsonl B.solves.jsonl
 
 Solves are matched by (pass, instance, solver); passes that only one run
-reached are skipped. Prints the number of solves compared and the name of
-every one whose `cost_trace_sha1` or `iters_to_gap` differs, with the
-relative difference of its `final_cost`, and exits 1 on any difference, so
-that a change meant to leave the mathematics alone can show that its cost
-traces are bit-identical, or how far they moved.
+reached are skipped. Prints one summary line (solves compared, how many
+differ, the largest relative difference of a `final_cost` among them and how
+many differ in `iters_to_gap`), then the name of every differing solve, that
+is one whose `cost_trace_sha1` or `iters_to_gap` differs, with the relative
+difference of its `final_cost`, and exits 1 on any difference, so that a
+change meant to leave the mathematics alone can show that its cost traces
+are bit-identical, or how far they moved.
 """
 
 import argparse
@@ -50,7 +52,11 @@ def main(argv=None):
     p.add_argument("b", help="second .solves.jsonl")
     args = p.parse_args(argv)
     n, diff = differences(load(args.a), load(args.b))
-    print(f"compared {n} solves; {len(diff)} differ")
+    rels = [rel for _, _, rel in diff if rel is not None]
+    largest = f"{max(rels):.2e}" if rels else "n/a"
+    hits = sum("iters_to_gap" in fields for _, fields, _ in diff)
+    print(f"compared {n} solves; {len(diff)} differ; largest final_cost relative "
+          f"difference {largest}; iters_to_gap differs in {hits}")
     for (pass_, instance, solver), fields, rel in diff:
         moved = "n/a" if rel is None else f"{rel:.2e}"
         print(f"  pass {pass_} {instance} {solver}: {', '.join(fields)}; "

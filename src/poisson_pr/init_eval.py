@@ -9,7 +9,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .numerics import power_method
-from .operators import FieldTag, ForwardModel, SignalVector, realify
+from .operators import (DIRECT_MAX_COLS, FieldTag, ForwardModel, SignalVector, gram,
+                        realify)
 
 PSNR_CAP_DB = 300.0
 
@@ -42,7 +43,8 @@ class RunState:
 def spectral_init(
     model: ForwardModel, y: NDArray, iters: int = 300, seed: int = 0
 ) -> tuple[NDArray, list[str]]:
-    """Unit-norm leading eigenvector of A' diag{y / (y+1)} A via power method."""
+    """Unit-norm leading eigenvector of A' diag{y / (y+1)} A via power method,
+    on the explicit `gram` for at most DIRECT_MAX_COLS unknowns."""
     y = np.asarray(y, dtype=float)
     warns: list[str] = []
     if np.all(y == 0):
@@ -52,9 +54,14 @@ def spectral_init(
                      "returning a random unit vector")
         return v / np.linalg.norm(v), warns
     w = y / (y + 1.0)
+    if model.cols <= DIRECT_MAX_COLS:
+        h = gram(model, w, FieldTag.COMPLEX)
 
-    def op(x):
-        return model.adjoint(w * model.apply_linear(x))
+        def op(x):
+            return h @ x
+    else:
+        def op(x):
+            return model.adjoint(w * model.apply_linear(x))
 
     _, v = power_method(op, model.cols, iters=iters, seed=seed)
     return v, warns

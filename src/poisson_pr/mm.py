@@ -12,8 +12,9 @@ from numpy.typing import NDArray
 
 from .init_eval import RunState
 from .numerics import cg_solve, power_method, real_dot, soft_threshold
-from .objectives import HuberTV, PoissonObjective, RegularizedObjective, psi, psi_dot
-from .operators import FieldTag, ForwardModel, SignalVector, project_field, realify
+from .objectives import HuberTV, PoissonObjective, RegularizedObjective
+from .operators import (DIRECT_MAX_COLS, FieldTag, ForwardModel, SignalVector, gram,
+                        project_field, realify)
 from .wf import iterate
 
 
@@ -47,27 +48,11 @@ def curvature_improved(s, y, b):
     return out if out.ndim else float(out)
 
 
-def curvature_optimal_numeric(
-    s: float, y: float, b: float, grid_points: int = 4001, range_mult: float = 1.0
-) -> float:
-    """Numerical supremum of the secant-curvature ratio over a fixed r grid
-    (a test oracle for the closed-form curvatures, not a solver option)."""
-    if y == 0.0:
-        return 2.0
-    s = float(np.abs(s))
-    radius = range_mult * max(20.0, 4.0 * s, 8.0 * np.sqrt(b))
-    r = np.linspace(-radius, radius, grid_points)
-    r = r[np.abs(r - s) >= 1e-8]
-    num = 2.0 * (psi(r, y, b) - psi(s, y, b) - psi_dot(s, y, b).real * (r - s))
-    return float(np.max(num / (r - s) ** 2))
-
-
 # MM's inner solvers (unregularized CG, l1 APG, Huber nonlinear CG); normal
 # equations with at most DIRECT_MAX_COLS unknowns are solved directly
 CG_ITERS, CG_TOL = 30, 1e-9
 PROX_ITERS, PROX_TOL = 100, 1e-10
 HUBER_ITERS, HUBER_TOL = 50, 1e-9
-DIRECT_MAX_COLS = 64
 
 
 def normal_op(model: ForwardModel, w, field: FieldTag):
@@ -82,17 +67,15 @@ def normal_solver(model: ForwardModel, w, field: FieldTag, iters: int,
                   tol: float) -> Callable[[NDArray], NDArray]:
     """rhs -> the solution of A'diag(w)A x = rhs: by the diagonal of A'A for a
     scalar w when the model has one, directly for at most DIRECT_MAX_COLS
-    unknowns (A'WA is formed and checked once, here), else by CG with
-    `iters`/`tol`."""
+    unknowns (the `gram` A'WA is formed and checked once, here; a zero or
+    negative eigenvalue raises), else by CG with `iters`/`tol`."""
     diag = model.normal_diag() if np.ndim(w) == 0 else None
     if diag is not None:
         return lambda rhs: rhs / (w * diag)
     if model.cols <= DIRECT_MAX_COLS:
-        a = model.densify()
-        h = a.conj().T @ (w[:, None] * a) if np.ndim(w) else w * (a.conj().T @ a)
-        if field.is_real:
-            h = h.real
-        if np.linalg.cond(h) > 1e14:
+        h = gram(model, w, field)
+        eig = np.linalg.eigvalsh(h)
+        if not 0.0 < eig[-1] <= 1e14 * eig[0]:
             raise np.linalg.LinAlgError("A'WA is singular: rank-deficient model")
         return lambda rhs: np.linalg.solve(
             h, rhs.real if field.is_real else rhs).astype(complex)
@@ -102,19 +85,14 @@ def normal_solver(model: ForwardModel, w, field: FieldTag, iters: int,
 
 def lipschitz(model: ForwardModel, w, field: FieldTag) -> float:
     """A Lipschitz constant of z -> A'diag(w)A z, chosen like normal_solver's
-    path: exact from the diagonal, exact as the 2-norm^2 of the densified
-    W^{1/2}A (of [Re; Im] W^{1/2}A for real fields, whose operator is
-    Re(A'WA)), or 1.05 x a power-method estimate."""
+    path: exact from the diagonal, exact as the top eigenvalue of the `gram`
+    A'WA (Re(A'WA) for real fields; 0 for w = 0), or 1.05 x a power-method
+    estimate."""
     diag = model.normal_diag() if np.ndim(w) == 0 else None
     if diag is not None:
         return float(np.max(w * diag))
     if model.cols <= DIRECT_MAX_COLS:
-        # factor out max(w) so that a scalar w multiplies the norm exactly
-        top = np.max(w)
-        a = np.sqrt(w / top)[..., None] * model.densify()
-        if field.is_real:
-            a = np.concatenate([a.real, a.imag])
-        return float(top * np.linalg.norm(a, ord=2) ** 2)
+        return float(np.linalg.eigvalsh(gram(model, w, field))[-1])
     lam, _ = power_method(normal_op(model, w, field), model.cols, iters=50, seed=3)
     return 1.05 * lam
 

@@ -22,19 +22,22 @@ def power_method(
     """Leading eigenpair of a Hermitian PSD operator given as a callable.
 
     Returns (eigenvalue, unit-norm eigenvector). The Rayleigh quotient is
-    non-decreasing across iterations for PSD operators.
+    non-decreasing across iterations for PSD operators. One product per
+    iteration, `iters` + 1 in all: op(v) gives both the Rayleigh quotient at
+    v and the next iterate.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
+    w = op(v) if iters > 0 else None
     for _ in range(iters):
-        w = op(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0, v
         v = w / nw
-        lam = real_dot(v, op(v))
+        w = op(v)
+        lam = real_dot(v, w)
     return lam, v
 
 
@@ -161,26 +164,6 @@ def soft_threshold(z: NDArray | complex, tau: float) -> NDArray | complex:
     mag = np.abs(z)
     scale = np.maximum(mag - tau, 0.0) / np.where(mag > 0, mag, 1.0)
     return z * scale
-
-
-def finite_diff_grad(
-    cost: Callable[[NDArray], float], x: NDArray, eps: float = 1e-6
-) -> NDArray:
-    """Central-difference gradient oracle.
-
-    For complex inputs, differences are taken along the real and imaginary
-    axes separately, matching the ascent-direction convention: the returned
-    vector g satisfies Re<g, d> ~ directional derivative along d.
-    """
-    g = np.zeros_like(x, dtype=complex if np.iscomplexobj(x) else float)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = eps
-        g[i] = (cost(x + e) - cost(x - e)) / (2.0 * eps)
-        if np.iscomplexobj(x):
-            e[i] = 1j * eps
-            g[i] += 1j * (cost(x + e) - cost(x - e)) / (2.0 * eps)
-    return g
 
 
 def _wolfe_line_search(

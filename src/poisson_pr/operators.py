@@ -156,6 +156,7 @@ class DenseModel(ForwardModel):
             raise ValueError("dense model entries must be finite")
         super().__init__(entries.shape[0], entries.shape[1], background, scale)
         self.entries = entries
+        self._dense = None  # (scale, entries, scale * entries)
 
     def _apply(self, x):
         return self.entries @ x
@@ -165,7 +166,42 @@ class DenseModel(ForwardModel):
         return (v.conj() @ self.entries).conj()
 
     def densify(self) -> NDArray:
-        return self.scale * self.entries
+        """scale * entries, read-only and remembered until `scale` changes or
+        `entries` is reassigned (a fresh M x N copy per call costs page faults
+        on the order of the Gram product that reads it)."""
+        memo = self._dense
+        if memo is None or memo[0] != self.scale or memo[1] is not self.entries:
+            a = self.scale * self.entries
+            a.flags.writeable = False
+            memo = self._dense = (self.scale, self.entries, a)
+        return memo[2]
+
+
+# normal equations with at most DIRECT_MAX_COLS unknowns are formed explicitly
+DIRECT_MAX_COLS = 64
+
+
+def gram(model: ForwardModel, w, field: FieldTag) -> NDArray:
+    """A'diag(w)A of the densified A for w >= 0, a scalar or one weight per
+    measurement; Re(A'WA) for real fields.
+
+    The real case is C'C with C the (2M, N) stack of sqrt(w) Re A over
+    sqrt(w) Im A, which numpy runs as a symmetric rank-k update: half the
+    flops of the complex product, no imaginary part to discard, and an
+    exactly symmetric result.
+    """
+    a = model.densify()
+    sw = np.sqrt(w)
+    if np.ndim(w):
+        sw = sw[:, None]
+    if not field.is_real:
+        c = sw * a
+        return c.conj().T @ c
+    m = a.shape[0]
+    c = np.empty((2 * m, a.shape[1]))
+    np.multiply(a.real, sw, out=c[:m])
+    np.multiply(a.imag, sw, out=c[m:])
+    return c.T @ c
 
 
 def random_gaussian_model(

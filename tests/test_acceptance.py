@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import curvature_optimal_numeric, finite_diff_grad
 from poisson_pr.admm import update_v_magnitude_b0, update_v_magnitude_bpos
 from poisson_pr.init_eval import (
     finalize_init,
@@ -25,10 +26,9 @@ from poisson_pr.mm import (
     CurvatureKind,
     curvature_improved,
     curvature_max,
-    curvature_optimal_numeric,
     run_mm,
 )
-from poisson_pr.numerics import cubic_roots, finite_diff_grad
+from poisson_pr.numerics import cubic_roots
 from poisson_pr.objectives import (
     DiffOp,
     GaussianObjective,

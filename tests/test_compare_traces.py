@@ -56,3 +56,24 @@ def test_differing_solves_show_how_far_the_final_cost_moved(tmp_path, capsys):
     assert f"pass 0 dense admm: {moved} 0.00e+00" in out
     # a failed solve records no final cost
     assert f"pass 0 dense lbfgs: {moved} n/a" in out
+
+
+def test_summary_line_gives_the_largest_final_cost_change_and_moved_hits(tmp_path, capsys):
+    a = write(tmp_path / "a.jsonl", [record(0, "wf"), record(0, "mm", final=-4.0),
+                                     record(0, "admm"), record(1, "wf")])
+    b = write(tmp_path / "b.jsonl", [record(0, "wf"),
+                                     record(0, "mm", sha1="bb", final=-4.4),
+                                     record(0, "admm", sha1="bb", hit=4, final=2.1),
+                                     record(1, "wf")])
+    assert compare_traces.main([a, b]) == 1
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == ("compared 4 solves; 2 differ; largest final_cost relative "
+                     "difference 9.09e-02; iters_to_gap differs in 1")
+
+
+def test_summary_line_of_identical_runs(tmp_path, capsys):
+    a = write(tmp_path / "a.jsonl", [record(0, "wf")])
+    assert compare_traces.main([a, a]) == 0
+    assert capsys.readouterr().out == ("compared 1 solves; 0 differ; largest "
+                                       "final_cost relative difference n/a; "
+                                       "iters_to_gap differs in 0\n")

@@ -1,4 +1,5 @@
-"""Operator calls per iteration on the dense hot path, and the forward memo."""
+"""Operator calls per iteration on the dense hot path, and the forward and
+densify memos."""
 
 from collections import Counter
 
@@ -110,6 +111,22 @@ def test_lbfgs_one_apply_per_gradient():
     assert counts["apply"] == counts["gradient"]
 
 
+@pytest.mark.parametrize("cols", [N, DIRECT_MAX_COLS, DIRECT_MAX_COLS + 8])
+def test_initialize_power_method_on_the_gram_up_to_the_direct_width(cols):
+    model = random_gaussian_model(4 * cols, cols, seed=7, background=0.1)
+    y = simulate_poisson(model, np.ones(cols), 8).y
+    counts = count_calls(model)
+    initialize(model, y, iters=30, seed=0)
+    # scale_fit's one forward product
+    assert counts["apply"] == 1
+    if cols <= DIRECT_MAX_COLS:
+        assert counts["densify"] == 1
+        assert counts["apply_linear"] == counts["adjoint"] == 0
+    else:
+        assert counts["densify"] == 0
+        assert counts["apply_linear"] == counts["adjoint"] == 30 + 1
+
+
 class TestForwardMemo:
     def test_fresh_after_in_place_change_of_x(self):
         obj, x0 = instance()
@@ -136,6 +153,31 @@ class TestForwardMemo:
         assert not ax.flags.writeable
         with pytest.raises(ValueError):
             ax[0] = 0.0
+
+
+class TestDensifyMemo:
+    def test_read_only_and_reused(self):
+        model = DenseModel(random_gaussian_model(40, 7, seed=1).entries, scale=0.6)
+        a = model.densify()
+        assert model.densify() is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+        assert a.tobytes() == (model.scale * model.entries).tobytes()
+
+    def test_rebuilt_after_calibrate_scale(self):
+        model = random_gaussian_model(40, 7, seed=2)
+        before = model.densify()
+        calibrate_scale(model, np.ones(7), 3.0)
+        assert model.scale != 1.0
+        assert model.densify().tobytes() == (model.scale * model.entries).tobytes()
+        assert not np.array_equal(model.densify(), before)
+
+    def test_rebuilt_after_entries_are_reassigned(self):
+        model = random_gaussian_model(40, 7, seed=3)
+        before = model.densify()
+        model.entries = 2.0 * model.entries
+        assert np.array_equal(model.densify(), 2.0 * before)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (40, 64)])

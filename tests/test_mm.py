@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import curvature_optimal_numeric, finite_diff_grad
 from poisson_pr.init_eval import initialize
 from poisson_pr.mm import (
     DIRECT_MAX_COLS,
@@ -12,7 +13,6 @@ from poisson_pr.mm import (
     build_majorizer,
     curvature_improved,
     curvature_max,
-    curvature_optimal_numeric,
     lipschitz,
     majorizer_value,
     mm_update_huber,
@@ -21,7 +21,7 @@ from poisson_pr.mm import (
     normal_solver,
     run_mm,
 )
-from poisson_pr.numerics import cg_solve, finite_diff_grad, soft_threshold
+from poisson_pr.numerics import cg_solve, soft_threshold
 from poisson_pr.objectives import (
     DiffOp,
     HuberTV,
@@ -207,6 +207,31 @@ class TestNormalEquationKernels:
         model, w = KERNEL_CASES[path]
         lam = np.linalg.eigvalsh(densified_normal(model, w, field))[-1]
         assert lipschitz(model, w, field) >= lam * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
+    def test_lipschitz_of_zero_weights_is_zero(self, field):
+        model, w = KERNEL_CASES["direct"]
+        assert lipschitz(model, np.zeros_like(w), field) == 0.0
+
+    @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
+    def test_rank_deficient_direct_solve_raises(self, field):
+        # the first column is the only nonzero one: A'A = diag(3, 0), whose
+        # zero eigenvalue comes out exactly
+        model = DenseModel(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
+        w = np.array([1.0, 2.0, 0.5])
+        assert np.linalg.eigvalsh(densified_normal(model, w, field))[0] == 0.0
+        for weights in (w, 1.0, np.zeros(3)):
+            with pytest.raises(np.linalg.LinAlgError):
+                normal_solver(model, weights, field, iters=30, tol=1e-9)
+
+    def test_masked_direct_solve_matches_its_diagonal(self):
+        model = MaskedDftModel(make_masks(3, DIRECT_MAX_COLS, seed=6), scale=0.8)
+        rhs = np.random.default_rng(7).standard_normal(model.cols).astype(complex)
+        fast = normal_solver(model, 2.0, FieldTag.COMPLEX, iters=30, tol=1e-9)(rhs)
+        # hide the diagonal: the scalar weight then takes the direct path
+        model.normal_diag = lambda: None
+        direct = normal_solver(model, 2.0, FieldTag.COMPLEX, iters=30, tol=1e-9)(rhs)
+        assert np.linalg.norm(direct - fast) <= 1e-10 * np.linalg.norm(fast)
 
 
 class TestMmUpdateUnregularized:

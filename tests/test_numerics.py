@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import finite_diff_grad
 from poisson_pr.numerics import (
     _wolfe_line_search,
     cg_solve,
     cubic_real_roots,
     cubic_roots,
-    finite_diff_grad,
     lbfgs_minimize,
     power_method,
     soft_threshold,
@@ -42,6 +42,31 @@ class TestPowerMethod:
         lam, v = power_method(lambda z: 0.0 * z, 4, iters=10, seed=0)
         assert lam == 0.0
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("iters", [0, 1, 7, 60])
+    def test_one_product_per_iteration_bit_identical_to_two(self, iters):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
+        h = a.conj().T @ a
+        calls = []
+
+        def op(z):
+            calls.append(1)
+            return h @ z
+
+        lam, v = power_method(op, 6, iters=iters, seed=9)
+        assert len(calls) == (iters + 1 if iters else 0)
+        # the loop with a second product for the Rayleigh quotient
+        gen = np.random.default_rng(9)
+        ref_v = gen.standard_normal(6) + 1j * gen.standard_normal(6)
+        ref_v /= np.linalg.norm(ref_v)
+        ref_lam = 0.0
+        for _ in range(iters):
+            w = h @ ref_v
+            ref_v = w / np.linalg.norm(w)
+            ref_lam = float(np.real(np.vdot(ref_v, h @ ref_v)))
+        assert lam == ref_lam
+        assert v.tobytes() == ref_v.tobytes()
 
 
 class TestCgSolve:

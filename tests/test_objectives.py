@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_pr.numerics import finite_diff_grad, real_dot
+from oracles import finite_diff_grad
+from poisson_pr.numerics import real_dot
 from poisson_pr.objectives import (
     DiffOp,
     GaussianObjective,

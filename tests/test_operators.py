@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poisson_pr.operators import (
+    DIRECT_MAX_COLS,
     CanonicalDftModel,
     DenseModel,
     FieldTag,
@@ -11,6 +12,7 @@ from poisson_pr.operators import (
     MeasurementSet,
     SignalVector,
     calibrate_scale,
+    gram,
     load_file_matrix,
     load_pgm,
     make_masks,
@@ -130,6 +132,39 @@ class TestAdjoint:
         assert np.allclose(np.diag(h).real, diag, atol=1e-10), name
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off)) < 1e-10, f"{name}: A'A not diagonal"
+
+
+def gram_models():
+    """A scaled dense model and a masked DFT at the direct-solve width, whose
+    densify builds A column by column from apply_linear."""
+    rng = np.random.default_rng(21)
+    dense = DenseModel(_rand_vec(rng, 40 * 7).reshape(40, 7), scale=0.6)
+    masked = MaskedDftModel(make_masks(2, DIRECT_MAX_COLS, seed=3), scale=1.7)
+    return {"dense": dense, "masked": masked}
+
+
+class TestGram:
+    @pytest.mark.parametrize("name", ["dense", "masked"])
+    @pytest.mark.parametrize("field", list(FieldTag))
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_matches_the_weighted_product(self, name, field, vector):
+        model = gram_models()[name]
+        w = np.random.default_rng(22).uniform(0.0, 3.0, model.rows) if vector else 2.5
+        a = model.densify()
+        expected = a.conj().T @ (np.reshape(w, (-1, 1)) * a)
+        if field.is_real:
+            expected = expected.real
+        h = gram(model, w, field)
+        assert h.shape == (model.cols, model.cols)
+        assert h.dtype == (float if field.is_real else complex)
+        assert np.linalg.norm(h - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("name", ["dense", "masked"])
+    def test_real_gram_exactly_symmetric(self, name):
+        model = gram_models()[name]
+        w = np.random.default_rng(23).uniform(0.5, 2.0, model.rows)
+        h = gram(model, w, FieldTag.REAL)
+        assert np.array_equal(h, h.T)
 
 
 class TestCalibrateScale:
