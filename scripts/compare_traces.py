@@ -15,6 +15,8 @@ are bit-identical, or how far they moved.
 
 import argparse
 import json
+import os
+import sys
 
 FIELDS = ("cost_trace_sha1", "iters_to_gap")
 
@@ -55,12 +57,20 @@ def main(argv=None):
     rels = [rel for _, _, rel in diff if rel is not None]
     largest = f"{max(rels):.2e}" if rels else "n/a"
     hits = sum("iters_to_gap" in fields for _, fields, _ in diff)
-    print(f"compared {n} solves; {len(diff)} differ; largest final_cost relative "
-          f"difference {largest}; iters_to_gap differs in {hits}")
+    lines = [f"compared {n} solves; {len(diff)} differ; largest final_cost relative "
+             f"difference {largest}; iters_to_gap differs in {hits}"]
     for (pass_, instance, solver), fields, rel in diff:
         moved = "n/a" if rel is None else f"{rel:.2e}"
-        print(f"  pass {pass_} {instance} {solver}: {', '.join(fields)}; "
-              f"final_cost relative difference {moved}")
+        lines.append(f"  pass {pass_} {instance} {solver}: {', '.join(fields)}; "
+                     f"final_cost relative difference {moved}")
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head -1`): the rest of the output, and
+        # the interpreter's flush at exit, go to devnull; the exit code stays
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return 1 if diff else 0
 
 

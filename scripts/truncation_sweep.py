@@ -46,7 +46,7 @@ def main():
     print(f"{'a_h':>10}  {'final cost':>14}  {'NRMSE':>8}")
     for a_h in args.a_h:
         st = run_wf(obj, x0, args.n_iters,
-                    trunc=TruncationRule(enabled=True, a_h=a_h))
+                    trunc=TruncationRule(a_h=a_h))
         # an aggressive threshold can zero the whole gradient at the start,
         # in which case the run terminates with the initial cost
         final = st.costs()[-1] if st.trace else obj.cost(x0.values)
@@ -55,7 +55,7 @@ def main():
 
     plain = run_wf(obj, x0, args.n_iters)
     kept = run_wf(obj, x0, args.n_iters,
-                  trunc=TruncationRule(enabled=True, a_h=1e12))
+                  trunc=TruncationRule(a_h=1e12))
     same = np.array_equal(plain.x, kept.x)
     print(f"{'untrunc':>10}  {plain.costs()[-1]:>14.6f}  "
           f"{nrmse(plain.x, sig.values):>8.4f}  "

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import time
-
 from numpy.typing import NDArray
 
-from .init_eval import RunState, TraceRow
+from .init_eval import RunState
 from .numerics import lbfgs_minimize
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
-from .wf import _metrics
+from .wf import iterate
 
 
 def run_lbfgs(
@@ -17,29 +15,18 @@ def run_lbfgs(
     x0,
     n_iters: int,
     reg: HuberTV | None = None,
-    memory: int = 10,
     x_true: NDArray | None = None,
 ) -> RunState:
-    """LBFGS on f + beta R. Each trace row holds the cost LBFGS computed at
-    the new iterate; its time counts the iterations only, not the trace.
-    A non-finite cost, the start's included, ends the run with the last
-    iterate LBFGS accepted."""
+    """LBFGS on f + beta R, one `wf.iterate` step per LBFGS iteration. Each
+    trace row holds the cost LBFGS computed at the new iterate, so the trace
+    costs no extra evaluation."""
     cost = RegularizedObjective(obj, reg)
-    state = RunState(x=x0.values.copy())
-    elapsed = 0.0
-    t0 = time.perf_counter()
+    steps = lbfgs_minimize(lambda z: (cost.cost(z), cost.gradient(z)), x0.values)
+    f = None
 
-    def record(z, f):
-        nonlocal elapsed, t0
-        elapsed += time.perf_counter() - t0
-        nr, ps = _metrics(z, x_true)
-        state.trace.append(TraceRow(len(state.trace) + 1, elapsed, f, nr, ps))
-        state.x = z
-        t0 = time.perf_counter()
+    def step(k, x, warnings):
+        nonlocal f
+        x_new, f = next(steps)
+        return x_new
 
-    try:  # `record` keeps state.x at the last accepted iterate
-        lbfgs_minimize(lambda z: (cost.cost(z), cost.gradient(z)), x0.values,
-                       memory=memory, n_iters=n_iters, callback=record)
-    except FloatingPointError as exc:
-        state.status = f"terminated: {exc}"
-    return state
+    return iterate(step, x0.values, n_iters, lambda z: f, x_true)

@@ -3,9 +3,8 @@
 Verbs:
   run    -- single experiment from a JSON config (plus dotted overrides)
   suite  -- preset comparison studies over a seed list
-  check  -- quick invariant self-tests
 
-Exit codes: 0 success, 1 config error, 2 numerical failure.
+Exit codes: 0 success, 1 config or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,16 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admm import run_admm, update_v_magnitude_b0
+from .admm import run_admm
 from .baselines import run_lbfgs
 from .init_eval import initialize, nrmse as _nrmse, psnr as _psnr
-from .mm import CurvatureKind, curvature_improved, curvature_max, run_mm
+from .mm import CurvatureKind, run_mm
 from .objectives import (
     DiffOp, GaussianObjective, HuberTV, PoissonObjective, RegularizedObjective,
 )
 from .operators import (
     CanonicalDftModel,
-    DenseModel,
     FieldTag,
     MaskedDftModel,
     SignalVector,
@@ -47,6 +45,13 @@ from .wf import StepKind, StepRule, TruncationRule, run_wf
 
 class ConfigError(ValueError):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are config errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 DEFAULT_CONFIG = {
@@ -73,6 +78,7 @@ _FIELD = {
     "complex": FieldTag.COMPLEX,
     "real_nonnegative": FieldTag.REAL_NONNEGATIVE,
 }
+_OBJECTIVE = {"poisson": PoissonObjective, "gaussian": GaussianObjective}
 
 
 def _deep_update(base: dict, upd: dict) -> dict:
@@ -169,34 +175,31 @@ def build_regularizer(cfg: dict | None, signal: SignalVector) -> HuberTV | None:
     return HuberTV(float(cfg.get("beta", 32.0)), float(cfg.get("alpha", 0.1)), diff)
 
 
-def _solve(cfg: dict, obj, reg, x0: SignalVector, x_true):
-    alg = cfg["algorithm"]
+def build_solver(alg: dict):
+    """The configured solver and its keyword options, every option read and
+    checked before any solve starts."""
     kind = alg.get("kind", "wf")
-    n_iters = int(cfg.get("n_iters", 100))
     if kind == "wf":
         step = alg.get("step", "fisher")
         try:
             rule = StepRule(kind=StepKind(step))
         except ValueError:
             raise ConfigError(f"unknown step rule {step!r}")
+        if (rule.kind is StepKind.EXACT_GAUSSIAN
+                and alg.get("noise_model", "poisson") != "gaussian"):
+            raise ConfigError("the exact_gaussian step needs noise_model gaussian")
         trunc_cfg = alg.get("truncation")
-        trunc = (
-            TruncationRule(enabled=True, a_h=float(trunc_cfg["a_h"]))
-            if trunc_cfg else TruncationRule()
-        )
-        return run_wf(obj, x0, n_iters, rule=rule, reg=reg, trunc=trunc,
-                      x_true=x_true)
+        trunc = TruncationRule(a_h=float(trunc_cfg["a_h"])) if trunc_cfg else None
+        return run_wf, {"rule": rule, "trunc": trunc}
     if kind == "mm":
         try:
-            curv = CurvatureKind(alg.get("curvature", "improved"))
+            return run_mm, {"curvature": CurvatureKind(alg.get("curvature", "improved"))}
         except ValueError:
             raise ConfigError(f"unknown curvature {alg.get('curvature')!r}")
-        return run_mm(obj, x0, n_iters, curvature=curv, reg=reg, x_true=x_true)
     if kind == "admm":
-        return run_admm(obj, x0, n_iters, rho0=float(alg.get("rho0", 8.0)),
-                        reg=reg, x_true=x_true)
+        return run_admm, {"rho0": float(alg.get("rho0", 8.0))}
     if kind == "lbfgs":
-        return run_lbfgs(obj, x0, n_iters, reg=reg, x_true=x_true)
+        return run_lbfgs, {}
     raise ConfigError(f"unknown algorithm kind {kind!r}")
 
 
@@ -206,33 +209,35 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> dict:
     cfg = _deep_update(DEFAULT_CONFIG, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = int(cfg["seed"])
-    background, mean_count = float(cfg["background"]), float(cfg["mean_count"])
-    if int(cfg["n_iters"]) < 0:
-        raise ConfigError("n_iters must be nonnegative")
-    if mean_count <= 0 or mean_count < background:
-        raise ConfigError("mean_count must be positive and at least the background")
-    if background <= 0 and cfg["algorithm"].get("kind") == "mm":
-        raise ConfigError("MM needs a positive background (no majorizer at b = 0)")
+    # a malformed value or a section that is not an object fails below, a config
+    # error; what fails from `initialize` on is a numerical failure
+    try:
+        seed = int(cfg["seed"])
+        background, mean_count = float(cfg["background"]), float(cfg["mean_count"])
+        n_iters, init_iters = int(cfg["n_iters"]), int(cfg["init_iters"])
+        if n_iters < 0:
+            raise ConfigError("n_iters must be nonnegative")
+        if mean_count <= 0 or mean_count <= background:
+            raise ConfigError("mean_count must be positive and above the background")
+        if background <= 0 and cfg["algorithm"].get("kind") == "mm":
+            raise ConfigError("MM needs a positive background (no majorizer at b = 0)")
 
-    signal = build_signal(cfg["signal"])
-    model = build_model(cfg["model"], signal, background)
-    calibrate_scale(model, signal.values, mean_count)
-    meas = simulate_poisson(model, signal.values, seed)
+        signal = build_signal(cfg["signal"])
+        model = build_model(cfg["model"], signal, background)
+        calibrate_scale(model, signal.values, mean_count)
+        meas = simulate_poisson(model, signal.values, seed)
+        noise_model = cfg["algorithm"].get("noise_model", "poisson")
+        if noise_model not in _OBJECTIVE:
+            raise ConfigError(f"unknown noise model {noise_model!r}")
+        obj = _OBJECTIVE[noise_model](model, meas.y, field=signal.field)
+        reg = build_regularizer(cfg["regularizer"], signal)
+        solver, options = build_solver(cfg["algorithm"])
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
 
-    x0 = initialize(model, meas.y, field=signal.field,
-                    iters=int(cfg.get("init_iters", 300)), seed=seed)
-    noise_model = cfg["algorithm"].get("noise_model", "poisson")
-    if noise_model == "poisson":
-        obj = PoissonObjective(model, meas.y, field=signal.field)
-    elif noise_model == "gaussian":
-        obj = GaussianObjective(model, meas.y, field=signal.field)
-    else:
-        raise ConfigError(f"unknown noise model {noise_model!r}")
-    reg = build_regularizer(cfg.get("regularizer"), signal)
-
+    x0 = initialize(model, meas.y, field=signal.field, iters=init_iters, seed=seed)
     t_start = time.perf_counter()
-    state = _solve(cfg, obj, reg, x0, signal.values)
+    state = solver(obj, x0, n_iters, reg=reg, x_true=signal.values, **options)
     wall = time.perf_counter() - t_start
 
     trace_path = out / "trace.csv"
@@ -361,49 +366,8 @@ def run_suite(
     return results
 
 
-def run_check() -> int:
-    """Quick invariant self-tests; returns a process exit code."""
-    failures = []
-
-    def check(name, ok):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append(name)
-
-    rng = np.random.default_rng(0)
-    for name, model in [
-        ("dense", random_gaussian_model(12, 5, seed=1)),
-        ("masked_dft", MaskedDftModel(make_masks(3, 5, seed=2))),
-        ("canonical_dft", CanonicalDftModel((2, 3), np.ones((2, 2)))),
-    ]:
-        x = rng.standard_normal(model.cols) + 1j * rng.standard_normal(model.cols)
-        z = rng.standard_normal(model.rows) + 1j * rng.standard_normal(model.rows)
-        lhs = np.vdot(z, model.apply_linear(x))
-        rhs = np.vdot(model.adjoint(z), x)
-        check(f"adjoint consistency ({name})",
-              abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0))
-
-    y = rng.uniform(0.0, 20.0, 200)
-    b = rng.uniform(0.05, 5.0, 200)
-    s = rng.uniform(-10.0, 10.0, 200)
-    ci = curvature_improved(s, y, b)
-    cm = curvature_max(y, b)
-    check("curvature ordering 2 <= c_imp <= c_max",
-          bool(np.all(ci >= 2.0 - 1e-12) and np.all(ci <= cm + 1e-12)))
-
-    t = rng.uniform(0.0, 5.0, 100)
-    yy = rng.uniform(0.0, 10.0, 100)
-    m = update_v_magnitude_b0(t, yy, 2.0)
-    resid = 2 * m - np.divide(2 * yy, m, out=np.zeros_like(m), where=m > 0) \
-        + 2.0 * (m - t)
-    ok = np.all((np.abs(resid) < 1e-8) | (yy == 0))
-    check("ADMM b=0 magnitude stationarity", bool(ok))
-    return 0 if not failures else 2
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="poisson-pr",
-                                     description=__doc__.splitlines()[0])
+    parser = _ArgumentParser(prog="poisson-pr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment")
@@ -422,12 +386,8 @@ def main(argv=None) -> int:
     p_suite.add_argument("--override", action="append", default=[],
                          metavar="K=V")
 
-    sub.add_parser("check", help="run invariant self-tests")
-
-    args = parser.parse_args(argv)
     try:
-        if args.verb == "check":
-            return run_check()
+        args = parser.parse_args(argv)
         cfg = {}
         if args.config:
             try:
@@ -436,6 +396,8 @@ def main(argv=None) -> int:
             except (OSError, json.JSONDecodeError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 1
+            if not isinstance(cfg, dict):
+                raise ConfigError("the config must be a JSON object")
         for ov in args.override:
             if "=" not in ov:
                 print(f"config error: bad override {ov!r}", file=sys.stderr)
@@ -455,10 +417,10 @@ def main(argv=None) -> int:
             run_suite(args.preset, seeds, args.out, base=cfg)
             print(f"suite {args.preset} complete: results in {args.out}")
             return 0
-    except (ConfigError, KeyError, FileNotFoundError) as exc:
+    except (ConfigError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError, FloatingPointError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -36,9 +36,6 @@ class RunState:
     def costs(self) -> NDArray:
         return np.array([r.cost for r in self.trace])
 
-    def nrmses(self) -> NDArray:
-        return np.array([r.nrmse for r in self.trace])
-
 
 def spectral_init(
     model: ForwardModel, y: NDArray, iters: int = 300, seed: int = 0

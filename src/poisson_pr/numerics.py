@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
+
+
+class DegenerateIterateError(RuntimeError):
+    """Raised when a step is undefined at the current iterate."""
 
 
 def real_dot(a: NDArray, b: NDArray) -> float:
@@ -141,24 +145,6 @@ def _newton(c3, c2, c1, c0, roots):
     return roots
 
 
-def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """All real roots (with multiplicity) of c3 m^3 + c2 m^2 + c1 m + c0,
-    sorted: `cubic_roots` for one cubic, with the quadratic and linear
-    cases when c3 = 0."""
-    if c3 == 0.0:
-        if c2 == 0.0:
-            if c1 == 0.0:
-                return []
-            return [-c0 / c1]
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            return []
-        sq = np.sqrt(disc)
-        return sorted([(-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)])
-    roots = cubic_roots(c3, *(np.array([c], float) for c in (c2, c1, c0)))[0]
-    return sorted(float(r) for r in roots if not np.isnan(r))
-
-
 def soft_threshold(z: NDArray | complex, tau: float) -> NDArray | complex:
     """Complex soft-thresholding: sign(z) * max(|z| - tau, 0)."""
     mag = np.abs(z)
@@ -211,28 +197,24 @@ def lbfgs_minimize(
     fg: Callable[[NDArray], tuple[float, NDArray]],
     x0: NDArray,
     memory: int = 10,
-    n_iters: int = 100,
-    grad_tol: float = 0.0,
-    callback: Callable[[NDArray, float], None] | None = None,
-) -> NDArray:
+) -> Iterator[tuple[NDArray, float]]:
     """LBFGS with the standard two-loop recursion and a weak Wolfe search.
 
-    `fg` returns (cost, gradient); complex iterates use the real inner
-    product, so gradients may be Wirtinger ascent directions. `callback`
-    receives each new iterate and its cost. A non-finite cost at the start
-    or from a line search raises FloatingPointError; the callback has then
-    seen the last iterate.
+    A generator: each `next` takes one step and yields the new iterate and its
+    cost. `fg` returns (cost, gradient); complex iterates use the real inner
+    product, so gradients may be Wirtinger ascent directions. A step from a
+    non-finite cost or a zero gradient, the start's included, raises
+    DegenerateIterateError.
     """
     x = x0.copy()
     f, g = fg(x)
     s_hist: list[NDArray] = []
     y_hist: list[NDArray] = []
-    for _ in range(n_iters):
+    while True:
         if not np.isfinite(f):
-            raise FloatingPointError("non-finite cost")
-        gnorm = np.linalg.norm(g)
-        if gnorm == 0.0 or gnorm <= grad_tol:
-            break
+            raise DegenerateIterateError("non-finite cost")
+        if np.linalg.norm(g) == 0.0:
+            raise DegenerateIterateError("zero gradient")
         q = g.copy()
         alphas = []
         for s, y in zip(reversed(s_hist), reversed(y_hist)):
@@ -248,11 +230,7 @@ def lbfgs_minimize(
         p = -q
         if real_dot(g, p) >= 0.0:
             p = -g  # fall back to steepest descent
-        t, f_new, g_new = _wolfe_line_search(fg, x, f, g, p)
-        if not np.isfinite(f_new):
-            raise FloatingPointError("non-finite cost")
-        if t == 0.0:
-            break
+        t, f, g_new = _wolfe_line_search(fg, x, f, g, p)
         s_vec = t * p
         y_vec = g_new - g
         if real_dot(y_vec, s_vec) > 1e-14:  # keep positive-curvature pairs only
@@ -262,7 +240,5 @@ def lbfgs_minimize(
                 s_hist.pop(0)
                 y_hist.pop(0)
         x = x + s_vec
-        f, g = f_new, g_new
-        if callback is not None:
-            callback(x, f)
-    return x
+        g = g_new
+        yield x, f

@@ -263,10 +263,6 @@ class CanonicalDftModel(ForwardModel):
         full = np.fft.ifft2(v.reshape(self.fft_dims)) * m  # conjugate DFT kernel
         return full[:h, :w].ravel()
 
-    def reference_only_spectrum(self) -> NDArray:
-        """Scaled DFT magnitudes with x = 0, i.e. the reference alone."""
-        return self.apply(np.zeros(self.cols, dtype=complex))
-
     def normal_diag(self):
         return np.full(self.cols, self.scale**2 * self.rows)
 

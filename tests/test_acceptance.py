@@ -401,12 +401,12 @@ def test_criterion_12_truncation_study():
     finals = []
     for a_h in (1.0, 5.0, 10.0, 50.0, 100.0):
         st = run_wf(obj, x0, 100,
-                    trunc=TruncationRule(enabled=True, a_h=a_h))
+                    trunc=TruncationRule(a_h=a_h))
         finals.append(st.costs()[-1] if st.trace else obj.cost(x0.values))
     monotone = bool(np.all(np.diff(finals) <= 1e-8 * np.abs(np.array(finals[:-1]))))
     # report-only for the a_h sweep; the all-kept limit must match exactly
     plain = run_wf(obj, x0, 100)
-    kept = run_wf(obj, x0, 100, trunc=TruncationRule(enabled=True, a_h=1e12))
+    kept = run_wf(obj, x0, 100, trunc=TruncationRule(a_h=1e12))
     exact_ok = np.array_equal(plain.x, kept.x)
     sweep = (f"      truncation sweep final costs (a_h=1,5,10,50,100): "
              f"{[f'{c:.4f}' for c in finals]} "

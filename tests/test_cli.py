@@ -2,9 +2,12 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from poisson_pr.cli import (
     ConfigError,
@@ -210,13 +213,6 @@ class TestMain:
             rc = main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
             assert rc == 1, cfg
 
-    def test_check_verb(self, capsys):
-        rc = main(["check"])
-        captured = capsys.readouterr().out
-        assert rc == 0
-        assert "PASS" in captured
-        assert "FAIL" not in captured
-
     def test_suite_verb(self, tmp_path, capsys):
         rc = main([
             "suite", "--preset", "poisson-vs-gaussian", "--seed", "0",
@@ -227,3 +223,115 @@ class TestMain:
         ])
         assert rc == 0
         assert (tmp_path / "comparison.csv").exists()
+
+
+def one_config_error_line(err):
+    return err.startswith("config error:") and err.count("\n") == 1
+
+
+class TestExitContract:
+    """0 success, 1 config or usage error, 2 numerical failure, and never a
+    traceback."""
+
+    @pytest.mark.parametrize("cfg", [
+        {"seed": "x"},
+        {"model": {"m": "abc"}},
+        {"regularizer": {"alpha": 0}},
+        {"background": -1},
+        {"signal": {"source": "disk", "dims": [4]}},
+        [TINY],
+    ], ids=["seed", "model-m", "alpha", "background", "disk-dims", "list"])
+    def test_malformed_config_exits_one(self, tmp_path, capsys, cfg):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
+        assert one_config_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [["run", "--seed", "abc"], ["nope"], ["suite"], []])
+    def test_usage_error_exits_one(self, capsys, argv):
+        assert main(argv) == 1
+        assert one_config_error_line(capsys.readouterr().err)
+
+    def test_unusable_out_dir_exits_one(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["run", "--out", str(tmp_path / "file" / "o")]) == 1
+        assert one_config_error_line(capsys.readouterr().err)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["wf", "lbfgs"])
+    def test_zero_gradient_start_exits_two(self, tmp_path, capsys, kind):
+        # 16 counts at mean 0.11 from seed 2 fit the initializer's scale to 0,
+        # where the Poisson gradient vanishes
+        cfg = dict(TINY, model=dict(TINY["model"], m=16), mean_count=0.11, seed=2,
+                   algorithm={"kind": kind})
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(cfg))
+        with pytest.warns(UserWarning):
+            rc = main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "terminated: zero gradient"
+
+
+# a tiny valid config, then up to two values replaced by mistyped, unknown or
+# out-of-range ones through --override
+FUZZ_CONFIG = st.fixed_dictionaries({
+    "model": st.fixed_dictionaries({
+        "variant": st.sampled_from(["dense", "masked_dft", "canonical_dft"]),
+        "m": st.integers(1, 16),
+        "masks": st.integers(1, 3),
+        "seed": st.integers(0, 3),
+    }),
+    "signal": st.fixed_dictionaries({
+        "source": st.sampled_from(["random_complex", "disk", "blocks"]),
+        "n": st.integers(1, 4),
+        "dims": st.lists(st.integers(1, 2), min_size=2, max_size=2),
+        "field": st.sampled_from(["real", "complex", "real_nonnegative"]),
+    }),
+    "algorithm": st.fixed_dictionaries({
+        "kind": st.sampled_from(["wf", "mm", "admm", "lbfgs"]),
+        "step": st.sampled_from(["fisher", "backtracking", "exact_gaussian"]),
+        "noise_model": st.sampled_from(["poisson", "gaussian"]),
+        "curvature": st.sampled_from(["improved", "max"]),
+        "rho0": st.floats(0.5, 16.0),
+        "truncation": st.one_of(st.none(),
+                                st.fixed_dictionaries({"a_h": st.floats(0.5, 20.0)})),
+    }),
+    "regularizer": st.one_of(st.none(), st.fixed_dictionaries({
+        "beta": st.floats(0.0, 8.0), "alpha": st.floats(0.01, 1.0)})),
+    "mean_count": st.floats(0.2, 2.0),
+    "background": st.floats(0.0, 0.2),
+    "n_iters": st.integers(0, 2),
+    "init_iters": st.integers(0, 5),
+    "seed": st.integers(0, 3),
+})
+FUZZ_KEYS = [
+    "model", "model.variant", "model.m", "model.masks", "model.seed",
+    "signal", "signal.source", "signal.n", "signal.dims", "signal.field", "signal.seed",
+    "algorithm", "algorithm.kind", "algorithm.step", "algorithm.noise_model",
+    "algorithm.curvature", "algorithm.rho0", "algorithm.truncation",
+    "algorithm.truncation.a_h", "regularizer", "regularizer.kind", "regularizer.beta",
+    "regularizer.alpha", "mean_count", "background", "n_iters", "init_iters", "seed",
+    "unknown", "model.unknown",
+]
+FUZZ_EDITS = st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
+                                st.sampled_from(["abc", None, [1], {}, -1, 0, 0.5, True])),
+                      max_size=2)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=FUZZ_CONFIG, edits=FUZZ_EDITS, as_list=st.booleans())
+def test_fuzzed_config_exit_code(tmp_path, cfg, edits, as_list):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps([cfg] if as_list else cfg))
+    argv = ["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]
+    for key, value in edits:
+        argv += ["--override", f"{key}={json.dumps(value)}"]
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) in (0, 1, 2)

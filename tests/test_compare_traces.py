@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_traces.py"
@@ -77,3 +79,17 @@ def test_summary_line_of_identical_runs(tmp_path, capsys):
     assert capsys.readouterr().out == ("compared 1 solves; 0 differ; largest "
                                        "final_cost relative difference n/a; "
                                        "iters_to_gap differs in 0\n")
+
+
+def test_reader_that_stops_early_gets_no_traceback(tmp_path):
+    # far more output than a pipe buffers, so the writer meets the closed pipe
+    a = write(tmp_path / "a.jsonl", [record(k, "wf") for k in range(20000)])
+    b = write(tmp_path / "b.jsonl", [record(k, "wf", sha1="bb") for k in range(20000)])
+    proc = subprocess.Popen([sys.executable, str(SCRIPT), a, b],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"compared 20000 solves; 20000 differ")
+    assert err == b""

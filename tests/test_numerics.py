@@ -1,6 +1,8 @@
 """Numerical kernels: power method, CG, cubic roots, soft-threshold, LBFGS,
 finite differences."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,33 @@ from hypothesis import strategies as st
 
 from oracles import finite_diff_grad
 from poisson_pr.numerics import (
+    DegenerateIterateError,
     _wolfe_line_search,
     cg_solve,
-    cubic_real_roots,
     cubic_roots,
     lbfgs_minimize,
     power_method,
     soft_threshold,
 )
+
+
+def cubic_real_roots(c3, c2, c1, c0):
+    """The sorted real roots of one cubic, from `cubic_roots`."""
+    roots = cubic_roots(c3, *(np.array([c], float) for c in (c2, c1, c0)))[0]
+    return sorted(float(r) for r in roots if not np.isnan(r))
+
+
+def lbfgs_last(fg, x0, n_iters):
+    """The last of at most `n_iters` LBFGS iterates; the steps end early at an
+    exact zero gradient."""
+    x = x0
+    try:
+        for x, _ in islice(lbfgs_minimize(fg, x0), n_iters):
+            pass
+    except DegenerateIterateError as exc:
+        if str(exc) != "zero gradient":
+            raise
+    return x
 
 
 class TestPowerMethod:
@@ -117,16 +138,6 @@ class TestCubicRealRoots:
         roots = cubic_real_roots(1.0, 0.0, 1.0, 0.0)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_quadratic_fallback(self):
-        roots = cubic_real_roots(0.0, 1.0, -3.0, 2.0)
-        assert np.allclose(roots, [1.0, 2.0], atol=1e-12)
-
-    def test_linear_fallback(self):
-        assert cubic_real_roots(0.0, 0.0, 2.0, -4.0) == [2.0]
-
-    def test_no_real_roots_quadratic(self):
-        assert cubic_real_roots(0.0, 1.0, 0.0, 1.0) == []
 
     def test_near_double_root(self):
         # (m-1)^2 (m-2) = m^3 - 4 m^2 + 5 m - 2
@@ -248,15 +259,15 @@ class TestLbfgs:
             r = x - target
             return 0.5 * float(r @ (h @ r)), h @ r
 
-        x = lbfgs_minimize(fg, np.zeros(3), n_iters=6)
+        x = lbfgs_last(fg, np.zeros(3), 6)
         assert np.linalg.norm(x - target) < 1e-8
 
     def test_zero_gradient_start(self):
         def fg(x):
             return float(np.sum(x**2)), 2.0 * x
 
-        x0 = np.zeros(4)
-        assert np.all(lbfgs_minimize(fg, x0, n_iters=10) == x0)
+        with pytest.raises(DegenerateIterateError, match="zero gradient"):
+            next(lbfgs_minimize(fg, np.zeros(4)))
 
     def test_rosenbrock(self):
         def fg(x):
@@ -268,7 +279,7 @@ class TestLbfgs:
             ])
             return float(f), g
 
-        x = lbfgs_minimize(fg, np.array([-1.2, 1.0]), n_iters=200)
+        x = lbfgs_last(fg, np.array([-1.2, 1.0]), 200)
         assert fg(x)[0] < 1e-6
 
     def test_complex_quadratic(self):
@@ -278,7 +289,7 @@ class TestLbfgs:
             r = x - target
             return float(np.sum(np.abs(r) ** 2)), 2.0 * r
 
-        x = lbfgs_minimize(fg, np.zeros(2, dtype=complex), n_iters=20)
+        x = lbfgs_last(fg, np.zeros(2, dtype=complex), 20)
         assert np.linalg.norm(x - target) < 1e-7
 
 

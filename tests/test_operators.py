@@ -73,7 +73,7 @@ class TestApply:
         expected = np.fft.fft2(full, s=m.fft_dims).ravel()
         assert np.allclose(out, expected, atol=1e-12)
         assert np.allclose(np.abs(out) ** 2,
-                           np.abs(m.reference_only_spectrum()) ** 2)
+                           np.abs(m.apply(np.zeros(m.cols, dtype=complex))) ** 2)
 
     def test_dimension_mismatch_reports_both(self):
         m = DenseModel(np.eye(3))

@@ -83,3 +83,18 @@ def test_non_finite_cost_ends_the_run(solver):
     assert state.status == "terminated: non-finite cost"
     assert state.trace == []
     assert np.array_equal(state.x, x0.values)
+
+
+@pytest.mark.parametrize("solver", ["wf-fisher", "wf-backtracking", "lbfgs"])
+def test_zero_gradient_start_ends_the_run(solver):
+    sig = blocks(N, seed=0)
+    model = random_gaussian_model(64, N, seed=3, background=0.1)
+    calibrate_scale(model, sig.values, 0.25)
+    obj = PoissonObjective(model, simulate_poisson(model, sig.values, 4).y,
+                           field=sig.field)
+    # the Poisson gradient A' psi'(A x) vanishes at x = 0 for any counts
+    x0 = SignalVector(np.zeros(N, dtype=complex), sig.field)
+    state = SOLVERS[solver](obj, x0, None, False)
+    assert state.status == "terminated: zero gradient"
+    assert state.trace == []
+    assert np.array_equal(state.x, x0.values)
