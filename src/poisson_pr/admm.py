@@ -10,15 +10,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .init_eval import RunState
-from .mm import lipschitz, minimize_quad_plus_huber, normal_op, normal_solver, prox_l1
+from .mm import minimize_quad_plus_huber, normal_op, normal_solver
 # cg_solve, power_method: only for the benchmark's tracer (mm's kernels call mm's)
 from .numerics import cg_solve, cubic_roots, power_method  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
 from .operators import FieldTag, ForwardModel, SignalVector, project_field, realify
 from .wf import DegenerateIterateError, iterate
 
-# inner-solver iterations and tolerance of the x update (CG, nonlinear CG or
-# proximal gradient)
+# inner-solver iterations and tolerance of the x update (CG or nonlinear CG)
 X_ITERS, X_TOL = 50, 1e-8
 
 
@@ -102,19 +101,16 @@ def update_x(
     field: FieldTag = FieldTag.COMPLEX,
     reg: HuberTV | None = None,
     rho: float = 1.0,
-    l1: bool = False,
     x0: NDArray | None = None,
     solve: Callable[[NDArray], NDArray] | None = None,
-    lip: float | None = None,
 ) -> NDArray:
-    """Least-squares x update, with optional Huber or l1 regularization.
+    """Least-squares x update, with optional Huber regularization.
 
     Unregularized: solves A'A x = A'(v + eta) with `solve`, the fixed
     `mm.normal_solver` of A'A that run_admm builds once per run (built here
     when None). Regularized: minimizes (rho/2)||Ax - v - eta||^2 + beta R(x),
-    i.e. 1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x); the l1
-    proximal gradient steps by 1 / (rho `lip`), `lip` the Lipschitz constant
-    of A'A that run_admm computes once per run (computed here when None).
+    i.e. 1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x), by nonlinear
+    CG from x0.
     """
     w = v + eta
     if model.offset_raw is not None:
@@ -123,22 +119,9 @@ def update_x(
     if _unregularized(reg):
         solve = solve or normal_solver(model, 1.0, field, X_ITERS, X_TOL)
         return project_field(solve(rhs), field)
-
     x = x0 if x0 is not None else np.zeros(model.cols, dtype=complex)
-    op, lin = normal_op(model, rho, field), rho * rhs
-    if not l1:
-        return minimize_quad_plus_huber(op, lin, x, reg, field,
-                                        inner_iters=X_ITERS, tol=X_TOL)
-    # proximal gradient on the smooth LS part with T-domain soft-thresholding
-    if lip is None:
-        lip = lipschitz(model, 1.0, field)
-    step = 1.0 / max(rho * lip, 1e-30)
-    for _ in range(X_ITERS):
-        x_new = prox_l1(x - step * (op(x) - lin), reg.diff_op, step * reg.beta, field)
-        if np.linalg.norm(x_new - x) <= X_TOL * max(1.0, np.linalg.norm(x)):
-            return x_new
-        x = x_new
-    return x
+    return minimize_quad_plus_huber(normal_op(model, rho, field), rho * rhs, x, reg,
+                                    field, X_ITERS, X_TOL)
 
 
 def run_admm(
@@ -147,14 +130,12 @@ def run_admm(
     n_iters: int,
     rho0: float = 8.0,
     reg: HuberTV | None = None,
-    l1: bool = False,
     x_true: NDArray | None = None,
 ) -> RunState:
     """ADMM outer loop: v (phase then magnitude), x, dual, penalty update."""
     model = obj.model
     solve = (normal_solver(model, 1.0, x0.field, X_ITERS, X_TOL)
              if _unregularized(reg) else None)
-    lip = lipschitz(model, 1.0, x0.field) if l1 and solve is None else None
     ax = obj.forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
@@ -172,8 +153,8 @@ def run_admm(
         else:
             mag = update_v_magnitude_bpos(t, obj.y, obj.b, rho)
         v = np.atleast_1d(mag) * phase
-        x = update_x(model, v, eta, field=x0.field, reg=reg, rho=rho, l1=l1, x0=x,
-                     solve=solve, lip=lip)
+        x = update_x(model, v, eta, field=x0.field, reg=reg, rho=rho, x0=x,
+                     solve=solve)
         ax = obj.forward(x)
         eta = update_dual(eta, v, ax)
         if k % 10 == 0:  # the only iterations whose residuals update_rho reads
@@ -182,5 +163,4 @@ def run_admm(
             rho = update_rho(rho, primal, dual, k)
         return x
 
-    return iterate(step, x0.values, n_iters, RegularizedObjective(obj, reg, l1).cost,
-                   x_true)
+    return iterate(step, x0.values, n_iters, RegularizedObjective(obj, reg).cost, x_true)

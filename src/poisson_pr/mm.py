@@ -11,7 +11,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .init_eval import RunState
-from .numerics import cg_solve, power_method, real_dot, soft_threshold
+# power_method: only for the benchmark's tracer
+from .numerics import cg_solve, power_method, real_dot  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
 from .operators import (DIRECT_MAX_COLS, FieldTag, ForwardModel, SignalVector, gram,
                         project_field, realify)
@@ -48,10 +49,9 @@ def curvature_improved(s, y, b):
     return out if out.ndim else float(out)
 
 
-# MM's inner solvers (unregularized CG, l1 APG, Huber nonlinear CG); normal
-# equations with at most DIRECT_MAX_COLS unknowns are solved directly
+# MM's inner solvers (unregularized CG, Huber nonlinear CG); normal equations
+# with at most DIRECT_MAX_COLS unknowns are solved directly
 CG_ITERS, CG_TOL = 30, 1e-9
-PROX_ITERS, PROX_TOL = 100, 1e-10
 HUBER_ITERS, HUBER_TOL = 50, 1e-9
 
 
@@ -81,31 +81,6 @@ def normal_solver(model: ForwardModel, w, field: FieldTag, iters: int,
             h, rhs.real if field.is_real else rhs).astype(complex)
     op = normal_op(model, w, field)
     return lambda rhs: cg_solve(op, rhs, iters=iters, tol=tol)
-
-
-def lipschitz(model: ForwardModel, w, field: FieldTag) -> float:
-    """A Lipschitz constant of z -> A'diag(w)A z, chosen like normal_solver's
-    path: exact from the diagonal, exact as the top eigenvalue of the `gram`
-    A'WA (Re(A'WA) for real fields; 0 for w = 0), or 1.05 x a power-method
-    estimate."""
-    diag = model.normal_diag() if np.ndim(w) == 0 else None
-    if diag is not None:
-        return float(np.max(w * diag))
-    if model.cols <= DIRECT_MAX_COLS:
-        return float(np.linalg.eigvalsh(gram(model, w, field))[-1])
-    lam, _ = power_method(normal_op(model, w, field), model.cols, iters=50, seed=3)
-    return 1.05 * lam
-
-
-def prox_l1(z: NDArray, diff_op, tau: float, field: FieldTag) -> NDArray:
-    """Soft-threshold T z at tau (T the identity when diff_op is None), then
-    project onto the field: the prox of tau ||T z||_1 when T is orthonormal."""
-    if diff_op is None:
-        out = soft_threshold(z, tau)
-    else:
-        tz = diff_op.apply(z)
-        out = z + diff_op.adjoint(soft_threshold(tz, tau) - tz)
-    return project_field(out, field)
 
 
 @dataclass
@@ -169,73 +144,14 @@ def mm_update_unregularized(ctx: MajorizerContext) -> NDArray:
     return project_field(ctx.x_k + t * p, ctx.field)
 
 
-def _quad_grad(ctx: MajorizerContext, x: NDArray) -> NDArray:
-    """Gradient of q(.; x_k) at x."""
-    return ctx.grad + ctx.quad_op(x - ctx.x_k)
-
-
-def mm_update_prox_l1(
-    ctx: MajorizerContext,
-    diff_op=None,
-    beta: float = 0.0,
-    inner_iters: int = PROX_ITERS,
-    tol: float = PROX_TOL,
-) -> tuple[NDArray, bool]:
-    """Approximately minimize q(x; x_k) + beta ||T x||_1.
-
-    Accelerated proximal gradient with function-value restart; the prox
-    assumes T is orthonormal (identity when diff_op is None).
-    """
-    lip = lipschitz(ctx.obj.model, ctx.w, ctx.field)
-    if lip <= 0:
-        return ctx.x_k.copy(), True
-    step = 1.0 / lip
-
-    def total(z):
-        pen = np.sum(np.abs(z if diff_op is None else diff_op.apply(z)))
-        return majorizer_value(ctx, z) + beta * float(pen)
-
-    x = ctx.x_k.copy()
-    z = x.copy()
-    t = 1.0
-    f_start = total(x)
-    f_prev = f_start
-    best_x, best_f = x.copy(), f_start
-    converged = False
-    for _ in range(inner_iters):
-        x_new = prox_l1(z - step * _quad_grad(ctx, z), diff_op, step * beta, ctx.field)
-        f_new = total(x_new)
-        if f_new > f_prev:  # function-value restart
-            t = 1.0
-            z = x.copy()
-            x_new = prox_l1(z - step * _quad_grad(ctx, z), diff_op, step * beta,
-                            ctx.field)
-            f_new = total(x_new)
-        if f_new < best_f:
-            best_x, best_f = x_new.copy(), f_new
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        if np.linalg.norm(x_new - x) <= tol * max(1.0, np.linalg.norm(x)):
-            x, f_prev = x_new, f_new
-            converged = True
-            break
-        x, t, f_prev = x_new, t_new, f_new
-    # when T is not orthonormal the prox step is inexact and a single sweep
-    # can regress; returning the best surrogate-value iterate keeps the outer
-    # MM loop monotone
-    if total(x) > best_f:
-        return best_x, converged
-    return x, converged
-
-
 def minimize_quad_plus_huber(
     quad_op,
     lin: NDArray,
     x0: NDArray,
     reg: HuberTV,
     field: FieldTag,
-    inner_iters: int = HUBER_ITERS,
-    tol: float = HUBER_TOL,
+    inner_iters: int,
+    tol: float,
 ) -> NDArray:
     """Nonlinear CG for F(x) = 1/2 x'Qx - Re<lin, x> + beta 1'h.(Tx; alpha).
 
@@ -277,15 +193,11 @@ def minimize_quad_plus_huber(
     return x
 
 
-def mm_update_huber(
-    ctx: MajorizerContext, reg: HuberTV, inner_iters: int = HUBER_ITERS,
-    tol: float = HUBER_TOL,
-) -> NDArray:
+def mm_update_huber(ctx: MajorizerContext, reg: HuberTV) -> NDArray:
     """Minimize q(x; x_k) + beta 1'h.(Tx; alpha) by nonlinear CG."""
     lin = ctx.quad_op(ctx.x_k) - ctx.grad
-    return minimize_quad_plus_huber(
-        ctx.quad_op, lin, ctx.x_k, reg, ctx.field, inner_iters=inner_iters, tol=tol
-    )
+    return minimize_quad_plus_huber(ctx.quad_op, lin, ctx.x_k, reg, ctx.field,
+                                    HUBER_ITERS, HUBER_TOL)
 
 
 def run_mm(
@@ -294,26 +206,19 @@ def run_mm(
     n_outer: int,
     curvature: CurvatureKind = CurvatureKind.IMPROVED,
     reg: HuberTV | None = None,
-    l1: bool = False,
     x_true: NDArray | None = None,
 ) -> RunState:
     """MM outer loop: build the quadratic majorizer, minimize it, repeat.
 
-    With a regularizer, the inner problem is solved by accelerated proximal
-    gradient (l1=True, prox-friendly T) or nonlinear CG on the Huber-smoothed
-    penalty; unregularized updates solve the normal equations (normal_solver).
+    With a regularizer, the inner problem is solved by nonlinear CG on the
+    Huber-smoothed penalty; unregularized updates solve the normal equations
+    (normal_solver).
     """
 
     def step(k, x, warnings):
         ctx = build_majorizer(obj, x, curvature)
-        if reg is not None and l1:
-            x, ok = mm_update_prox_l1(ctx, reg.diff_op, reg.beta)
-            if not ok:
-                warnings.append(f"outer {k}: inner prox loop hit max iters")
-            return x
         if reg is not None:
             return mm_update_huber(ctx, reg)
         return mm_update_unregularized(ctx)
 
-    return iterate(step, x0.values, n_outer, RegularizedObjective(obj, reg, l1).cost,
-                   x_true)
+    return iterate(step, x0.values, n_outer, RegularizedObjective(obj, reg).cost, x_true)

@@ -8,8 +8,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 
-class DegenerateIterateError(RuntimeError):
-    """Raised when a step is undefined at the current iterate."""
+class DegenerateIterateError(RuntimeError, ValueError):
+    """Raised when a step is undefined at the current iterate; a ValueError
+    too, since it names a value outside a function's domain."""
 
 
 def real_dot(a: NDArray, b: NDArray) -> float:
@@ -145,11 +146,10 @@ def _newton(c3, c2, c1, c0, roots):
     return roots
 
 
-def soft_threshold(z: NDArray | complex, tau: float) -> NDArray | complex:
-    """Complex soft-thresholding: sign(z) * max(|z| - tau, 0)."""
-    mag = np.abs(z)
-    scale = np.maximum(mag - tau, 0.0) / np.where(mag > 0, mag, 1.0)
-    return z * scale
+# LBFGS: stored (s, y) pairs; Wolfe sufficient-decrease and curvature
+# constants and the trial budget of one line search
+LBFGS_MEMORY = 10
+WOLFE_C1, WOLFE_C2, WOLFE_MAX_EVALS = 1e-4, 0.9, 25
 
 
 def _wolfe_line_search(
@@ -158,24 +158,22 @@ def _wolfe_line_search(
     f0: float,
     g0: NDArray,
     p: NDArray,
-    c1: float = 1e-4,
-    c2: float = 0.9,
-    max_evals: int = 25,
 ) -> tuple[float, float, NDArray]:
-    """Backtracking/expanding line search satisfying the weak Wolfe conditions.
+    """Backtracking/expanding line search satisfying the weak Wolfe conditions
+    with constants WOLFE_C1 and WOLFE_C2.
 
-    Returns (t, f, g) with (f, g) = fg(x + t p); when `max_evals` trials find
-    no Wolfe point, the last trial is returned.
+    Returns (t, f, g) with (f, g) = fg(x + t p); when WOLFE_MAX_EVALS trials
+    find no Wolfe point, the last trial is returned.
     """
     d0 = real_dot(g0, p)
     lo, hi = 0.0, np.inf
     t = 1.0
-    for evals in range(1, max_evals + 1):
+    for evals in range(1, WOLFE_MAX_EVALS + 1):
         f_t, g_t = fg(x + t * p)
         d_t = real_dot(g_t, p)
-        if f_t > f0 + c1 * t * d0:
+        if f_t > f0 + WOLFE_C1 * t * d0:
             hi = t
-        elif d_t < c2 * d0:
+        elif d_t < WOLFE_C2 * d0:
             lo = t
         else:
             # secant refinement toward the line-critical point; exact for
@@ -187,7 +185,7 @@ def _wolfe_line_search(
                     if f_s <= f_t:
                         return t_star, f_s, g_s
             return t, f_t, g_t
-        if evals == max_evals:
+        if evals == WOLFE_MAX_EVALS:
             break
         t = 2.0 * lo if np.isinf(hi) else 0.5 * (lo + hi)
     return t, f_t, g_t
@@ -196,9 +194,9 @@ def _wolfe_line_search(
 def lbfgs_minimize(
     fg: Callable[[NDArray], tuple[float, NDArray]],
     x0: NDArray,
-    memory: int = 10,
 ) -> Iterator[tuple[NDArray, float]]:
-    """LBFGS with the standard two-loop recursion and a weak Wolfe search.
+    """LBFGS with the standard two-loop recursion over the last LBFGS_MEMORY
+    pairs and a weak Wolfe search.
 
     A generator: each `next` takes one step and yields the new iterate and its
     cost. `fg` returns (cost, gradient); complex iterates use the real inner
@@ -236,7 +234,7 @@ def lbfgs_minimize(
         if real_dot(y_vec, s_vec) > 1e-14:  # keep positive-curvature pairs only
             s_hist.append(s_vec)
             y_hist.append(y_vec)
-            if len(s_hist) > memory:
+            if len(s_hist) > LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         x = x + s_vec

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .numerics import DegenerateIterateError
 from .operators import FieldTag, ForwardModel, realify
 
 
@@ -19,7 +20,7 @@ def psi(v, y, b):
     v, y, b = np.asarray(v), np.asarray(y, float), np.asarray(b, float)
     rate = np.abs(v) ** 2 + b
     if np.any((rate == 0) & (y > 0)):
-        raise ValueError("psi undefined: zero rate with positive count")
+        raise DegenerateIterateError("psi undefined: zero rate with positive count")
     out = rate - y * np.log(np.where(rate > 0, rate, 1.0))
     return out if out.ndim else float(out)
 
@@ -29,7 +30,7 @@ def psi_dot(v, y, b):
     v, y, b = np.asarray(v, complex), np.asarray(y, float), np.asarray(b, float)
     rate = np.abs(v) ** 2 + b
     if np.any(rate == 0):
-        raise ValueError("psi_dot undefined at |v|^2 + b = 0")
+        raise DegenerateIterateError("psi_dot undefined at |v|^2 + b = 0")
     out = 2.0 * v * (1.0 - y / rate)
     return out if out.ndim else complex(out)
 
@@ -237,21 +238,17 @@ class HuberTV:
 
 class RegularizedObjective:
     """Psi(x) = f(x) + beta R(x), the cost every solver descends and reports.
-    R is the Huber-smoothed TV of `reg`, or ||T x||_1 with l1=True (which has
-    no gradient); reg=None leaves the data term f alone."""
+    R is the Huber-smoothed TV of `reg`; reg=None leaves the data term f
+    alone."""
 
-    def __init__(self, data: PoissonObjective, reg: HuberTV | None = None,
-                 l1: bool = False):
+    def __init__(self, data: PoissonObjective, reg: HuberTV | None = None):
         self.data = data
         self.reg = reg
-        self.l1 = l1
 
     def cost(self, x: NDArray) -> float:
         c = self.data.cost(x)
         if self.reg is None:
             return c
-        if self.l1:
-            return c + self.reg.beta * float(np.sum(np.abs(self.reg.diff_op.apply(x))))
         return c + self.reg.beta * self.reg.value(x)
 
     def gradient(self, x: NDArray) -> NDArray:

@@ -406,10 +406,8 @@ def calibrate_scale(
             model.scale = 0.0
             return 0.0
         raise ValueError("A x_true = 0: target mean unattainable by scaling")
-    if target_mean < mb:
-        raise ValueError(
-            f"target mean {target_mean} below mean background {mb}"
-        )
+    if target_mean < mb or np.isclose(target_mean, mb):
+        raise ValueError(f"target mean {target_mean} at or below mean background {mb}")
     c = float(np.sqrt((target_mean - mb) / m2))
     model.scale = c
     return c

@@ -123,7 +123,7 @@ def truncation_mask(obj: PoissonObjective, x: NDArray, a_h: float) -> NDArray:
     """Boolean mask of measurements kept by the residual threshold criterion."""
     xnorm = float(np.linalg.norm(x))
     if xnorm == 0.0:
-        raise ValueError("truncation undefined at x = 0")
+        raise DegenerateIterateError("truncation undefined at x = 0")
     ax2 = np.abs(obj.forward(x)) ** 2
     resid = np.abs(obj.y - ax2)
     level = a_h * (np.sum(resid) / obj.model.rows) * (ax2 / xnorm)

@@ -88,15 +88,6 @@ def test_unregularized_admm_reads_residuals_only_every_tenth_iteration():
     assert counts["adjoint"] <= ITERS + ITERS // 10 + 1
 
 
-def test_admm_l1_lipschitz_constant_once_per_solve():
-    obj, x0 = instance()
-    assert obj.model.cols <= DIRECT_MAX_COLS
-    counts = count_calls(obj.model)
-    state = run_admm(obj, x0, ITERS, reg=HuberTV(2.0, 0.1, DiffOp(N)), l1=True)
-    assert len(state.trace) == ITERS
-    assert counts["densify"] == 1
-
-
 def test_lbfgs_one_apply_per_gradient():
     obj, x0 = instance()
     counts = count_calls(obj.model)

@@ -15,20 +15,17 @@ from poisson_pr.mm import (
     build_majorizer,
     curvature_improved,
     curvature_max,
-    lipschitz,
     majorizer_value,
-    mm_update_huber,
-    mm_update_prox_l1,
+    minimize_quad_plus_huber,
     mm_update_unregularized,
     normal_solver,
     run_mm,
 )
-from poisson_pr.numerics import cg_solve, lbfgs_minimize, soft_threshold
+from poisson_pr.numerics import cg_solve, lbfgs_minimize
 from poisson_pr.objectives import (
     DiffOp,
     HuberTV,
     PoissonObjective,
-    psi,
     psi_ddot,
     psi_dot,
 )
@@ -164,7 +161,7 @@ class TestMajorizer:
 
 
 N_CG = DIRECT_MAX_COLS + 8  # unknowns above the direct-solve limit
-# the three paths of normal_solver/lipschitz: scalar weight with the diagonal
+# the three paths of normal_solver: scalar weight with the diagonal
 # of A'A, a weight vector at N <= DIRECT_MAX_COLS (densified), and above it
 KERNEL_CASES = {
     "diagonal": (MaskedDftModel(make_masks(3, 10, seed=1)), 2.0),
@@ -194,26 +191,6 @@ class TestNormalEquationKernels:
         h = densified_normal(model, w, field)
         expected = np.linalg.solve(h, rhs.real if field.is_real else rhs)
         assert np.linalg.norm(out - expected) < 1e-9 * np.linalg.norm(expected)
-
-    @pytest.mark.parametrize("path", ["diagonal", "direct"])
-    def test_lipschitz_exact_on_diagonal_and_small_dense(self, path):
-        model, w = KERNEL_CASES[path]
-        for field in (FieldTag.COMPLEX, FieldTag.REAL):
-            # for real fields, the operator is the realified Re(A'WA)
-            lam = np.linalg.eigvalsh(densified_normal(model, w, field))[-1]
-            assert lipschitz(model, w, field) == pytest.approx(lam, rel=1e-12)
-
-    @pytest.mark.parametrize("path", KERNEL_CASES)
-    @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
-    def test_lipschitz_bounds_the_largest_eigenvalue(self, path, field):
-        model, w = KERNEL_CASES[path]
-        lam = np.linalg.eigvalsh(densified_normal(model, w, field))[-1]
-        assert lipschitz(model, w, field) >= lam * (1.0 - 1e-12)
-
-    @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
-    def test_lipschitz_of_zero_weights_is_zero(self, field):
-        model, w = KERNEL_CASES["direct"]
-        assert lipschitz(model, np.zeros_like(w), field) == 0.0
 
     @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
     def test_rank_deficient_direct_solve_raises(self, field):
@@ -287,46 +264,13 @@ class TestMmUpdateUnregularized:
             z = z_new
 
 
-class TestMmUpdateProxL1:
-    def test_beta_zero_matches_unregularized(self):
-        model, x, obj = poisson_instance(n=6, m=36, seed=8)
-        ctx = build_majorizer(obj, x)
-        exact = mm_update_unregularized(ctx)
-        prox, _ = mm_update_prox_l1(ctx, None, 0.0, inner_iters=2000, tol=1e-12)
-        assert np.linalg.norm(prox - exact) < 1e-6
-
-    def test_identity_model_closed_form(self):
-        # A = I, W = 2I (y = 0): solution soft-thresholds x_k - psi_dot/2 at beta/2
-        m = DenseModel(np.eye(4), background=1.0)
-        obj = PoissonObjective(m, np.zeros(4))
-        x = np.array([1.0, -0.3, 0.05, 2.0], dtype=complex)
-        ctx = build_majorizer(obj, x, CurvatureKind.MAX)
-        beta = 0.5
-        out, ok = mm_update_prox_l1(ctx, None, beta, inner_iters=3000, tol=1e-13)
-        target = x - psi_dot(x, np.zeros(4), np.ones(4)) / 2.0
-        expected = soft_threshold(target, beta / 2.0)
-        assert ok
-        assert np.allclose(out, expected, atol=1e-8)
-
-    def test_outer_descent_with_l1(self):
-        model, x, obj = poisson_instance(seed=9)
-        reg = HuberTV(0.3, 0.1, DiffOp(8))
-        x0 = initialize(model, obj.y, seed=2)
-        state = run_mm(obj, x0, 15, reg=reg, l1=True)
-
-        def total(z):
-            return obj.cost(z) + reg.beta * float(np.sum(np.abs(reg.diff_op.apply(z))))
-
-        costs = np.concatenate([[total(x0.values)], state.costs()])
-        assert np.all(np.diff(costs) <= 1e-8 * np.maximum(np.abs(costs[:-1]), 1.0))
-
-
 class TestMmUpdateHuber:
     def test_beta_zero_reduces_to_quadratic_solve(self):
         model, x, obj = poisson_instance(n=6, m=36, seed=10)
         ctx = build_majorizer(obj, x)
         reg = HuberTV(0.0, 0.1, DiffOp(6))
-        out = mm_update_huber(ctx, reg, inner_iters=200, tol=1e-12)
+        out = minimize_quad_plus_huber(ctx.quad_op, ctx.quad_op(ctx.x_k) - ctx.grad, ctx.x_k,
+                                       reg, ctx.field, inner_iters=200, tol=1e-12)
         exact = mm_update_unregularized(ctx)
         assert np.linalg.norm(out - exact) < 1e-6
 
@@ -334,7 +278,8 @@ class TestMmUpdateHuber:
         model, x, obj = poisson_instance(n=8, m=40, seed=11)
         ctx = build_majorizer(obj, x)
         reg = HuberTV(1.5, 0.2, DiffOp(8))
-        out = mm_update_huber(ctx, reg, inner_iters=500, tol=1e-13)
+        out = minimize_quad_plus_huber(ctx.quad_op, ctx.quad_op(ctx.x_k) - ctx.grad, ctx.x_k,
+                                       reg, ctx.field, inner_iters=500, tol=1e-13)
 
         def total(z):
             return majorizer_value(ctx, z) + reg.beta * reg.value(z)

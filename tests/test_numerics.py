@@ -1,5 +1,5 @@
-"""Numerical kernels: power method, CG, cubic roots, soft-threshold, LBFGS,
-finite differences."""
+"""Numerical kernels: power method, CG, cubic roots, LBFGS, finite
+differences."""
 
 from itertools import islice
 
@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from oracles import finite_diff_grad
 from poisson_pr.numerics import (
+    WOLFE_MAX_EVALS,
     DegenerateIterateError,
     _wolfe_line_search,
     cg_solve,
     cubic_roots,
     lbfgs_minimize,
     power_method,
-    soft_threshold,
 )
 
 
@@ -211,27 +211,6 @@ class TestCubicRoots:
             assert np.all(np.abs(ours - real) <= tol), (kind[i], ours, ref)
 
 
-class TestSoftThreshold:
-    def test_below_threshold_zero(self):
-        assert soft_threshold(0.5 + 0.0j, 1.0) == 0.0
-
-    def test_real_shrink(self):
-        assert soft_threshold(3.0 + 0.0j, 1.0) == pytest.approx(2.0)
-
-    def test_phase_preserved(self):
-        z = 2.0 * np.exp(1j * 0.7)
-        out = soft_threshold(z, 0.5)
-        assert abs(out) == pytest.approx(1.5, abs=1e-12)
-        assert np.angle(out) == pytest.approx(0.7, abs=1e-12)
-
-    @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(0, 5))
-    @settings(max_examples=100, deadline=None)
-    def test_magnitude_formula(self, re, im, tau):
-        z = re + 1j * im
-        out = soft_threshold(z, tau)
-        assert abs(out) == pytest.approx(max(abs(z) - tau, 0.0), abs=1e-10)
-
-
 class TestWolfeLineSearch:
     def test_exhausted_search_returns_its_own_cost_and_gradient(self):
         # an ascent direction fails sufficient decrease at every trial step
@@ -243,8 +222,8 @@ class TestWolfeLineSearch:
 
         x, p = np.array([1.0, -0.5]), np.array([1.0, -0.5])
         f0, g0 = fg(x)
-        t, f, g = _wolfe_line_search(fg, x, f0, g0, p, max_evals=25)
-        assert len(calls) == 1 + 25
+        t, f, g = _wolfe_line_search(fg, x, f0, g0, p)
+        assert len(calls) == 1 + WOLFE_MAX_EVALS
         f_t, g_t = fg(x + t * p)
         assert f == f_t
         assert np.array_equal(g, g_t)

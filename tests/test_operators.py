@@ -185,6 +185,15 @@ class TestCalibrateScale:
         with pytest.raises(ValueError):
             calibrate_scale(m, np.ones(2), 0.25)
 
+    def test_target_at_background_rejected(self):
+        # the mean of 48 backgrounds of 0.1 rounds just below 0.1; a target of
+        # 0.1 would give a scale of about 1e-9, not an error
+        m = random_gaussian_model(48, 8, seed=3, background=0.1)
+        assert np.mean(m.background) < 0.1
+        with pytest.raises(ValueError, match="at or below mean background"):
+            calibrate_scale(m, np.ones(8), 0.1)
+        assert m.scale == 1.0
+
     def test_exact_mean_intensity(self):
         m = random_gaussian_model(64, 8, seed=0, background=0.1)
         rng = np.random.default_rng(1)
