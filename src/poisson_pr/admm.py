@@ -10,7 +10,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .init_eval import RunState
-from .mm import minimize_quad_plus_huber, normal_op, normal_solver
+from .mm import minimize_quad_plus_huber, normal_solver, quad_form
 # cg_solve, power_method: only for the benchmark's tracer (mm's kernels call mm's)
 from .numerics import cg_solve, cubic_roots, power_method  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
@@ -103,6 +103,7 @@ def update_x(
     rho: float = 1.0,
     x0: NDArray | None = None,
     solve: Callable[[NDArray], NDArray] | None = None,
+    quad=None,
 ) -> NDArray:
     """Least-squares x update, with optional Huber regularization.
 
@@ -110,7 +111,8 @@ def update_x(
     `mm.normal_solver` of A'A that run_admm builds once per run (built here
     when None). Regularized: minimizes (rho/2)||Ax - v - eta||^2 + beta R(x),
     i.e. 1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x), by nonlinear
-    CG from x0.
+    CG from x0, with `quad` the `mm.quad_form` of A'A that run_admm forms
+    once per run (formed here when None).
     """
     w = v + eta
     if model.offset_raw is not None:
@@ -120,8 +122,8 @@ def update_x(
         solve = solve or normal_solver(model, 1.0, field, X_ITERS, X_TOL)
         return project_field(solve(rhs), field)
     x = x0 if x0 is not None else np.zeros(model.cols, dtype=complex)
-    return minimize_quad_plus_huber(normal_op(model, rho, field), rho * rhs, x, reg,
-                                    field, X_ITERS, X_TOL)
+    quad = quad_form(model, 1.0, field) if quad is None else quad
+    return minimize_quad_plus_huber(rho * quad, rho * rhs, x, reg, field, X_ITERS, X_TOL)
 
 
 def run_admm(
@@ -134,8 +136,9 @@ def run_admm(
 ) -> RunState:
     """ADMM outer loop: v (phase then magnitude), x, dual, penalty update."""
     model = obj.model
-    solve = (normal_solver(model, 1.0, x0.field, X_ITERS, X_TOL)
-             if _unregularized(reg) else None)
+    unreg = _unregularized(reg)
+    solve = normal_solver(model, 1.0, x0.field, X_ITERS, X_TOL) if unreg else None
+    quad = None if unreg else quad_form(model, 1.0, x0.field)
     ax = obj.forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
@@ -154,7 +157,7 @@ def run_admm(
             mag = update_v_magnitude_bpos(t, obj.y, obj.b, rho)
         v = np.atleast_1d(mag) * phase
         x = update_x(model, v, eta, field=x0.field, reg=reg, rho=rho, x0=x,
-                     solve=solve)
+                     solve=solve, quad=quad)
         ax = obj.forward(x)
         eta = update_dual(eta, v, ax)
         if k % 10 == 0:  # the only iterations whose residuals update_rho reads

@@ -203,9 +203,10 @@ def build_solver(alg: dict):
     raise ConfigError(f"unknown algorithm kind {kind!r}")
 
 
-def run_experiment(cfg: dict, out_dir: str | Path) -> dict:
+def run_experiment(cfg: dict, out_dir: str | Path, with_trace: bool = False):
     """Run one configured experiment; write trace CSV, summary JSON, and the
-    reconstructed signal; return the summary dict."""
+    reconstructed signal; return the summary dict, and with_trace the rows of
+    the trace CSV as a float array (row 0 the initial point)."""
     cfg = _deep_update(DEFAULT_CONFIG, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -240,17 +241,15 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> dict:
     state = solver(obj, x0, n_iters, reg=reg, x_true=signal.values, **options)
     wall = time.perf_counter() - t_start
 
+    init_cost = RegularizedObjective(obj, reg).cost(x0.values)
+    rows = [(0, 0.0, init_cost, _nrmse(x0.values, signal.values),
+             _psnr(x0.values, signal.values))]
+    rows += [(r.k, r.time_s, r.cost, r.nrmse, r.psnr) for r in state.trace]
     trace_path = out / "trace.csv"
     with open(trace_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["iter", "time_s", "cost", "nrmse", "psnr"])
-        init_cost = RegularizedObjective(obj, reg).cost(x0.values)
-        writer.writerow([0, 0.0, repr(init_cost),
-                         repr(_nrmse(x0.values, signal.values)),
-                         repr(_psnr(x0.values, signal.values))])
-        for row in state.trace:
-            writer.writerow([row.k, repr(row.time_s), repr(row.cost),
-                             repr(row.nrmse), repr(row.psnr)])
+        writer.writerows([k] + [repr(v) for v in rest] for k, *rest in rows)
 
     xhat_path = out / "xhat.csv"
     with open(xhat_path, "w") as f:
@@ -275,7 +274,7 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> dict:
     }
     with open(out / "summary.json", "w") as f:
         json.dump(summary, f, indent=2)
-    return summary
+    return (summary, np.array(rows, dtype=float)) if with_trace else summary
 
 
 SUITE_PRESETS = {
@@ -326,21 +325,13 @@ def run_suite(
     comparison = []
     results = {}
     for name, patch in SUITE_PRESETS[preset]:
-        per_seed = []
+        per_seed, traces = [], []
         for s in seeds:
             cfg = _deep_update(_deep_update(base, patch), {"seed": int(s)})
-            summary = run_experiment(cfg, out / name / f"seed{s}")
+            summary, rows = run_experiment(cfg, out / name / f"seed{s}", with_trace=True)
             per_seed.append(summary)
+            traces.append(rows)
         # aggregate per-iteration medians over seeds
-        traces = []
-        for s in seeds:
-            rows = []
-            with open(out / name / f"seed{s}" / "trace.csv") as f:
-                reader = csv.reader(f)
-                next(reader)
-                for r in reader:
-                    rows.append([float(v) for v in r])
-            traces.append(np.array(rows))
         n_rows = min(t.shape[0] for t in traces)
         stacked = np.stack([t[:n_rows] for t in traces])
         median = np.median(stacked, axis=0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -55,12 +56,27 @@ CG_ITERS, CG_TOL = 30, 1e-9
 HUBER_ITERS, HUBER_TOL = 50, 1e-9
 
 
-def normal_op(model: ForwardModel, w, field: FieldTag):
-    """z -> A'diag(w)A z (real part for real fields); w is a scalar or a
-    per-measurement weight vector."""
-    def op(z):
-        return realify(model.adjoint(w * model.apply_linear(z)), field)
-    return op
+class NormalOp:
+    """z -> A'diag(w)A z, its real part as floats for real fields, as `op @ z`
+    or `op(z)`; w is a scalar or one weight per measurement, and `c * op`
+    scales it by c."""
+
+    def __init__(self, model: ForwardModel, w, field: FieldTag):
+        self.model, self.w, self.field = model, w, field
+
+    def __matmul__(self, z):
+        out = self.model.adjoint(self.w * self.model.apply_linear(z))
+        return out.real if self.field.is_real else out
+
+    __call__ = __matmul__
+
+    def __rmul__(self, c):
+        return NormalOp(self.model, c * self.w, self.field)
+
+
+def quad_form(model: ForwardModel, w, field: FieldTag):
+    """A'diag(w)A: the `gram` up to DIRECT_MAX_COLS columns, else a NormalOp."""
+    return gram(model, w, field) if model.cols <= DIRECT_MAX_COLS else NormalOp(model, w, field)
 
 
 def normal_solver(model: ForwardModel, w, field: FieldTag, iters: int,
@@ -79,7 +95,7 @@ def normal_solver(model: ForwardModel, w, field: FieldTag, iters: int,
             raise np.linalg.LinAlgError("A'WA is singular: rank-deficient model")
         return lambda rhs: np.linalg.solve(
             h, rhs.real if field.is_real else rhs).astype(complex)
-    op = normal_op(model, w, field)
+    op = NormalOp(model, w, field)
     return lambda rhs: cg_solve(op, rhs, iters=iters, tol=tol)
 
 
@@ -97,10 +113,10 @@ class MajorizerContext:
     def field(self) -> FieldTag:
         return self.obj.field
 
-    @property
+    @cached_property
     def quad_op(self):
-        """z -> A'WA z (real part for real fields)."""
-        return normal_op(self.obj.model, self.w, self.field)
+        """A'WA from `quad_form`, formed on first access."""
+        return quad_form(self.obj.model, self.w, self.field)
 
 
 def build_majorizer(
@@ -145,7 +161,7 @@ def mm_update_unregularized(ctx: MajorizerContext) -> NDArray:
 
 
 def minimize_quad_plus_huber(
-    quad_op,
+    quad,
     lin: NDArray,
     x0: NDArray,
     reg: HuberTV,
@@ -153,49 +169,55 @@ def minimize_quad_plus_huber(
     inner_iters: int,
     tol: float,
 ) -> NDArray:
-    """Nonlinear CG for F(x) = 1/2 x'Qx - Re<lin, x> + beta 1'h.(Tx; alpha).
+    """Nonlinear CG for F(x) = 1/2 x'Qx - Re<lin, x> + beta 1'h.(Tx; alpha),
+    Q a `quad_form`, in float64 for real fields; the result is complex.
 
-    Line-search steps come from the exact Huber quadratic-majorizer weight,
-    so each step minimizes a local quadratic upper bound along the search
+    Line-search steps come from the exact Huber quadratic-majorizer weights
+    D of Tx, formed once per iterate for the gradient beta T'(D Tx) too, so
+    each step minimizes a local quadratic upper bound along the search
     direction. Reduces to linear CG when beta = 0.
     """
-    beta = reg.beta
+    beta, alpha, diff = reg.beta, reg.alpha, reg.diff_op
+    dot = np.dot if field.is_real else real_dot
+    lin, x = (lin.real, x0.real) if field.is_real else (lin, x0)
 
-    def grad_fn(z):
-        g = quad_op(z) - lin
-        if beta > 0:
-            g = g + reg.gradient(z)
-        return realify(g, field)
+    def grad_weights(z):
+        g = quad @ z - lin
+        if beta == 0:
+            return g, None
+        tz = diff.apply(z)
+        d = alpha / np.maximum(np.abs(tz), alpha)  # huber_weight(tz, alpha)
+        return g + beta * diff.adjoint(d * tz), d
 
-    x = x0.copy()
-    g = grad_fn(x)
+    g, d = grad_weights(x)
     p = -g
-    g2 = real_dot(g, g)
+    g2 = dot(g, g)
+    stop = tol * max(1.0, np.linalg.norm(lin))
     for _ in range(inner_iters):
-        if np.sqrt(g2) <= tol * max(1.0, np.linalg.norm(lin)):
+        if np.sqrt(g2) <= stop:
             break
-        qp = quad_op(p)
-        denom = real_dot(p, qp)
+        denom = dot(p, quad @ p)
         if beta > 0:
-            tp = reg.diff_op.apply(p)
-            denom += beta * float(np.sum(reg.weights(x) * np.abs(tp) ** 2))
+            denom += beta * float(d @ np.abs(diff.apply(p)) ** 2)
         if denom <= 0:
             break
-        mu = -real_dot(g, p) / denom
-        x = project_field(x + mu * p, field)
-        g_new = grad_fn(x)
-        g2_new = real_dot(g_new, g_new)
-        beta_pr = max(0.0, (g2_new - real_dot(g_new, g)) / g2)  # Polak-Ribiere+
+        mu = -dot(g, p) / denom
+        x = x + mu * p
+        if field is FieldTag.REAL_NONNEGATIVE:
+            x = np.maximum(x, 0.0)
+        g_new, d = grad_weights(x)
+        g2_new = dot(g_new, g_new)
+        beta_pr = max(0.0, (g2_new - dot(g_new, g)) / g2)  # Polak-Ribiere+
         p = -g_new + beta_pr * p
-        if real_dot(g_new, p) >= 0:
+        if dot(g_new, p) >= 0:
             p = -g_new
         g, g2 = g_new, g2_new
-    return x
+    return np.array(x, dtype=complex)
 
 
 def mm_update_huber(ctx: MajorizerContext, reg: HuberTV) -> NDArray:
     """Minimize q(x; x_k) + beta 1'h.(Tx; alpha) by nonlinear CG."""
-    lin = ctx.quad_op(ctx.x_k) - ctx.grad
+    lin = ctx.quad_op @ ctx.x_k - ctx.grad
     return minimize_quad_plus_huber(ctx.quad_op, lin, ctx.x_k, reg, ctx.field,
                                     HUBER_ITERS, HUBER_TOL)
 

@@ -182,6 +182,12 @@ def run_wf(
     rule = rule or StepRule()
     field = x0.field
     cost = RegularizedObjective(obj, reg)
+    last = [None, 0.0]  # the last iterate costed, shared by the guard and the trace
+
+    def cost_of(x):
+        if last[0] is not x:
+            last[:] = x, cost.cost(x)
+        return last[1]
 
     def step(k, x, warnings):
         if trunc is not None:
@@ -207,12 +213,12 @@ def run_wf(
         x_new = project_field(x - mu * grad, field)
         if rule.kind is StepKind.FISHER:
             # rare early-iteration overshoot safeguard: halve once
-            c_old = cost.cost(x)
-            c_new = cost.cost(x_new)
+            c_old = cost_of(x)
+            c_new = cost_of(x_new)
             if c_new > c_old + 10.0 * abs(c_old):
                 mu *= 0.5
                 x_new = project_field(x - mu * grad, field)
                 warnings.append(f"iter {k}: Fisher step halved once")
         return x_new
 
-    return iterate(step, x0.values, n_iters, cost.cost, x_true)
+    return iterate(step, x0.values, n_iters, cost_of, x_true)

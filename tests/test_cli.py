@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from poisson_pr.cli import (
+    SUITE_PRESETS,
     ConfigError,
     _apply_override,
     build_model,
@@ -178,6 +179,18 @@ class TestRunSuite:
         med = np.array(med)
         manual = np.median(np.stack(traces), axis=0)
         assert np.allclose(med[:, 2:], manual[:, 2:], rtol=0, atol=0)
+
+    def test_median_traces_are_the_medians_of_the_written_traces(self, tmp_path):
+        # every column, wall times included, so both sides come from one run
+        seeds = [0, 1, 2]
+        run_suite("reg-race", seeds, tmp_path, base=dict(TINY, n_iters=3))
+        for name, _ in SUITE_PRESETS["reg-race"]:
+            traces = [np.array(read_trace(tmp_path / name / f"seed{s}" / "trace.csv")[1])
+                      for s in seeds]
+            n_rows = min(len(t) for t in traces)
+            manual = np.median(np.stack([t[:n_rows] for t in traces]), axis=0)
+            _, med = read_trace(tmp_path / f"{name}_median_trace.csv")
+            np.testing.assert_array_equal(np.array(med), manual)
 
 
 class TestMain:

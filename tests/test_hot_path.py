@@ -59,6 +59,50 @@ def test_wf_fisher_one_product_of_each_kind_per_iteration(huber):
     assert counts["adjoint"] <= ITERS
 
 
+@pytest.mark.parametrize("huber", [False, True])
+def test_wf_fisher_costs_each_iterate_once(huber):
+    obj, x0 = instance()
+    reg = HuberTV(2.0, 0.1, DiffOp(N)) if huber else None
+    counts = Counter()
+    cost = obj.cost
+
+    def counted_cost(x):
+        counts["cost"] += 1
+        return cost(x)
+    obj.cost = counted_cost
+    state = run_wf(obj, x0, ITERS, reg=reg)
+    assert state.status == "ok" and len(state.trace) == ITERS
+    # the start point once, then each new iterate once: the overshoot guard
+    # reuses the costs the trace records
+    assert counts["cost"] <= ITERS + 1
+
+
+def test_mm_huber_inner_solver_makes_no_operator_call():
+    obj, x0 = instance()
+    counts = count_calls(obj.model)
+    state = run_mm(obj, x0, ITERS, reg=HuberTV(2.0, 0.1, DiffOp(N)))
+    assert state.status == "ok" and len(state.trace) == ITERS
+    # one Gram per outer iteration; the inner loop multiplies by it alone
+    assert counts["densify"] == ITERS
+    assert counts["apply_linear"] == 0
+    # the majorizer's gradient, and the forward product of each new iterate
+    assert counts["adjoint"] == ITERS
+    assert counts["apply"] <= ITERS + 1
+
+
+def test_admm_huber_inner_solver_makes_no_operator_call():
+    obj, x0 = instance()
+    counts = count_calls(obj.model)
+    state = run_admm(obj, x0, ITERS, reg=HuberTV(2.0, 0.1, DiffOp(N)))
+    assert state.status == "ok" and len(state.trace) == ITERS
+    # one Gram per run, rescaled by the penalty in each x-update
+    assert counts["densify"] == 1
+    assert counts["apply_linear"] == 0
+    # the x-update's right-hand side, and the penalty update's dual residual
+    assert counts["adjoint"] <= ITERS + ITERS // 10
+    assert counts["apply"] <= ITERS + 1
+
+
 def test_mm_densifies_once_per_outer_iteration():
     obj, x0 = instance()
     counts = count_calls(obj.model)

@@ -7,16 +7,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import curvature_optimal_numeric, finite_diff_grad
+from oracles import (
+    curvature_optimal_numeric,
+    finite_diff_grad,
+    minimize_quad_plus_huber_by_operator,
+)
+from poisson_pr.admm import X_ITERS, X_TOL, update_x
 from poisson_pr.init_eval import initialize
 from poisson_pr.mm import (
     DIRECT_MAX_COLS,
+    HUBER_ITERS,
+    HUBER_TOL,
     CurvatureKind,
+    NormalOp,
     build_majorizer,
     curvature_improved,
     curvature_max,
     majorizer_value,
     minimize_quad_plus_huber,
+    mm_update_huber,
     mm_update_unregularized,
     normal_solver,
     run_mm,
@@ -37,6 +46,7 @@ from poisson_pr.operators import (
     calibrate_scale,
     make_masks,
     random_gaussian_model,
+    realify,
     simulate_poisson,
 )
 from poisson_pr.phantoms import blocks
@@ -230,7 +240,7 @@ class TestMmUpdateUnregularized:
         model, x, obj = poisson_instance(n=16, m=96, seed=6)
         ctx = build_majorizer(obj, x)
         direct = mm_update_unregularized(ctx)
-        cg = ctx.x_k - cg_solve(ctx.quad_op, ctx.grad, iters=30)
+        cg = ctx.x_k - cg_solve(NormalOp(model, ctx.w, ctx.field), ctx.grad, iters=30)
         assert np.linalg.norm(direct - cg) < 1e-8
 
     def test_clamp_keeps_the_majorizer_below_the_cost(self):
@@ -269,7 +279,7 @@ class TestMmUpdateHuber:
         model, x, obj = poisson_instance(n=6, m=36, seed=10)
         ctx = build_majorizer(obj, x)
         reg = HuberTV(0.0, 0.1, DiffOp(6))
-        out = minimize_quad_plus_huber(ctx.quad_op, ctx.quad_op(ctx.x_k) - ctx.grad, ctx.x_k,
+        out = minimize_quad_plus_huber(ctx.quad_op, ctx.quad_op @ ctx.x_k - ctx.grad, ctx.x_k,
                                        reg, ctx.field, inner_iters=200, tol=1e-12)
         exact = mm_update_unregularized(ctx)
         assert np.linalg.norm(out - exact) < 1e-6
@@ -278,14 +288,14 @@ class TestMmUpdateHuber:
         model, x, obj = poisson_instance(n=8, m=40, seed=11)
         ctx = build_majorizer(obj, x)
         reg = HuberTV(1.5, 0.2, DiffOp(8))
-        out = minimize_quad_plus_huber(ctx.quad_op, ctx.quad_op(ctx.x_k) - ctx.grad, ctx.x_k,
+        out = minimize_quad_plus_huber(ctx.quad_op, ctx.quad_op @ ctx.x_k - ctx.grad, ctx.x_k,
                                        reg, ctx.field, inner_iters=500, tol=1e-13)
 
         def total(z):
             return majorizer_value(ctx, z) + reg.beta * reg.value(z)
 
         def fg(z):
-            g = ctx.grad + ctx.quad_op(z - ctx.x_k) + reg.gradient(z)
+            g = ctx.grad + ctx.quad_op @ (z - ctx.x_k) + reg.gradient(z)
             return total(z), g
 
         # independent oracle: quasi-Newton run on the same inner objective,
@@ -307,6 +317,60 @@ class TestMmUpdateHuber:
 
         costs = np.concatenate([[total(x0.values)], state.costs()])
         assert np.all(np.diff(costs) <= 1e-9 * np.maximum(np.abs(costs[:-1]), 1.0))
+
+
+def field_instance(field, n, seed):
+    """(objective, start) of a dense Poisson instance whose signal lives in
+    `field`: a nonnegative `blocks` phantom or a random complex vector."""
+    model = random_gaussian_model(6 * n, n, seed=seed, background=0.1)
+    if field is FieldTag.COMPLEX:
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        x = blocks(n, seed=seed).values
+    calibrate_scale(model, x, 0.25)
+    y = simulate_poisson(model, x, seed + 1).y
+    x0 = initialize(model, y, field=field, iters=50, seed=seed)
+    return PoissonObjective(model, y, field=field), x0.values
+
+
+def operator_oracle(model, w, field):
+    return lambda z: realify(model.adjoint(w * model.apply_linear(z)), field)
+
+
+INNER_CASES = [(field, n) for field in (FieldTag.REAL_NONNEGATIVE, FieldTag.COMPLEX)
+               for n in (16, DIRECT_MAX_COLS + 8)]
+
+
+class TestInnerSolverMatchesOperatorOracle:
+    """The Gram-based, field-typed nonlinear CG against the operator-based one
+    it replaced, on the Gram (N = 16) and the NormalOp (N > DIRECT_MAX_COLS)
+    paths."""
+
+    @pytest.mark.parametrize("field, n", INNER_CASES)
+    def test_mm_weighted_form(self, field, n):
+        obj, x0 = field_instance(field, n, seed=21)
+        reg = HuberTV(2.0, 0.1, DiffOp(n))
+        ctx = build_majorizer(obj, x0)
+        op = operator_oracle(obj.model, ctx.w, field)
+        expected = minimize_quad_plus_huber_by_operator(
+            op, op(ctx.x_k) - ctx.grad, ctx.x_k, reg, field, HUBER_ITERS, HUBER_TOL)
+        out = mm_update_huber(ctx, reg)
+        assert out.dtype == complex
+        assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("field, n", INNER_CASES)
+    def test_admm_rho_scaled_form(self, field, n):
+        obj, x0 = field_instance(field, n, seed=22)
+        model, reg, rho = obj.model, HuberTV(2.0, 0.1, DiffOp(n)), 3.0
+        rng = np.random.default_rng(23)
+        v = obj.forward(x0) + 0.1 * rng.standard_normal(model.rows)
+        eta = 0.05 * (rng.standard_normal(model.rows) + 1j * rng.standard_normal(model.rows))
+        rhs = realify(model.adjoint(v + eta), field)
+        expected = minimize_quad_plus_huber_by_operator(
+            operator_oracle(model, rho, field), rho * rhs, x0, reg, field, X_ITERS, X_TOL)
+        out = update_x(model, v, eta, field=field, reg=reg, rho=rho, x0=x0)
+        assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 class TestRunMm:
