@@ -4,8 +4,6 @@ adaptive penalty heuristic."""
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -94,6 +92,13 @@ def _unregularized(reg: HuberTV | None) -> bool:
     return reg is None or reg.beta == 0.0
 
 
+def _normal(model: ForwardModel, field: FieldTag, reg: HuberTV | None):
+    """A'A for update_x: solved unregularized, multiplied regularized."""
+    if _unregularized(reg):
+        return normal_solver(model, 1.0, field, X_ITERS, X_TOL)
+    return quad_form(model, 1.0, field)
+
+
 def update_x(
     model: ForwardModel,
     v: NDArray,
@@ -102,28 +107,27 @@ def update_x(
     reg: HuberTV | None = None,
     rho: float = 1.0,
     x0: NDArray | None = None,
-    solve: Callable[[NDArray], NDArray] | None = None,
-    quad=None,
+    normal=None,
 ) -> NDArray:
     """Least-squares x update, with optional Huber regularization.
 
-    Unregularized: solves A'A x = A'(v + eta) with `solve`, the fixed
-    `mm.normal_solver` of A'A that run_admm builds once per run (built here
-    when None). Regularized: minimizes (rho/2)||Ax - v - eta||^2 + beta R(x),
-    i.e. 1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x), by nonlinear
-    CG from x0, with `quad` the `mm.quad_form` of A'A that run_admm forms
-    once per run (formed here when None).
+    `normal` is A'A as run_admm builds it once per run (built here when
+    None): the `mm.normal_solver` unregularized, the `mm.quad_form`
+    regularized. Unregularized: solves A'A x = A'(v + eta). Regularized:
+    minimizes (rho/2)||Ax - v - eta||^2 + beta R(x), i.e.
+    1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x), by nonlinear CG
+    from x0.
     """
     w = v + eta
     if model.offset_raw is not None:
         w = w - model.scale * model.offset_raw
     rhs = realify(model.adjoint(w), field)
+    if normal is None:
+        normal = _normal(model, field, reg)
     if _unregularized(reg):
-        solve = solve or normal_solver(model, 1.0, field, X_ITERS, X_TOL)
-        return project_field(solve(rhs), field)
+        return project_field(normal(rhs), field)
     x = x0 if x0 is not None else np.zeros(model.cols, dtype=complex)
-    quad = quad_form(model, 1.0, field) if quad is None else quad
-    return minimize_quad_plus_huber(rho * quad, rho * rhs, x, reg, field, X_ITERS, X_TOL)
+    return minimize_quad_plus_huber(rho * normal, rho * rhs, x, reg, field, X_ITERS, X_TOL)
 
 
 def run_admm(
@@ -136,9 +140,7 @@ def run_admm(
 ) -> RunState:
     """ADMM outer loop: v (phase then magnitude), x, dual, penalty update."""
     model = obj.model
-    unreg = _unregularized(reg)
-    solve = normal_solver(model, 1.0, x0.field, X_ITERS, X_TOL) if unreg else None
-    quad = None if unreg else quad_form(model, 1.0, x0.field)
+    normal = _normal(model, x0.field, reg)
     ax = obj.forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
@@ -157,7 +159,7 @@ def run_admm(
             mag = update_v_magnitude_bpos(t, obj.y, obj.b, rho)
         v = np.atleast_1d(mag) * phase
         x = update_x(model, v, eta, field=x0.field, reg=reg, rho=rho, x0=x,
-                     solve=solve, quad=quad)
+                     normal=normal)
         ax = obj.forward(x)
         eta = update_dual(eta, v, ax)
         if k % 10 == 0:  # the only iterations whose residuals update_rho reads

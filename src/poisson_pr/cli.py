@@ -203,10 +203,10 @@ def build_solver(alg: dict):
     raise ConfigError(f"unknown algorithm kind {kind!r}")
 
 
-def run_experiment(cfg: dict, out_dir: str | Path, with_trace: bool = False):
+def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
     """Run one configured experiment; write trace CSV, summary JSON, and the
-    reconstructed signal; return the summary dict, and with_trace the rows of
-    the trace CSV as a float array (row 0 the initial point)."""
+    reconstructed signal; return the summary dict and the rows of the trace
+    CSV as a float array (row 0 the initial point)."""
     cfg = _deep_update(DEFAULT_CONFIG, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -274,7 +274,7 @@ def run_experiment(cfg: dict, out_dir: str | Path, with_trace: bool = False):
     }
     with open(out / "summary.json", "w") as f:
         json.dump(summary, f, indent=2)
-    return (summary, np.array(rows, dtype=float)) if with_trace else summary
+    return summary, np.array(rows, dtype=float)
 
 
 SUITE_PRESETS = {
@@ -328,7 +328,7 @@ def run_suite(
         per_seed, traces = [], []
         for s in seeds:
             cfg = _deep_update(_deep_update(base, patch), {"seed": int(s)})
-            summary, rows = run_experiment(cfg, out / name / f"seed{s}", with_trace=True)
+            summary, rows = run_experiment(cfg, out / name / f"seed{s}")
             per_seed.append(summary)
             traces.append(rows)
         # aggregate per-iteration medians over seeds
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
         if args.verb == "run":
             if args.seed is not None:
                 cfg["seed"] = args.seed
-            summary = run_experiment(cfg, args.out)
+            summary, _ = run_experiment(cfg, args.out)
             print(json.dumps({k: summary[k] for k in
                               ("final_cost", "final_nrmse", "final_psnr",
                                "wall_time_s", "status")}, indent=2))

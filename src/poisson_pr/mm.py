@@ -14,7 +14,7 @@ from numpy.typing import NDArray
 from .init_eval import RunState
 # power_method: only for the benchmark's tracer
 from .numerics import cg_solve, power_method, real_dot  # noqa: F401
-from .objectives import HuberTV, PoissonObjective, RegularizedObjective
+from .objectives import HuberTV, PoissonObjective, RegularizedObjective, huber_weight
 from .operators import (DIRECT_MAX_COLS, FieldTag, ForwardModel, SignalVector, gram,
                         project_field, realify)
 from .wf import iterate
@@ -186,7 +186,7 @@ def minimize_quad_plus_huber(
         if beta == 0:
             return g, None
         tz = diff.apply(z)
-        d = alpha / np.maximum(np.abs(tz), alpha)  # huber_weight(tz, alpha)
+        d = huber_weight(tz, alpha)
         return g + beta * diff.adjoint(d * tz), d
 
     g, d = grad_weights(x)

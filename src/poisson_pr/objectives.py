@@ -147,9 +147,8 @@ def huber_weight(t, alpha: float):
     """Quadratic-majorizer weight min(alpha/|t|, 1), with value 1 at t = 0."""
     if alpha <= 0:
         raise ValueError("huber knee alpha must be positive")
-    at = np.abs(np.asarray(t))
-    out = np.where(at > alpha, np.divide(alpha, at, out=np.ones_like(at), where=at > 0), 1.0)
-    return out if out.ndim else float(out)
+    out = alpha / np.maximum(np.abs(t), alpha)
+    return out if np.ndim(out) else float(out)
 
 
 class DiffOp:

@@ -107,7 +107,7 @@ class TestRunExperiment:
         assert xa == xb
 
     def test_summary_contents(self, tmp_path):
-        summary = run_experiment(TINY, tmp_path)
+        summary, _ = run_experiment(TINY, tmp_path)
         assert summary["status"] == "ok"
         with open(tmp_path / "summary.json") as f:
             on_disk = json.load(f)
@@ -134,12 +134,12 @@ class TestRunExperiment:
             {"kind": "lbfgs"},
         ):
             cfg = dict(TINY, algorithm=alg, n_iters=3)
-            summary = run_experiment(cfg, tmp_path / alg["kind"])
+            summary, _ = run_experiment(cfg, tmp_path / alg["kind"])
             assert summary["status"] == "ok", alg
 
     def test_regularized_run(self, tmp_path):
         cfg = dict(TINY, regularizer={"kind": "huber_tv", "beta": 4.0, "alpha": 0.1})
-        summary = run_experiment(cfg, tmp_path)
+        summary, _ = run_experiment(cfg, tmp_path)
         assert summary["status"] == "ok"
 
     def test_unknown_noise_model(self, tmp_path):
