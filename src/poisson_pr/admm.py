@@ -8,11 +8,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .init_eval import RunState
-from .mm import minimize_quad_plus_huber, normal_solver, quad_form
+from .mm import minimize_quad_plus_huber, normal_solver
 # cg_solve, power_method: only for the benchmark's tracer (mm's kernels call mm's)
 from .numerics import cg_solve, cubic_roots, power_method  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
-from .operators import FieldTag, ForwardModel, SignalVector, project_field, realify
+from .operators import (FieldTag, ForwardModel, SignalVector, project_field, quad_form,
+                        realify)
 from .wf import DegenerateIterateError, iterate
 
 # inner-solver iterations and tolerance of the x update (CG or nonlinear CG)
@@ -78,12 +79,14 @@ def update_dual(eta: NDArray, v: NDArray, ax: NDArray) -> NDArray:
 
 
 def update_rho(rho: float, primal_res_norm: float, dual_res_norm: float, k: int) -> float:
-    """Adaptive penalty: every 10th iteration, double/halve on residual imbalance."""
+    """Adaptive penalty: every 10th iteration, double/halve when one residual
+    exceeds ten times the other (Boyd et al. 2011, section 3.4.1, mu = 10).
+    The dual residual ||rho A'(v - v_old)|| carries rho already."""
     if k % 10 != 0:
         return rho
     if primal_res_norm > 10.0 * dual_res_norm:
         return 2.0 * rho
-    if dual_res_norm > 100.0 * rho * primal_res_norm:
+    if dual_res_norm > 10.0 * primal_res_norm:
         return rho / 2.0
     return rho
 
@@ -112,7 +115,7 @@ def update_x(
     """Least-squares x update, with optional Huber regularization.
 
     `normal` is A'A as run_admm builds it once per run (built here when
-    None): the `mm.normal_solver` unregularized, the `mm.quad_form`
+    None): the `mm.normal_solver` unregularized, the `operators.quad_form`
     regularized. Unregularized: solves A'A x = A'(v + eta). Regularized:
     minimizes (rho/2)||Ax - v - eta||^2 + beta R(x), i.e.
     1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x), by nonlinear CG

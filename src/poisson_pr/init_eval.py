@@ -9,8 +9,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .numerics import power_method
-from .operators import (DIRECT_MAX_COLS, FieldTag, ForwardModel, SignalVector, gram,
-                        realify)
+from .operators import FieldTag, ForwardModel, SignalVector, quad_form, realify
 
 PSNR_CAP_DB = 300.0
 
@@ -40,8 +39,8 @@ class RunState:
 def spectral_init(
     model: ForwardModel, y: NDArray, iters: int = 300, seed: int = 0
 ) -> tuple[NDArray, list[str]]:
-    """Unit-norm leading eigenvector of A' diag{y / (y+1)} A via power method,
-    on the explicit `gram` for at most DIRECT_MAX_COLS unknowns."""
+    """Unit-norm leading eigenvector of A' diag{y / (y+1)} A via power method
+    on its `quad_form`."""
     y = np.asarray(y, dtype=float)
     warns: list[str] = []
     if np.all(y == 0):
@@ -50,17 +49,8 @@ def spectral_init(
         warns.append("all-zero measurements: spectral operator is zero, "
                      "returning a random unit vector")
         return v / np.linalg.norm(v), warns
-    w = y / (y + 1.0)
-    if model.cols <= DIRECT_MAX_COLS:
-        h = gram(model, w, FieldTag.COMPLEX)
-
-        def op(x):
-            return h @ x
-    else:
-        def op(x):
-            return model.adjoint(w * model.apply_linear(x))
-
-    _, v = power_method(op, model.cols, iters=iters, seed=seed)
+    q = quad_form(model, y / (y + 1.0), FieldTag.COMPLEX)
+    _, v = power_method(lambda x: q @ x, model.cols, iters=iters, seed=seed)
     return v, warns
 
 

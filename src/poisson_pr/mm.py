@@ -16,7 +16,7 @@ from .init_eval import RunState
 from .numerics import cg_solve, power_method, real_dot  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective, huber_weight
 from .operators import (DIRECT_MAX_COLS, FieldTag, ForwardModel, SignalVector, gram,
-                        project_field, realify)
+                        project_field, quad_form, realify)
 from .wf import iterate
 
 
@@ -56,35 +56,13 @@ CG_ITERS, CG_TOL = 30, 1e-9
 HUBER_ITERS, HUBER_TOL = 50, 1e-9
 
 
-class NormalOp:
-    """z -> A'diag(w)A z, its real part as floats for real fields, as `op @ z`
-    or `op(z)`; w is a scalar or one weight per measurement, and `c * op`
-    scales it by c."""
-
-    def __init__(self, model: ForwardModel, w, field: FieldTag):
-        self.model, self.w, self.field = model, w, field
-
-    def __matmul__(self, z):
-        out = self.model.adjoint(self.w * self.model.apply_linear(z))
-        return out.real if self.field.is_real else out
-
-    __call__ = __matmul__
-
-    def __rmul__(self, c):
-        return NormalOp(self.model, c * self.w, self.field)
-
-
-def quad_form(model: ForwardModel, w, field: FieldTag):
-    """A'diag(w)A: the `gram` up to DIRECT_MAX_COLS columns, else a NormalOp."""
-    return gram(model, w, field) if model.cols <= DIRECT_MAX_COLS else NormalOp(model, w, field)
-
-
 def normal_solver(model: ForwardModel, w, field: FieldTag, iters: int,
                   tol: float) -> Callable[[NDArray], NDArray]:
     """rhs -> the solution of A'diag(w)A x = rhs: by the diagonal of A'A for a
     scalar w when the model has one, directly for at most DIRECT_MAX_COLS
     unknowns (the `gram` A'WA is formed and checked once, here; a zero or
-    negative eigenvalue raises), else by CG with `iters`/`tol`."""
+    negative eigenvalue raises), else by CG with `iters`/`tol` on the
+    `quad_form`."""
     diag = model.normal_diag() if np.ndim(w) == 0 else None
     if diag is not None:
         return lambda rhs: rhs / (w * diag)
@@ -95,7 +73,7 @@ def normal_solver(model: ForwardModel, w, field: FieldTag, iters: int,
             raise np.linalg.LinAlgError("A'WA is singular: rank-deficient model")
         return lambda rhs: np.linalg.solve(
             h, rhs.real if field.is_real else rhs).astype(complex)
-    op = NormalOp(model, w, field)
+    op = quad_form(model, w, field)
     return lambda rhs: cg_solve(op, rhs, iters=iters, tol=tol)
 
 

@@ -8,6 +8,7 @@ carries a nonnegative mean background vector b, so the measurement mean is
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field as dc_field
 
@@ -135,6 +136,11 @@ class ForwardModel:
         """Diagonal of A'A (including scale) when A'A is diagonal, else None."""
         return None
 
+    def toeplitz_gram(self, w, field: FieldTag) -> CirculantGram | None:
+        """A'diag(w)A as a `CirculantGram` when it is (a masked sum of)
+        Toeplitz matrices, else None."""
+        return None
+
     def densify(self) -> NDArray:
         """Explicit (rows, cols) matrix of the linear part, for small-N oracles."""
         cols = []
@@ -204,6 +210,103 @@ def gram(model: ForwardModel, w, field: FieldTag) -> NDArray:
     return c.T @ c
 
 
+class NormalOp:
+    """z -> A'diag(w)A z, its real part as floats for real fields, as `op @ z`
+    or `op(z)`; w is a scalar or one weight per measurement, and `c * op`
+    scales it by c."""
+
+    def __init__(self, model: ForwardModel, w, field: FieldTag):
+        self.model, self.w, self.field = model, w, field
+
+    def __matmul__(self, z):
+        out = self.model.adjoint(self.w * self.model.apply_linear(z))
+        return out.real if self.field.is_real else out
+
+    __call__ = __matmul__
+
+    def __rmul__(self, c):
+        return NormalOp(self.model, c * self.w, self.field)
+
+
+class CirculantGram:
+    """z -> scale^2 sum_l D_l F'diag(w_l)F D_l z, F the unnormalized DFT on a
+    grid into whose corner z (shaped `dims`) is zero-padded, D_l a mask;
+    applied and scaled as a `NormalOp`.
+
+    `w` is (L, *grid) with masks of shape (L, *dims), or `grid` alone
+    without masks. F'WF is Toeplitz along each axis, with lags
+    scale^2 n ifft(w), and is applied through a circulant embedding of its
+    lags -(s-1)..(s-1): an axis of s unknowns keeps its grid length where
+    that is shorter than 2s - 1 (its lags wrap there already), else is
+    embedded at the smallest power of two >= 2s - 1. The circulant's
+    spectrum is formed once; each product is an FFT, a multiply and an
+    inverse FFT, real-to-complex with a float64 result for real fields.
+    Real weights make F'WF Hermitian and the spectrum real.
+    """
+
+    def __init__(self, w: NDArray, scale: float, dims: tuple[int, ...],
+                 field: FieldTag, masks: NDArray | None = None):
+        self.dims, self.field, self.masks = tuple(dims), field, masks
+        axes = tuple(range(-len(self.dims), 0))
+        c = scale**2 * np.fft.ifftn(w, axes=axes, norm="forward")
+        if field.is_real:
+            c = c.real
+        for axis, s in zip(axes, self.dims):
+            n = c.shape[axis]
+            if n < 2 * s - 1:
+                continue
+            size = 1 << (2 * s - 2).bit_length()
+            c = np.moveaxis(c, axis, -1)
+            emb = np.zeros(c.shape[:-1] + (size,), c.dtype)
+            emb[..., :s] = c[..., :s]
+            emb[..., size - s + 1:] = c[..., n - s + 1:]
+            c = np.moveaxis(emb, -1, axis)
+        self.sizes = c.shape[-len(self.dims):]
+        if field.is_real:
+            self.spectrum = np.fft.rfftn(c, axes=axes).real
+        else:
+            self.spectrum = np.fft.fftn(c, axes=axes).real
+
+    def __matmul__(self, z):
+        u = np.reshape(z, self.dims)
+        if self.masks is not None:
+            u = self.masks * u
+        # one axis at a time, padded by its transform and cropped right after
+        # its inverse, so no other axis transforms those zeros; rfft/irfft
+        # take the last axis, first and last
+        real = self.field.is_real
+        steps = list(zip(range(-len(self.dims), 0), self.sizes, self.dims))
+        if real:
+            steps.reverse()
+        f = u.real if real else u
+        for k, (axis, size, _) in enumerate(steps):
+            f = (np.fft.rfft if real and k == 0 else np.fft.fft)(f, size, axis)
+        f = f * self.spectrum
+        for k, (axis, size, s) in reversed(list(enumerate(steps))):
+            f = (np.fft.irfft if real and k == 0 else np.fft.ifft)(f, size, axis)
+            f = f[(slice(None),) * (f.ndim + axis) + (slice(s),)]
+        if self.masks is not None:
+            f = np.sum(self.masks * f, axis=0)
+        return f.ravel()
+
+    __call__ = __matmul__
+
+    def __rmul__(self, c):
+        scaled = copy.copy(self)
+        scaled.spectrum = c * self.spectrum
+        return scaled
+
+
+def quad_form(model: ForwardModel, w, field: FieldTag):
+    """A'diag(w)A as applied by the inner solvers (`q @ z`, `c * q`): the
+    `gram` up to DIRECT_MAX_COLS columns, the model's `toeplitz_gram` for the
+    FFT models, else a NormalOp."""
+    if model.cols <= DIRECT_MAX_COLS:
+        return gram(model, w, field)
+    op = model.toeplitz_gram(w, field)
+    return NormalOp(model, w, field) if op is None else op
+
+
 def random_gaussian_model(
     rows: int, cols: int, seed: int = 0, background=0.0
 ) -> DenseModel:
@@ -234,16 +337,21 @@ class CanonicalDftModel(ForwardModel):
         reference = np.asarray(reference, dtype=float)
         if reference.ndim != 2 or reference.shape[0] != h:
             raise ValueError("reference height must match image height")
+        if not np.all(np.isfinite(reference)):
+            raise ValueError("reference must be finite")
         if np.any(reference < 0):
             raise ValueError("reference must be nonnegative")
         self.image_dims = (h, w)
         self.reference = reference
         self.pad_width = w if pad_width is None else int(pad_width)
+        if self.pad_width < 0:
+            raise ValueError(f"pad_width must be nonnegative, got {self.pad_width}")
         concat_w = w + self.pad_width + reference.shape[1]
         self.concat_dims = (h, concat_w)
         self.fft_dims = self.concat_dims if fft_dims is None else tuple(fft_dims)
-        if self.fft_dims[0] < h or self.fft_dims[1] < concat_w:
-            raise ValueError("fft_dims smaller than the concatenated image")
+        if len(self.fft_dims) != 2 or self.fft_dims[0] < h or self.fft_dims[1] < concat_w:
+            raise ValueError("fft_dims must be two lengths, at least the "
+                             "concatenated image's")
         ref_img = np.zeros(self.concat_dims, dtype=complex)
         ref_img[:, w + self.pad_width:] = reference
         offset = np.fft.fft2(ref_img, s=self.fft_dims).ravel()
@@ -252,19 +360,23 @@ class CanonicalDftModel(ForwardModel):
         )
 
     def _apply(self, x):
-        h, w = self.image_dims
-        img = np.zeros(self.concat_dims, dtype=complex)
-        img[:, :w] = x.reshape(h, w)
-        return np.fft.fft2(img, s=self.fft_dims).ravel()
+        # the image's columns, then its rows padded: the zero block and the
+        # zero rows of the padded grid are never transformed
+        cols = np.fft.fft(x.reshape(self.image_dims), n=self.fft_dims[0], axis=0)
+        return np.fft.fft(cols, n=self.fft_dims[1], axis=1).ravel()
 
     def _adjoint(self, v):
+        # the conjugate DFT kernel: rows, then only the image's columns
         h, w = self.image_dims
-        m = self.rows
-        full = np.fft.ifft2(v.reshape(self.fft_dims)) * m  # conjugate DFT kernel
-        return full[:h, :w].ravel()
+        rows = np.fft.ifft(v.reshape(self.fft_dims), axis=1)[:, :w]
+        return (np.fft.ifft(rows, axis=0) * self.rows)[:h].ravel()
 
     def normal_diag(self):
         return np.full(self.cols, self.scale**2 * self.rows)
+
+    def toeplitz_gram(self, w, field):
+        w = np.broadcast_to(w, (self.rows,)).reshape(self.fft_dims)
+        return CirculantGram(w, self.scale, self.image_dims, field)
 
 
 class MaskedDftModel(ForwardModel):
@@ -278,6 +390,8 @@ class MaskedDftModel(ForwardModel):
         masks = np.asarray(masks, dtype=float)
         if masks.ndim != 2:
             raise ValueError("masks must be an (L, N) array")
+        if not np.all(np.isfinite(masks)):
+            raise ValueError("masks must be finite")
         self.masks = masks
         self.num_masks, n = masks.shape
         self.n_tilde = 2 * n - 1
@@ -293,6 +407,10 @@ class MaskedDftModel(ForwardModel):
 
     def normal_diag(self):
         return self.scale**2 * self.n_tilde * np.sum(self.masks**2, axis=0)
+
+    def toeplitz_gram(self, w, field):
+        w = np.broadcast_to(w, (self.rows,)).reshape(self.num_masks, self.n_tilde)
+        return CirculantGram(w, self.scale, (self.cols,), field, self.masks)
 
 
 def make_masks(

@@ -212,6 +212,12 @@ class TestDualAndRho:
     def test_rho_balanced_unchanged(self):
         assert update_rho(8.0, 1.0, 1.0, 10) == 8.0
 
+    def test_rho_halves_on_ten_times_the_primal(self):
+        # the dual residual ||rho A'(v - v_old)|| carries rho already: halve
+        # at dual > 10 primal, whatever rho is
+        assert update_rho(8.0, 1.0, 20.0, 10) == 4.0
+        assert update_rho(8.0, 1.0, 9.0, 10) == 8.0
+
 
 class TestRunAdmm:
     def _instance(self, n=8, m=64, seed=0, noiseless=False):

@@ -260,6 +260,19 @@ class TestExitContract:
         assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
         assert one_config_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("key, value", [("pad_width", "-6"), ("fft_dims", "[8]")])
+    def test_malformed_canonical_model_exits_one(self, tmp_path, capsys, key, value):
+        # pad_width -6 on an 8x8 disk overlapped x and the reference without a
+        # word; a one-entry fft_dims ended in an IndexError traceback
+        rc = main(["run", "--out", str(tmp_path / "o"),
+                   "--override", "signal.source=disk", "--override", "signal.dims=[8,8]",
+                   "--override", "model.variant=canonical_dft",
+                   "--override", f"model.{key}={value}",
+                   "--override", "n_iters=2", "--override", "init_iters=20"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert one_config_error_line(err) and key in err
+
     @pytest.mark.parametrize("argv", [["run", "--seed", "abc"], ["nope"], ["suite"], []])
     def test_usage_error_exits_one(self, capsys, argv):
         assert main(argv) == 1

@@ -1,24 +1,28 @@
-"""Operator calls per iteration on the dense hot path, and the forward and
-densify memos."""
+"""Operator calls per iteration on the dense and FFT hot paths, and the
+forward and densify memos."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from poisson_pr import mm
 from poisson_pr.admm import run_admm
 from poisson_pr.baselines import run_lbfgs
 from poisson_pr.init_eval import initialize
 from poisson_pr.mm import DIRECT_MAX_COLS, run_mm
 from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective
 from poisson_pr.operators import (
+    CanonicalDftModel,
     DenseModel,
     ForwardModel,
+    MaskedDftModel,
     calibrate_scale,
+    make_masks,
     random_gaussian_model,
     simulate_poisson,
 )
-from poisson_pr.phantoms import blocks
+from poisson_pr.phantoms import blocks, disk
 from poisson_pr.wf import run_wf
 
 N, M, ITERS = 16, 128, 20
@@ -160,6 +164,59 @@ def test_initialize_power_method_on_the_gram_up_to_the_direct_width(cols):
     else:
         assert counts["densify"] == 0
         assert counts["apply_linear"] == counts["adjoint"] == 30 + 1
+
+
+def fft_instance(kind):
+    """(objective, x0) of a real-nonnegative Poisson instance on an FFT model
+    wider than DIRECT_MAX_COLS: masked DFTs of a 1D phantom, or the canonical
+    DFT of a disk with a disk reference."""
+    if kind == "masked":
+        sig = blocks(DIRECT_MAX_COLS + 8, seed=0)
+        model = MaskedDftModel(make_masks(5, sig.n, seed=3), background=0.1)
+    else:
+        sig = disk(12, 8)
+        model = CanonicalDftModel(sig.dims, disk(12, 8).values.real.reshape(12, 8),
+                                  background=0.1)
+    assert model.cols > DIRECT_MAX_COLS
+    calibrate_scale(model, sig.values, 0.25)
+    y = simulate_poisson(model, sig.values, 4).y
+    x0 = initialize(model, y, field=sig.field, iters=50, seed=0)
+    return PoissonObjective(model, y, field=sig.field), x0
+
+
+@pytest.mark.parametrize("kind", ["masked", "canonical"])
+def test_initialize_power_method_on_the_circulant_gram(kind):
+    obj, _ = fft_instance(kind)
+    counts = count_calls(obj.model)
+    initialize(obj.model, obj.y, field=obj.field, iters=30, seed=0)
+    # scale_fit's one forward product; the 31 Gram products call no operator
+    assert counts["apply"] == 1
+    assert counts["apply_linear"] == counts["adjoint"] == counts["densify"] == 0
+
+
+@pytest.mark.parametrize("kind", ["masked", "canonical"])
+def test_unregularized_mm_cg_makes_no_operator_call(kind, monkeypatch):
+    obj, x0 = fft_instance(kind)
+    counts = count_calls(obj.model)
+    inside = Counter()
+    cg_solve = mm.cg_solve
+
+    def counted_cg(*args, **kwargs):
+        before = sum(counts.values())
+        out = cg_solve(*args, **kwargs)
+        inside["calls"] += sum(counts.values()) - before
+        inside["solves"] += 1
+        return out
+    monkeypatch.setattr(mm, "cg_solve", counted_cg)
+    state = run_mm(obj, x0, ITERS)
+    assert state.status == "ok" and len(state.trace) == ITERS
+    assert inside["solves"] == ITERS and inside["calls"] == 0
+    # build_majorizer's forward product (remembered from the last cost) and
+    # gradient adjoint, and the clamp guard's A p
+    assert counts["apply"] <= ITERS + 1
+    assert counts["adjoint"] == ITERS
+    assert counts["apply_linear"] <= ITERS
+    assert counts["densify"] == 0
 
 
 class TestForwardMemo:

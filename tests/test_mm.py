@@ -19,7 +19,6 @@ from poisson_pr.mm import (
     HUBER_ITERS,
     HUBER_TOL,
     CurvatureKind,
-    NormalOp,
     build_majorizer,
     curvature_improved,
     curvature_max,
@@ -42,6 +41,7 @@ from poisson_pr.operators import (
     DenseModel,
     FieldTag,
     MaskedDftModel,
+    NormalOp,
     SignalVector,
     calibrate_scale,
     make_masks,

@@ -6,16 +6,19 @@ import pytest
 from poisson_pr.operators import (
     DIRECT_MAX_COLS,
     CanonicalDftModel,
+    CirculantGram,
     DenseModel,
     FieldTag,
     MaskedDftModel,
     MeasurementSet,
+    NormalOp,
     SignalVector,
     calibrate_scale,
     gram,
     load_file_matrix,
     load_pgm,
     make_masks,
+    quad_form,
     random_gaussian_model,
     save_file_matrix,
     simulate_poisson,
@@ -165,6 +168,120 @@ class TestGram:
         w = np.random.default_rng(23).uniform(0.5, 2.0, model.rows)
         h = gram(model, w, FieldTag.REAL)
         assert np.array_equal(h, h.T)
+
+
+def toeplitz_models():
+    """The two FFT models: masked DFTs (embedded at a power of two >= 2N - 1)
+    and canonical DFTs with every axis embedded, wrapped (the transform is
+    shorter than 2s - 1) or padded by `fft_dims`."""
+    rng = np.random.default_rng(31)
+    ref = rng.uniform(0.0, 1.0, (5, 4))
+    return {
+        "masked-2": MaskedDftModel(make_masks(3, 2, seed=1), scale=0.7),
+        "masked-5": MaskedDftModel(make_masks(2, 5, seed=2), scale=1.3),
+        "masked-70": MaskedDftModel(make_masks(4, 70, seed=3), scale=0.4),
+        # rows wrap at 5 < 9, columns embedded at 8
+        "canonical": CanonicalDftModel((5, 3), ref, scale=0.6),
+        # both axes wrap: 5 < 9 rows, 3 + 0 + 1 = 4 < 5 columns
+        "canonical-wrapped": CanonicalDftModel((5, 3), ref[:, :1], pad_width=0),
+        # fft_dims (13, 9) pads both axes: embedded at 16 and 8
+        "canonical-padded": CanonicalDftModel((5, 3), ref, pad_width=0,
+                                              fft_dims=(13, 9), scale=1.1),
+    }
+
+
+class TestCirculantGram:
+    @pytest.mark.parametrize("name", list(toeplitz_models()))
+    @pytest.mark.parametrize("field", list(FieldTag))
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_matches_the_normal_op(self, name, field, vector):
+        model = toeplitz_models()[name]
+        rng = np.random.default_rng(32)
+        w = rng.uniform(0.0, 3.0, model.rows) if vector else 2.5
+        z = _rand_vec(rng, model.cols)
+        if field.is_real:
+            z = z.real
+        op, ref = model.toeplitz_gram(w, field), NormalOp(model, w, field)
+        for c in (1.0, 0.3):
+            expected = (c * ref) @ z
+            out = (op if c == 1.0 else c * op)(z)
+            assert out.dtype == (float if field.is_real else complex)
+            assert out.shape == (model.cols,)
+            assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_scaling_leaves_the_operator_unchanged(self):
+        model = toeplitz_models()["masked-5"]
+        op = model.toeplitz_gram(np.linspace(0.5, 2.0, model.rows), FieldTag.REAL)
+        z = np.arange(1.0, model.cols + 1)
+        before = op @ z
+        scaled = 3.0 * op
+        assert np.array_equal(op @ z, before)
+        assert np.allclose(scaled @ z, 3.0 * before, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name, sizes", [
+        ("masked-2", (4,)), ("masked-5", (16,)), ("masked-70", (256,)),
+        ("canonical", (5, 8)), ("canonical-wrapped", (5, 4)),
+        ("canonical-padded", (16, 8)),
+    ])
+    def test_circulant_sizes(self, name, sizes):
+        model = toeplitz_models()[name]
+        assert model.toeplitz_gram(1.0, FieldTag.COMPLEX).sizes == sizes
+
+    def test_workload_sizes(self):
+        masked = MaskedDftModel(make_masks(2, 256, seed=4))
+        assert masked.toeplitz_gram(1.0, FieldTag.REAL).sizes == (512,)
+        canon = CanonicalDftModel((64, 64), np.ones((64, 64)))
+        assert canon.fft_dims == (64, 192)
+        assert canon.toeplitz_gram(1.0, FieldTag.REAL).sizes == (64, 128)
+
+
+class TestQuadForm:
+    def test_gram_up_to_the_direct_width(self):
+        model = MaskedDftModel(make_masks(2, DIRECT_MAX_COLS, seed=5))
+        assert isinstance(quad_form(model, 1.0, FieldTag.REAL), np.ndarray)
+
+    def test_circulant_gram_for_the_fft_models(self):
+        masked = MaskedDftModel(make_masks(2, DIRECT_MAX_COLS + 1, seed=6))
+        canon = CanonicalDftModel((9, 8), np.ones((9, 2)))
+        assert canon.cols > DIRECT_MAX_COLS
+        for model in (masked, canon):
+            assert isinstance(quad_form(model, 1.0, FieldTag.COMPLEX), CirculantGram)
+
+    def test_normal_op_otherwise(self):
+        model = random_gaussian_model(80, DIRECT_MAX_COLS + 1, seed=7)
+        assert model.toeplitz_gram(1.0, FieldTag.COMPLEX) is None
+        assert isinstance(quad_form(model, 1.0, FieldTag.COMPLEX), NormalOp)
+
+
+class TestDftModelInput:
+    @pytest.mark.parametrize("pad_width", [-1, -2, -4])
+    def test_negative_pad_width_rejected(self, pad_width):
+        with pytest.raises(ValueError, match="pad_width"):
+            CanonicalDftModel((8, 8), np.ones((8, 8)), pad_width=pad_width)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reference_rejected(self, bad):
+        ref = np.ones((4, 4))
+        ref[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CanonicalDftModel((4, 4), ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_masks_rejected(self, bad):
+        masks = make_masks(3, 6, seed=0)
+        masks[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MaskedDftModel(masks)
+
+    @pytest.mark.parametrize("fft_dims", [(16,), (16, 16, 2), (3, 16), (4, 7)])
+    def test_malformed_fft_dims_rejected(self, fft_dims):
+        # the concatenated image is 4 x (3 + 3 + 2)
+        with pytest.raises(ValueError, match="fft_dims"):
+            CanonicalDftModel((4, 3), np.ones((4, 2)), fft_dims=fft_dims)
+
+    def test_zero_pad_width_accepted(self):
+        model = CanonicalDftModel((4, 3), np.ones((4, 2)), pad_width=0)
+        assert model.concat_dims == (4, 5)
 
 
 class TestCalibrateScale:
