@@ -2,8 +2,10 @@
 """Gradient-truncation sweep: final Poisson cost of truncated WF as a
 function of the truncation threshold a_h, plus the all-kept sanity limit.
 
-Large residuals |A'(marginal gradient)| entries beyond a_h times their mean
-are dropped from the gradient; as a_h grows the run approaches plain WF.
+Measurement i is dropped from the gradient when its residual
+|y_i - b_i - |(Ax)_i|^2| exceeds a_h times the mean residual times
+|(Ax)_i| / ||x|| (Chen & Candes 2015); as a_h grows the run approaches plain
+WF.
 Writes one summary line per a_h value.
 """
 

@@ -8,8 +8,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .init_eval import RunState
-from .mm import minimize_quad_plus_huber, normal_solver
-# cg_solve, power_method: only for the benchmark's tracer (mm's kernels call mm's)
+from .mm import minimize_quad_plus_huber
+# cg_solve, power_method: only for the benchmark's tracer
 from .numerics import cg_solve, cubic_roots, power_method  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
 from .operators import (FieldTag, ForwardModel, SignalVector, project_field, quad_form,
@@ -91,17 +91,6 @@ def update_rho(rho: float, primal_res_norm: float, dual_res_norm: float, k: int)
     return rho
 
 
-def _unregularized(reg: HuberTV | None) -> bool:
-    return reg is None or reg.beta == 0.0
-
-
-def _normal(model: ForwardModel, field: FieldTag, reg: HuberTV | None):
-    """A'A for update_x: solved unregularized, multiplied regularized."""
-    if _unregularized(reg):
-        return normal_solver(model, 1.0, field, X_ITERS, X_TOL)
-    return quad_form(model, 1.0, field)
-
-
 def update_x(
     model: ForwardModel,
     v: NDArray,
@@ -114,9 +103,9 @@ def update_x(
 ) -> NDArray:
     """Least-squares x update, with optional Huber regularization.
 
-    `normal` is A'A as run_admm builds it once per run (built here when
-    None): the `mm.normal_solver` unregularized, the `operators.quad_form`
-    regularized. Unregularized: solves A'A x = A'(v + eta). Regularized:
+    `normal` is A'A, the `operators.quad_form(model, 1.0, field)` that
+    run_admm builds once per run (built here when None). Unregularized:
+    solves A'A x = A'(v + eta) by its `solve`. Regularized:
     minimizes (rho/2)||Ax - v - eta||^2 + beta R(x), i.e.
     1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x), by nonlinear CG
     from x0.
@@ -125,10 +114,9 @@ def update_x(
     if model.offset_raw is not None:
         w = w - model.scale * model.offset_raw
     rhs = realify(model.adjoint(w), field)
-    if normal is None:
-        normal = _normal(model, field, reg)
-    if _unregularized(reg):
-        return project_field(normal(rhs), field)
+    normal = quad_form(model, 1.0, field) if normal is None else normal
+    if reg is None or reg.beta == 0.0:
+        return project_field(normal.solve(rhs, X_ITERS, X_TOL), field)
     x = x0 if x0 is not None else np.zeros(model.cols, dtype=complex)
     return minimize_quad_plus_huber(rho * normal, rho * rhs, x, reg, field, X_ITERS, X_TOL)
 
@@ -143,7 +131,7 @@ def run_admm(
 ) -> RunState:
     """ADMM outer loop: v (phase then magnitude), x, dual, penalty update."""
     model = obj.model
-    normal = _normal(model, x0.field, reg)
+    normal = quad_form(model, 1.0, x0.field)
     ax = obj.forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization

@@ -5,18 +5,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .init_eval import RunState
-# power_method: only for the benchmark's tracer
+# cg_solve, power_method: only for the benchmark's tracer
 from .numerics import cg_solve, power_method, real_dot  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective, huber_weight
-from .operators import (DIRECT_MAX_COLS, FieldTag, ForwardModel, SignalVector, gram,
-                        project_field, quad_form, realify)
+from .operators import FieldTag, SignalVector, project_field, quad_form, realify
 from .wf import iterate
 
 
@@ -50,31 +47,9 @@ def curvature_improved(s, y, b):
     return out if out.ndim else float(out)
 
 
-# MM's inner solvers (unregularized CG, Huber nonlinear CG); normal equations
-# with at most DIRECT_MAX_COLS unknowns are solved directly
+# MM's inner solvers (the Gram's solve, Huber nonlinear CG)
 CG_ITERS, CG_TOL = 30, 1e-9
 HUBER_ITERS, HUBER_TOL = 50, 1e-9
-
-
-def normal_solver(model: ForwardModel, w, field: FieldTag, iters: int,
-                  tol: float) -> Callable[[NDArray], NDArray]:
-    """rhs -> the solution of A'diag(w)A x = rhs: by the diagonal of A'A for a
-    scalar w when the model has one, directly for at most DIRECT_MAX_COLS
-    unknowns (the `gram` A'WA is formed and checked once, here; a zero or
-    negative eigenvalue raises), else by CG with `iters`/`tol` on the
-    `quad_form`."""
-    diag = model.normal_diag() if np.ndim(w) == 0 else None
-    if diag is not None:
-        return lambda rhs: rhs / (w * diag)
-    if model.cols <= DIRECT_MAX_COLS:
-        h = gram(model, w, field)
-        eig = np.linalg.eigvalsh(h)
-        if not 0.0 < eig[-1] <= 1e14 * eig[0]:
-            raise np.linalg.LinAlgError("A'WA is singular: rank-deficient model")
-        return lambda rhs: np.linalg.solve(
-            h, rhs.real if field.is_real else rhs).astype(complex)
-    op = quad_form(model, w, field)
-    return lambda rhs: cg_solve(op, rhs, iters=iters, tol=tol)
 
 
 @dataclass
@@ -86,15 +61,11 @@ class MajorizerContext:
     grad: NDArray       # A' psi_dot(A x_k), field-projected
     w: NDArray          # positive diagonal curvature vector
     f_k: float
+    quad_op: object     # A'WA, the `quad_form` of w
 
     @property
     def field(self) -> FieldTag:
         return self.obj.field
-
-    @cached_property
-    def quad_op(self):
-        """A'WA from `quad_form`, formed on first access."""
-        return quad_form(self.obj.model, self.w, self.field)
 
 
 def build_majorizer(
@@ -106,7 +77,8 @@ def build_majorizer(
     else:
         w = curvature_improved(s, obj.y, obj.b)
     grad = realify(obj.model.adjoint(obj.marginal_grad(s)), obj.field)
-    return MajorizerContext(obj=obj, x_k=x.copy(), grad=grad, w=w, f_k=obj.cost(x))
+    return MajorizerContext(obj=obj, x_k=x.copy(), grad=grad, w=w, f_k=obj.cost(x),
+                            quad_op=quad_form(obj.model, w, obj.field))
 
 
 def majorizer_value(ctx: MajorizerContext, x: NDArray) -> float:
@@ -123,8 +95,7 @@ def mm_update_unregularized(ctx: MajorizerContext) -> NDArray:
     Clamping onto the nonnegative orthant can raise q above f(x_k); then the
     exact minimizer of q on the segment from x_k to the clamped point is
     returned instead, which is feasible and keeps q(x_new) <= f(x_k)."""
-    solve = normal_solver(ctx.obj.model, ctx.w, ctx.field, CG_ITERS, CG_TOL)
-    z = ctx.x_k - solve(ctx.grad)
+    z = ctx.x_k - ctx.quad_op.solve(ctx.grad, CG_ITERS, CG_TOL)
     x = project_field(z, ctx.field)
     if ctx.field is not FieldTag.REAL_NONNEGATIVE or not np.any(z.real < 0):
         return x
@@ -212,7 +183,7 @@ def run_mm(
 
     With a regularizer, the inner problem is solved by nonlinear CG on the
     Huber-smoothed penalty; unregularized updates solve the normal equations
-    (normal_solver).
+    by the majorizer's `quad_op.solve` (diagonal, direct or CG).
     """
 
     def step(k, x, warnings):

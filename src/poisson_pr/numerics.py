@@ -54,16 +54,16 @@ def cg_solve(
 ) -> NDArray:
     """Conjugate gradient for Hermitian positive-semidefinite `op`.
 
-    Stops when the relative residual drops below `tol` or after `iters`
-    iterations. Exact in <= N steps in exact arithmetic.
+    Starts from x = 0 (residual rhs); stops when the relative residual drops
+    below `tol` or after `iters` iterations, one product each. Exact in <= N
+    steps in exact arithmetic.
     """
     x = np.zeros_like(rhs)
-    r = rhs - op(x)
-    p = r.copy()
-    rs = real_dot(r, r)
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
+        return x
+    r, p = rhs, rhs.copy()
+    rs = real_dot(r, r)
     for _ in range(iters):
         if np.sqrt(rs) <= tol * rhs_norm:
             break

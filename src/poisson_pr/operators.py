@@ -15,6 +15,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from numpy.typing import NDArray
 
+from .numerics import cg_solve
+
 
 class FieldTag(enum.Enum):
     """Field the unknown signal lives in."""
@@ -210,10 +212,42 @@ def gram(model: ForwardModel, w, field: FieldTag) -> NDArray:
     return c.T @ c
 
 
+class DenseGram:
+    """The `gram` matrix h, solved directly; the first solve checks h's
+    eigenvalues and raises on a zero or negative one."""
+
+    def __init__(self, h: NDArray, field: FieldTag):
+        self.h, self.field, self.checked = h, field, False
+
+    def __matmul__(self, z):
+        return self.h @ z
+
+    def __rmul__(self, c):
+        return type(self)(c * self.h, self.field)
+
+    def solve(self, rhs, iters, tol):
+        if not self.checked:
+            eig = np.linalg.eigvalsh(self.h)
+            if not 0.0 < eig[-1] <= 1e14 * eig[0]:
+                raise np.linalg.LinAlgError("A'WA is singular: rank-deficient model")
+            self.checked = True
+        return np.linalg.solve(
+            self.h, rhs.real if self.field.is_real else rhs).astype(complex)
+
+
+class DiagonalGram(DenseGram):
+    """A diagonal Gram, h its diagonal: products and solves are elementwise."""
+
+    def __matmul__(self, z):
+        return self.h * z
+
+    def solve(self, rhs, iters, tol):
+        return rhs / self.h
+
+
 class NormalOp:
-    """z -> A'diag(w)A z, its real part as floats for real fields, as `op @ z`
-    or `op(z)`; w is a scalar or one weight per measurement, and `c * op`
-    scales it by c."""
+    """z -> A'diag(w)A z (its real part, as floats, for real fields), w a scalar
+    or one weight per measurement; also called as `op(z)`, and solved by CG."""
 
     def __init__(self, model: ForwardModel, w, field: FieldTag):
         self.model, self.w, self.field = model, w, field
@@ -222,16 +256,20 @@ class NormalOp:
         out = self.model.adjoint(self.w * self.model.apply_linear(z))
         return out.real if self.field.is_real else out
 
-    __call__ = __matmul__
+    def __call__(self, z):
+        return self @ z
 
     def __rmul__(self, c):
         return NormalOp(self.model, c * self.w, self.field)
 
+    def solve(self, rhs, iters, tol):
+        return cg_solve(self, rhs, iters=iters, tol=tol)
 
-class CirculantGram:
+
+class CirculantGram(NormalOp):
     """z -> scale^2 sum_l D_l F'diag(w_l)F D_l z, F the unnormalized DFT on a
-    grid into whose corner z (shaped `dims`) is zero-padded, D_l a mask;
-    applied and scaled as a `NormalOp`.
+    grid into whose corner z (shaped `dims`) is zero-padded, D_l a mask; a
+    `NormalOp` with its own product and scaling.
 
     `w` is (L, *grid) with masks of shape (L, *dims), or `grid` alone
     without masks. F'WF is Toeplitz along each axis, with lags
@@ -289,8 +327,6 @@ class CirculantGram:
             f = np.sum(self.masks * f, axis=0)
         return f.ravel()
 
-    __call__ = __matmul__
-
     def __rmul__(self, c):
         scaled = copy.copy(self)
         scaled.spectrum = c * self.spectrum
@@ -298,11 +334,15 @@ class CirculantGram:
 
 
 def quad_form(model: ForwardModel, w, field: FieldTag):
-    """A'diag(w)A as applied by the inner solvers (`q @ z`, `c * q`): the
-    `gram` up to DIRECT_MAX_COLS columns, the model's `toeplitz_gram` for the
-    FFT models, else a NormalOp."""
+    """A'diag(w)A as `q @ z`, `c * q` and `q.solve(rhs, iters, tol)`, the one
+    choice of its form: a `DiagonalGram` for a scalar w where A'A is diagonal,
+    a `DenseGram` up to DIRECT_MAX_COLS columns, the FFT models'
+    `toeplitz_gram`, else a NormalOp."""
+    diag = model.normal_diag() if np.ndim(w) == 0 else None
+    if diag is not None:
+        return DiagonalGram(w * diag, field)
     if model.cols <= DIRECT_MAX_COLS:
-        return gram(model, w, field)
+        return DenseGram(gram(model, w, field), field)
     op = model.toeplitz_gram(w, field)
     return NormalOp(model, w, field) if op is None else op
 

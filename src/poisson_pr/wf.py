@@ -120,13 +120,14 @@ def step_exact_gaussian(obj: GaussianObjective, x: NDArray, grad: NDArray) -> fl
 
 
 def truncation_mask(obj: PoissonObjective, x: NDArray, a_h: float) -> NDArray:
-    """Boolean mask of measurements kept by the residual threshold criterion."""
+    """Measurements kept by Chen & Candes' (2015) rule |y - b - |Ax|^2| <= a_h
+    mean(resid) |Ax| / ||x||, unchanged by x -> cx, y -> c^2 y, b -> c^2 b."""
     xnorm = float(np.linalg.norm(x))
     if xnorm == 0.0:
         raise DegenerateIterateError("truncation undefined at x = 0")
-    ax2 = np.abs(obj.forward(x)) ** 2
-    resid = np.abs(obj.y - ax2)
-    level = a_h * (np.sum(resid) / obj.model.rows) * (ax2 / xnorm)
+    ax = np.abs(obj.forward(x))
+    resid = np.abs(obj.y - obj.b - ax * ax)
+    level = a_h * (np.sum(resid) / obj.model.rows) * (ax / xnorm)
     return resid <= level
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from poisson_pr import operators
 from poisson_pr.admm import (
     complex_sign,
     run_admm,
@@ -14,9 +15,9 @@ from poisson_pr.admm import (
     update_x,
 )
 from poisson_pr.init_eval import initialize
-from poisson_pr.mm import DIRECT_MAX_COLS
 from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective
 from poisson_pr.operators import (
+    DIRECT_MAX_COLS,
     CanonicalDftModel,
     DenseModel,
     FieldTag,
@@ -166,6 +167,27 @@ class TestXUpdate:
         slow = update_x(m, v, np.zeros(m.rows, dtype=complex))
         m.normal_diag = diag_fn
         assert np.linalg.norm(fast - slow) < 1e-8 * max(1.0, np.linalg.norm(fast))
+
+    def test_huber_update_on_a_dft_model_builds_no_circulant_gram(self, monkeypatch):
+        # A'A of a masked DFT is diagonal: the Huber loop multiplies by it,
+        # with no FFT, at any width
+        built = []
+
+        class CountedGram(operators.CirculantGram):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(operators, "CirculantGram", CountedGram)
+        m = MaskedDftModel(make_masks(3, DIRECT_MAX_COLS + 8, seed=4))
+        assert m.toeplitz_gram(1.0, FieldTag.REAL) is not None and built == [1]
+        built.clear()
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal(m.rows) + 1j * rng.standard_normal(m.rows)
+        reg = HuberTV(0.8, 0.2, DiffOp(m.cols))
+        out = update_x(m, v, np.zeros(m.rows, dtype=complex), field=FieldTag.REAL,
+                       reg=reg, rho=2.0)
+        assert not built
+        assert np.all(np.isfinite(out))
 
     def test_real_field_uses_real_part(self):
         m = DenseModel(np.eye(2))

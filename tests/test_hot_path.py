@@ -6,13 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from poisson_pr import mm
+from poisson_pr import operators
 from poisson_pr.admm import run_admm
 from poisson_pr.baselines import run_lbfgs
 from poisson_pr.init_eval import initialize
-from poisson_pr.mm import DIRECT_MAX_COLS, run_mm
+from poisson_pr.mm import run_mm
 from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective
 from poisson_pr.operators import (
+    DIRECT_MAX_COLS,
     CanonicalDftModel,
     DenseModel,
     ForwardModel,
@@ -199,7 +200,7 @@ def test_unregularized_mm_cg_makes_no_operator_call(kind, monkeypatch):
     obj, x0 = fft_instance(kind)
     counts = count_calls(obj.model)
     inside = Counter()
-    cg_solve = mm.cg_solve
+    cg_solve = operators.cg_solve
 
     def counted_cg(*args, **kwargs):
         before = sum(counts.values())
@@ -207,7 +208,7 @@ def test_unregularized_mm_cg_makes_no_operator_call(kind, monkeypatch):
         inside["calls"] += sum(counts.values()) - before
         inside["solves"] += 1
         return out
-    monkeypatch.setattr(mm, "cg_solve", counted_cg)
+    monkeypatch.setattr(operators, "cg_solve", counted_cg)
     state = run_mm(obj, x0, ITERS)
     assert state.status == "ok" and len(state.trace) == ITERS
     assert inside["solves"] == ITERS and inside["calls"] == 0

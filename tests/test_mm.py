@@ -15,7 +15,6 @@ from oracles import (
 from poisson_pr.admm import X_ITERS, X_TOL, update_x
 from poisson_pr.init_eval import initialize
 from poisson_pr.mm import (
-    DIRECT_MAX_COLS,
     HUBER_ITERS,
     HUBER_TOL,
     CurvatureKind,
@@ -26,7 +25,6 @@ from poisson_pr.mm import (
     minimize_quad_plus_huber,
     mm_update_huber,
     mm_update_unregularized,
-    normal_solver,
     run_mm,
 )
 from poisson_pr.numerics import cg_solve, lbfgs_minimize
@@ -38,6 +36,7 @@ from poisson_pr.objectives import (
     psi_dot,
 )
 from poisson_pr.operators import (
+    DIRECT_MAX_COLS,
     DenseModel,
     FieldTag,
     MaskedDftModel,
@@ -45,6 +44,7 @@ from poisson_pr.operators import (
     SignalVector,
     calibrate_scale,
     make_masks,
+    quad_form,
     random_gaussian_model,
     realify,
     simulate_poisson,
@@ -171,7 +171,7 @@ class TestMajorizer:
 
 
 N_CG = DIRECT_MAX_COLS + 8  # unknowns above the direct-solve limit
-# the three paths of normal_solver: scalar weight with the diagonal
+# the three solves of quad_form: scalar weight with the diagonal
 # of A'A, a weight vector at N <= DIRECT_MAX_COLS (densified), and above it
 KERNEL_CASES = {
     "diagonal": (MaskedDftModel(make_masks(3, 10, seed=1)), 2.0),
@@ -197,7 +197,7 @@ class TestNormalEquationKernels:
         rhs = rng.standard_normal(model.cols) + 1j * rng.standard_normal(model.cols)
         if field.is_real:
             rhs = rhs.real.astype(complex)
-        out = normal_solver(model, w, field, iters=500, tol=1e-13)(rhs)
+        out = quad_form(model, w, field).solve(rhs, 500, 1e-13)
         h = densified_normal(model, w, field)
         expected = np.linalg.solve(h, rhs.real if field.is_real else rhs)
         assert np.linalg.norm(out - expected) < 1e-9 * np.linalg.norm(expected)
@@ -209,17 +209,18 @@ class TestNormalEquationKernels:
         model = DenseModel(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
         w = np.array([1.0, 2.0, 0.5])
         assert np.linalg.eigvalsh(densified_normal(model, w, field))[0] == 0.0
+        rhs = np.ones(2, dtype=complex)
         for weights in (w, 1.0, np.zeros(3)):
             with pytest.raises(np.linalg.LinAlgError):
-                normal_solver(model, weights, field, iters=30, tol=1e-9)
+                quad_form(model, weights, field).solve(rhs, 30, 1e-9)
 
     def test_masked_direct_solve_matches_its_diagonal(self):
         model = MaskedDftModel(make_masks(3, DIRECT_MAX_COLS, seed=6), scale=0.8)
         rhs = np.random.default_rng(7).standard_normal(model.cols).astype(complex)
-        fast = normal_solver(model, 2.0, FieldTag.COMPLEX, iters=30, tol=1e-9)(rhs)
+        fast = quad_form(model, 2.0, FieldTag.COMPLEX).solve(rhs, 30, 1e-9)
         # hide the diagonal: the scalar weight then takes the direct path
         model.normal_diag = lambda: None
-        direct = normal_solver(model, 2.0, FieldTag.COMPLEX, iters=30, tol=1e-9)(rhs)
+        direct = quad_form(model, 2.0, FieldTag.COMPLEX).solve(rhs, 30, 1e-9)
         assert np.linalg.norm(direct - fast) <= 1e-10 * np.linalg.norm(fast)
 
 

@@ -110,6 +110,18 @@ class TestCgSolve:
         x = cg_solve(lambda z: h @ z, rhs, iters=100, tol=1e-10)
         assert np.linalg.norm(h @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
+    def test_one_product_per_iteration(self):
+        # the start x = 0 has residual rhs, so no product is spent on it
+        d = np.linspace(1.0, 3.0, 10)
+        calls = []
+
+        def op(z):
+            calls.append(1)
+            return d * z
+        x = cg_solve(op, np.ones(10, dtype=complex), iters=4, tol=0.0)
+        assert len(calls) == 4
+        assert np.all(np.isfinite(x))
+
     def test_zero_rhs(self):
         x = cg_solve(lambda z: 2.0 * z, np.zeros(3, dtype=complex))
         assert np.all(x == 0)

@@ -7,7 +7,9 @@ from poisson_pr.operators import (
     DIRECT_MAX_COLS,
     CanonicalDftModel,
     CirculantGram,
+    DenseGram,
     DenseModel,
+    DiagonalGram,
     FieldTag,
     MaskedDftModel,
     MeasurementSet,
@@ -238,14 +240,47 @@ class TestCirculantGram:
 class TestQuadForm:
     def test_gram_up_to_the_direct_width(self):
         model = MaskedDftModel(make_masks(2, DIRECT_MAX_COLS, seed=5))
-        assert isinstance(quad_form(model, 1.0, FieldTag.REAL), np.ndarray)
+        w = np.ones(model.rows)
+        assert isinstance(quad_form(model, w, FieldTag.REAL), DenseGram)
 
     def test_circulant_gram_for_the_fft_models(self):
         masked = MaskedDftModel(make_masks(2, DIRECT_MAX_COLS + 1, seed=6))
         canon = CanonicalDftModel((9, 8), np.ones((9, 2)))
         assert canon.cols > DIRECT_MAX_COLS
         for model in (masked, canon):
-            assert isinstance(quad_form(model, 1.0, FieldTag.COMPLEX), CirculantGram)
+            w = np.ones(model.rows)
+            assert isinstance(quad_form(model, w, FieldTag.COMPLEX), CirculantGram)
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_diagonal_for_a_scalar_weight_on_the_dft_models(self, field):
+        # A'A of both DFT models is diagonal, at any width: a scalar weight
+        # multiplies by it, with no FFT
+        masked = MaskedDftModel(make_masks(3, DIRECT_MAX_COLS + 8, seed=8), scale=0.7)
+        canon = CanonicalDftModel((9, 8), np.ones((9, 2)), scale=1.3)
+        rng = np.random.default_rng(9)
+        for model in (masked, canon):
+            z = _rand_vec(rng, model.cols)
+            if field.is_real:
+                z = z.real
+            q = quad_form(model, 2.0, field)
+            assert isinstance(q, DiagonalGram)
+            assert np.array_equal(q @ z, 2.0 * model.normal_diag() * z)
+            assert np.array_equal((0.5 * q) @ z, 0.5 * (2.0 * model.normal_diag()) * z)
+            assert np.array_equal(q.solve(z, 1, 0.0), z / (2.0 * model.normal_diag()))
+
+    def test_dense_gram_checks_its_rank_once(self, monkeypatch):
+        model = random_gaussian_model(40, 6, seed=10)
+        q = quad_form(model, 1.0, FieldTag.COMPLEX)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+        rhs = _rand_vec(np.random.default_rng(11), model.cols)
+        (2.0 * q) @ rhs
+        assert not calls
+        for _ in range(3):
+            out = q.solve(rhs, 1, 0.0)
+        assert len(calls) == 1
+        assert np.allclose(q @ out, rhs, rtol=0.0, atol=1e-10 * np.linalg.norm(rhs))
 
     def test_normal_op_otherwise(self):
         model = random_gaussian_model(80, DIRECT_MAX_COLS + 1, seed=7)

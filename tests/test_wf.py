@@ -186,6 +186,18 @@ class TestTruncation:
         mask = truncation_mask(obj, x, a_h=0.0)
         assert mask.tolist() == [True, False]
 
+    def test_mask_unchanged_when_x_y_and_b_are_rescaled(self):
+        # |y - b - |Ax|^2| and mean(resid) |Ax| / ||x|| both scale by 4 when
+        # x -> 2x, y -> 4y and b -> 4b, exactly in floating point
+        model, x, obj = small_poisson_instance(n=32, m=256, seed=12)
+        x = x + 0.3 * np.random.default_rng(13).standard_normal(32)
+        mask = truncation_mask(obj, x, a_h=30.0)
+        assert 0 < np.sum(mask) < mask.size
+        big = DenseModel(model.entries, background=4.0 * model.background,
+                         scale=model.scale)
+        big_mask = truncation_mask(PoissonObjective(big, 4.0 * obj.y), 2.0 * x, a_h=30.0)
+        assert np.array_equal(big_mask, mask)
+
     def test_zero_iterate_rejected(self):
         model, _, obj = small_poisson_instance(seed=10)
         with pytest.raises(ValueError):
