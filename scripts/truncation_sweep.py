@@ -4,8 +4,8 @@ function of the truncation threshold a_h, plus the all-kept sanity limit.
 
 Measurement i is dropped from the gradient when its residual
 |y_i - b_i - |(Ax)_i|^2| exceeds a_h times the mean residual times
-|(Ax)_i| / ||x|| (Chen & Candes 2015); as a_h grows the run approaches plain
-WF.
+|(Ax)_i| / (||Ax|| / sqrt(M)) (Chen & Candes 2015, with the rows scaled to
+unit variance); as a_h grows the run approaches plain WF.
 Writes one summary line per a_h value.
 """
 

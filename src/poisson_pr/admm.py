@@ -95,30 +95,27 @@ def update_x(
     model: ForwardModel,
     v: NDArray,
     eta: NDArray,
-    field: FieldTag = FieldTag.COMPLEX,
+    field: FieldTag,
+    normal,
+    x0: NDArray,
     reg: HuberTV | None = None,
     rho: float = 1.0,
-    x0: NDArray | None = None,
-    normal=None,
 ) -> NDArray:
     """Least-squares x update, with optional Huber regularization.
 
     `normal` is A'A, the `operators.quad_form(model, 1.0, field)` that
-    run_admm builds once per run (built here when None). Unregularized:
-    solves A'A x = A'(v + eta) by its `solve`. Regularized:
-    minimizes (rho/2)||Ax - v - eta||^2 + beta R(x), i.e.
-    1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x), by nonlinear CG
-    from x0.
+    run_admm builds once per run. Unregularized: solves A'A x = A'(v + eta)
+    by its `solve`. Regularized: minimizes (rho/2)||Ax - v - eta||^2 +
+    beta R(x), i.e. 1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x),
+    by nonlinear CG from x0.
     """
     w = v + eta
     if model.offset_raw is not None:
         w = w - model.scale * model.offset_raw
     rhs = realify(model.adjoint(w), field)
-    normal = quad_form(model, 1.0, field) if normal is None else normal
     if reg is None or reg.beta == 0.0:
         return project_field(normal.solve(rhs, X_ITERS, X_TOL), field)
-    x = x0 if x0 is not None else np.zeros(model.cols, dtype=complex)
-    return minimize_quad_plus_huber(rho * normal, rho * rhs, x, reg, field, X_ITERS, X_TOL)
+    return minimize_quad_plus_huber(rho * normal, rho * rhs, x0, reg, field, X_ITERS, X_TOL)
 
 
 def run_admm(
@@ -131,7 +128,7 @@ def run_admm(
 ) -> RunState:
     """ADMM outer loop: v (phase then magnitude), x, dual, penalty update."""
     model = obj.model
-    normal = quad_form(model, 1.0, x0.field)
+    normal = quad_form(model, 1.0, obj.field)
     ax = obj.forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
@@ -149,8 +146,8 @@ def run_admm(
         else:
             mag = update_v_magnitude_bpos(t, obj.y, obj.b, rho)
         v = np.atleast_1d(mag) * phase
-        x = update_x(model, v, eta, field=x0.field, reg=reg, rho=rho, x0=x,
-                     normal=normal)
+        x = update_x(model, v, eta, field=obj.field, normal=normal, x0=x, reg=reg,
+                     rho=rho)
         ax = obj.forward(x)
         eta = update_dual(eta, v, ax)
         if k % 10 == 0:  # the only iterations whose residuals update_rho reads

@@ -12,8 +12,8 @@ from numpy.typing import NDArray
 from .init_eval import RunState
 # cg_solve, power_method: only for the benchmark's tracer
 from .numerics import cg_solve, power_method, real_dot  # noqa: F401
-from .objectives import HuberTV, PoissonObjective, RegularizedObjective, huber_weight
-from .operators import FieldTag, SignalVector, project_field, quad_form, realify
+from .objectives import HuberTV, PoissonObjective, RegularizedObjective
+from .operators import FieldTag, SignalVector, project_field, quad_form
 from .wf import iterate
 
 
@@ -76,7 +76,7 @@ def build_majorizer(
         w = curvature_max(obj.y, obj.b)
     else:
         w = curvature_improved(s, obj.y, obj.b)
-    grad = realify(obj.model.adjoint(obj.marginal_grad(s)), obj.field)
+    grad = obj.gradient(x)
     return MajorizerContext(obj=obj, x_k=x.copy(), grad=grad, w=w, f_k=obj.cost(x),
                             quad_op=quad_form(obj.model, w, obj.field))
 
@@ -121,22 +121,18 @@ def minimize_quad_plus_huber(
     """Nonlinear CG for F(x) = 1/2 x'Qx - Re<lin, x> + beta 1'h.(Tx; alpha),
     Q a `quad_form`, in float64 for real fields; the result is complex.
 
-    Line-search steps come from the exact Huber quadratic-majorizer weights
-    D of Tx, formed once per iterate for the gradient beta T'(D Tx) too, so
-    each step minimizes a local quadratic upper bound along the search
-    direction. Reduces to linear CG when beta = 0.
+    Line-search steps come from `reg.majorize`, which forms the Huber
+    quadratic-majorizer weights D of Tx once per iterate together with the
+    penalty gradient beta T'(D Tx); `reg.curvature` adds beta (Tp)' D (Tp) to
+    the step's denominator, so each step minimizes a local quadratic upper
+    bound along the search direction. Reduces to linear CG when beta = 0.
     """
-    beta, alpha, diff = reg.beta, reg.alpha, reg.diff_op
     dot = np.dot if field.is_real else real_dot
     lin, x = (lin.real, x0.real) if field.is_real else (lin, x0)
 
     def grad_weights(z):
-        g = quad @ z - lin
-        if beta == 0:
-            return g, None
-        tz = diff.apply(z)
-        d = huber_weight(tz, alpha)
-        return g + beta * diff.adjoint(d * tz), d
+        d, g_reg = reg.majorize(z)
+        return quad @ z - lin + g_reg, d
 
     g, d = grad_weights(x)
     p = -g
@@ -145,9 +141,7 @@ def minimize_quad_plus_huber(
     for _ in range(inner_iters):
         if np.sqrt(g2) <= stop:
             break
-        denom = dot(p, quad @ p)
-        if beta > 0:
-            denom += beta * float(d @ np.abs(diff.apply(p)) ** 2)
+        denom = dot(p, quad @ p) + reg.curvature(d, p)
         if denom <= 0:
             break
         mu = -dot(g, p) / denom

@@ -101,9 +101,13 @@ class PoissonObjective:
     def marginal_grad(self, v: NDArray) -> NDArray:
         return psi_dot(v, self.y, self.b)
 
-    def gradient(self, x: NDArray) -> NDArray:
-        g = self.model.adjoint(self.marginal_grad(self.forward(x)))
-        return realify(g, self.field)
+    def gradient(self, x: NDArray, keep: NDArray | None = None) -> NDArray:
+        """A' psi_dot(Ax), field-projected; rows outside the boolean mask
+        `keep` contribute nothing."""
+        mg = self.marginal_grad(self.forward(x))
+        if keep is not None:
+            mg = np.where(keep, mg, 0.0)
+        return realify(self.model.adjoint(mg), self.field)
 
     def fisher_diag(self, v: NDArray) -> NDArray:
         return fisher_marginal_poisson(v, self.b)
@@ -130,17 +134,6 @@ def huber(t, alpha: float):
     at = np.abs(np.asarray(t))
     out = np.where(at < alpha, 0.5 * at**2, alpha * at - 0.5 * alpha**2)
     return out if out.ndim else float(out)
-
-
-def huber_dot(t, alpha: float):
-    """Derivative of huber: t inside the knee, alpha*sign(t) outside."""
-    if alpha <= 0:
-        raise ValueError("huber knee alpha must be positive")
-    t = np.asarray(t, complex)
-    at = np.abs(t)
-    sign = np.divide(t, at, out=np.zeros_like(t), where=at > 0)
-    out = np.where(at < alpha, t, alpha * sign)
-    return out if out.ndim else complex(out)
 
 
 def huber_weight(t, alpha: float):
@@ -208,7 +201,13 @@ class DiffOp:
 
 @dataclass
 class HuberTV:
-    """Huber-smoothed anisotropic TV: R(x) = 1' h.(Tx; alpha), weighted by beta."""
+    """Huber-smoothed anisotropic TV: R(x) = 1' h.(Tx; alpha), weighted by beta.
+
+    Its quadratic majorizer at x has the diagonal weights D = min(alpha/|Tx|, 1):
+    the penalty's gradient is beta T'(D Tx) (`majorize`) and its curvature
+    along a direction p is beta (Tp)' D (Tp) (`curvature`), the two terms
+    every solver adds to its data term.
+    """
 
     beta: float
     alpha: float
@@ -225,14 +224,22 @@ class HuberTV:
         return float(np.sum(huber(self.diff_op.apply(x), self.alpha)))
 
     def gradient(self, x: NDArray) -> NDArray:
-        """beta * T' hdot(Tx; alpha)."""
-        return self.beta * self.diff_op.adjoint(
-            huber_dot(self.diff_op.apply(x), self.alpha)
-        )
+        """beta T'(D Tx), the gradient of beta R at x."""
+        return self.majorize(x)[1]
 
     def weights(self, x: NDArray) -> NDArray:
-        """Diagonal D2 = min(alpha / |Tx|, 1) at the current point."""
+        """Diagonal D = min(alpha / |Tx|, 1) at the current point."""
         return huber_weight(self.diff_op.apply(x), self.alpha)
+
+    def majorize(self, x: NDArray) -> tuple[NDArray, NDArray]:
+        """(D, beta T'(D Tx)) at x, from one T x."""
+        tx = self.diff_op.apply(x)
+        d = huber_weight(tx, self.alpha)
+        return d, self.beta * self.diff_op.adjoint(d * tx)
+
+    def curvature(self, d: NDArray, p: NDArray) -> float:
+        """beta (Tp)' D (Tp), the majorizer's curvature along p for weights D."""
+        return self.beta * float(d @ np.abs(self.diff_op.apply(p)) ** 2)
 
 
 class RegularizedObjective:
@@ -250,11 +257,9 @@ class RegularizedObjective:
             return c
         return c + self.reg.beta * self.reg.value(x)
 
-    def gradient(self, x: NDArray) -> NDArray:
-        return self.add_penalty_gradient(self.data.gradient(x), x)
-
-    def add_penalty_gradient(self, g: NDArray, x: NDArray) -> NDArray:
-        """A data-term gradient `g` at x plus the penalty's gradient there."""
+    def gradient(self, x: NDArray, keep: NDArray | None = None) -> NDArray:
+        """The data gradient (rows outside `keep` dropped) plus the penalty's."""
+        g = self.data.gradient(x, keep)
         if self.reg is None:
             return g
         return realify(g + self.reg.gradient(x), self.data.field)

@@ -16,7 +16,7 @@ from .numerics import DegenerateIterateError, cubic_roots, real_dot
 from .objectives import (
     GaussianObjective, HuberTV, PoissonObjective, RegularizedObjective,
 )
-from .operators import SignalVector, project_field, realify
+from .operators import SignalVector, project_field
 
 
 class StepKind(enum.Enum):
@@ -46,17 +46,16 @@ def step_fisher(
     obj: PoissonObjective, x: NDArray, grad: NDArray, reg: HuberTV | None = None
 ) -> float:
     """mu = ||grad||^2 / (d' D1 d + beta (T grad)' D2 (T grad)), d = A grad,
-    D1 the marginal Fisher diag, D2 the Huber majorizer weights of `reg`."""
+    D1 the marginal Fisher diag; the penalty term is `reg.curvature` along
+    grad for D2 = `reg.weights(x)`, the Huber majorizer weights."""
     gnorm2 = float(np.sum(np.abs(grad) ** 2))
     if gnorm2 == 0.0:
         raise DegenerateIterateError("zero gradient")
     d = obj.model.apply_linear(grad)
     d1 = obj.fisher_diag(obj.forward(x))
     denom = float(np.sum(d1 * np.abs(d) ** 2))
-    if reg is not None and reg.beta > 0:
-        td = reg.diff_op.apply(grad)
-        d2 = reg.weights(x)
-        denom += reg.beta * float(np.sum(d2 * np.abs(td) ** 2))
+    if reg is not None:
+        denom += reg.curvature(reg.weights(x), grad)
     if denom <= 0.0:
         raise DegenerateIterateError("zero curvature along the gradient")
     return gnorm2 / denom
@@ -120,14 +119,16 @@ def step_exact_gaussian(obj: GaussianObjective, x: NDArray, grad: NDArray) -> fl
 
 
 def truncation_mask(obj: PoissonObjective, x: NDArray, a_h: float) -> NDArray:
-    """Measurements kept by Chen & Candes' (2015) rule |y - b - |Ax|^2| <= a_h
-    mean(resid) |Ax| / ||x||, unchanged by x -> cx, y -> c^2 y, b -> c^2 b."""
-    xnorm = float(np.linalg.norm(x))
-    if xnorm == 0.0:
-        raise DegenerateIterateError("truncation undefined at x = 0")
+    """Measurements kept by Chen & Candes' (2015) rule with the rows scaled to
+    unit variance: |y - b - |Ax|^2| <= a_h mean(resid) |Ax| / (||Ax|| / sqrt(M)).
+    Unchanged by x -> cx, y -> c^2 y, b -> c^2 b, and its level does not
+    shrink with the model's scale; undefined where Ax = 0."""
     ax = np.abs(obj.forward(x))
+    axnorm = float(np.linalg.norm(ax))
+    if axnorm == 0.0:
+        raise DegenerateIterateError("truncation undefined at Ax = 0")
     resid = np.abs(obj.y - obj.b - ax * ax)
-    level = a_h * (np.sum(resid) / obj.model.rows) * (ax / xnorm)
+    level = a_h * np.mean(resid) * ax * (np.sqrt(obj.model.rows) / axnorm)
     return resid <= level
 
 
@@ -181,7 +182,7 @@ def run_wf(
     each update.
     """
     rule = rule or StepRule()
-    field = x0.field
+    field = obj.field
     cost = RegularizedObjective(obj, reg)
     last = [None, 0.0]  # the last iterate costed, shared by the guard and the trace
 
@@ -191,12 +192,8 @@ def run_wf(
         return last[1]
 
     def step(k, x, warnings):
-        if trunc is not None:
-            mg = obj.marginal_grad(obj.forward(x))
-            mg = np.where(truncation_mask(obj, x, trunc.a_h), mg, 0.0)
-            grad = cost.add_penalty_gradient(realify(obj.model.adjoint(mg), obj.field), x)
-        else:
-            grad = cost.gradient(x)
+        keep = None if trunc is None else truncation_mask(obj, x, trunc.a_h)
+        grad = cost.gradient(x, keep)
 
         if rule.kind is StepKind.FISHER:
             mu = step_fisher(obj, x, grad, reg)

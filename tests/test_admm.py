@@ -25,6 +25,7 @@ from poisson_pr.operators import (
     SignalVector,
     calibrate_scale,
     make_masks,
+    quad_form,
     random_gaussian_model,
     simulate_poisson,
 )
@@ -153,18 +154,22 @@ class TestXUpdate:
     def test_identity_passthrough(self):
         m = DenseModel(np.eye(3))
         v = np.array([1.0, 2.0j, -1.0 + 0.5j])
-        out = update_x(m, v, np.zeros(3, dtype=complex))
+        out = update_x(m, v, np.zeros(3, dtype=complex), FieldTag.COMPLEX,
+                       quad_form(m, 1.0, FieldTag.COMPLEX), np.zeros(3, dtype=complex))
         assert np.allclose(out, v, atol=1e-12)
 
     def test_masked_dft_diagonal_vs_cg(self):
         m = MaskedDftModel(make_masks(3, DIRECT_MAX_COLS + 8, seed=4))
         rng = np.random.default_rng(5)
         v = rng.standard_normal(m.rows) + 1j * rng.standard_normal(m.rows)
-        fast = update_x(m, v, np.zeros(m.rows, dtype=complex))
+        zero = np.zeros(m.cols, dtype=complex)
+        fast = update_x(m, v, np.zeros(m.rows, dtype=complex), FieldTag.COMPLEX,
+                        quad_form(m, 1.0, FieldTag.COMPLEX), zero)
         # force the CG path (N > DIRECT_MAX_COLS) by hiding the diagonal
         diag_fn = m.normal_diag
         m.normal_diag = lambda: None
-        slow = update_x(m, v, np.zeros(m.rows, dtype=complex))
+        slow = update_x(m, v, np.zeros(m.rows, dtype=complex), FieldTag.COMPLEX,
+                        quad_form(m, 1.0, FieldTag.COMPLEX), zero)
         m.normal_diag = diag_fn
         assert np.linalg.norm(fast - slow) < 1e-8 * max(1.0, np.linalg.norm(fast))
 
@@ -184,7 +189,8 @@ class TestXUpdate:
         rng = np.random.default_rng(8)
         v = rng.standard_normal(m.rows) + 1j * rng.standard_normal(m.rows)
         reg = HuberTV(0.8, 0.2, DiffOp(m.cols))
-        out = update_x(m, v, np.zeros(m.rows, dtype=complex), field=FieldTag.REAL,
+        out = update_x(m, v, np.zeros(m.rows, dtype=complex), FieldTag.REAL,
+                       quad_form(m, 1.0, FieldTag.REAL), np.zeros(m.cols, dtype=complex),
                        reg=reg, rho=2.0)
         assert not built
         assert np.all(np.isfinite(out))
@@ -192,7 +198,8 @@ class TestXUpdate:
     def test_real_field_uses_real_part(self):
         m = DenseModel(np.eye(2))
         v = np.array([1.0 + 2.0j, -3.0 + 1.0j])
-        out = update_x(m, v, np.zeros(2, dtype=complex), field=FieldTag.REAL)
+        out = update_x(m, v, np.zeros(2, dtype=complex), FieldTag.REAL,
+                       quad_form(m, 1.0, FieldTag.REAL), np.zeros(2, dtype=complex))
         assert np.allclose(out, [1.0, -3.0])
 
     def test_huber_regularized_solves_normal_condition(self):
@@ -201,7 +208,9 @@ class TestXUpdate:
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         reg = HuberTV(0.8, 0.2, DiffOp(4))
         rho = 2.0
-        out = update_x(m, v, np.zeros(12, dtype=complex), reg=reg, rho=rho)
+        out = update_x(m, v, np.zeros(12, dtype=complex), FieldTag.COMPLEX,
+                       quad_form(m, 1.0, FieldTag.COMPLEX), np.zeros(4, dtype=complex),
+                       reg=reg, rho=rho)
         # stationarity of (rho/2)||Ax - v||^2 + beta R(x)
         g = rho * m.adjoint(m.apply_linear(out) - v) + reg.gradient(out)
         assert np.linalg.norm(g) < 1e-6 * max(1.0, np.linalg.norm(v))

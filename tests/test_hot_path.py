@@ -142,9 +142,9 @@ def test_lbfgs_one_apply_per_gradient():
     counts = count_calls(obj.model)
     gradient = obj.gradient
 
-    def counted_gradient(x):
+    def counted_gradient(x, keep=None):
         counts["gradient"] += 1
-        return gradient(x)
+        return gradient(x, keep)
     obj.gradient = counted_gradient
     state = run_lbfgs(obj, x0, ITERS)
     assert state.trace

@@ -370,7 +370,8 @@ class TestInnerSolverMatchesOperatorOracle:
         rhs = realify(model.adjoint(v + eta), field)
         expected = minimize_quad_plus_huber_by_operator(
             operator_oracle(model, rho, field), rho * rhs, x0, reg, field, X_ITERS, X_TOL)
-        out = update_x(model, v, eta, field=field, reg=reg, rho=rho, x0=x0)
+        out = update_x(model, v, eta, field, quad_form(model, 1.0, field), x0, reg=reg,
+                       rho=rho)
         assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
 
 

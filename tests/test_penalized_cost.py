@@ -15,6 +15,7 @@ from poisson_pr.objectives import (
     RegularizedObjective,
 )
 from poisson_pr.operators import (
+    FieldTag,
     SignalVector,
     calibrate_scale,
     random_gaussian_model,
@@ -68,6 +69,24 @@ def test_trace_reports_the_penalized_cost(solver, penalty):
     assert state.trace[-1].cost == RegularizedObjective(obj, reg).cost(state.x)
 
 
+@pytest.mark.parametrize("solver", ["wf-fisher", "admm"])
+@pytest.mark.parametrize("penalty", ["none", "huber"])
+def test_the_field_comes_from_the_objective(solver, penalty):
+    # a real-nonnegative objective started from the same values tagged complex
+    # runs exactly as from the values tagged real-nonnegative
+    sig = blocks(N, seed=0)
+    model = random_gaussian_model(48, N, seed=3, background=0.1)
+    calibrate_scale(model, sig.values, 0.25)
+    y = simulate_poisson(model, sig.values, 4).y
+    obj = PoissonObjective(model, y, field=FieldTag.REAL_NONNEGATIVE)
+    reg = None if penalty == "none" else HuberTV(0.5, 0.1, DiffOp(N))
+    x0 = initialize(model, y, field=FieldTag.REAL_NONNEGATIVE, iters=50, seed=0)
+    tagged = SOLVERS[solver](obj, x0, reg)
+    untagged = SOLVERS[solver](obj, SignalVector(x0.values, FieldTag.COMPLEX), reg)
+    assert np.array_equal(untagged.x, tagged.x)
+    assert np.array_equal(untagged.costs(), tagged.costs())
+
+
 @pytest.mark.parametrize("solver", ["wf-fisher", "wf-backtracking", "mm-improved", "admm",
                                     "lbfgs"])
 def test_non_finite_cost_ends_the_run(solver):
@@ -105,7 +124,7 @@ ZERO_RATE_CASES = {
     "wf-fisher": (0.0, SOLVERS["wf-fisher"], "psi_dot undefined"),
     "wf-backtracking": (0.0, SOLVERS["wf-backtracking"], "psi_dot undefined"),
     "lbfgs": (0.0, SOLVERS["lbfgs"], "psi undefined"),
-    # the truncation threshold divides by ||x||, whatever the background
+    # the truncation threshold divides by ||Ax||, whatever the background
     "wf-truncated": (0.1,
                      lambda obj, x0, reg: run_wf(obj, x0, 6, trunc=TruncationRule(10.0)),
                      "truncation undefined"),

@@ -187,7 +187,7 @@ class TestTruncation:
         assert mask.tolist() == [True, False]
 
     def test_mask_unchanged_when_x_y_and_b_are_rescaled(self):
-        # |y - b - |Ax|^2| and mean(resid) |Ax| / ||x|| both scale by 4 when
+        # |y - b - |Ax|^2| and mean(resid) |Ax| / ||Ax|| both scale by 4 when
         # x -> 2x, y -> 4y and b -> 4b, exactly in floating point
         model, x, obj = small_poisson_instance(n=32, m=256, seed=12)
         x = x + 0.3 * np.random.default_rng(13).standard_normal(32)
@@ -197,6 +197,13 @@ class TestTruncation:
                          scale=model.scale)
         big_mask = truncation_mask(PoissonObjective(big, 4.0 * obj.y), 2.0 * x, a_h=30.0)
         assert np.array_equal(big_mask, mask)
+
+    def test_near_truth_keeps_most_rows_at_low_counts(self):
+        # mean count 0.25: the level must not shrink with the model's scale
+        model, x, obj = small_poisson_instance(n=32, m=256, seed=12)
+        x = x + 0.3 * np.random.default_rng(13).standard_normal(32)
+        mask = truncation_mask(obj, x, a_h=10.0)
+        assert np.sum(mask) >= 0.9 * mask.size
 
     def test_zero_iterate_rejected(self):
         model, _, obj = small_poisson_instance(seed=10)
