@@ -16,7 +16,8 @@ from .operators import (FieldTag, ForwardModel, SignalVector, project_field, qua
                         realify)
 from .wf import DegenerateIterateError, iterate
 
-# inner-solver iterations and tolerance of the x update (CG or nonlinear CG)
+# inner-solver iterations and tolerance of the x update (CG or nonlinear CG;
+# the exact Huber solve on the orthant with a `DenseGram` reads X_TOL only)
 X_ITERS, X_TOL = 50, 1e-8
 
 
@@ -107,7 +108,9 @@ def update_x(
     run_admm builds once per run. Unregularized: solves A'A x = A'(v + eta)
     by its `solve`. Regularized: minimizes (rho/2)||Ax - v - eta||^2 +
     beta R(x), i.e. 1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x),
-    by nonlinear CG from x0.
+    from x0 by `minimize_quad_plus_huber`: exactly, by Newton and
+    half-quadratic steps, for nonnegative signals when `normal` is a
+    `DenseGram` (rho * normal is one too), else by nonlinear CG.
     """
     w = v + eta
     if model.offset_raw is not None:

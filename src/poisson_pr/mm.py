@@ -11,9 +11,9 @@ from numpy.typing import NDArray
 
 from .init_eval import RunState
 # cg_solve, power_method: only for the benchmark's tracer
-from .numerics import cg_solve, power_method, real_dot  # noqa: F401
+from .numerics import DegenerateIterateError, cg_solve, power_method, real_dot  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
-from .operators import FieldTag, SignalVector, project_field, quad_form
+from .operators import DenseGram, FieldTag, SignalVector, project_field, quad_form
 from .wf import iterate
 
 
@@ -50,6 +50,9 @@ def curvature_improved(s, y, b):
 # MM's inner solvers (the Gram's solve, Huber nonlinear CG)
 CG_ITERS, CG_TOL = 30, 1e-9
 HUBER_ITERS, HUBER_TOL = 50, 1e-9
+# steps (Newton or half-quadratic) of the Huber inner solve on the orthant
+# with a `DenseGram`, in place of HUBER_ITERS and admm.X_ITERS there
+HQ_STEPS = 30
 
 
 @dataclass
@@ -109,6 +112,52 @@ def mm_update_unregularized(ctx: MajorizerContext) -> NDArray:
     return project_field(ctx.x_k + t * p, ctx.field)
 
 
+def minimize_dense_nonnegative(q: NDArray, c: NDArray, x0: NDArray, reg: HuberTV,
+                               tol: float) -> NDArray:
+    """argmin over x >= 0 of F(x) = 1/2 x'qx - c'x + beta 1'h.(Tx; alpha), q a
+    dense positive definite matrix, from max(x0, 0); floats in and out.
+
+    Each step forms the Huber weights D = `reg.weights(x)` and F's gradient
+    g = (q + beta T'DT) x - c, and the loop ends at a KKT point,
+    ||min(x, g)|| <= tol max(1, ||c||), or after HQ_STEPS steps. A step first
+    tries the Newton point of F, whose pieces are quadratic within the Huber
+    knee and affine outside it: the minimizer over x >= 0 of F's second-order
+    model at x, Hessian q + beta T'ET with E = 1 within the knee and 0
+    outside. It keeps that point when it lowers F; once the pieces are right
+    it is F's minimizer. Otherwise it takes a half-quadratic step (Geman &
+    Yang 1995; Nikolova & Ng 2005), the minimizer over x >= 0 of F's
+    majorizer 1/2 x'(q + beta T'DT)x - c'x, which lowers F. So F never
+    rises. Both minimizers come from `DenseGram.solve_nonnegative`,
+    warm-started at x.
+    """
+    def value(z):
+        return 0.5 * z @ (q @ z) - c @ z + reg.beta * reg.value(z)
+
+    x = np.maximum(x0.real, 0.0)
+    f = value(x)
+    stop = tol * max(1.0, np.linalg.norm(c))
+    for _ in range(HQ_STEPS):
+        d = reg.weights(x)
+        h = q + reg.curvature_matrix(d)
+        g = h @ x - c
+        if np.linalg.norm(np.minimum(x, g)) <= stop:
+            break
+        # D is exactly 1 within the Huber knee
+        newton = q + reg.curvature_matrix((d == 1.0).astype(float))
+        try:
+            z = DenseGram(newton, FieldTag.REAL_NONNEGATIVE).solve_nonnegative(
+                newton @ x - g, x)
+            fz = value(z)
+        except DegenerateIterateError:  # a singular or ill-conditioned Newton model
+            fz = np.inf
+        if fz < f:
+            x, f = z, fz
+        else:
+            x = DenseGram(h, FieldTag.REAL_NONNEGATIVE).solve_nonnegative(c, x)
+            f = value(x)
+    return x
+
+
 def minimize_quad_plus_huber(
     quad,
     lin: NDArray,
@@ -118,15 +167,23 @@ def minimize_quad_plus_huber(
     inner_iters: int,
     tol: float,
 ) -> NDArray:
-    """Nonlinear CG for F(x) = 1/2 x'Qx - Re<lin, x> + beta 1'h.(Tx; alpha),
-    Q a `quad_form`, in float64 for real fields; the result is complex.
+    """Minimize F(x) = 1/2 x'Qx - Re<lin, x> + beta 1'h.(Tx; alpha) over the
+    field, Q a `quad_form`, in float64 for real fields; the result is complex.
 
-    Line-search steps come from `reg.majorize`, which forms the Huber
-    quadratic-majorizer weights D of Tx once per iterate together with the
-    penalty gradient beta T'(D Tx); `reg.curvature` adds beta (Tp)' D (Tp) to
-    the step's denominator, so each step minimizes a local quadratic upper
-    bound along the search direction. Reduces to linear CG when beta = 0.
+    On the nonnegative orthant with Q a `DenseGram` (at most
+    DIRECT_MAX_COLS columns), `minimize_dense_nonnegative` solves it to a
+    KKT point within `tol`, and `inner_iters` is not read. Otherwise by
+    nonlinear CG with at most `inner_iters` iterations: line-search steps
+    come from `reg.majorize`, which forms the Huber quadratic-majorizer
+    weights D of Tx once per iterate together with the penalty gradient
+    beta T'(D Tx); `reg.curvature` adds beta (Tp)' D (Tp) to the step's
+    denominator, so each step minimizes a local quadratic upper bound along
+    the search direction. Reduces to linear CG when beta = 0. On the
+    orthant (the circulant, `NormalOp` and diagonal forms) it clamps
+    negatives after each step, which can break descent.
     """
+    if type(quad) is DenseGram and field is FieldTag.REAL_NONNEGATIVE:
+        return minimize_dense_nonnegative(quad.h, lin.real, x0, reg, tol).astype(complex)
     dot = np.dot if field.is_real else real_dot
     lin, x = (lin.real, x0.real) if field.is_real else (lin, x0)
 
@@ -159,7 +216,10 @@ def minimize_quad_plus_huber(
 
 
 def mm_update_huber(ctx: MajorizerContext, reg: HuberTV) -> NDArray:
-    """Minimize q(x; x_k) + beta 1'h.(Tx; alpha) by nonlinear CG."""
+    """Minimize q(x; x_k) + beta 1'h.(Tx; alpha) from x_k by
+    `minimize_quad_plus_huber`: exactly (Newton and half-quadratic steps,
+    HQ_STEPS at most) on the nonnegative orthant with a `DenseGram`, so the
+    step never raises the cost; else by nonlinear CG (HUBER_ITERS)."""
     lin = ctx.quad_op @ ctx.x_k - ctx.grad
     return minimize_quad_plus_huber(ctx.quad_op, lin, ctx.x_k, reg, ctx.field,
                                     HUBER_ITERS, HUBER_TOL)
@@ -175,9 +235,11 @@ def run_mm(
 ) -> RunState:
     """MM outer loop: build the quadratic majorizer, minimize it, repeat.
 
-    With a regularizer, the inner problem is solved by nonlinear CG on the
-    Huber-smoothed penalty; unregularized updates solve the normal equations
-    by the majorizer's `quad_op.solve` (diagonal, direct or CG).
+    With a regularizer, `mm_update_huber` minimizes the majorizer plus the
+    Huber-smoothed penalty: exactly for nonnegative signals of at most
+    DIRECT_MAX_COLS unknowns, which keeps MM monotone, else by nonlinear CG;
+    unregularized updates solve the normal equations by the majorizer's
+    `quad_op.solve` (diagonal, direct or CG).
     """
 
     def step(k, x, warnings):

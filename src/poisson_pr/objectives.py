@@ -154,6 +154,7 @@ class DiffOp:
     def __init__(self, n: int, dims: tuple[int, int] | None = None):
         self.n = n
         self.dims = dims
+        self._dense = None
         if dims is None:
             self.k = n - 1
         else:
@@ -191,12 +192,13 @@ class DiffOp:
         return out.ravel()
 
     def densify(self) -> NDArray:
-        cols = []
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = 1.0
-            cols.append(self.apply(e))
-        return np.stack(cols, axis=1)
+        """T as a (k, n) array, applied column by column on the first call
+        and kept, read-only."""
+        if self._dense is None:
+            t = np.stack([self.apply(e) for e in np.eye(self.n)], axis=1)
+            t.flags.writeable = False
+            self._dense = t
+        return self._dense
 
 
 @dataclass
@@ -206,7 +208,9 @@ class HuberTV:
     Its quadratic majorizer at x has the diagonal weights D = min(alpha/|Tx|, 1):
     the penalty's gradient is beta T'(D Tx) (`majorize`) and its curvature
     along a direction p is beta (Tp)' D (Tp) (`curvature`), the two terms
-    every solver adds to its data term.
+    every solver adds to its data term; the majorizer's Hessian beta T'DT
+    as a dense matrix (`curvature_matrix`) is what the dense inner solve
+    adds.
     """
 
     beta: float
@@ -241,6 +245,12 @@ class HuberTV:
         """beta (Tp)' D (Tp), the majorizer's curvature along p for weights D."""
         return self.beta * float(d @ np.abs(self.diff_op.apply(p)) ** 2)
 
+    def curvature_matrix(self, d: NDArray) -> NDArray:
+        """beta T'DT as a dense (n, n) array, so that p' (beta T'DT) p is
+        `curvature(d, p)`; T is `diff_op.densify()`."""
+        t = self.diff_op.densify()
+        return self.beta * (t.T @ (d[:, None] * t))
+
 
 class RegularizedObjective:
     """Psi(x) = f(x) + beta R(x), the cost every solver descends and reports.
@@ -259,7 +269,14 @@ class RegularizedObjective:
 
     def gradient(self, x: NDArray, keep: NDArray | None = None) -> NDArray:
         """The data gradient (rows outside `keep` dropped) plus the penalty's."""
+        return self.gradient_and_weights(x, keep)[0]
+
+    def gradient_and_weights(self, x: NDArray, keep: NDArray | None = None
+                             ) -> tuple[NDArray, NDArray | None]:
+        """(`gradient(x, keep)`, the Huber weights D at x), from one T x; D is
+        None without a penalty."""
         g = self.data.gradient(x, keep)
         if self.reg is None:
-            return g
-        return realify(g + self.reg.gradient(x), self.data.field)
+            return g, None
+        d, g_reg = self.reg.majorize(x)
+        return realify(g + g_reg, self.data.field), d

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from numpy.typing import NDArray
 
-from .numerics import cg_solve
+from .numerics import DegenerateIterateError, cg_solve
 
 
 class FieldTag(enum.Enum):
@@ -187,6 +187,10 @@ class DenseModel(ForwardModel):
 
 # normal equations with at most DIRECT_MAX_COLS unknowns are formed explicitly
 DIRECT_MAX_COLS = 64
+# `DenseGram.solve_nonnegative` stops when no bound coordinate's gradient is
+# below -ACTIVE_SET_RTOL times the largest of |lin| and |hx|, and lets a
+# coordinate tie to rounding down to -ACTIVE_SET_TIE times it
+ACTIVE_SET_RTOL, ACTIVE_SET_TIE = 1e-12, 1e-8
 
 
 def gram(model: ForwardModel, w, field: FieldTag) -> NDArray:
@@ -233,6 +237,59 @@ class DenseGram:
             self.checked = True
         return np.linalg.solve(
             self.h, rhs.real if self.field.is_real else rhs).astype(complex)
+
+    def solve_nonnegative(self, lin, x0):
+        """argmin over x >= 0 of 1/2 x'hx - lin'x (real parts, floats out), h
+        positive definite, by a primal active-set solve (Lawson & Hanson
+        1974, ch. 23) warm-started at max(x0, 0). The value never rises.
+
+        Each step solves h on the free set. A feasible solution becomes x,
+        and the bound coordinate with the most negative gradient is freed;
+        the solve ends when none is below -ACTIVE_SET_RTOL times the size of
+        lin and hx. Otherwise x moves toward that solution until a free
+        coordinate reaches 0, which is bound again. A freed coordinate that
+        the next solve sends to <= 0 ties to rounding and stays bound when
+        its gradient is above -ACTIVE_SET_TIE times that size. A larger one,
+        a singular h, a non-finite solution or 3N + 10 steps without
+        settling raise DegenerateIterateError."""
+        h, c = self.h, lin.real
+        x = np.maximum(np.asarray(x0).real, 0.0)
+        free = x > 0
+        tied = np.zeros_like(free)
+        added = -1
+        for _ in range(3 * c.size + 10):
+            z = np.zeros_like(c)
+            try:
+                z[free] = np.linalg.solve(h[np.ix_(free, free)], c[free])
+            except np.linalg.LinAlgError:
+                raise DegenerateIterateError("singular active-set solve") from None
+            if not np.all(np.isfinite(z)):
+                raise DegenerateIterateError("non-finite active-set solve")
+            bad = free & (z <= 0)
+            if added >= 0 and bad[added]:
+                if g[added] < -ACTIVE_SET_TIE * size:
+                    raise DegenerateIterateError("ill-conditioned active-set solve")
+                tied[added], free[added] = True, False
+            elif bad.any():
+                idx = np.flatnonzero(bad)
+                ratio = x[idx] / (x[idx] - z[idx])
+                k = np.argmin(ratio)
+                x = x + ratio[k] * (z - x)
+                x[idx[k]] = 0.0
+                free &= x > 0
+                x[~free] = 0.0
+            else:
+                x = z
+                g = h @ x - c
+                size = max(np.abs(c).max(), np.abs(g + c).max())
+                cand = np.where(free | tied, np.inf, g)
+                added = int(np.argmin(cand))
+                if cand[added] >= -ACTIVE_SET_RTOL * size:
+                    return x
+                free[added] = True
+                continue
+            added = -1
+        raise DegenerateIterateError("active-set solve did not settle")
 
 
 class DiagonalGram(DenseGram):

@@ -43,11 +43,13 @@ class TruncationRule:
 
 
 def step_fisher(
-    obj: PoissonObjective, x: NDArray, grad: NDArray, reg: HuberTV | None = None
+    obj: PoissonObjective, x: NDArray, grad: NDArray, reg: HuberTV | None = None,
+    weights: NDArray | None = None,
 ) -> float:
     """mu = ||grad||^2 / (d' D1 d + beta (T grad)' D2 (T grad)), d = A grad,
     D1 the marginal Fisher diag; the penalty term is `reg.curvature` along
-    grad for D2 = `reg.weights(x)`, the Huber majorizer weights."""
+    grad for D2 the Huber majorizer weights at x: `weights` when the caller
+    has them from the gradient, else `reg.weights(x)`."""
     gnorm2 = float(np.sum(np.abs(grad) ** 2))
     if gnorm2 == 0.0:
         raise DegenerateIterateError("zero gradient")
@@ -55,7 +57,7 @@ def step_fisher(
     d1 = obj.fisher_diag(obj.forward(x))
     denom = float(np.sum(d1 * np.abs(d) ** 2))
     if reg is not None:
-        denom += reg.curvature(reg.weights(x), grad)
+        denom += reg.curvature(reg.weights(x) if weights is None else weights, grad)
     if denom <= 0.0:
         raise DegenerateIterateError("zero curvature along the gradient")
     return gnorm2 / denom
@@ -193,10 +195,10 @@ def run_wf(
 
     def step(k, x, warnings):
         keep = None if trunc is None else truncation_mask(obj, x, trunc.a_h)
-        grad = cost.gradient(x, keep)
+        grad, weights = cost.gradient_and_weights(x, keep)
 
         if rule.kind is StepKind.FISHER:
-            mu = step_fisher(obj, x, grad, reg)
+            mu = step_fisher(obj, x, grad, reg, weights)
         elif rule.kind is StepKind.BACKTRACKING:
             mu, ok = step_backtracking(cost.cost, x, grad)
             if not ok:

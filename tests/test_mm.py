@@ -27,7 +27,7 @@ from poisson_pr.mm import (
     mm_update_unregularized,
     run_mm,
 )
-from poisson_pr.numerics import cg_solve, lbfgs_minimize
+from poisson_pr.numerics import cg_solve, lbfgs_minimize, real_dot
 from poisson_pr.objectives import (
     DiffOp,
     HuberTV,
@@ -339,8 +339,9 @@ def operator_oracle(model, w, field):
     return lambda z: realify(model.adjoint(w * model.apply_linear(z)), field)
 
 
-INNER_CASES = [(field, n) for field in (FieldTag.REAL_NONNEGATIVE, FieldTag.COMPLEX)
-               for n in (16, DIRECT_MAX_COLS + 8)]
+# the nonnegative orthant at N <= DIRECT_MAX_COLS has an exact solve of its own
+INNER_CASES = [(FieldTag.REAL_NONNEGATIVE, DIRECT_MAX_COLS + 8),
+               (FieldTag.COMPLEX, 16), (FieldTag.COMPLEX, DIRECT_MAX_COLS + 8)]
 
 
 class TestInnerSolverMatchesOperatorOracle:
@@ -364,15 +365,73 @@ class TestInnerSolverMatchesOperatorOracle:
     def test_admm_rho_scaled_form(self, field, n):
         obj, x0 = field_instance(field, n, seed=22)
         model, reg, rho = obj.model, HuberTV(2.0, 0.1, DiffOp(n)), 3.0
-        rng = np.random.default_rng(23)
-        v = obj.forward(x0) + 0.1 * rng.standard_normal(model.rows)
-        eta = 0.05 * (rng.standard_normal(model.rows) + 1j * rng.standard_normal(model.rows))
+        v, eta = admm_split(obj, x0)
         rhs = realify(model.adjoint(v + eta), field)
         expected = minimize_quad_plus_huber_by_operator(
             operator_oracle(model, rho, field), rho * rhs, x0, reg, field, X_ITERS, X_TOL)
         out = update_x(model, v, eta, field, quad_form(model, 1.0, field), x0, reg=reg,
                        rho=rho)
         assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def admm_split(obj, x0):
+    """(v, eta) near A x0, the split variable and dual of an ADMM x-update."""
+    rng = np.random.default_rng(23)
+    m = obj.model.rows
+    v = obj.forward(x0) + 0.1 * rng.standard_normal(m)
+    eta = 0.05 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    return v, eta
+
+
+def nonnegative_huber_subproblem(op, lin, reg):
+    """(value, KKT residual) functions of F(x) = 1/2 x'Qx - lin'x + beta R(x)
+    over x >= 0, Q given by the operator oracle `op`; the residual
+    ||min(x, grad F(x))|| is 0 exactly at the minimizer."""
+    def value(x):
+        return 0.5 * real_dot(x, op(x)) - real_dot(lin, x) + reg.beta * reg.value(x)
+
+    def kkt(x):
+        g = (op(x) - lin + reg.gradient(x)).real
+        return np.linalg.norm(np.minimum(x.real, g))
+
+    return value, kkt
+
+
+class TestDenseNonnegativeInnerSolve:
+    """At N <= DIRECT_MAX_COLS on the nonnegative orthant, MM's step and
+    ADMM's x-update reach the subproblem's KKT point, at a value no higher
+    than the operator-based nonlinear CG's."""
+
+    def test_mm_weighted_form(self):
+        field, n = FieldTag.REAL_NONNEGATIVE, 16
+        obj, x0 = field_instance(field, n, seed=21)
+        reg = HuberTV(2.0, 0.1, DiffOp(n))
+        ctx = build_majorizer(obj, x0)
+        op = operator_oracle(obj.model, ctx.w, field)
+        lin = op(ctx.x_k) - ctx.grad
+        oracle = minimize_quad_plus_huber_by_operator(
+            op, lin, ctx.x_k, reg, field, HUBER_ITERS, HUBER_TOL)
+        out = mm_update_huber(ctx, reg)
+        value, kkt = nonnegative_huber_subproblem(op, lin, reg)
+        assert out.dtype == complex
+        assert np.all(out.imag == 0) and np.all(out.real >= 0)
+        assert kkt(out) <= 1e-10 * np.linalg.norm(lin)
+        assert value(out) <= value(oracle)
+
+    def test_admm_rho_scaled_form(self):
+        field, n = FieldTag.REAL_NONNEGATIVE, 16
+        obj, x0 = field_instance(field, n, seed=22)
+        model, reg, rho = obj.model, HuberTV(2.0, 0.1, DiffOp(n)), 3.0
+        v, eta = admm_split(obj, x0)
+        op = operator_oracle(model, rho, field)
+        lin = rho * realify(model.adjoint(v + eta), field)
+        oracle = minimize_quad_plus_huber_by_operator(op, lin, x0, reg, field, X_ITERS, X_TOL)
+        out = update_x(model, v, eta, field, quad_form(model, 1.0, field), x0, reg=reg,
+                       rho=rho)
+        value, kkt = nonnegative_huber_subproblem(op, lin, reg)
+        assert np.all(out.imag == 0) and np.all(out.real >= 0)
+        assert kkt(out) <= 1e-10 * np.linalg.norm(lin)
+        assert value(out) <= value(oracle)
 
 
 class TestRunMm:
@@ -397,6 +456,47 @@ class TestRunMm:
         imp = run_mm(obj, x0, 30, curvature=CurvatureKind.IMPROVED)
         mx = run_mm(obj, x0, 30, curvature=CurvatureKind.MAX)
         assert np.all(imp.costs() <= mx.costs() + 1e-9 * np.abs(mx.costs()))
+
+    def test_huber_monotone_where_the_clamped_inner_solver_rose(self):
+        # a 256 x 32 race-small instance (benchmark seed 0, pass 10) on which
+        # the clamped nonlinear CG let both curvatures' costs rise by up to
+        # 1e-6 relative per iteration from iteration 19
+        signal = blocks(32, seed=0)
+        model = random_gaussian_model(256, 32, seed=3587916967, background=0.1)
+        calibrate_scale(model, signal.values, 0.25)
+        y = simulate_poisson(model, signal.values, 3525212137).y
+        x0 = initialize(model, y, field=signal.field, iters=300, seed=1687281699)
+        obj = PoissonObjective(model, y, field=signal.field)
+        reg = HuberTV(2.0, 0.1, DiffOp(32))
+        c0 = obj.cost(x0.values) + reg.beta * reg.value(x0.values)
+        for kind in (CurvatureKind.MAX, CurvatureKind.IMPROVED):
+            state = run_mm(obj, x0, 100, curvature=kind, reg=reg)
+            assert state.status == "ok"
+            costs = np.concatenate([[c0], state.costs()])
+            assert np.all(np.diff(costs) <= 1e-12 * np.abs(costs[:-1]))
+
+    def test_huber_with_duplicate_columns_ends_in_a_defined_status(self):
+        # A'WA is singular: with beta > 0 the Huber term makes the inner
+        # problem strictly convex and MM stays monotone; at beta = 0 the
+        # dense inner solve ends the run as degenerate, not in a traceback
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
+        a[:, 5] = a[:, 2]
+        model = DenseModel(a / np.sqrt(2.0), background=0.1)
+        signal = blocks(8, seed=0)
+        calibrate_scale(model, signal.values, 0.25)
+        obj = PoissonObjective(model, simulate_poisson(model, signal.values, 3).y,
+                               field=signal.field)
+        x0 = SignalVector(np.ones(8), signal.field)
+        for kind in (CurvatureKind.MAX, CurvatureKind.IMPROVED):
+            reg = HuberTV(2.0, 0.1, DiffOp(8))
+            state = run_mm(obj, x0, 30, curvature=kind, reg=reg)
+            assert state.status == "ok"
+            costs = np.concatenate([[obj.cost(x0.values) + reg.beta * reg.value(x0.values)],
+                                    state.costs()])
+            assert np.all(np.diff(costs) <= 1e-12 * np.abs(costs[:-1]))
+            state = run_mm(obj, x0, 30, curvature=kind, reg=HuberTV(0.0, 0.1, DiffOp(8)))
+            assert state.status.startswith("terminated")
 
     def test_cg_path_above_direct_limit(self):
         model, x, obj = poisson_instance(n=N_CG, m=8 * N_CG, seed=16)

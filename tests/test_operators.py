@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from poisson_pr.numerics import DegenerateIterateError
 from poisson_pr.operators import (
+    ACTIVE_SET_TIE,
     DIRECT_MAX_COLS,
     CanonicalDftModel,
     CirculantGram,
@@ -286,6 +288,93 @@ class TestQuadForm:
         model = random_gaussian_model(80, DIRECT_MAX_COLS + 1, seed=7)
         assert model.toeplitz_gram(1.0, FieldTag.COMPLEX) is None
         assert isinstance(quad_form(model, 1.0, FieldTag.COMPLEX), NormalOp)
+
+
+def nonnegative_kkt_residual(h, c, x):
+    """||min(x, hx - c)||, zero exactly at the minimizer of 1/2 x'hx - c'x
+    over x >= 0."""
+    return np.linalg.norm(np.minimum(x, h @ x - c))
+
+
+def nonnegative_qp_by_supports(h, c):
+    """Minimizer of 1/2 x'hx - c'x over x >= 0 by trying every support: the
+    oracle for `DenseGram.solve_nonnegative` at small n."""
+    n = c.size
+    best, best_val = np.zeros(n), 0.0
+    for mask in range(1, 2**n):
+        s = np.array([(mask >> i) & 1 for i in range(n)], bool)
+        x = np.zeros(n)
+        x[s] = np.linalg.solve(h[np.ix_(s, s)], c[s])
+        val = 0.5 * x @ h @ x - c @ x
+        if np.all(x >= 0) and val < best_val:
+            best, best_val = x, val
+    return best
+
+
+class TestSolveNonnegative:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_support_oracle_from_any_start(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((12, 6))
+        h, c = a.T @ a, rng.standard_normal(6)
+        expected = nonnegative_qp_by_supports(h, c)
+        q = DenseGram(h, FieldTag.REAL_NONNEGATIVE)
+        for x0 in (np.zeros(6), np.ones(6), np.maximum(rng.standard_normal(6), 0.0)):
+            out = q.solve_nonnegative(c, x0)
+            assert np.all(out >= 0)
+            assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
+            assert nonnegative_kkt_residual(h, c, out) <= 1e-12 * np.linalg.norm(c)
+
+    def test_zero_gradient_at_the_bound_is_a_kkt_point(self):
+        # coordinate 0 ends at the bound with gradient exactly 0, a tie
+        # between freeing it and keeping it
+        h, c = np.diag([1.0, 2.0, 4.0]), np.array([0.0, 2.0, 4.0])
+        out = DenseGram(h, FieldTag.REAL_NONNEGATIVE).solve_nonnegative(c, np.ones(3))
+        assert np.array_equal(out, [0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_duplicate_columns_end_in_a_kkt_point_or_a_degenerate_status(self, seed):
+        # h = a'a with column 4 equal to column 1 (seeds 0-9) or within
+        # 1e-16..1e-7 of it: the free-set solve holding both is singular or
+        # ties to rounding. Every run ends at a KKT point or in
+        # DegenerateIterateError, never in a bare LinAlgError
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((10, 4))
+        dup = a[:, 1] + (seed >= 10) * 10.0 ** rng.uniform(-16, -7) * rng.standard_normal(10)
+        a = np.column_stack([a, dup])
+        h, c = a.T @ a, rng.standard_normal(5)
+        x0 = np.abs(rng.standard_normal(5)) * (rng.random(5) < 0.5)
+        try:
+            out = DenseGram(h, FieldTag.REAL_NONNEGATIVE).solve_nonnegative(c, x0)
+        except DegenerateIterateError as exc:
+            assert not isinstance(exc, np.linalg.LinAlgError)
+        else:
+            assert np.all(out >= 0)
+            size = max(np.abs(c).max(), np.abs(h @ out).max())
+            assert nonnegative_kkt_residual(h, c, out) <= 1e-12 * size
+
+    def test_a_rounding_tie_stays_bound(self, monkeypatch):
+        # coordinate 1's gradient -1e-10 frees it, and a solve that (as by
+        # rounding) sends it back below zero leaves it bound: the result is
+        # a KKT point within ACTIVE_SET_TIE
+        solve = np.linalg.solve
+
+        def rounded(h, rhs):
+            out = solve(h, rhs)
+            if out.size == 2:
+                out[1] = -1e-18
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", rounded)
+        h, c = np.eye(2), np.array([1.0, 1e-10])
+        out = DenseGram(h, FieldTag.REAL_NONNEGATIVE).solve_nonnegative(c, np.array([1.0, 0.0]))
+        assert np.array_equal(out, [1.0, 0.0])
+        assert nonnegative_kkt_residual(h, c, out) <= ACTIVE_SET_TIE * np.abs(c).max()
+
+    def test_singular_matrix_is_a_degenerate_status(self):
+        q = DenseGram(np.zeros((2, 2)), FieldTag.REAL_NONNEGATIVE)
+        with pytest.raises(DegenerateIterateError):
+            q.solve_nonnegative(np.ones(2), np.ones(2))
 
 
 class TestDftModelInput:

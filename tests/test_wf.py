@@ -293,3 +293,17 @@ class TestRunWf:
         times = [r.time_s for r in state.trace]
         assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
         assert all(np.isfinite(r.nrmse) for r in state.trace)
+
+    def test_huber_fisher_forms_tx_twice_per_iterate(self, monkeypatch):
+        # per iterate, T x for the cost and for the gradient, whose Huber
+        # weights the Fisher step reuses, and T grad for the step's
+        # curvature; one more T x for the start's cost
+        model, x, obj = small_poisson_instance(n=6, m=36, seed=23)
+        reg = HuberTV(2.0, 0.1, DiffOp(6))
+        x0 = initialize(model, obj.y, seed=7)
+        calls = []
+        apply = DiffOp.apply
+        monkeypatch.setattr(DiffOp, "apply", lambda op, z: calls.append(1) or apply(op, z))
+        state = run_wf(obj, x0, 10, reg=reg)
+        assert state.status == "ok" and len(state.trace) == 10
+        assert len(calls) == 3 * 10 + 1
