@@ -112,48 +112,45 @@ def mm_update_unregularized(ctx: MajorizerContext) -> NDArray:
     return project_field(ctx.x_k + t * p, ctx.field)
 
 
-def minimize_dense_nonnegative(q: NDArray, c: NDArray, x0: NDArray, reg: HuberTV,
+def minimize_dense_nonnegative(quad: DenseGram, c: NDArray, x0: NDArray, reg: HuberTV,
                                tol: float) -> NDArray:
-    """argmin over x >= 0 of F(x) = 1/2 x'qx - c'x + beta 1'h.(Tx; alpha), q a
-    dense positive definite matrix, from max(x0, 0); floats in and out.
+    """argmin over x >= 0 of F(x) = 1/2 x'Qx - c'x + beta 1'h.(Tx; alpha), Q
+    = `quad.h` positive definite, from max(x0, 0); floats in and out.
 
     Each step forms the Huber weights D = `reg.weights(x)` and F's gradient
-    g = (q + beta T'DT) x - c, and the loop ends at a KKT point,
+    g = (Q + beta T'DT) x - c, and the loop ends at a KKT point,
     ||min(x, g)|| <= tol max(1, ||c||), or after HQ_STEPS steps. A step first
     tries the Newton point of F, whose pieces are quadratic within the Huber
     knee and affine outside it: the minimizer over x >= 0 of F's second-order
-    model at x, Hessian q + beta T'ET with E = 1 within the knee and 0
-    outside. It keeps that point when it lowers F; once the pieces are right
-    it is F's minimizer. Otherwise it takes a half-quadratic step (Geman &
-    Yang 1995; Nikolova & Ng 2005), the minimizer over x >= 0 of F's
-    majorizer 1/2 x'(q + beta T'DT)x - c'x, which lowers F. So F never
-    rises. Both minimizers come from `DenseGram.solve_nonnegative`,
-    warm-started at x.
+    model at x, Hessian Q + `reg.hessian_matrix(D)`. It keeps that point when
+    it lowers F; once the pieces are right it is F's minimizer. Otherwise it
+    takes a half-quadratic step (Geman & Yang 1995; Nikolova & Ng 2005), the
+    minimizer over x >= 0 of F's majorizer 1/2 x'(Q + beta T'DT)x - c'x,
+    which lowers F. So F never rises. Both minimizers come from
+    `DenseGram.solve_nonnegative`, warm-started at x.
     """
     def value(z):
-        return 0.5 * z @ (q @ z) - c @ z + reg.beta * reg.value(z)
+        return 0.5 * z @ (quad @ z) - c @ z + reg.beta * reg.value(z)
 
     x = np.maximum(x0.real, 0.0)
     f = value(x)
     stop = tol * max(1.0, np.linalg.norm(c))
     for _ in range(HQ_STEPS):
         d = reg.weights(x)
-        h = q + reg.curvature_matrix(d)
-        g = h @ x - c
+        majorizer = DenseGram(quad.h + reg.curvature_matrix(d), quad.field)
+        g = majorizer @ x - c
         if np.linalg.norm(np.minimum(x, g)) <= stop:
             break
-        # D is exactly 1 within the Huber knee
-        newton = q + reg.curvature_matrix((d == 1.0).astype(float))
+        newton = DenseGram(quad.h + reg.hessian_matrix(d), quad.field)
         try:
-            z = DenseGram(newton, FieldTag.REAL_NONNEGATIVE).solve_nonnegative(
-                newton @ x - g, x)
+            z = newton.solve_nonnegative(newton @ x - g, x)
             fz = value(z)
         except DegenerateIterateError:  # a singular or ill-conditioned Newton model
             fz = np.inf
         if fz < f:
             x, f = z, fz
         else:
-            x = DenseGram(h, FieldTag.REAL_NONNEGATIVE).solve_nonnegative(c, x)
+            x = majorizer.solve_nonnegative(c, x)
             f = value(x)
     return x
 
@@ -183,7 +180,7 @@ def minimize_quad_plus_huber(
     negatives after each step, which can break descent.
     """
     if type(quad) is DenseGram and field is FieldTag.REAL_NONNEGATIVE:
-        return minimize_dense_nonnegative(quad.h, lin.real, x0, reg, tol).astype(complex)
+        return minimize_dense_nonnegative(quad, lin.real, x0, reg, tol).astype(complex)
     dot = np.dot if field.is_real else real_dot
     lin, x = (lin.real, x0.real) if field.is_real else (lin, x0)
 

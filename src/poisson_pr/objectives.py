@@ -209,8 +209,8 @@ class HuberTV:
     the penalty's gradient is beta T'(D Tx) (`majorize`) and its curvature
     along a direction p is beta (Tp)' D (Tp) (`curvature`), the two terms
     every solver adds to its data term; the majorizer's Hessian beta T'DT
-    as a dense matrix (`curvature_matrix`) is what the dense inner solve
-    adds.
+    as a dense matrix (`curvature_matrix`) and the penalty's own Hessian
+    (`hessian_matrix`) are what the dense inner solve adds.
     """
 
     beta: float
@@ -250,6 +250,12 @@ class HuberTV:
         `curvature(d, p)`; T is `diff_op.densify()`."""
         t = self.diff_op.densify()
         return self.beta * (t.T @ (d[:, None] * t))
+
+    def hessian_matrix(self, d: NDArray) -> NDArray:
+        """beta T'ET as a dense (n, n) array, E = 1 where the weights D are 1
+        (|Tx| within the knee, where h is quadratic) and 0 where h is affine:
+        the Hessian of beta R at a real x with no |Tx| on the knee."""
+        return self.curvature_matrix((d == 1.0).astype(float))
 
 
 class RegularizedObjective:

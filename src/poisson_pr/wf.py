@@ -47,9 +47,10 @@ def step_fisher(
     weights: NDArray | None = None,
 ) -> float:
     """mu = ||grad||^2 / (d' D1 d + beta (T grad)' D2 (T grad)), d = A grad,
-    D1 the marginal Fisher diag; the penalty term is `reg.curvature` along
-    grad for D2 the Huber majorizer weights at x: `weights` when the caller
-    has them from the gradient, else `reg.weights(x)`."""
+    D1 the marginal Fisher diag; with `reg`, the penalty term is
+    `reg.curvature` along grad for D2 = `weights`, the Huber majorizer
+    weights at x (`RegularizedObjective.gradient_and_weights` returns them
+    with the gradient)."""
     gnorm2 = float(np.sum(np.abs(grad) ** 2))
     if gnorm2 == 0.0:
         raise DegenerateIterateError("zero gradient")
@@ -57,7 +58,7 @@ def step_fisher(
     d1 = obj.fisher_diag(obj.forward(x))
     denom = float(np.sum(d1 * np.abs(d) ** 2))
     if reg is not None:
-        denom += reg.curvature(reg.weights(x) if weights is None else weights, grad)
+        denom += reg.curvature(weights, grad)
     if denom <= 0.0:
         raise DegenerateIterateError("zero curvature along the gradient")
     return gnorm2 / denom

@@ -247,6 +247,20 @@ class TestRegularizer:
         fd = finite_diff_grad(lambda z: reg.beta * reg.value(z), x)
         assert np.allclose(g.real, fd, atol=1e-6)
 
+    def test_hessian_matrix_is_the_gradients_jacobian(self):
+        # off the knee, the gradient beta T'(D Tx) is piecewise linear in x
+        rng = np.random.default_rng(5)
+        for op in (DiffOp(6), DiffOp(12, dims=(3, 4))):
+            reg = HuberTV(2.5, 0.3, op)
+            x = 0.4 * rng.standard_normal(op.n)
+            tx = np.abs(op.apply(x))
+            assert np.min(np.abs(tx - reg.alpha)) > 1e-3
+            assert np.any(tx < reg.alpha) and np.any(tx > reg.alpha)
+            eye = 1e-6 * np.eye(op.n)
+            fd = np.stack([(reg.gradient(x + e) - reg.gradient(x - e)).real / 2e-6
+                           for e in eye], axis=1)
+            assert np.allclose(reg.hessian_matrix(reg.weights(x)), fd, atol=1e-8)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             HuberTV(-1.0, 0.1, DiffOp(4))

@@ -88,14 +88,14 @@ class TestStepFisherReg:
         model, x, obj = small_poisson_instance(n=5, m=20, seed=2)
         reg = HuberTV(0.0, 0.1, DiffOp(5))
         g = obj.gradient(x)
-        assert step_fisher(obj, x, g, reg) == pytest.approx(
+        assert step_fisher(obj, x, g, reg, reg.weights(x)) == pytest.approx(
             step_fisher(obj, x, g), rel=1e-15)
 
     def test_denominator_matches_densified_operator(self):
         model, x, obj = small_poisson_instance(n=5, m=20, seed=3)
         reg = HuberTV(4.0, 0.2, DiffOp(5))
         g = obj.gradient(x) + reg.gradient(x)
-        mu = step_fisher(obj, x, g, reg)
+        mu = step_fisher(obj, x, g, reg, reg.weights(x))
         a = model.densify()
         t = reg.diff_op.densify()
         d1 = obj.fisher_diag(model.apply(x))
