@@ -16,10 +16,6 @@ from .operators import (FieldTag, ForwardModel, SignalVector, project_field, qua
                         realify)
 from .wf import DegenerateIterateError, iterate
 
-# inner-solver iterations and tolerance of the x update (CG or nonlinear CG;
-# the exact Huber solve on the orthant with a `DenseGram` reads X_TOL only)
-X_ITERS, X_TOL = 50, 1e-8
-
 
 def complex_sign(z: NDArray) -> NDArray:
     """z / |z| with sign(0) := 1."""
@@ -102,23 +98,22 @@ def update_x(
     reg: HuberTV | None = None,
     rho: float = 1.0,
 ) -> NDArray:
-    """Least-squares x update, with optional Huber regularization.
+    """Least-squares x update, with optional Huber regularization: minimizes
+    (rho/2)||Ax - v - eta||^2 [+ beta R(x)] over the field from x0 by
+    `minimize_quad_plus_huber`, i.e. 1/2 x'Qx - Re<r, x> [+ beta R(x)] with
+    Q = rho A'A, r = rho A'(v + eta) and gradient Q x0 - r at x0.
 
     `normal` is A'A, the `operators.quad_form(model, 1.0, field)` that
-    run_admm builds once per run. Unregularized: solves A'A x = A'(v + eta)
-    by its `solve`. Regularized: minimizes (rho/2)||Ax - v - eta||^2 +
-    beta R(x), i.e. 1/2 x'(rho A'A)x - Re<rho A'(v + eta), x> + beta R(x),
-    from x0 by `minimize_quad_plus_huber`: exactly, by Newton and
-    half-quadratic steps, for nonnegative signals when `normal` is a
-    `DenseGram` (rho * normal is one too), else by nonlinear CG.
+    run_admm builds once per run. Without a penalty the minimizer does not
+    depend on rho, and `normal` is passed as it is, so a `DenseGram` checks
+    its rank once per run rather than once per rescaled copy.
     """
     w = v + eta
     if model.offset_raw is not None:
         w = w - model.scale * model.offset_raw
     rhs = realify(model.adjoint(w), field)
-    if reg is None or reg.beta == 0.0:
-        return project_field(normal.solve(rhs, X_ITERS, X_TOL), field)
-    return minimize_quad_plus_huber(rho * normal, rho * rhs, x0, reg, field, X_ITERS, X_TOL)
+    quad, lin = (normal, rhs) if reg is None else (rho * normal, rho * rhs)
+    return minimize_quad_plus_huber(quad, quad @ x0 - lin, x0, reg, field)
 
 
 def run_admm(
@@ -129,7 +124,9 @@ def run_admm(
     reg: HuberTV | None = None,
     x_true: NDArray | None = None,
 ) -> RunState:
-    """ADMM outer loop: v (phase then magnitude), x, dual, penalty update."""
+    """ADMM outer loop: v (phase then magnitude), x, dual, penalty update.
+    The x update shares MM's x-subproblem solve; a singular A'A ends the run
+    `terminated`."""
     model = obj.model
     normal = quad_form(model, 1.0, obj.field)
     ax = obj.forward(x0.values)

@@ -1,5 +1,5 @@
 """Majorize-minimize solver with maximum and improved quadratic-majorizer
-curvatures, plus the inner solvers it needs."""
+curvatures, plus the x-subproblem solve that it and ADMM share."""
 
 from __future__ import annotations
 
@@ -47,11 +47,11 @@ def curvature_improved(s, y, b):
     return out if out.ndim else float(out)
 
 
-# MM's inner solvers (the Gram's solve, Huber nonlinear CG)
-CG_ITERS, CG_TOL = 30, 1e-9
-HUBER_ITERS, HUBER_TOL = 50, 1e-9
-# steps (Newton or half-quadratic) of the Huber inner solve on the orthant
-# with a `DenseGram`, in place of HUBER_ITERS and admm.X_ITERS there
+# budget of the x-subproblem solve: the Gram's `solve` (CG where it iterates)
+# and the Huber nonlinear CG
+INNER_ITERS, INNER_TOL = 50, 1e-9
+# steps (Newton or half-quadratic) of the Huber solve on the orthant with a
+# `DenseGram`, in place of INNER_ITERS there
 HQ_STEPS = 30
 
 
@@ -63,7 +63,6 @@ class MajorizerContext:
     x_k: NDArray
     grad: NDArray       # A' psi_dot(A x_k), field-projected
     w: NDArray          # positive diagonal curvature vector
-    f_k: float
     quad_op: object     # A'WA, the `quad_form` of w
 
     @property
@@ -80,7 +79,7 @@ def build_majorizer(
     else:
         w = curvature_improved(s, obj.y, obj.b)
     grad = obj.gradient(x)
-    return MajorizerContext(obj=obj, x_k=x.copy(), grad=grad, w=w, f_k=obj.cost(x),
+    return MajorizerContext(obj=obj, x_k=x.copy(), grad=grad, w=w,
                             quad_op=quad_form(obj.model, w, obj.field))
 
 
@@ -89,52 +88,38 @@ def majorizer_value(ctx: MajorizerContext, x: NDArray) -> float:
     dx = x - ctx.x_k
     ad = ctx.obj.model.apply_linear(dx)
     quad = 0.5 * float(np.sum(ctx.w * np.abs(ad) ** 2))
-    return ctx.f_k + real_dot(ctx.grad, dx) + quad
+    return ctx.obj.cost(ctx.x_k) + real_dot(ctx.grad, dx) + quad
 
 
 def mm_update_unregularized(ctx: MajorizerContext) -> NDArray:
-    """x_k - (A'WA)^{-1} A' psi_dot(A x_k), projected onto the field.
-
-    Clamping onto the nonnegative orthant can raise q above f(x_k); then the
-    exact minimizer of q on the segment from x_k to the clamped point is
-    returned instead, which is feasible and keeps q(x_new) <= f(x_k)."""
-    z = ctx.x_k - ctx.quad_op.solve(ctx.grad, CG_ITERS, CG_TOL)
-    x = project_field(z, ctx.field)
-    if ctx.field is not FieldTag.REAL_NONNEGATIVE or not np.any(z.real < 0):
-        return x
-    # q(x_k + t p) = f_k + t slope + t^2 curv / 2
-    p = x - ctx.x_k
-    slope = real_dot(ctx.grad, p)
-    curv = float(np.sum(ctx.w * np.abs(ctx.obj.model.apply_linear(p)) ** 2))
-    if slope + 0.5 * curv <= 0.0:
-        return x
-    t = min(max(-slope / curv, 0.0), 1.0)
-    return project_field(ctx.x_k + t * p, ctx.field)
+    """MM's step without a penalty: q(x; x_k) minimized over the field by
+    `minimize_quad_plus_huber`."""
+    return minimize_quad_plus_huber(ctx.quad_op, ctx.grad, ctx.x_k, None, ctx.field)
 
 
-def minimize_dense_nonnegative(quad: DenseGram, c: NDArray, x0: NDArray, reg: HuberTV,
-                               tol: float) -> NDArray:
+def minimize_dense_nonnegative(quad: DenseGram, c: NDArray, x0: NDArray,
+                               reg: HuberTV) -> NDArray:
     """argmin over x >= 0 of F(x) = 1/2 x'Qx - c'x + beta 1'h.(Tx; alpha), Q
     = `quad.h` positive definite, from max(x0, 0); floats in and out.
 
     Each step forms the Huber weights D = `reg.weights(x)` and F's gradient
     g = (Q + beta T'DT) x - c, and the loop ends at a KKT point,
-    ||min(x, g)|| <= tol max(1, ||c||), or after HQ_STEPS steps. A step first
-    tries the Newton point of F, whose pieces are quadratic within the Huber
-    knee and affine outside it: the minimizer over x >= 0 of F's second-order
-    model at x, Hessian Q + `reg.hessian_matrix(D)`. It keeps that point when
-    it lowers F; once the pieces are right it is F's minimizer. Otherwise it
-    takes a half-quadratic step (Geman & Yang 1995; Nikolova & Ng 2005), the
-    minimizer over x >= 0 of F's majorizer 1/2 x'(Q + beta T'DT)x - c'x,
-    which lowers F. So F never rises. Both minimizers come from
-    `DenseGram.solve_nonnegative`, warm-started at x.
+    ||min(x, g)|| <= INNER_TOL max(1, ||c||), or after HQ_STEPS steps. A
+    step first tries the Newton point of F, whose pieces are quadratic
+    within the Huber knee and affine outside it: the minimizer over x >= 0
+    of F's second-order model at x, Hessian Q + `reg.hessian_matrix(D)`. It
+    keeps that point when it lowers F; once the pieces are right it is F's
+    minimizer. Otherwise it takes a half-quadratic step (Geman & Yang 1995;
+    Nikolova & Ng 2005), the minimizer over x >= 0 of F's majorizer
+    1/2 x'(Q + beta T'DT)x - c'x, which lowers F. So F never rises. Both
+    minimizers come from `DenseGram.solve_nonnegative`, warm-started at x.
     """
     def value(z):
         return 0.5 * z @ (quad @ z) - c @ z + reg.beta * reg.value(z)
 
     x = np.maximum(x0.real, 0.0)
     f = value(x)
-    stop = tol * max(1.0, np.linalg.norm(c))
+    stop = INNER_TOL * max(1.0, np.linalg.norm(c))
     for _ in range(HQ_STEPS):
         d = reg.weights(x)
         majorizer = DenseGram(quad.h + reg.curvature_matrix(d), quad.field)
@@ -155,32 +140,47 @@ def minimize_dense_nonnegative(quad: DenseGram, c: NDArray, x0: NDArray, reg: Hu
     return x
 
 
-def minimize_quad_plus_huber(
-    quad,
-    lin: NDArray,
-    x0: NDArray,
-    reg: HuberTV,
-    field: FieldTag,
-    inner_iters: int,
-    tol: float,
-) -> NDArray:
-    """Minimize F(x) = 1/2 x'Qx - Re<lin, x> + beta 1'h.(Tx; alpha) over the
-    field, Q a `quad_form`, in float64 for real fields; the result is complex.
+def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | None,
+                             field: FieldTag) -> NDArray:
+    """The x-subproblem of MM and ADMM, the one place that keeps a step in its
+    field: minimize F(x) = Re<grad, x - x0> + 1/2 (x - x0)'Q(x - x0)
+    [+ beta 1'h.(Tx; alpha)] over the field, Q a `quad_form`, grad F's
+    gradient at x0 without the penalty; the result is complex.
 
-    On the nonnegative orthant with Q a `DenseGram` (at most
-    DIRECT_MAX_COLS columns), `minimize_dense_nonnegative` solves it to a
-    KKT point within `tol`, and `inner_iters` is not read. Otherwise by
-    nonlinear CG with at most `inner_iters` iterations: line-search steps
-    come from `reg.majorize`, which forms the Huber quadratic-majorizer
-    weights D of Tx once per iterate together with the penalty gradient
-    beta T'(D Tx); `reg.curvature` adds beta (Tp)' D (Tp) to the step's
-    denominator, so each step minimizes a local quadratic upper bound along
-    the search direction. Reduces to linear CG when beta = 0. On the
-    orthant (the circulant, `NormalOp` and diagonal forms) it clamps
-    negatives after each step, which can break descent.
+    - No penalty (reg None): x0 - Q^{-1} grad by `quad.solve`, projected onto
+      the field. Where clamping onto the orthant raises F above F(x0), the
+      minimizer of F on the segment from x0 to the clamped point is returned
+      instead, its curvature p'Qp from Q: F does not rise, and no operator
+      is called.
+    - A penalty on the orthant with Q a `DenseGram`: the exact
+      `minimize_dense_nonnegative`, so F does not rise.
+    - A penalty otherwise: nonlinear CG, in float64 for real fields. Its
+      line-search steps minimize a quadratic upper bound along the search
+      direction: `reg.majorize` forms the Huber majorizer weights D of Tx
+      with the penalty gradient beta T'(D Tx) once per iterate, and
+      `reg.curvature` adds beta (Tp)' D (Tp) to the step's denominator. On
+      the orthant it clamps negatives after each step, which can break
+      descent.
+
+    `quad.solve` (where it runs CG) and the nonlinear CG stop after
+    INNER_ITERS iterations or at INNER_TOL.
     """
+    if reg is None:
+        z = x0 - quad.solve(grad, INNER_ITERS, INNER_TOL)
+        x = project_field(z, field)
+        if field is not FieldTag.REAL_NONNEGATIVE or not np.any(z.real < 0):
+            return x
+        # F(x0 + t p) = F(x0) + t slope + t^2 curv / 2
+        p = x - x0
+        slope = real_dot(grad, p)
+        curv = real_dot(p, quad @ p)
+        if slope + 0.5 * curv <= 0.0:
+            return x
+        t = min(max(-slope / curv, 0.0), 1.0)
+        return project_field(x0 + t * p, field)
+    lin = quad @ x0 - grad
     if type(quad) is DenseGram and field is FieldTag.REAL_NONNEGATIVE:
-        return minimize_dense_nonnegative(quad, lin.real, x0, reg, tol).astype(complex)
+        return minimize_dense_nonnegative(quad, lin.real, x0, reg).astype(complex)
     dot = np.dot if field.is_real else real_dot
     lin, x = (lin.real, x0.real) if field.is_real else (lin, x0)
 
@@ -191,8 +191,8 @@ def minimize_quad_plus_huber(
     g, d = grad_weights(x)
     p = -g
     g2 = dot(g, g)
-    stop = tol * max(1.0, np.linalg.norm(lin))
-    for _ in range(inner_iters):
+    stop = INNER_TOL * max(1.0, np.linalg.norm(lin))
+    for _ in range(INNER_ITERS):
         if np.sqrt(g2) <= stop:
             break
         denom = dot(p, quad @ p) + reg.curvature(d, p)
@@ -212,16 +212,6 @@ def minimize_quad_plus_huber(
     return np.array(x, dtype=complex)
 
 
-def mm_update_huber(ctx: MajorizerContext, reg: HuberTV) -> NDArray:
-    """Minimize q(x; x_k) + beta 1'h.(Tx; alpha) from x_k by
-    `minimize_quad_plus_huber`: exactly (Newton and half-quadratic steps,
-    HQ_STEPS at most) on the nonnegative orthant with a `DenseGram`, so the
-    step never raises the cost; else by nonlinear CG (HUBER_ITERS)."""
-    lin = ctx.quad_op @ ctx.x_k - ctx.grad
-    return minimize_quad_plus_huber(ctx.quad_op, lin, ctx.x_k, reg, ctx.field,
-                                    HUBER_ITERS, HUBER_TOL)
-
-
 def run_mm(
     obj: PoissonObjective,
     x0: SignalVector,
@@ -230,19 +220,16 @@ def run_mm(
     reg: HuberTV | None = None,
     x_true: NDArray | None = None,
 ) -> RunState:
-    """MM outer loop: build the quadratic majorizer, minimize it, repeat.
-
-    With a regularizer, `mm_update_huber` minimizes the majorizer plus the
-    Huber-smoothed penalty: exactly for nonnegative signals of at most
-    DIRECT_MAX_COLS unknowns, which keeps MM monotone, else by nonlinear CG;
-    unregularized updates solve the normal equations by the majorizer's
-    `quad_op.solve` (diagonal, direct or CG).
+    """MM outer loop: build the quadratic majorizer, minimize it over the
+    field (plus the Huber-smoothed penalty, with a regularizer) by
+    `minimize_quad_plus_huber`, repeat. A singular A'WA ends the run
+    `terminated`.
     """
 
     def step(k, x, warnings):
         ctx = build_majorizer(obj, x, curvature)
-        if reg is not None:
-            return mm_update_huber(ctx, reg)
-        return mm_update_unregularized(ctx)
+        if reg is None:
+            return mm_update_unregularized(ctx)
+        return minimize_quad_plus_huber(ctx.quad_op, ctx.grad, ctx.x_k, reg, ctx.field)
 
     return iterate(step, x0.values, n_outer, RegularizedObjective(obj, reg).cost, x_true)

@@ -218,7 +218,8 @@ def gram(model: ForwardModel, w, field: FieldTag) -> NDArray:
 
 class DenseGram:
     """The `gram` matrix h, solved directly; the first solve checks h's
-    eigenvalues and raises on a zero or negative one."""
+    eigenvalues and raises DegenerateIterateError on a zero or negative one,
+    or a condition number above 1e14."""
 
     def __init__(self, h: NDArray, field: FieldTag):
         self.h, self.field, self.checked = h, field, False
@@ -233,7 +234,7 @@ class DenseGram:
         if not self.checked:
             eig = np.linalg.eigvalsh(self.h)
             if not 0.0 < eig[-1] <= 1e14 * eig[0]:
-                raise np.linalg.LinAlgError("A'WA is singular: rank-deficient model")
+                raise DegenerateIterateError("A'WA is singular: rank-deficient model")
             self.checked = True
         return np.linalg.solve(
             self.h, rhs.real if self.field.is_real else rhs).astype(complex)

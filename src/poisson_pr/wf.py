@@ -201,7 +201,7 @@ def run_wf(
         if rule.kind is StepKind.FISHER:
             mu = step_fisher(obj, x, grad, reg, weights)
         elif rule.kind is StepKind.BACKTRACKING:
-            mu, ok = step_backtracking(cost.cost, x, grad)
+            mu, ok = step_backtracking(cost_of, x, grad)
             if not ok:
                 warnings.append(f"iter {k}: backtracking exhausted trials")
         elif rule.kind is StepKind.EXACT_GAUSSIAN:

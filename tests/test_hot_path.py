@@ -24,7 +24,7 @@ from poisson_pr.operators import (
     simulate_poisson,
 )
 from poisson_pr.phantoms import blocks, disk
-from poisson_pr.wf import run_wf
+from poisson_pr.wf import StepKind, StepRule, run_wf
 
 N, M, ITERS = 16, 128, 20
 
@@ -82,6 +82,25 @@ def test_wf_fisher_costs_each_iterate_once(huber):
     assert counts["cost"] <= ITERS + 1
 
 
+@pytest.mark.parametrize("huber", [False, True])
+def test_wf_backtracking_costs_each_iterate_once(huber):
+    obj, x0 = instance()
+    reg = HuberTV(2.0, 0.1, DiffOp(N)) if huber else None
+    costed = []
+    cost = obj.cost
+
+    def counted_cost(x):
+        costed.append(x)
+        return cost(x)
+    obj.cost = counted_cost
+    state = run_wf(obj, x0, ITERS, rule=StepRule(StepKind.BACKTRACKING), reg=reg)
+    assert state.status == "ok" and len(state.trace) == ITERS
+    # the Armijo test's f(x) is the cost the trace recorded for x: no array
+    # is costed twice, only the trial points and each new iterate
+    assert len(costed) > ITERS + 1
+    assert not any(a is b for i, a in enumerate(costed) for b in costed[:i])
+
+
 def test_mm_huber_inner_solver_makes_no_operator_call():
     obj, x0 = instance()
     counts = count_calls(obj.model)
@@ -115,8 +134,8 @@ def test_mm_densifies_once_per_outer_iteration():
     assert len(state.trace) == ITERS
     assert counts["densify"] == ITERS
     assert counts["apply"] <= ITERS + 1
-    # the only matrix-vector product besides: the clamp guard's A p
-    assert counts["apply_linear"] <= ITERS
+    # the clamp guard's curvature p'Qp comes from the Gram, not from A p
+    assert counts["apply_linear"] == 0
 
 
 def test_unregularized_admm_densifies_once_per_solve():
@@ -126,6 +145,17 @@ def test_unregularized_admm_densifies_once_per_solve():
     assert len(state.trace) == ITERS
     assert counts["densify"] == 1
     assert counts["apply"] <= ITERS + 1
+
+
+def test_unregularized_admm_checks_the_gram_rank_once(monkeypatch):
+    obj, x0 = instance()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+    state = run_admm(obj, x0, ITERS)
+    assert state.status == "ok" and len(state.trace) == ITERS
+    # the x-update solves A'A itself, not a copy rescaled by the penalty
+    assert len(calls) == 1
 
 
 def test_unregularized_admm_reads_residuals_only_every_tenth_iteration():
@@ -213,10 +243,10 @@ def test_unregularized_mm_cg_makes_no_operator_call(kind, monkeypatch):
     assert state.status == "ok" and len(state.trace) == ITERS
     assert inside["solves"] == ITERS and inside["calls"] == 0
     # build_majorizer's forward product (remembered from the last cost) and
-    # gradient adjoint, and the clamp guard's A p
+    # gradient adjoint; the clamp guard multiplies by the Gram
     assert counts["apply"] <= ITERS + 1
     assert counts["adjoint"] == ITERS
-    assert counts["apply_linear"] <= ITERS
+    assert counts["apply_linear"] == 0
     assert counts["densify"] == 0
 
 
