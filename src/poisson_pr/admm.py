@@ -17,17 +17,6 @@ from .operators import (FieldTag, ForwardModel, SignalVector, project_field, qua
 from .wf import DegenerateIterateError, iterate
 
 
-def complex_sign(z: NDArray) -> NDArray:
-    """z / |z| with sign(0) := 1."""
-    az = np.abs(z)
-    return np.where(az > 0, z / np.where(az > 0, az, 1.0), 1.0 + 0.0j)
-
-
-def update_v_phase(ax: NDArray, eta: NDArray) -> NDArray:
-    """Phase of the split variable: sign(A x - eta)."""
-    return complex_sign(ax - eta)
-
-
 def update_v_magnitude_b0(t, y, rho: float):
     """Zero-background magnitude update: positive root of the quadratic."""
     t = np.asarray(t, float)
@@ -39,12 +28,27 @@ def update_v_magnitude_b0(t, y, rho: float):
 def update_v_magnitude_bpos(t, y, b, rho: float):
     """Positive-background magnitude update: the nonnegative root of
     (2+rho) m^3 - rho t m^2 + (2b - 2y + rho b) m - rho b t that minimizes
-    the marginal augmented Lagrangian. m = 0 is a root only where t = 0."""
+    the marginal augmented Lagrangian.
+
+    At y = 0 the cubic factors as (m^2 + b)((2+rho) m - rho t), whose only
+    real root is m = rho t / (2+rho), 0 at t = 0: the zero-count rows, most
+    of them at low counts, take it in closed form, and only the y > 0 rows
+    go to `cubic_roots`. There m = 0 is a root only where t = 0.
+    """
     t = np.atleast_1d(np.asarray(t, float))
     y = np.broadcast_to(np.asarray(y, float), t.shape)
     b = np.broadcast_to(np.asarray(b, float), t.shape)
     if np.any(b <= 0):
         raise ValueError("update_v_magnitude_bpos requires b > 0")
+    out = rho * t / (2.0 + rho)
+    pos = np.flatnonzero(y > 0)
+    if pos.size:
+        out[pos] = _cubic_magnitude(t[pos], y[pos], b[pos], rho)
+    return out if out.shape[0] > 1 else float(out[0])
+
+
+def _cubic_magnitude(t: NDArray, y: NDArray, b: NDArray, rho: float) -> NDArray:
+    """`update_v_magnitude_bpos` on rows with y > 0, from the cubic's roots."""
     roots = cubic_roots(2.0 + rho, -rho * t, 2.0 * b - 2.0 * y + rho * b, -rho * b * t)
     feasible = np.isfinite(roots) & (roots >= 0)
     # for t > 0 exactly one root is positive (Descartes' rule where
@@ -67,7 +71,30 @@ def update_v_magnitude_bpos(t, y, b, rho: float):
         lag = rate - y[rows, None] * np.log(rate) + 0.5 * rho * (m - t[rows, None]) ** 2
         pick = np.argmin(np.where(ok, lag, np.inf), axis=1)
         out[rows] = roots[rows, pick]
-    return out if out.shape[0] > 1 else float(out[0])
+    return out
+
+
+def update_v(ax: NDArray, eta: NDArray, y: NDArray, b: NDArray | None,
+             rho: float) -> NDArray:
+    """Split-variable update v = m sign(u), u = A x - eta, with sign(0) := 1
+    and m the magnitude update at t = |u| (`update_v_magnitude_b0` where
+    `b` is None, the zero background, else `update_v_magnitude_bpos`).
+
+    u and t are formed once, and v = u (m / t) where t > 0, v = m where
+    t = 0: no complex division."""
+    u = ax - eta
+    t = np.abs(u)
+    if b is None:
+        m = update_v_magnitude_b0(t, y, rho)
+    else:
+        m = update_v_magnitude_bpos(t, y, b, rho)
+    m = np.atleast_1d(m)
+    nonzero = t > 0
+    v = u * np.divide(m, t, out=np.zeros_like(t), where=nonzero)
+    zero = np.flatnonzero(~nonzero)
+    if zero.size:
+        v[zero] = m[zero]
+    return v
 
 
 def update_dual(eta: NDArray, v: NDArray, ax: NDArray) -> NDArray:
@@ -124,28 +151,22 @@ def run_admm(
     reg: HuberTV | None = None,
     x_true: NDArray | None = None,
 ) -> RunState:
-    """ADMM outer loop: v (phase then magnitude), x, dual, penalty update.
-    The x update shares MM's x-subproblem solve; a singular A'A ends the run
-    `terminated`."""
+    """ADMM outer loop: v (`update_v`: one modulus of A x - eta for both the
+    phase and the magnitude, whose zero-count rows are closed-form), x, dual,
+    penalty update. The x update shares MM's x-subproblem solve; a singular
+    A'A ends the run `terminated`."""
     model = obj.model
     normal = quad_form(model, 1.0, obj.field)
     ax = obj.forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
     rho = float(rho0)
-    b_zero = np.all(obj.b == 0)
+    background = None if np.all(obj.b == 0) else obj.b
 
     def step(k, x, warnings):
         nonlocal ax, v, eta, rho
         v_old = v
-        u = ax - eta
-        phase = update_v_phase(ax, eta)
-        t = np.abs(u)
-        if b_zero:
-            mag = update_v_magnitude_b0(t, obj.y, rho)
-        else:
-            mag = update_v_magnitude_bpos(t, obj.y, obj.b, rho)
-        v = np.atleast_1d(mag) * phase
+        v = update_v(ax, eta, obj.y, background, rho)
         x = update_x(model, v, eta, field=obj.field, normal=normal, x0=x, reg=reg,
                      rho=rho)
         ax = obj.forward(x)

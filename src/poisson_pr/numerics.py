@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Iterator
 
 import numpy as np
@@ -206,8 +207,8 @@ def lbfgs_minimize(
     """
     x = x0.copy()
     f, g = fg(x)
-    s_hist: list[NDArray] = []
-    y_hist: list[NDArray] = []
+    # the last LBFGS_MEMORY pairs (s, y, real_dot(y, s)), each dot taken once
+    pairs: deque[tuple[NDArray, NDArray, float]] = deque(maxlen=LBFGS_MEMORY)
     while True:
         if not np.isfinite(f):
             raise DegenerateIterateError("non-finite cost")
@@ -215,15 +216,15 @@ def lbfgs_minimize(
             raise DegenerateIterateError("zero gradient")
         q = g.copy()
         alphas = []
-        for s, y in zip(reversed(s_hist), reversed(y_hist)):
-            a = real_dot(s, q) / real_dot(y, s)
+        for s, y, ys in reversed(pairs):
+            a = real_dot(s, q) / ys
             alphas.append(a)
             q = q - a * y
-        if s_hist:
-            s, y = s_hist[-1], y_hist[-1]
-            q = q * (real_dot(y, s) / real_dot(y, y))
-        for (s, y), a in zip(zip(s_hist, y_hist), reversed(alphas)):
-            b = real_dot(y, q) / real_dot(y, s)
+        if pairs:
+            _, y, ys = pairs[-1]
+            q = q * (ys / real_dot(y, y))
+        for (s, y, ys), a in zip(pairs, reversed(alphas)):
+            b = real_dot(y, q) / ys
             q = q + (a - b) * s
         p = -q
         if real_dot(g, p) >= 0.0:
@@ -231,12 +232,9 @@ def lbfgs_minimize(
         t, f, g_new = _wolfe_line_search(fg, x, f, g, p)
         s_vec = t * p
         y_vec = g_new - g
-        if real_dot(y_vec, s_vec) > 1e-14:  # keep positive-curvature pairs only
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            if len(s_hist) > LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
+        ys = real_dot(y_vec, s_vec)
+        if ys > 1e-14:  # keep positive-curvature pairs only
+            pairs.append((s_vec, y_vec, ys))
         x = x + s_vec
         g = g_new
         yield x, f

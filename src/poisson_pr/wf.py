@@ -212,7 +212,9 @@ def run_wf(
             raise ValueError(f"unknown step rule {rule.kind}")
 
         x_new = project_field(x - mu * grad, field)
-        if rule.kind is StepKind.FISHER:
+        if rule.kind is StepKind.BACKTRACKING and np.array_equal(x_new, last[0]):
+            x_new = last[0]  # the accepted trial, costed already
+        elif rule.kind is StepKind.FISHER:
             # rare early-iteration overshoot safeguard: halve once
             c_old = cost_of(x)
             c_new = cost_of(x_new)

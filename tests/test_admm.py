@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from poisson_pr import operators
+from poisson_pr import admm, operators
 from poisson_pr.admm import (
-    complex_sign,
     run_admm,
     update_dual,
     update_rho,
+    update_v,
     update_v_magnitude_b0,
     update_v_magnitude_bpos,
-    update_v_phase,
     update_x,
 )
 from poisson_pr.init_eval import initialize
+from poisson_pr.numerics import cubic_roots
 from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective
 from poisson_pr.operators import (
     DIRECT_MAX_COLS,
@@ -38,17 +38,26 @@ def _lagrangian(m, y, b, rho, t):
 
 
 class TestPhaseUpdate:
+    # v = m sign(A x - eta), m the magnitude at t = |A x - eta|
     def test_real_positive(self):
-        out = update_v_phase(np.array([3.0 + 0j]), np.array([1.0 + 0j]))
-        assert out[0] == 1.0
+        ax, eta, y, b, rho = np.array([3.0 + 0j]), np.array([1.0 + 0j]), 1.0, 0.5, 2.0
+        v = update_v(ax, eta, y, np.array([b]), rho)
+        assert v[0] == update_v_magnitude_bpos(2.0, y, b, rho)
+        assert v[0].imag == 0.0
 
     def test_general_phase(self):
         z = 2.0 * np.exp(1j * 0.9)
-        out = update_v_phase(np.array([z]), np.array([0.0j]))
-        assert out[0] == pytest.approx(np.exp(1j * 0.9), abs=1e-14)
+        v = update_v(np.array([z]), np.array([0.0j]), np.array([3.0]), None, 2.0)
+        m = update_v_magnitude_b0(2.0, 3.0, 2.0)
+        assert v[0] / m == pytest.approx(np.exp(1j * 0.9), abs=1e-14)
 
     def test_zero_maps_to_one(self):
-        assert complex_sign(np.array([0.0j]))[0] == 1.0 + 0.0j
+        # sign(0) := 1: v = m, real and positive
+        for b in (None, np.array([0.5])):
+            v = update_v(np.array([0.0j]), np.array([0.0j]), np.array([2.0]), b, 4.0)
+            m = (update_v_magnitude_b0(0.0, 2.0, 4.0) if b is None
+                 else update_v_magnitude_bpos(0.0, 2.0, 0.5, 4.0))
+            assert m > 0 and v[0] == m + 0.0j
 
 
 class TestMagnitudeB0:
@@ -148,6 +157,45 @@ class TestMagnitudeBpos:
         # t = 0, y = 0: m = 0 is the only real root
         for b, rho in ((0.1, 8.0), (2.0, 0.5)):
             assert update_v_magnitude_bpos(0.0, 0.0, b, rho) == 0.0
+
+    def test_zero_counts_closed_form(self):
+        # at y = 0 the cubic is (m^2 + b)((2+rho) m - rho t)
+        t = np.array([0.0, 0.3, 2.0, 17.5, 1e-200])
+        for rho in (8.0, 0.5):
+            m = update_v_magnitude_bpos(t, 0.0, np.full(t.size, 0.1), rho)
+            assert np.array_equal(m, rho * t / (2.0 + rho))
+            assert m[0] == 0.0
+
+    def test_mixed_rows_match_every_row_cubic(self):
+        # oracle: every row through cubic_roots and the Lagrangian pick
+        rng = np.random.default_rng(4)
+        n = 4000
+        t = rng.uniform(0, 6, n)
+        t[::7] = 0.0
+        y = rng.integers(0, 4, n).astype(float)
+        b = rng.uniform(0.05, 2.0, n)
+        for rho in (8.0, 1.5):
+            roots = cubic_roots(2 + rho, -rho * t, 2 * b - 2 * y + rho * b, -rho * b * t)
+            ok = np.isfinite(roots) & (roots >= 0)
+            lag = np.where(ok, _lagrangian(np.where(ok, roots, 1.0), y[:, None],
+                                           b[:, None], rho, t[:, None]), np.inf)
+            want = roots[np.arange(n), np.argmin(lag, axis=1)]
+            m = update_v_magnitude_bpos(t, y, b, rho)
+            assert np.all(np.abs(m - want) <= 1e-13 * np.maximum(np.abs(want), 1e-300))
+
+    def test_all_zero_counts_solve_no_cubic(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return cubic_roots(*args)
+        monkeypatch.setattr(admm, "cubic_roots", counted)
+        model = random_gaussian_model(64, 8, seed=3, background=0.1)
+        obj = PoissonObjective(model, np.zeros(model.rows))
+        x0 = SignalVector(np.ones(model.cols, dtype=complex))
+        state = run_admm(obj, x0, 10)
+        assert state.status == "ok" and len(state.trace) == 10
+        assert not calls
 
 
 class TestXUpdate:

@@ -16,6 +16,7 @@ from poisson_pr.operators import (
     DIRECT_MAX_COLS,
     CanonicalDftModel,
     DenseModel,
+    FieldTag,
     ForwardModel,
     MaskedDftModel,
     calibrate_scale,
@@ -82,23 +83,29 @@ def test_wf_fisher_costs_each_iterate_once(huber):
     assert counts["cost"] <= ITERS + 1
 
 
-@pytest.mark.parametrize("huber", [False, True])
-def test_wf_backtracking_costs_each_iterate_once(huber):
+@pytest.mark.parametrize("huber, field", [
+    (False, None), (True, None), (False, FieldTag.COMPLEX), (True, FieldTag.COMPLEX),
+], ids=["False", "True", "complex", "complex-huber"])
+def test_wf_backtracking_costs_each_iterate_once(huber, field):
+    # on the complex field the projection leaves every trial unchanged
     obj, x0 = instance()
+    if field is not None:
+        obj = PoissonObjective(obj.model, obj.y, field=field)
     reg = HuberTV(2.0, 0.1, DiffOp(N)) if huber else None
     costed = []
     cost = obj.cost
 
     def counted_cost(x):
-        costed.append(x)
+        costed.append(x.tobytes())
         return cost(x)
     obj.cost = counted_cost
     state = run_wf(obj, x0, ITERS, rule=StepRule(StepKind.BACKTRACKING), reg=reg)
     assert state.status == "ok" and len(state.trace) == ITERS
-    # the Armijo test's f(x) is the cost the trace recorded for x: no array
-    # is costed twice, only the trial points and each new iterate
+    # the Armijo test's f(x) is the cost the trace recorded for x, and the
+    # accepted trial, where the projection leaves it unchanged, is the next
+    # iterate: no point is costed twice, compared by value
     assert len(costed) > ITERS + 1
-    assert not any(a is b for i, a in enumerate(costed) for b in costed[:i])
+    assert len(set(costed)) == len(costed)
 
 
 def test_mm_huber_inner_solver_makes_no_operator_call():

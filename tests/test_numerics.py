@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import finite_diff_grad
+from poisson_pr import numerics
 from poisson_pr.numerics import (
+    LBFGS_MEMORY,
     WOLFE_MAX_EVALS,
     DegenerateIterateError,
     _wolfe_line_search,
@@ -282,6 +284,29 @@ class TestLbfgs:
 
         x = lbfgs_last(fg, np.zeros(2, dtype=complex), 20)
         assert np.linalg.norm(x - target) < 1e-7
+
+    def test_each_pair_dots_y_and_s_once(self, monkeypatch):
+        # a full memory's two-loop recursion takes one real_dot per pair and
+        # loop, plus y'y for the scaling; the line search one per trial
+        h = np.linspace(1.0, 1e4, 200)
+
+        def fg(x):
+            evals.append(1)
+            return 0.5 * float(x @ (h * x)), h * x
+
+        dots, evals = [], []
+        real_dot = numerics.real_dot
+        monkeypatch.setattr(numerics, "real_dot",
+                            lambda a, b: dots.append(1) or real_dot(a, b))
+        steps = lbfgs_minimize(fg, np.ones(200))
+        for _ in range(LBFGS_MEMORY + 1):
+            next(steps)
+        dots.clear()
+        evals.clear()
+        next(steps)
+        # two loops, the scaling, the descent check, the line search's slope
+        # at 0 and at each trial, the new pair's curvature
+        assert len(dots) <= 2 * LBFGS_MEMORY + 4 + len(evals)
 
 
 class TestFiniteDiffGrad:
