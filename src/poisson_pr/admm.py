@@ -143,6 +143,14 @@ def update_x(
     return minimize_quad_plus_huber(quad, quad @ x0 - lin, x0, reg, field)
 
 
+def check_rho0(rho0) -> float:
+    """The starting penalty as a float; a ValueError unless finite and positive."""
+    rho0 = float(rho0)
+    if not 0.0 < rho0 < np.inf:
+        raise ValueError("ADMM penalty rho0 must be finite and positive")
+    return rho0
+
+
 def run_admm(
     obj: PoissonObjective,
     x0: SignalVector,
@@ -160,7 +168,7 @@ def run_admm(
     ax = obj.forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
-    rho = float(rho0)
+    rho = check_rho0(rho0)
     background = None if np.all(obj.b == 0) else obj.b
 
     def step(k, x, warnings):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admm import run_admm
+from .admm import check_rho0, run_admm
 from .baselines import run_lbfgs
 from .init_eval import initialize, nrmse as _nrmse, psnr as _psnr
 from .mm import CurvatureKind, run_mm
@@ -55,7 +55,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 DEFAULT_CONFIG = {
-    "model": {"variant": "dense", "m": 512, "n": 64, "seed": 12345},
+    "model": {"variant": "dense", "m": 512, "seed": 12345},
     "signal": {"source": "blocks", "n": 64, "field": "real_nonnegative", "seed": 0},
     "mean_count": 0.25,
     "background": 0.1,
@@ -197,10 +197,17 @@ def build_solver(alg: dict):
         except ValueError:
             raise ConfigError(f"unknown curvature {alg.get('curvature')!r}")
     if kind == "admm":
-        return run_admm, {"rho0": float(alg.get("rho0", 8.0))}
+        return run_admm, {"rho0": check_rho0(alg.get("rho0", 8.0))}
     if kind == "lbfgs":
         return run_lbfgs, {}
     raise ConfigError(f"unknown algorithm kind {kind!r}")
+
+
+def _count(cfg: dict, key: str) -> int:
+    n = int(cfg[key])
+    if n < 0 or n != float(cfg[key]):
+        raise ConfigError(f"{key} must be a nonnegative integer")
+    return n
 
 
 def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
@@ -215,11 +222,9 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
     try:
         seed = int(cfg["seed"])
         background, mean_count = float(cfg["background"]), float(cfg["mean_count"])
-        n_iters, init_iters = int(cfg["n_iters"]), int(cfg["init_iters"])
-        if n_iters < 0:
-            raise ConfigError("n_iters must be nonnegative")
-        if mean_count <= 0 or mean_count <= background:
-            raise ConfigError("mean_count must be positive and above the background")
+        n_iters, init_iters = _count(cfg, "n_iters"), _count(cfg, "init_iters")
+        if not 0 < mean_count < np.inf or mean_count <= background:
+            raise ConfigError("mean_count must be finite, positive and above the background")
         if background <= 0 and cfg["algorithm"].get("kind") == "mm":
             raise ConfigError("MM needs a positive background (no majorizer at b = 0)")
 
@@ -306,6 +311,13 @@ SUITE_PRESETS = {
             ("admm", {"algorithm": {"kind": "admm", "rho0": 8.0}}),
         ]
     ],
+    # gradient truncation (Chen & Candes 2015) over its threshold a_h, and off
+    "truncation": [
+        (f"wf-fisher-a_h{a_h:g}",
+         {"algorithm": {"kind": "wf", "step": "fisher", "truncation": {"a_h": a_h}}})
+        for a_h in (1.0, 5.0, 10.0, 50.0, 100.0)
+    ] + [("wf-fisher-untruncated",
+          {"algorithm": {"kind": "wf", "step": "fisher", "truncation": None}})],
 }
 
 

@@ -218,10 +218,10 @@ class HuberTV:
     diff_op: DiffOp
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("regularization strength beta must be nonnegative")
-        if self.alpha <= 0:
-            raise ValueError("Huber knee alpha must be positive")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError("regularization strength beta must be finite and nonnegative")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError("Huber knee alpha must be finite and positive")
 
     def value(self, x: NDArray) -> float:
         """Unweighted R(x)."""

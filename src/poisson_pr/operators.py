@@ -219,7 +219,7 @@ def gram(model: ForwardModel, w, field: FieldTag) -> NDArray:
 class DenseGram:
     """The `gram` matrix h, solved directly; the first solve checks h's
     eigenvalues and raises DegenerateIterateError on a zero or negative one,
-    or a condition number above 1e14."""
+    a condition number above 1e14, or none at all (a non-finite h)."""
 
     def __init__(self, h: NDArray, field: FieldTag):
         self.h, self.field, self.checked = h, field, False
@@ -232,7 +232,10 @@ class DenseGram:
 
     def solve(self, rhs, iters, tol):
         if not self.checked:
-            eig = np.linalg.eigvalsh(self.h)
+            try:
+                eig = np.linalg.eigvalsh(self.h)
+            except np.linalg.LinAlgError:  # h not finite: overflowed curvatures
+                raise DegenerateIterateError("A'WA has no eigenvalues: not finite") from None
             if not 0.0 < eig[-1] <= 1e14 * eig[0]:
                 raise DegenerateIterateError("A'WA is singular: rank-deficient model")
             self.checked = True

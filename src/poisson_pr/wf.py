@@ -41,6 +41,10 @@ class StepRule:
 class TruncationRule:
     a_h: float = 10.0
 
+    def __post_init__(self):
+        if not 0.0 < self.a_h < np.inf:
+            raise ValueError("truncation threshold a_h must be finite and positive")
+
 
 def step_fisher(
     obj: PoissonObjective, x: NDArray, grad: NDArray, reg: HuberTV | None = None,

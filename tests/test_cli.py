@@ -20,6 +20,7 @@ from poisson_pr.cli import (
     run_experiment,
     run_suite,
 )
+from poisson_pr.operators import save_file_matrix
 
 TINY = {
     "model": {"variant": "dense", "m": 48, "n": 8, "seed": 1},
@@ -142,6 +143,29 @@ class TestRunExperiment:
         summary, _ = run_experiment(cfg, tmp_path)
         assert summary["status"] == "ok"
 
+    def test_file_matrix_model(self, tmp_path):
+        rng = np.random.default_rng(0)
+        save_file_matrix(tmp_path / "a.csv",
+                         rng.standard_normal((48, 8)) + 1j * rng.standard_normal((48, 8)))
+        cfg = dict(TINY, model={"variant": "file", "path": str(tmp_path / "a.csv")})
+        summary, _ = run_experiment(cfg, tmp_path / "o")
+        assert summary["status"] == "ok"
+
+    def test_pgm_signal_and_reference(self, tmp_path):
+        (tmp_path / "x.pgm").write_text("P2\n4 4\n255\n" + " ".join(
+            str(v) for v in [0, 64, 128, 255] * 4) + "\n")
+        (tmp_path / "r.pgm").write_text("P2\n2 4\n255\n" + "255 0 " * 4 + "\n")
+        signal = {"source": "pgm", "path": str(tmp_path / "x.pgm")}
+        for name, model in [
+            ("dense", {"variant": "dense", "m": 96, "seed": 1}),
+            ("canonical", {"variant": "canonical_dft",
+                           "reference_path": str(tmp_path / "r.pgm")}),
+        ]:
+            summary, _ = run_experiment(dict(TINY, signal=signal, model=model),
+                                        tmp_path / name)
+            assert summary["status"] == "ok", name
+            assert len((tmp_path / name / "xhat.csv").read_text().splitlines()) == 16
+
     def test_unknown_noise_model(self, tmp_path):
         cfg = dict(TINY, algorithm={"kind": "wf", "noise_model": "laplace"})
         with pytest.raises(ConfigError):
@@ -253,7 +277,28 @@ class TestExitContract:
         {"background": -1},
         {"signal": {"source": "disk", "dims": [4]}},
         [TINY],
-    ], ids=["seed", "model-m", "alpha", "background", "disk-dims", "list"])
+        {"algorithm": {"step": "nope"}},
+        {"algorithm": {"kind": "mm", "curvature": "nope"}},
+        {"algorithm": {"kind": "nope"}},
+        # these ran to exit 0 or 2, or ended in a traceback
+        {"mean_count": float("nan")},
+        {"mean_count": float("inf")},
+        {"algorithm": {"kind": "admm", "rho0": 0}},
+        {"algorithm": {"kind": "admm", "rho0": -1}},
+        {"algorithm": {"kind": "admm", "rho0": "nan"}},
+        {"algorithm": {"kind": "admm", "rho0": float("inf")}},
+        {"regularizer": {"beta": "nan"}},
+        {"regularizer": {"beta": float("inf")}},
+        {"regularizer": {"alpha": "nan"}},
+        {"algorithm": {"truncation": {"a_h": -1}}},
+        {"algorithm": {"truncation": {"a_h": "nan"}}},
+        {"init_iters": -1},
+        {"n_iters": 2.5},
+    ], ids=["seed", "model-m", "alpha", "background", "disk-dims", "list",
+            "step", "curvature", "kind",
+            "mean-nan", "mean-inf", "rho0-0", "rho0-neg", "rho0-nan", "rho0-inf",
+            "beta-nan", "beta-inf", "alpha-nan", "a_h-neg", "a_h-nan",
+            "init-iters-neg", "n-iters-fraction"])
     def test_malformed_config_exits_one(self, tmp_path, capsys, cfg):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(cfg))
@@ -272,6 +317,15 @@ class TestExitContract:
         assert rc == 1
         err = capsys.readouterr().err
         assert one_config_error_line(err) and key in err
+
+    def test_file_matrix_column_mismatch_exits_one(self, tmp_path, capsys):
+        save_file_matrix(tmp_path / "a.csv", np.ones((48, 6)))
+        assert main(["run", "--out", str(tmp_path / "o"),
+                     "--override", "model.variant=file",
+                     "--override", f"model.path={tmp_path / 'a.csv'}",
+                     "--override", "signal.n=8"]) == 1
+        err = capsys.readouterr().err
+        assert one_config_error_line(err) and "6 columns" in err
 
     @pytest.mark.parametrize("argv", [["run", "--seed", "abc"], ["nope"], ["suite"], []])
     def test_usage_error_exits_one(self, capsys, argv):
@@ -345,7 +399,8 @@ FUZZ_KEYS = [
     "unknown", "model.unknown",
 ]
 FUZZ_EDITS = st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
-                                st.sampled_from(["abc", None, [1], {}, -1, 0, 0.5, True])),
+                                st.sampled_from(["abc", None, [1], {}, -1, 0, 0.5, True,
+                                                 float("nan"), float("inf")])),
                       max_size=2)
 
 

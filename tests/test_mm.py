@@ -511,6 +511,18 @@ class TestRunMm:
             assert state.status.startswith("terminated: ")
             assert "singular" in state.status
 
+    @pytest.mark.parametrize("field", list(FieldTag))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_huge_counts_end_in_a_defined_status(self, seed, field):
+        # y = 1e300 overflows the improved curvature, so A'WA is not finite;
+        # its eigendecomposition raised a bare LinAlgError in 8 of these 9
+        model = random_gaussian_model(64, 8, seed=seed, background=0.1)
+        calibrate_scale(model, blocks(8).values, 0.25)
+        obj = PoissonObjective(model, np.full(64, 1e300), field=field)
+        with np.errstate(all="ignore"):
+            state = run_mm(obj, SignalVector(np.full(8, 1e-3), field), 5)
+        assert state.status == "ok" or state.status.startswith("terminated: ")
+
     def test_cg_path_above_direct_limit(self):
         model, x, obj = poisson_instance(n=N_CG, m=8 * N_CG, seed=16)
         x0 = initialize(model, obj.y, seed=6)
