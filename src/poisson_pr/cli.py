@@ -105,18 +105,28 @@ def _apply_override(cfg: dict, key: str, raw: str) -> None:
     node[parts[-1]] = val
 
 
+def _integer(value, key: str, positive: bool = False) -> int:
+    """value as an int; a ConfigError unless it is a nonnegative integer (a
+    positive one if `positive`), so that 2.0 passes and 2.5 is not truncated."""
+    n = int(value)
+    if n < (1 if positive else 0) or n != float(value):
+        kind = "positive" if positive else "nonnegative"
+        raise ConfigError(f"{key} must be a {kind} integer")
+    return n
+
+
 def build_signal(cfg: dict) -> SignalVector:
     src = cfg.get("source", "blocks")
     field = _FIELD.get(cfg.get("field", "real_nonnegative"))
     if field is None:
         raise ConfigError(f"unknown field {cfg.get('field')!r}")
-    if src == "blocks":
-        sig = blocks(int(cfg.get("n", 64)), seed=int(cfg.get("seed", 0)))
+    if src in ("blocks", "random_complex"):
+        n = _integer(cfg.get("n", 64), "signal.n", positive=True)
+        seed = _integer(cfg.get("seed", 0), "signal.seed")
+        sig = (blocks if src == "blocks" else random_complex)(n, seed=seed)
     elif src == "disk":
         h, w = cfg.get("dims", [16, 16])
-        sig = disk(int(h), int(w))
-    elif src == "random_complex":
-        sig = random_complex(int(cfg.get("n", 64)), seed=int(cfg.get("seed", 0)))
+        sig = disk(*(_integer(d, "signal.dims", positive=True) for d in (h, w)))
     elif src == "pgm":
         img = load_pgm(cfg["path"])
         sig = SignalVector(
@@ -134,12 +144,13 @@ def build_model(cfg: dict, signal: SignalVector, background: float):
     variant = cfg.get("variant", "dense")
     n = signal.n
     if variant == "dense":
-        m = int(cfg.get("m", 8 * n))
-        return random_gaussian_model(m, n, seed=int(cfg.get("seed", 12345)),
-                                     background=background)
+        m = _integer(cfg.get("m", 8 * n), "model.m", positive=True)
+        seed = _integer(cfg.get("seed", 12345), "model.seed")
+        return random_gaussian_model(m, n, seed=seed, background=background)
     if variant == "masked_dft":
         masks = make_masks(
-            int(cfg.get("masks", 21)), n, seed=int(cfg.get("seed", 12345)),
+            _integer(cfg.get("masks", 21), "model.masks", positive=True), n,
+            seed=_integer(cfg.get("seed", 12345), "model.seed"),
             exact_half=bool(cfg.get("exact_half_masks", False)),
         )
         return MaskedDftModel(masks, background=background)
@@ -152,7 +163,8 @@ def build_model(cfg: dict, signal: SignalVector, background: float):
             ref = disk(*signal.dims).values.real.reshape(signal.dims)
         return CanonicalDftModel(
             signal.dims, ref,
-            pad_width=cfg.get("pad_width"),
+            pad_width=(None if cfg.get("pad_width") is None
+                       else _integer(cfg["pad_width"], "model.pad_width")),
             fft_dims=tuple(cfg["fft_dims"]) if "fft_dims" in cfg else None,
             background=background,
         )
@@ -203,13 +215,6 @@ def build_solver(alg: dict):
     raise ConfigError(f"unknown algorithm kind {kind!r}")
 
 
-def _count(cfg: dict, key: str) -> int:
-    n = int(cfg[key])
-    if n < 0 or n != float(cfg[key]):
-        raise ConfigError(f"{key} must be a nonnegative integer")
-    return n
-
-
 def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
     """Run one configured experiment; write trace CSV, summary JSON, and the
     reconstructed signal; return the summary dict and the rows of the trace
@@ -220,9 +225,10 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
     # a malformed value or a section that is not an object fails below, a config
     # error; what fails from `initialize` on is a numerical failure
     try:
-        seed = int(cfg["seed"])
+        seed = _integer(cfg["seed"], "seed")
         background, mean_count = float(cfg["background"]), float(cfg["mean_count"])
-        n_iters, init_iters = _count(cfg, "n_iters"), _count(cfg, "init_iters")
+        n_iters = _integer(cfg["n_iters"], "n_iters")
+        init_iters = _integer(cfg["init_iters"], "init_iters")
         if not 0 < mean_count < np.inf or mean_count <= background:
             raise ConfigError("mean_count must be finite, positive and above the background")
         if background <= 0 and cfg["algorithm"].get("kind") == "mm":

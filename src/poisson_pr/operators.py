@@ -95,6 +95,7 @@ class ForwardModel:
             raise ValueError("background must be finite and nonnegative")
         self.background = b
         self.offset_raw = None if offset_raw is None else np.asarray(offset_raw, complex)
+        self._memo = None  # (scale, {name: value derived from the densified A})
 
     # subclasses implement the unscaled linear map
     def _apply(self, x: NDArray) -> NDArray:
@@ -143,6 +144,14 @@ class ForwardModel:
         Toeplitz matrices, else None."""
         return None
 
+    def memo(self) -> dict:
+        """Values derived from the densified A (A'A and its extreme
+        eigenvalues, `DenseModel`'s A itself), kept on the model, so they die
+        with it, and emptied when `scale` changes."""
+        if self._memo is None or self._memo[0] != self.scale:
+            self._memo = (self.scale, {})
+        return self._memo[-1]
+
     def densify(self) -> NDArray:
         """Explicit (rows, cols) matrix of the linear part, for small-N oracles."""
         cols = []
@@ -164,7 +173,6 @@ class DenseModel(ForwardModel):
             raise ValueError("dense model entries must be finite")
         super().__init__(entries.shape[0], entries.shape[1], background, scale)
         self.entries = entries
-        self._dense = None  # (scale, entries, scale * entries)
 
     def _apply(self, x):
         return self.entries @ x
@@ -173,40 +181,46 @@ class DenseModel(ForwardModel):
         # conjugating the two vectors instead of the matrix copies nothing M x N
         return (v.conj() @ self.entries).conj()
 
-    def densify(self) -> NDArray:
-        """scale * entries, read-only and remembered until `scale` changes or
-        `entries` is reassigned (a fresh M x N copy per call costs page faults
-        on the order of the Gram product that reads it)."""
-        memo = self._dense
+    def memo(self) -> dict:
+        """The base memo, emptied also when `entries` is reassigned."""
+        memo = self._memo
         if memo is None or memo[0] != self.scale or memo[1] is not self.entries:
-            a = self.scale * self.entries
-            a.flags.writeable = False
-            memo = self._dense = (self.scale, self.entries, a)
-        return memo[2]
+            memo = self._memo = (self.scale, self.entries, {})
+        return memo[-1]
+
+    def densify(self) -> NDArray:
+        """scale * entries, read-only and remembered in `memo` (a fresh M x N
+        copy per call costs page faults on the order of the Gram product that
+        reads it)."""
+        memo = self.memo()
+        if "a" not in memo:
+            memo["a"] = self.scale * self.entries
+            memo["a"].flags.writeable = False
+        return memo["a"]
 
 
 # normal equations with at most DIRECT_MAX_COLS unknowns are formed explicitly
 DIRECT_MAX_COLS = 64
+# `DenseGram.solve` rejects a Gram whose condition number exceeds MAX_COND; a
+# Gram whose bound (max w / min w) cond(A'A) is at most RANK_PROOF * MAX_COND
+# is proven to pass, the margin covering the rounding of both eigenvalue sets
+MAX_COND, RANK_PROOF = 1e14, 1e-2
 # `DenseGram.solve_nonnegative` stops when no bound coordinate's gradient is
 # below -ACTIVE_SET_RTOL times the largest of |lin| and |hx|, and lets a
 # coordinate tie to rounding down to -ACTIVE_SET_TIE times it
 ACTIVE_SET_RTOL, ACTIVE_SET_TIE = 1e-12, 1e-8
 
 
-def gram(model: ForwardModel, w, field: FieldTag) -> NDArray:
-    """A'diag(w)A of the densified A for w >= 0, a scalar or one weight per
-    measurement; Re(A'WA) for real fields.
+def _weighted_gram(a: NDArray, sw, real: bool) -> NDArray:
+    """C'C for C = diag(sw) a, sw a scalar or one factor per row of a.
 
-    The real case is C'C with C the (2M, N) stack of sqrt(w) Re A over
-    sqrt(w) Im A, which numpy runs as a symmetric rank-k update: half the
-    flops of the complex product, no imaginary part to discard, and an
-    exactly symmetric result.
+    For real fields C is the (2M, N) stack of sw Re a over sw Im a, which
+    numpy runs as a symmetric rank-k update: half the flops of the complex
+    product, no imaginary part to discard, and an exactly symmetric result.
     """
-    a = model.densify()
-    sw = np.sqrt(w)
-    if np.ndim(w):
+    if np.ndim(sw):
         sw = sw[:, None]
-    if not field.is_real:
+    if not real:
         c = sw * a
         return c.conj().T @ c
     m = a.shape[0]
@@ -216,13 +230,70 @@ def gram(model: ForwardModel, w, field: FieldTag) -> NDArray:
     return c.T @ c
 
 
-class DenseGram:
-    """The `gram` matrix h, solved directly; the first solve checks h's
-    eigenvalues and raises DegenerateIterateError on a zero or negative one,
-    a condition number above 1e14, or none at all (a non-finite h)."""
+def _normal_gram(model: ForwardModel, field: FieldTag, a: NDArray | None = None) -> NDArray:
+    """A'A of the densified A (Re(A'A) for real fields), read-only, formed
+    once, from `a` where the caller has densified A, and kept in the model's
+    `memo`."""
+    memo = model.memo()
+    key = ("gram", field.is_real)
+    if key not in memo:
+        memo[key] = _weighted_gram(model.densify() if a is None else a, 1.0, field.is_real)
+        memo[key].flags.writeable = False
+    return memo[key]
 
-    def __init__(self, h: NDArray, field: FieldTag):
-        self.h, self.field, self.checked = h, field, False
+
+def gram(model: ForwardModel, w, field: FieldTag) -> NDArray:
+    """A'diag(w)A of the densified A for w >= 0, a scalar or one weight per
+    measurement; Re(A'WA) for real fields.
+
+    Formed as c A'A + A_S' diag(w_S - c) A_S, with c = min w and S the rows
+    where w > c, which is exact for any w >= 0. A'A comes from the model's
+    memo, so a weight that sits at its minimum on most rows (MM's curvature
+    is 2 on every zero count) costs only the rows above it. A scalar w is
+    w A'A, and where c = 0 (the spectral initializer's y/(y+1)) A'A is not
+    formed.
+    """
+    a = model.densify()
+    if np.ndim(w) == 0:
+        return w * _normal_gram(model, field, a)
+    c = np.min(w)
+    rows = np.flatnonzero(w > c)
+    h = _weighted_gram(a[rows], np.sqrt(w[rows] - c), field.is_real)
+    if c != 0:
+        h += c * _normal_gram(model, field, a)
+    return h
+
+
+def _rank_proven(model: ForwardModel, w, field: FieldTag) -> bool:
+    """Whether `DenseGram.solve`'s rank check provably passes on the `gram` of
+    w: the eigenvalues of A'WA lie in [min w lo, max w hi], with lo and hi
+    the extreme eigenvalues of A'A, so its condition number is at most
+    (max w / min w) hi / lo. That needs min w > 0, a finite max w, a full-rank
+    A'A and the bound at most RANK_PROOF * MAX_COND; max w hi at most 1e300
+    also keeps every entry and partial sum of the Gram finite. A'A's
+    extreme eigenvalues (zeros for a non-finite A'A) are computed once and
+    kept in the model's `memo`."""
+    lo, hi = np.min(w), np.max(w)
+    if not 0.0 < lo <= hi < np.inf:
+        return False
+    memo = model.memo()
+    key = ("spectrum", field.is_real)
+    if key not in memo:
+        h = _normal_gram(model, field)
+        memo[key] = np.linalg.eigvalsh(h)[[0, -1]] if np.isfinite(h).all() else np.zeros(2)
+    e_lo, e_hi = memo[key]
+    return 0.0 < e_lo and hi * e_hi <= min(1e300, RANK_PROOF * MAX_COND * lo * e_lo)
+
+
+class DenseGram:
+    """The `gram` matrix h, solved directly. The first solve checks h's
+    eigenvalues and raises DegenerateIterateError on a zero or negative one,
+    a condition number above MAX_COND, or none at all (a non-finite h),
+    unless `source`, the (model, w) whose `gram` h is, proves the check
+    passes (`_rank_proven`)."""
+
+    def __init__(self, h: NDArray, field: FieldTag, source: tuple | None = None):
+        self.h, self.field, self.source, self.checked = h, field, source, False
 
     def __matmul__(self, z):
         return self.h @ z
@@ -232,12 +303,14 @@ class DenseGram:
 
     def solve(self, rhs, iters, tol):
         if not self.checked:
-            try:
-                eig = np.linalg.eigvalsh(self.h)
-            except np.linalg.LinAlgError:  # h not finite: overflowed curvatures
-                raise DegenerateIterateError("A'WA has no eigenvalues: not finite") from None
-            if not 0.0 < eig[-1] <= 1e14 * eig[0]:
-                raise DegenerateIterateError("A'WA is singular: rank-deficient model")
+            if self.source is None or not _rank_proven(*self.source, self.field):
+                try:
+                    eig = np.linalg.eigvalsh(self.h)
+                except np.linalg.LinAlgError:  # h not finite: overflowed curvatures
+                    raise DegenerateIterateError(
+                        "A'WA has no eigenvalues: not finite") from None
+                if not 0.0 < eig[-1] <= MAX_COND * eig[0]:
+                    raise DegenerateIterateError("A'WA is singular: rank-deficient model")
             self.checked = True
         return np.linalg.solve(
             self.h, rhs.real if self.field.is_real else rhs).astype(complex)
@@ -403,7 +476,7 @@ def quad_form(model: ForwardModel, w, field: FieldTag):
     if diag is not None:
         return DiagonalGram(w * diag, field)
     if model.cols <= DIRECT_MAX_COLS:
-        return DenseGram(gram(model, w, field), field)
+        return DenseGram(gram(model, w, field), field, (model, w))
     op = model.toeplitz_gram(w, field)
     return NormalOp(model, w, field) if op is None else op
 
@@ -633,9 +706,11 @@ def calibrate_scale(
 
 
 def simulate_poisson(model: ForwardModel, x_true: NDArray, seed: int) -> MeasurementSet:
-    """Draw y_i ~ Poisson(|c (A x)_i|^2 + b_i), reproducibly."""
+    """Draw y_i ~ Poisson(|c (A x)_i|^2 + b_i), reproducibly; a ValueError
+    where a mean is not finite (a NaN or infinite signal or scale)."""
     mean = model.intensities(np.asarray(x_true, dtype=complex))
-    assert np.all(mean >= 0)
+    if not np.all(np.isfinite(mean) & (mean >= 0)):
+        raise ValueError("Poisson means must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     y = rng.poisson(mean).astype(float)
     return MeasurementSet(y=y, seed=seed)

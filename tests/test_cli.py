@@ -305,6 +305,26 @@ class TestExitContract:
         assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
         assert one_config_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "1.5"), ("model.m", "48.7"), ("model.seed", "1.5"), ("model.masks", "2.5"),
+        ("signal.n", "8.5"), ("signal.seed", "0.5"), ("signal.dims", "[4.5,4]"),
+        ("model.pad_width", "2.5"),
+    ])
+    def test_fractional_integers_exit_one(self, tmp_path, capsys, key, value):
+        # a fractional count or seed is an error, not truncated: model.m=48.7
+        # must not run m = 48 while summary.json records 48.7
+        context = {"model.masks": ["model.variant=masked_dft"],
+                   "signal.dims": ["signal.source=disk"],
+                   "model.pad_width": ["signal.source=disk", "signal.dims=[8,8]",
+                                       "model.variant=canonical_dft"]}
+        argv = ["run", "--out", str(tmp_path / "o")]
+        for kv in ["model.m=48", "signal.n=8", "n_iters=2", "init_iters=20",
+                   *context.get(key, []), f"{key}={value}"]:
+            argv += ["--override", kv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert one_config_error_line(err) and f"{key} must be a" in err
+
     @pytest.mark.parametrize("key, value", [("pad_width", "-6"), ("fft_dims", "[8]")])
     def test_malformed_canonical_model_exits_one(self, tmp_path, capsys, key, value):
         # pad_width -6 on an 8x8 disk overlapped x and the reference without a

@@ -165,6 +165,22 @@ def test_unregularized_admm_checks_the_gram_rank_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("reg", [False, True])
+def test_mm_checks_the_gram_rank_once_per_model(monkeypatch, reg):
+    obj, x0 = instance()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+    state = run_mm(obj, x0, ITERS, reg=HuberTV(2.0, 0.1, DiffOp(N)) if reg else None)
+    assert state.status == "ok" and len(state.trace) == ITERS
+    # A'A's extreme eigenvalues, taken at the first solve, prove every
+    # majorizer's Gram well conditioned; the Huber solve never solves a Gram
+    assert len(calls) == (0 if reg else 1)
+    # ADMM's A'A shares them
+    state = run_admm(obj, x0, ITERS)
+    assert state.status == "ok" and len(calls) == 1
+
+
 def test_unregularized_admm_reads_residuals_only_every_tenth_iteration():
     obj, x0 = instance()
     counts = count_calls(obj.model)

@@ -1,5 +1,8 @@
 """Forward models: apply/adjoint fidelity, calibration, simulation, file IO."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from poisson_pr.operators import (
     DenseModel,
     DiagonalGram,
     FieldTag,
+    ForwardModel,
     MaskedDftModel,
     MeasurementSet,
     NormalOp,
@@ -150,21 +154,46 @@ def gram_models():
     return {"dense": dense, "masked": masked}
 
 
+def gram_weights(kind, rows):
+    """Gram weights: a scalar, uniform ones, most rows at the minimum 2 (MM's
+    curvature at a zero count), one constant (no row above the minimum), and
+    a third of the rows at 0 (the spectral initializer's y/(y+1))."""
+    rng = np.random.default_rng(22)
+    if kind == "scalar":
+        return 2.5
+    w = rng.uniform(0.0, 3.0, rows)
+    if kind == "mostly-min":
+        w = np.where(rng.random(rows) < 0.2, 2.0 + 5.0 * w, 2.0)
+    elif kind == "constant":
+        w = np.full(rows, 1.7)
+    elif kind == "min-zero":
+        w[::3] = 0.0
+    return w
+
+
+def explicit_gram(model, w, field):
+    """A'diag(w)A from a freshly densified A, the real part for real fields."""
+    a = ForwardModel.densify(model)
+    h = a.conj().T @ (np.reshape(w, (-1, 1)) * a)
+    return h.real if field.is_real else h
+
+
 class TestGram:
     @pytest.mark.parametrize("name", ["dense", "masked"])
     @pytest.mark.parametrize("field", list(FieldTag))
-    @pytest.mark.parametrize("vector", [False, True])
-    def test_matches_the_weighted_product(self, name, field, vector):
+    @pytest.mark.parametrize("weights", ["scalar", "uniform", "mostly-min", "constant",
+                                         "min-zero"])
+    def test_matches_the_weighted_product(self, name, field, weights):
         model = gram_models()[name]
-        w = np.random.default_rng(22).uniform(0.0, 3.0, model.rows) if vector else 2.5
-        a = model.densify()
-        expected = a.conj().T @ (np.reshape(w, (-1, 1)) * a)
-        if field.is_real:
-            expected = expected.real
+        w = gram_weights(weights, model.rows)
+        expected = explicit_gram(model, w, field)
         h = gram(model, w, field)
         assert h.shape == (model.cols, model.cols)
         assert h.dtype == (float if field.is_real else complex)
         assert np.linalg.norm(h - expected) <= 1e-12 * np.linalg.norm(expected)
+        # A'A is remembered where the smallest weight is positive, and not
+        # formed where it is 0
+        assert (("gram", field.is_real) in model.memo()) == (np.min(w) > 0)
 
     @pytest.mark.parametrize("name", ["dense", "masked"])
     def test_real_gram_exactly_symmetric(self, name):
@@ -172,6 +201,37 @@ class TestGram:
         w = np.random.default_rng(23).uniform(0.5, 2.0, model.rows)
         h = gram(model, w, FieldTag.REAL)
         assert np.array_equal(h, h.T)
+
+
+class TestGramMemo:
+    @pytest.mark.parametrize("name", ["dense", "masked"])
+    @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
+    def test_follows_a_scale_change_and_an_entries_reassignment(self, name, field):
+        model = gram_models()[name]
+        w = gram_weights("mostly-min", model.rows)
+        changes = [lambda: setattr(model, "scale", 1.5 * model.scale)]
+        if name == "dense":
+            changes.append(lambda: setattr(model, "entries", 0.5j * model.entries))
+        gram(model, w, field)
+        for change in changes:
+            before = model.memo()[("gram", field.is_real)]
+            change()
+            expected = explicit_gram(model, w, field)
+            h = gram(model, w, field)
+            assert np.linalg.norm(h - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert model.memo()[("gram", field.is_real)] is not before
+
+    def test_freed_with_its_model(self):
+        model = random_gaussian_model(64, 6, seed=12)
+        w = gram_weights("mostly-min", model.rows)
+        q = quad_form(model, w, FieldTag.REAL)
+        q.solve(np.ones(model.cols), 1, 0.0)  # remembers A'A's spectrum as well
+        refs = [weakref.ref(model)] + [weakref.ref(v) for v in model.memo().values()]
+        assert len(refs) == 4  # the model, A, A'A and A'A's extreme eigenvalues
+        del model, q
+        gc.collect()
+        # nothing outside the model, such as a module-level cache, holds them
+        assert all(r() is None for r in refs)
 
 
 def toeplitz_models():
@@ -271,18 +331,34 @@ class TestQuadForm:
             assert np.array_equal(q.solve(z, 1, 0.0), z / (2.0 * model.normal_diag()))
 
     def test_dense_gram_checks_its_rank_once(self, monkeypatch):
+        # one eigendecomposition per model, of A'A, on the first solve: a Gram
+        # whose weights are positive and spread by a factor of 2.5 (like MM's
+        # curvature) is proven to pass the rank check from it, so MM's
+        # per-iteration Grams take none, and a Gram never solved takes none
         model = random_gaussian_model(40, 6, seed=10)
-        q = quad_form(model, 1.0, FieldTag.COMPLEX)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
-        rhs = _rand_vec(np.random.default_rng(11), model.cols)
-        (2.0 * q) @ rhs
+        rng = np.random.default_rng(11)
+        rhs = _rand_vec(rng, model.cols)
+        (2.0 * quad_form(model, np.full(model.rows, 2.0), FieldTag.COMPLEX)) @ rhs
         assert not calls
-        for _ in range(3):
-            out = q.solve(rhs, 1, 0.0)
+        for _ in range(5):
+            w = np.where(rng.random(model.rows) < 0.3, 2.0 + 3.0 * rng.random(model.rows), 2.0)
+            q = quad_form(model, w, FieldTag.COMPLEX)
+            (2.0 * q) @ rhs
+            for _ in range(3):
+                out = q.solve(rhs, 1, 0.0)
+            assert np.allclose(q @ out, rhs, rtol=0.0, atol=1e-10 * np.linalg.norm(rhs))
+        quad_form(model, 1.0, FieldTag.COMPLEX).solve(rhs, 1, 0.0)
         assert len(calls) == 1
-        assert np.allclose(q @ out, rhs, rtol=0.0, atol=1e-10 * np.linalg.norm(rhs))
+        # a zero weight, or weights spread beyond the proof's bound, keep the
+        # Gram's own check, once per Gram
+        for w in (np.r_[0.0, np.ones(model.rows - 1)], np.r_[1e-13, np.ones(model.rows - 1)]):
+            q = quad_form(model, w, FieldTag.COMPLEX)
+            for _ in range(3):
+                q.solve(rhs, 1, 0.0)
+        assert len(calls) == 3
 
     def test_normal_op_otherwise(self):
         model = random_gaussian_model(80, DIRECT_MAX_COLS + 1, seed=7)
@@ -460,6 +536,18 @@ class TestCalibrateScale:
 
 
 class TestSimulatePoisson:
+    @pytest.mark.parametrize("case", ["nan-signal", "nan-scale"])
+    def test_non_finite_means_raise_a_value_error(self, case):
+        # a ValueError that names the means, also under `python -O`
+        m = random_gaussian_model(20, 4, seed=1, background=0.1)
+        x = np.ones(4)
+        if case == "nan-signal":
+            x[2] = np.nan
+        else:
+            m.scale = np.nan
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simulate_poisson(m, x, seed=0)
+
     def test_zero_mean_gives_zero_counts(self):
         m = DenseModel(np.eye(3))
         meas = simulate_poisson(m, np.zeros(3), seed=0)
