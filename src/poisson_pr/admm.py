@@ -10,85 +10,55 @@ from numpy.typing import NDArray
 from .init_eval import RunState
 from .mm import minimize_quad_plus_huber
 # cg_solve, power_method: only for the benchmark's tracer
-from .numerics import cg_solve, cubic_roots, power_method  # noqa: F401
+from .numerics import cg_solve, cubic_largest_root, power_method  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
 from .operators import (FieldTag, ForwardModel, SignalVector, project_field, quad_form,
                         realify)
 from .wf import DegenerateIterateError, iterate
 
 
-def update_v_magnitude_b0(t, y, rho: float):
-    """Zero-background magnitude update: positive root of the quadratic."""
-    t = np.asarray(t, float)
-    y = np.asarray(y, float)
-    out = (rho * t + np.sqrt(rho**2 * t**2 + 8.0 * y * (2.0 + rho))) / (2.0 * (2.0 + rho))
-    return out if out.ndim else float(out)
-
-
 def update_v_magnitude_bpos(t, y, b, rho: float):
-    """Positive-background magnitude update: the nonnegative root of
-    (2+rho) m^3 - rho t m^2 + (2b - 2y + rho b) m - rho b t that minimizes
-    the marginal augmented Lagrangian.
+    """Magnitude update for a background b >= 0: the minimizer over m >= 0 of
+    the marginal augmented Lagrangian m^2 + b - y log(m^2 + b) + (rho/2)(m - t)^2,
+    the largest real root of (2+rho) m^3 - rho t m^2 + (2b - 2y + rho b) m - rho b t.
 
-    At y = 0 the cubic factors as (m^2 + b)((2+rho) m - rho t), whose only
-    real root is m = rho t / (2+rho), 0 at t = 0: the zero-count rows, most
-    of them at low counts, take it in closed form, and only the y > 0 rows
-    go to `cubic_roots`. There m = 0 is a root only where t = 0.
+    At y = 0 the cubic factors as (m^2 + b)((2+rho) m - rho t): the zero-count
+    rows, most of them at low counts, take m = rho t / (2+rho) in closed form,
+    and only the y > 0 rows go to `cubic_largest_root`. There the largest root
+    is the minimizer: for t > 0 it is the only positive root, at t = 0 it is
+    sqrt(max(0, 2y/(2+rho) - b)), and at b = 0 the cubic is m times the
+    quadratic (2+rho) m^2 - rho t m - 2y. A root that is not finite (the
+    powers of a huge iterate or count overflow) or not nonnegative raises
+    DegenerateIterateError.
     """
     t = np.atleast_1d(np.asarray(t, float))
     y = np.broadcast_to(np.asarray(y, float), t.shape)
     b = np.broadcast_to(np.asarray(b, float), t.shape)
-    if np.any(b <= 0):
-        raise ValueError("update_v_magnitude_bpos requires b > 0")
+    if np.any(b < 0):
+        raise ValueError("update_v_magnitude_bpos requires b >= 0")
     out = rho * t / (2.0 + rho)
     pos = np.flatnonzero(y > 0)
     if pos.size:
-        out[pos] = _cubic_magnitude(t[pos], y[pos], b[pos], rho)
+        tp, yp, bp = t[pos], y[pos], b[pos]
+        m = cubic_largest_root(2.0 + rho, -rho * tp, 2.0 * bp - 2.0 * yp + rho * bp,
+                               -rho * bp * tp)
+        if not np.all(np.isfinite(m)):
+            raise DegenerateIterateError("non-finite cost")
+        if np.any(m < 0):
+            raise DegenerateIterateError("magnitude update found no nonnegative root")
+        out[pos] = m
     return out if out.shape[0] > 1 else float(out[0])
 
 
-def _cubic_magnitude(t: NDArray, y: NDArray, b: NDArray, rho: float) -> NDArray:
-    """`update_v_magnitude_bpos` on rows with y > 0, from the cubic's roots."""
-    roots = cubic_roots(2.0 + rho, -rho * t, 2.0 * b - 2.0 * y + rho * b, -rho * b * t)
-    feasible = np.isfinite(roots) & (roots >= 0)
-    # for t > 0 exactly one root is positive (Descartes' rule where
-    # y >= b (1 + rho/2), a convex Lagrangian elsewhere) and column 0 holds
-    # it, so columns 1-2 add candidates only where t = 0
-    more = feasible[:, 1] | feasible[:, 2]
-    missing = ~(feasible[:, 0] | more)
-    if np.any(missing):
-        # at a huge iterate the powers of t overflow and every root is NaN
-        if not np.all(np.isfinite(roots[missing])):
-            raise DegenerateIterateError("non-finite cost")
-        raise RuntimeError("cubic magnitude update found no nonnegative root")
-    out = roots[:, 0].copy()
-    rows = np.flatnonzero(more)
-    if rows.size:
-        # marginal augmented Lagrangian at each candidate; rate >= b > 0
-        ok = feasible[rows]
-        m = np.where(ok, roots[rows], 1.0)
-        rate = m * m + b[rows, None]
-        lag = rate - y[rows, None] * np.log(rate) + 0.5 * rho * (m - t[rows, None]) ** 2
-        pick = np.argmin(np.where(ok, lag, np.inf), axis=1)
-        out[rows] = roots[rows, pick]
-    return out
-
-
-def update_v(ax: NDArray, eta: NDArray, y: NDArray, b: NDArray | None,
-             rho: float) -> NDArray:
+def update_v(ax: NDArray, eta: NDArray, y: NDArray, b: NDArray, rho: float) -> NDArray:
     """Split-variable update v = m sign(u), u = A x - eta, with sign(0) := 1
-    and m the magnitude update at t = |u| (`update_v_magnitude_b0` where
-    `b` is None, the zero background, else `update_v_magnitude_bpos`).
+    and m = `update_v_magnitude_bpos` at t = |u|.
 
     u and t are formed once, and v = u (m / t) where t > 0, v = m where
     t = 0: no complex division."""
     u = ax - eta
     t = np.abs(u)
-    if b is None:
-        m = update_v_magnitude_b0(t, y, rho)
-    else:
-        m = update_v_magnitude_bpos(t, y, b, rho)
-    m = np.atleast_1d(m)
+    m = np.atleast_1d(update_v_magnitude_bpos(t, y, b, rho))
     nonzero = t > 0
     v = u * np.divide(m, t, out=np.zeros_like(t), where=nonzero)
     zero = np.flatnonzero(~nonzero)
@@ -169,12 +139,11 @@ def run_admm(
     v = ax.copy()
     eta = v - ax  # zero by initialization
     rho = check_rho0(rho0)
-    background = None if np.all(obj.b == 0) else obj.b
 
     def step(k, x, warnings):
         nonlocal ax, v, eta, rho
         v_old = v
-        v = update_v(ax, eta, obj.y, background, rho)
+        v = update_v(ax, eta, obj.y, obj.b, rho)
         x = update_x(model, v, eta, field=obj.field, normal=normal, x0=x, reg=reg,
                      rho=rho)
         ax = obj.forward(x)

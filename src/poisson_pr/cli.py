@@ -72,6 +72,15 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "init_iters": 300,
 }
+# the keys a section may hold beyond those DEFAULT_CONFIG gives it; any other
+# key is a config error
+OPTIONAL_KEYS = {
+    "model": {"masks", "exact_half_masks", "pad_width", "fft_dims", "reference_path",
+              "path"},
+    "signal": {"dims", "path"},
+    "algorithm.truncation": {"a_h"},
+    "regularizer": {"kind", "beta", "alpha"},
+}
 
 _FIELD = {
     "real": FieldTag.REAL,
@@ -103,6 +112,19 @@ def _apply_override(cfg: dict, key: str, raw: str) -> None:
     except json.JSONDecodeError:
         val = raw
     node[parts[-1]] = val
+
+
+def _check_keys(node: dict, default, path: str = "") -> None:
+    """A ConfigError for the first key of `node`, the config or its section at
+    `path`, that is neither in `default` nor in OPTIONAL_KEYS[path]."""
+    default = default if isinstance(default, dict) else {}
+    known = set(default) | OPTIONAL_KEYS.get(path, set())
+    for key, value in node.items():
+        name = f"{path}.{key}" if path else key
+        if key not in known:
+            raise ConfigError(f"unknown config key {name}")
+        if isinstance(value, dict):
+            _check_keys(value, default.get(key), name)
 
 
 def _integer(value, key: str, positive: bool = False) -> int:
@@ -144,7 +166,7 @@ def build_model(cfg: dict, signal: SignalVector, background: float):
     variant = cfg.get("variant", "dense")
     n = signal.n
     if variant == "dense":
-        m = _integer(cfg.get("m", 8 * n), "model.m", positive=True)
+        m = _integer(cfg["m"], "model.m", positive=True)
         seed = _integer(cfg.get("seed", 12345), "model.seed")
         return random_gaussian_model(m, n, seed=seed, background=background)
     if variant == "masked_dft":
@@ -201,7 +223,9 @@ def build_solver(alg: dict):
                 and alg.get("noise_model", "poisson") != "gaussian"):
             raise ConfigError("the exact_gaussian step needs noise_model gaussian")
         trunc_cfg = alg.get("truncation")
-        trunc = TruncationRule(a_h=float(trunc_cfg["a_h"])) if trunc_cfg else None
+        if trunc_cfg is not None and "a_h" not in trunc_cfg:
+            raise ConfigError("algorithm.truncation needs a_h")
+        trunc = None if trunc_cfg is None else TruncationRule(a_h=float(trunc_cfg["a_h"]))
         return run_wf, {"rule": rule, "trunc": trunc}
     if kind == "mm":
         try:
@@ -225,6 +249,7 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
     # a malformed value or a section that is not an object fails below, a config
     # error; what fails from `initialize` on is a numerical failure
     try:
+        _check_keys(cfg, DEFAULT_CONFIG)
         seed = _integer(cfg["seed"], "seed")
         background, mean_count = float(cfg["background"]), float(cfg["mean_count"])
         n_iters = _integer(cfg["n_iters"], "n_iters")

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: power method, CG, cubic roots, LBFGS."""
+"""Shared numerical kernels: power method, CG, a cubic's largest root, LBFGS."""
 
 from __future__ import annotations
 
@@ -81,17 +81,17 @@ def cg_solve(
     return x
 
 
-def cubic_roots(c3: float, c2: NDArray, c1: NDArray, c0: NDArray) -> NDArray:
-    """Real roots of c3 m^3 + c2 m^2 + c1 m + c0 for a nonzero scalar c3 and
-    1-D arrays c2, c1, c0, as an (n, 3) array padded with NaN; column 0 always
-    holds a real root.
+def cubic_largest_root(c3: float, c2: NDArray, c1: NDArray, c0: NDArray) -> NDArray:
+    """The largest real root of c3 m^3 + c2 m^2 + c1 m + c0 for a nonzero scalar
+    c3 and 1-D arrays c2, c1, c0, one per row.
 
-    Cardano for one root, the trigonometric form for three, closed forms for a
-    repeated root (where the generic forms cancel catastrophically), then two
-    Newton sweeps on the original cubic for every root but a double one. Only
-    the rows with three real or a repeated root fill columns 1-2. Cubes are
-    products: numpy's `power` takes a slow scalar path for negative bases, and
-    c2 <= 0 in ADMM's cubic.
+    Cardano where one root is real, the trigonometric form's largest where
+    three are, then two Newton sweeps on the original cubic. A repeated root
+    keeps its closed form, the larger of the simple and the double root, where
+    the generic forms cancel catastrophically and Newton would divide rounding
+    noise by a vanishing derivative. Rows whose powers overflow give a
+    non-finite root. Cubes are products: numpy's `power` takes a slow scalar
+    path for negative bases, and c2 <= 0 in ADMM's cubic.
     """
     # depressed cubic z^3 + p z + q with m = z - c2/(3 c3)
     shift = c2 / (3.0 * c3)
@@ -102,49 +102,31 @@ def cubic_roots(c3: float, c2: NDArray, c1: NDArray, c0: NDArray) -> NDArray:
     neg4p3 = -4.0 * p3
     q2 = 27.0 * q * q
     disc = neg4p3 - q2
-    # |disc| small against both terms needs p <= 0, where neg4p3 = |4 p^3|
-    repeated = np.abs(disc) <= 1e-12 * np.maximum(neg4p3, q2)
+    # |disc| small against both terms needs p <= 0, where neg4p3 = |4 p^3|; an
+    # overflowed discriminant (inf <= 1e-12 inf) says nothing about the roots
+    repeated = np.isfinite(disc) & (np.abs(disc) <= 1e-12 * np.maximum(neg4p3, q2))
 
-    # Cardano on every row; the rows with three or a repeated root replace it
     hq = q / 2.0
     s = np.sqrt(np.maximum(hq * hq + p3 / 27.0, 0.0))
-    first = np.cbrt(-hq + s) + np.cbrt(-hq - s) - shift
-    roots = np.full((c2.shape[0], 3), np.nan)
-    rare = np.flatnonzero((disc > 0) | repeated)
-    if rare.size:
-        pr, qr, rep = p[rare], q[rare], repeated[rare]
-        more = np.empty((rare.size, 3))
-        three = ~rep
-        if np.any(three):
-            pm = pr[three]
-            m = 2.0 * np.sqrt(-pm / 3.0)
-            theta = np.arccos(np.clip(3.0 * qr[three] / (pm * m), -1.0, 1.0)) / 3.0
-            offsets = np.array([2.0 * np.pi * k / 3.0 for k in range(3)])
-            more[three] = m[:, None] * np.cos(theta[:, None] - offsets)
-        if np.any(rep):
-            pz, qz = pr[rep], qr[rep]
-            zero = (np.abs(pz) < 1e-300) & (np.abs(qz) < 1e-300)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                simple = np.where(zero, 0.0, 3.0 * qz / pz)
-            more[rep] = np.stack([simple, -simple / 2.0, -simple / 2.0], axis=1)
-        more -= shift[rare, None]
-        first[rare] = more[:, 0]
-        # Newton at a double root divides rounding noise by a vanishing
-        # derivative: the closed form stays unpolished there
-        k = rare[three]
-        more[three, 1:] = _newton(c3, c2[k, None], c1[k, None], c0[k, None], more[three, 1:])
-        roots[rare, 1:] = more[:, 1:]
-    roots[:, 0] = _newton(c3, c2, c1, c0, first)
-    return roots
-
-
-def _newton(c3, c2, c1, c0, roots):
-    """Two Newton sweeps on c3 m^3 + c2 m^2 + c1 m + c0 from `roots`."""
+    z = np.cbrt(-hq + s) + np.cbrt(-hq - s)
+    three = np.flatnonzero((disc > 0) & ~repeated)
+    if three.size:
+        pm = p[three]
+        r = 2.0 * np.sqrt(-pm / 3.0)
+        z[three] = r * np.cos(np.arccos(np.clip(3.0 * q[three] / (pm * r), -1.0, 1.0)) / 3.0)
+    root = z - shift
     for _ in range(2):
-        f = ((c3 * roots + c2) * roots + c1) * roots + c0
-        df = (3.0 * c3 * roots + 2.0 * c2) * roots + c1
-        roots = roots - np.divide(f, df, out=np.zeros_like(f), where=df != 0)
-    return roots
+        f = ((c3 * root + c2) * root + c1) * root + c0
+        df = (3.0 * c3 * root + 2.0 * c2) * root + c1
+        root = root - np.divide(f, df, out=np.zeros_like(f), where=df != 0)
+    rep = np.flatnonzero(repeated)
+    if rep.size:
+        pz, qz = p[rep], q[rep]
+        zero = (np.abs(pz) < 1e-300) & (np.abs(qz) < 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            simple = np.where(zero, 0.0, 3.0 * qz / pz)
+        root[rep] = np.maximum(simple, -simple / 2.0) - shift[rep]
+    return root
 
 
 # LBFGS: stored (s, y) pairs; Wolfe sufficient-decrease and curvature

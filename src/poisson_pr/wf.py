@@ -12,7 +12,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .init_eval import RunState, TraceRow, nrmse as _nrmse, psnr as _psnr
-from .numerics import DegenerateIterateError, cubic_roots, real_dot
+from .numerics import DegenerateIterateError, cubic_largest_root, real_dot
 from .objectives import (
     GaussianObjective, HuberTV, PoissonObjective, RegularizedObjective,
 )
@@ -115,8 +115,11 @@ def step_exact_gaussian(obj: GaussianObjective, x: NDArray, grad: NDArray) -> fl
     a0, a1, a2, a3, a4 = gaussian_line_coeffs(obj, x, grad)
     if a4 == 0.0:
         raise DegenerateIterateError("degenerate line restriction")
-    crit = cubic_roots(4.0 * a4, *(np.array([c]) for c in (3.0 * a3, 2.0 * a2, a1)))[0]
-    candidates = [0.0] + [float(m) for m in crit if m >= 0.0]
+    # with a4 > 0 the middle critical point is a local maximum; the smallest
+    # is minus the largest root of the derivative reflected, m -> -m
+    hi, neg_lo = cubic_largest_root(4.0 * a4, np.array([3.0 * a3, -3.0 * a3]),
+                                    np.array([2.0 * a2, 2.0 * a2]), np.array([a1, -a1]))
+    candidates = [0.0] + [float(m) for m in (hi, -neg_lo) if m >= 0.0]
 
     def line_cost(m):
         return ((a4 * m + a3) * m + a2) * m * m + a1 * m + a0

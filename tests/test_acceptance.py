@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import curvature_optimal_numeric, finite_diff_grad
-from poisson_pr.admm import update_v_magnitude_b0, update_v_magnitude_bpos
+from poisson_pr.admm import update_v_magnitude_bpos
 from poisson_pr.init_eval import (
     finalize_init,
     initialize,
@@ -28,7 +28,6 @@ from poisson_pr.mm import (
     curvature_max,
     run_mm,
 )
-from poisson_pr.numerics import cubic_roots
 from poisson_pr.objectives import (
     DiffOp,
     GaussianObjective,
@@ -307,15 +306,15 @@ def test_criterion_9_admm_subproblem_exactness():
     b = rng.uniform(0.05, 5.0, n)
     rho = 4.0
     # quadratic (b = 0) residuals
-    m0 = update_v_magnitude_b0(t, y, rho)
+    m0 = update_v_magnitude_bpos(t, y, np.zeros(n), rho)
     quad_resid = np.max(np.abs((2 + rho) * m0 * m0 - rho * t * m0 - 2 * y))
     # cubic (b > 0) residuals, normalized by the leading coefficient
     mb = update_v_magnitude_bpos(t, y, b, rho)
     cubic = ((2 + rho) * mb**3 - rho * t * mb**2
              + (2 * b - 2 * y + rho * b) * mb - rho * b * t)
     cubic_resid = np.max(np.abs(cubic) / (2 + rho))
-    # root selection vs brute-force Lagrangian minimization
-    roots = cubic_roots(2 + rho, -rho * t, 2 * b - 2 * y + rho * b, -rho * b * t)
+    # root selection vs brute-force Lagrangian minimization over every
+    # nonnegative real root from np.roots
 
     def lag(m, i):
         rate = m * m + b[i]
@@ -323,8 +322,10 @@ def test_criterion_9_admm_subproblem_exactness():
 
     select_ok = True
     for i in range(n):
-        pos = [r for r in roots[i] if np.isfinite(r) and r >= 0]
-        best = min(lag(r, i) for r in pos)
+        roots = np.roots([2 + rho, -rho * t[i], 2 * b[i] - 2 * y[i] + rho * b[i],
+                          -rho * b[i] * t[i]])
+        real = roots.real[np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots))]
+        best = min(lag(r, i) for r in real if r >= 0)
         if lag(mb[i], i) > best + 1e-12:
             select_ok = False
             break

@@ -9,12 +9,11 @@ from poisson_pr.admm import (
     update_dual,
     update_rho,
     update_v,
-    update_v_magnitude_b0,
     update_v_magnitude_bpos,
     update_x,
 )
 from poisson_pr.init_eval import initialize, nrmse
-from poisson_pr.numerics import cubic_roots
+from poisson_pr.numerics import cubic_largest_root
 from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective
 from poisson_pr.operators import (
     DIRECT_MAX_COLS,
@@ -29,7 +28,7 @@ from poisson_pr.operators import (
     random_gaussian_model,
     simulate_poisson,
 )
-from poisson_pr.phantoms import disk
+from poisson_pr.phantoms import blocks, disk
 
 
 def _lagrangian(m, y, b, rho, t):
@@ -47,29 +46,30 @@ class TestPhaseUpdate:
 
     def test_general_phase(self):
         z = 2.0 * np.exp(1j * 0.9)
-        v = update_v(np.array([z]), np.array([0.0j]), np.array([3.0]), None, 2.0)
-        m = update_v_magnitude_b0(2.0, 3.0, 2.0)
+        v = update_v(np.array([z]), np.array([0.0j]), np.array([3.0]), np.zeros(1), 2.0)
+        m = update_v_magnitude_bpos(2.0, 3.0, 0.0, 2.0)
         assert v[0] / m == pytest.approx(np.exp(1j * 0.9), abs=1e-14)
 
     def test_zero_maps_to_one(self):
         # sign(0) := 1: v = m, real and positive
-        for b in (None, np.array([0.5])):
-            v = update_v(np.array([0.0j]), np.array([0.0j]), np.array([2.0]), b, 4.0)
-            m = (update_v_magnitude_b0(0.0, 2.0, 4.0) if b is None
-                 else update_v_magnitude_bpos(0.0, 2.0, 0.5, 4.0))
+        for b in (0.0, 0.5):
+            v = update_v(np.array([0.0j]), np.array([0.0j]), np.array([2.0]),
+                         np.array([b]), 4.0)
+            m = update_v_magnitude_bpos(0.0, 2.0, b, 4.0)
             assert m > 0 and v[0] == m + 0.0j
 
 
 class TestMagnitudeB0:
+    # at b = 0 the cubic is m times the quadratic (2+rho) m^2 - rho t m - 2y
     def test_hand_value_and_stationarity(self):
-        m = update_v_magnitude_b0(0.0, 2.0, 2.0)
+        m = update_v_magnitude_bpos(0.0, 2.0, 0.0, 2.0)
         assert m == pytest.approx(1.0)
         # stationarity of |v|^2 - y log|v|^2 + (rho/2)(|v|-t)^2
         resid = 2 * m - 2 * 2.0 / m + 2.0 * (m - 0.0)
         assert abs(resid) < 1e-10
 
     def test_zero_counts(self):
-        assert update_v_magnitude_b0(3.0, 0.0, 2.0) == pytest.approx(
+        assert update_v_magnitude_bpos(3.0, 0.0, 0.0, 2.0) == pytest.approx(
             2.0 * 3.0 / (2.0 + 2.0))
 
     def test_quadratic_residual_random(self):
@@ -77,7 +77,7 @@ class TestMagnitudeB0:
         t = rng.uniform(0, 5, 1000)
         y = rng.uniform(0, 10, 1000)
         rho = 3.0
-        m = update_v_magnitude_b0(t, y, rho)
+        m = update_v_magnitude_bpos(t, y, np.zeros_like(t), rho)
         assert np.all(m >= 0)
         # defining quadratic (in m): (2+rho) m^2 - rho t m - 2y = 0
         resid = (2 + rho) * m * m - rho * t * m - 2 * y
@@ -145,13 +145,13 @@ class TestMagnitudeBpos:
         t = rng.uniform(0.1, 5, 500)
         y = rng.uniform(0.1, 10, 500)
         rho = 3.0
-        m0 = update_v_magnitude_b0(t, y, rho)
+        m0 = update_v_magnitude_bpos(t, y, np.zeros_like(t), rho)
         meps = update_v_magnitude_bpos(t, y, np.full_like(t, 1e-12), rho)
         assert np.max(np.abs(m0 - meps)) < 1e-4
 
     def test_nonpositive_background_rejected(self):
         with pytest.raises(ValueError):
-            update_v_magnitude_bpos(1.0, 1.0, 0.0, 1.0)
+            update_v_magnitude_bpos(1.0, 1.0, -1.0, 1.0)
 
     def test_zero_target_and_counts_gives_zero(self):
         # t = 0, y = 0: m = 0 is the only real root
@@ -167,7 +167,7 @@ class TestMagnitudeBpos:
             assert m[0] == 0.0
 
     def test_mixed_rows_match_every_row_cubic(self):
-        # oracle: every row through cubic_roots and the Lagrangian pick
+        # oracle: every nonnegative real root from np.roots and the Lagrangian pick
         rng = np.random.default_rng(4)
         n = 4000
         t = rng.uniform(0, 6, n)
@@ -175,11 +175,13 @@ class TestMagnitudeBpos:
         y = rng.integers(0, 4, n).astype(float)
         b = rng.uniform(0.05, 2.0, n)
         for rho in (8.0, 1.5):
-            roots = cubic_roots(2 + rho, -rho * t, 2 * b - 2 * y + rho * b, -rho * b * t)
-            ok = np.isfinite(roots) & (roots >= 0)
-            lag = np.where(ok, _lagrangian(np.where(ok, roots, 1.0), y[:, None],
-                                           b[:, None], rho, t[:, None]), np.inf)
-            want = roots[np.arange(n), np.argmin(lag, axis=1)]
+            want = np.empty(n)
+            for i in range(n):
+                roots = np.roots([2 + rho, -rho * t[i], 2 * b[i] - 2 * y[i] + rho * b[i],
+                                  -rho * b[i] * t[i]])
+                real = roots.real[np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots))]
+                pos = real[real >= 0]
+                want[i] = min(pos, key=lambda r: _lagrangian(r, y[i], b[i], rho, t[i]))
             m = update_v_magnitude_bpos(t, y, b, rho)
             assert np.all(np.abs(m - want) <= 1e-13 * np.maximum(np.abs(want), 1e-300))
 
@@ -188,8 +190,8 @@ class TestMagnitudeBpos:
 
         def counted(*args):
             calls.append(1)
-            return cubic_roots(*args)
-        monkeypatch.setattr(admm, "cubic_roots", counted)
+            return cubic_largest_root(*args)
+        monkeypatch.setattr(admm, "cubic_largest_root", counted)
         model = random_gaussian_model(64, 8, seed=3, background=0.1)
         obj = PoissonObjective(model, np.zeros(model.rows))
         x0 = SignalVector(np.ones(model.cols, dtype=complex))
@@ -343,6 +345,31 @@ class TestRunAdmm:
         s0 = run_admm(PoissonObjective(m0, y), x0, 30, rho0=8.0)
         seps = run_admm(PoissonObjective(meps, y), x0, 30, rho0=8.0)
         assert np.linalg.norm(s0.x - seps.x) < 1e-4 * max(1.0, np.linalg.norm(s0.x))
+
+    def test_background_zero_on_some_rows(self):
+        # raised `update_v_magnitude_bpos requires b > 0`, for a valid model
+        b = np.where(np.arange(64) % 2 == 0, 0.0, 0.1)
+        model = random_gaussian_model(64, 8, seed=4, background=b)
+        signal = blocks(8, seed=0)
+        calibrate_scale(model, signal.values, 0.25)
+        obj = PoissonObjective(model, simulate_poisson(model, signal.values, 4).y,
+                               field=signal.field)
+        state = run_admm(obj, initialize(model, obj.y, field=signal.field, seed=4), 30)
+        assert state.status == "ok" and len(state.trace) == 30
+        assert np.all(np.isfinite(state.costs()))
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_huge_counts_end_in_a_defined_status(self, seed, field):
+        # at y = 1e150 an overflowed discriminant passed for a repeated root,
+        # and the update raised RuntimeError (no nonnegative root)
+        model = random_gaussian_model(64, 8, seed=seed, background=0.1)
+        calibrate_scale(model, blocks(8).values, 0.25)
+        for y in (1e300, 1e200, 1e150):
+            obj = PoissonObjective(model, np.full(64, y), field=field)
+            with np.errstate(all="ignore"):
+                state = run_admm(obj, SignalVector(np.full(8, 1e-3), field), 5)
+            assert state.status == "ok" or state.status.startswith("terminated: ")
 
     def test_rho_bounded_by_update_schedule(self):
         # after n iterations, rho stays within the doubling/halving envelope

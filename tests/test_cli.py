@@ -23,7 +23,7 @@ from poisson_pr.cli import (
 from poisson_pr.operators import save_file_matrix
 
 TINY = {
-    "model": {"variant": "dense", "m": 48, "n": 8, "seed": 1},
+    "model": {"variant": "dense", "m": 48, "seed": 1},
     "signal": {"source": "blocks", "n": 8, "field": "real_nonnegative", "seed": 0},
     "n_iters": 5,
     "init_iters": 50,
@@ -221,7 +221,7 @@ class TestMain:
     def test_run_exit_zero(self, tmp_path, capsys):
         rc = main([
             "run", "--out", str(tmp_path / "o"), "--seed", "0",
-            "--override", "model.m=48", "--override", "model.n=8",
+            "--override", "model.m=48",
             "--override", "signal.n=8", "--override", "n_iters=3",
             "--override", "init_iters=50",
         ])
@@ -254,7 +254,7 @@ class TestMain:
         rc = main([
             "suite", "--preset", "poisson-vs-gaussian", "--seed", "0",
             "--out", str(tmp_path),
-            "--override", "model.m=48", "--override", "model.n=8",
+            "--override", "model.m=48",
             "--override", "signal.n=8", "--override", "n_iters=2",
             "--override", "init_iters=50",
         ])
@@ -294,11 +294,19 @@ class TestExitContract:
         {"algorithm": {"truncation": {"a_h": "nan"}}},
         {"init_iters": -1},
         {"n_iters": 2.5},
+        # these were ignored without a word
+        {"regularizer": {"betaa": 5}},
+        {"algorithm": {"stepp": "backtracking"}},
+        {"model": {"n": 8}},
+        {"algorithm": {"truncation": {}}},
+        {"n_iter": 3},
     ], ids=["seed", "model-m", "alpha", "background", "disk-dims", "list",
             "step", "curvature", "kind",
             "mean-nan", "mean-inf", "rho0-0", "rho0-neg", "rho0-nan", "rho0-inf",
             "beta-nan", "beta-inf", "alpha-nan", "a_h-neg", "a_h-nan",
-            "init-iters-neg", "n-iters-fraction"])
+            "init-iters-neg", "n-iters-fraction",
+            "regularizer-betaa", "algorithm-stepp", "model-n", "truncation-empty",
+            "n_iter"])
     def test_malformed_config_exits_one(self, tmp_path, capsys, cfg):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(cfg))

@@ -1,4 +1,4 @@
-"""Numerical kernels: power method, CG, cubic roots, LBFGS, finite
+"""Numerical kernels: power method, CG, a cubic's largest root, LBFGS, finite
 differences."""
 
 from itertools import islice
@@ -16,16 +16,15 @@ from poisson_pr.numerics import (
     DegenerateIterateError,
     _wolfe_line_search,
     cg_solve,
-    cubic_roots,
+    cubic_largest_root,
     lbfgs_minimize,
     power_method,
 )
 
 
-def cubic_real_roots(c3, c2, c1, c0):
-    """The sorted real roots of one cubic, from `cubic_roots`."""
-    roots = cubic_roots(c3, *(np.array([c], float) for c in (c2, c1, c0)))[0]
-    return sorted(float(r) for r in roots if not np.isnan(r))
+def largest_root(c3, c2, c1, c0):
+    """The largest real root of one cubic, from `cubic_largest_root`."""
+    return float(cubic_largest_root(c3, *(np.array([c], float) for c in (c2, c1, c0)))[0])
 
 
 def lbfgs_last(fg, x0, n_iters):
@@ -140,25 +139,22 @@ class TestCgSolve:
 class TestCubicRealRoots:
     def test_three_distinct_roots(self):
         # (m-1)(m-2)(m-3) = m^3 - 6 m^2 + 11 m - 6
-        roots = cubic_real_roots(1.0, -6.0, 11.0, -6.0)
-        assert np.allclose(roots, [1.0, 2.0, 3.0], atol=1e-9)
+        assert largest_root(1.0, -6.0, 11.0, -6.0) == pytest.approx(3.0, abs=1e-9)
 
     def test_triple_zero_root(self):
-        roots = cubic_real_roots(1.0, 0.0, 0.0, 0.0)
-        assert np.allclose(roots, [0.0, 0.0, 0.0])
+        assert largest_root(1.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_single_real_root(self):
         # m^3 + m has only the real root 0
-        roots = cubic_real_roots(1.0, 0.0, 1.0, 0.0)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(0.0, abs=1e-12)
+        assert largest_root(1.0, 0.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_near_double_root(self):
-        # (m-1)^2 (m-2) = m^3 - 4 m^2 + 5 m - 2
-        roots = cubic_real_roots(1.0, -4.0, 5.0, -2.0)
-        assert len(roots) == 3
-        assert roots[-1] == pytest.approx(2.0, abs=1e-6)
-        assert roots[0] == pytest.approx(1.0, abs=1e-6)
+        # (m-1)^2 (m-2) = m^3 - 4 m^2 + 5 m - 2: the simple root is the largest
+        assert largest_root(1.0, -4.0, 5.0, -2.0) == pytest.approx(2.0, abs=1e-6)
+
+    def test_largest_root_double(self):
+        # (m-2)^2 (m-1) = m^3 - 5 m^2 + 8 m - 4: the double root is the largest
+        assert largest_root(1.0, -5.0, 8.0, -4.0) == pytest.approx(2.0, abs=1e-9)
 
     @given(
         st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5),
@@ -173,9 +169,7 @@ class TestCubicRealRoots:
         c2 = -(r1 + r2 + r3)
         c1 = r1 * r2 + r1 * r3 + r2 * r3
         c0 = -r1 * r2 * r3
-        roots = cubic_real_roots(1.0, c2, c1, c0)
-        assert len(roots) == 3
-        assert np.allclose(roots, rs, atol=1e-6)
+        assert largest_root(1.0, c2, c1, c0) == pytest.approx(rs[2], abs=1e-6)
 
 
 class TestCubicRoots:
@@ -203,26 +197,32 @@ class TestCubicRoots:
         c0 = np.concatenate([c0, -rho * b * t])
         kind = np.repeat(["three", "one", "double", "admm"], n)
 
-        # cubic_roots takes a scalar c3: one call per leading coefficient
-        roots = np.full((4 * n, 3), np.nan)
+        # cubic_largest_root takes a scalar c3: one call per leading coefficient
+        roots = np.full(4 * n, np.nan)
         for lead in np.unique(c3):
             rows = c3 == lead
-            roots[rows] = cubic_roots(lead, c2[rows], c1[rows], c0[rows])
-        assert np.all(np.isfinite(roots[:, 0]))
-        assert np.all(np.isfinite(roots[kind == "three"]))
-        assert np.all(np.isnan(roots[kind == "one", 1:]))
-        err = np.sort(roots[kind == "double"], axis=1) - np.sort(double, axis=1)
-        assert np.all(np.abs(err) <= 1e-9 * np.max(np.abs(double), axis=1, keepdims=True))
+            roots[rows] = cubic_largest_root(lead, c2[rows], c1[rows], c0[rows])
+        assert np.all(np.isfinite(roots))
+        err = roots[kind == "double"] - np.max(double, axis=1)
+        assert np.all(np.abs(err) <= 1e-9 * np.max(np.abs(double), axis=1))
         for i in range(4 * n):
             ref = np.roots([c3[i], c2[i], c1[i], c0[i]])
             # np.roots splits a double root by about sqrt(eps) (it is an
             # eigenvalue of a defective companion matrix), so it is only that
             # good there; the exact integer roots are checked above
             tol = (1e-6 if kind[i] == "double" else 1e-9) * np.max(np.abs(ref))
-            real = np.sort(ref.real[np.abs(ref.imag) <= tol])
-            ours = np.sort(roots[i][np.isfinite(roots[i])])
-            assert ours.size == real.size, (kind[i], ours, ref)
-            assert np.all(np.abs(ours - real) <= tol), (kind[i], ours, ref)
+            real = ref.real[np.abs(ref.imag) <= tol]
+            assert abs(roots[i] - np.max(real)) <= tol, (kind[i], roots[i], ref)
+
+    def test_overflowed_discriminant_is_not_a_repeated_root(self):
+        # ADMM's cubic at y = 1e150, t = 1e-3, b = 0.1, rho = 8: p^3 overflows,
+        # and the repeated-root closed form gave -4e-154 for the root 4.5e74
+        rho, y, b, t = 8.0, 1e150, 0.1, 1e-3
+        with np.errstate(over="ignore"):
+            root = cubic_largest_root(2.0 + rho, np.array([-rho * t]),
+                                      np.array([2 * b - 2 * y + rho * b]),
+                                      np.array([-rho * b * t]))[0]
+        assert root == pytest.approx(np.sqrt(2 * y / (2 + rho) - b), rel=1e-12)
 
 
 class TestWolfeLineSearch:

@@ -154,6 +154,19 @@ class TestStepExactGaussian:
         grid = np.linspace(0.0, max(2 * mu, 1.0), 10_000)
         assert line(mu) <= min(line(t) for t in grid) + 1e-9
 
+    def test_global_minimum_is_the_smaller_local_minimum(self):
+        # g(x) = (1 - x1^2)^2 + (1 - x2^2)^2 from x = (3, 2.5): along the
+        # gradient the line has local minima at mu = 0.0240 and 0.0406, and
+        # the first is lower; only the smallest critical point finds it
+        obj = GaussianObjective(DenseModel(np.eye(2)), np.array([1.0, 1.0]))
+        x = np.array([3.0, 2.5], dtype=complex)
+        g = obj.gradient(x)
+        a0, a1, a2, a3, a4 = gaussian_line_coeffs(obj, x, g)
+        crit = np.sort(np.roots([4 * a4, 3 * a3, 2 * a2, a1]).real)
+        line = lambda t: ((a4 * t + a3) * t + a2) * t * t + a1 * t + a0
+        assert 0 < crit[0] < crit[2] and line(crit[0]) < line(crit[2])
+        assert step_exact_gaussian(obj, x, g) == pytest.approx(crit[0], rel=1e-9)
+
     def test_line_coeffs_match_cost(self):
         model, x, _ = small_poisson_instance(n=3, m=12, seed=7)
         rng = np.random.default_rng(8)
