@@ -12,8 +12,7 @@ from .mm import minimize_quad_plus_huber
 # cg_solve, power_method: only for the benchmark's tracer
 from .numerics import cg_solve, cubic_largest_root, power_method  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
-from .operators import (FieldTag, ForwardModel, SignalVector, project_field, quad_form,
-                        realify)
+from .operators import FieldTag, ForwardModel, SignalVector, quad_form, realify
 from .wf import DegenerateIterateError, iterate
 
 
@@ -27,8 +26,8 @@ def update_v_magnitude_bpos(t, y, b, rho: float):
     and only the y > 0 rows go to `cubic_largest_root`. There the largest root
     is the minimizer: for t > 0 it is the only positive root, at t = 0 it is
     sqrt(max(0, 2y/(2+rho) - b)), and at b = 0 the cubic is m times the
-    quadratic (2+rho) m^2 - rho t m - 2y. A root that is not finite (the
-    powers of a huge iterate or count overflow) or not nonnegative raises
+    quadratic (2+rho) m^2 - rho t m - 2y. A root that is not finite (a
+    coefficient such as 2y or rho t overflowed) or not nonnegative raises
     DegenerateIterateError.
     """
     t = np.atleast_1d(np.asarray(t, float))
@@ -87,30 +86,21 @@ def update_rho(rho: float, primal_res_norm: float, dual_res_norm: float, k: int)
 
 def update_x(
     model: ForwardModel,
+    ax: NDArray,
     v: NDArray,
     eta: NDArray,
     field: FieldTag,
-    normal,
     x0: NDArray,
     reg: HuberTV | None = None,
     rho: float = 1.0,
 ) -> NDArray:
-    """Least-squares x update, with optional Huber regularization: minimizes
-    (rho/2)||Ax - v - eta||^2 [+ beta R(x)] over the field from x0 by
-    `minimize_quad_plus_huber`, i.e. 1/2 x'Qx - Re<r, x> [+ beta R(x)] with
-    Q = rho A'A, r = rho A'(v + eta) and gradient Q x0 - r at x0.
-
-    `normal` is A'A, the `operators.quad_form(model, 1.0, field)` that
-    run_admm builds once per run. Without a penalty the minimizer does not
-    depend on rho, and `normal` is passed as it is, so a `DenseGram` checks
-    its rank once per run rather than once per rescaled copy.
-    """
-    w = v + eta
-    if model.offset_raw is not None:
-        w = w - model.scale * model.offset_raw
-    rhs = realify(model.adjoint(w), field)
-    quad, lin = (normal, rhs) if reg is None else (rho * normal, rho * rhs)
-    return minimize_quad_plus_huber(quad, quad @ x0 - lin, x0, reg, field)
+    """Least-squares x update, with optional Huber regularization: MM's step
+    (`minimize_quad_plus_huber`) on (rho/2)||Ax - v - eta||^2 [+ beta R(x)]
+    from x0, with Gram `quad_form(model, rho)` and gradient rho A'(ax - v - eta),
+    `ax` = A x0 with the canonical DFT's offset."""
+    return minimize_quad_plus_huber(quad_form(model, rho, field),
+                                    realify(model.adjoint(rho * (ax - v - eta)), field),
+                                    x0, reg, field)
 
 
 def check_rho0(rho0) -> float:
@@ -131,10 +121,10 @@ def run_admm(
 ) -> RunState:
     """ADMM outer loop: v (`update_v`: one modulus of A x - eta for both the
     phase and the magnitude, whose zero-count rows are closed-form), x, dual,
-    penalty update. The x update shares MM's x-subproblem solve; a singular
-    A'A ends the run `terminated`."""
+    penalty update. The x update is MM's step on `quad_form(model, rho)`,
+    rho times the model's remembered A'A; a singular A'A ends the run
+    `terminated`."""
     model = obj.model
-    normal = quad_form(model, 1.0, obj.field)
     ax = obj.forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
@@ -144,8 +134,7 @@ def run_admm(
         nonlocal ax, v, eta, rho
         v_old = v
         v = update_v(ax, eta, obj.y, obj.b, rho)
-        x = update_x(model, v, eta, field=obj.field, normal=normal, x0=x, reg=reg,
-                     rho=rho)
+        x = update_x(model, ax, v, eta, field=obj.field, x0=x, reg=reg, rho=rho)
         ax = obj.forward(x)
         eta = update_dual(eta, v, ax)
         if k % 10 == 0:  # the only iterations whose residuals update_rho reads

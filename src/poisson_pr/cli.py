@@ -170,10 +170,12 @@ def build_model(cfg: dict, signal: SignalVector, background: float):
         seed = _integer(cfg.get("seed", 12345), "model.seed")
         return random_gaussian_model(m, n, seed=seed, background=background)
     if variant == "masked_dft":
+        exact_half = cfg.get("exact_half_masks", False)
+        if not isinstance(exact_half, bool):
+            raise ConfigError("model.exact_half_masks must be true or false")
         masks = make_masks(
             _integer(cfg.get("masks", 21), "model.masks", positive=True), n,
-            seed=_integer(cfg.get("seed", 12345), "model.seed"),
-            exact_half=bool(cfg.get("exact_half_masks", False)),
+            seed=_integer(cfg.get("seed", 12345), "model.seed"), exact_half=exact_half,
         )
         return MaskedDftModel(masks, background=background)
     if variant == "canonical_dft":
@@ -213,6 +215,10 @@ def build_solver(alg: dict):
     """The configured solver and its keyword options, every option read and
     checked before any solve starts."""
     kind = alg.get("kind", "wf")
+    if kind != "wf" and alg.get("truncation") is not None:
+        raise ConfigError("algorithm.truncation needs kind wf")
+    if kind in ("mm", "admm") and alg.get("noise_model", "poisson") != "poisson":
+        raise ConfigError(f"{kind} needs noise_model poisson")
     if kind == "wf":
         step = alg.get("step", "fisher")
         try:

@@ -89,10 +89,22 @@ def cubic_largest_root(c3: float, c2: NDArray, c1: NDArray, c0: NDArray) -> NDAr
     three are, then two Newton sweeps on the original cubic. A repeated root
     keeps its closed form, the larger of the simple and the double root, where
     the generic forms cancel catastrophically and Newton would divide rounding
-    noise by a vanishing derivative. Rows whose powers overflow give a
-    non-finite root. Cubes are products: numpy's `power` takes a slow scalar
-    path for negative bases, and c2 <= 0 in ADMM's cubic.
+    noise by a vanishing derivative. A row whose root size, the largest of
+    |c2/c3|, |c1/c3|^(1/2) and |c0/c3|^(1/3), exceeds 2^100 is solved for
+    m / 2^e, 2^e about that size, by exact power-of-two coefficients, so its
+    p^3 and q^2 stay finite; other rows are solved as they are. Cubes are
+    products: numpy's `power` takes a slow scalar path for negative bases,
+    and c2 <= 0 in ADMM's cubic.
     """
+    lim = abs(c3) * 2.0**100
+    huge = np.flatnonzero((np.abs(c2) > lim) | (np.abs(c1) > lim * 2.0**100)
+                          | (np.abs(c0) > lim * 2.0**200))
+    if huge.size:
+        a2, a1, a0 = (np.abs(c[huge] / c3) for c in (c2, c1, c0))
+        e = np.frexp(np.maximum.reduce([a2, np.sqrt(a1), np.cbrt(a0)]))[1]
+        c2, c1, c0 = (np.array(c, float) for c in (c2, c1, c0))
+        for k, c in enumerate((c2, c1, c0), 1):
+            c[huge] = np.ldexp(c[huge], -k * e)
     # depressed cubic z^3 + p z + q with m = z - c2/(3 c3)
     shift = c2 / (3.0 * c3)
     p = (3.0 * c3 * c1 - c2 * c2) / (3.0 * c3 * c3)
@@ -126,6 +138,8 @@ def cubic_largest_root(c3: float, c2: NDArray, c1: NDArray, c0: NDArray) -> NDAr
         with np.errstate(divide="ignore", invalid="ignore"):
             simple = np.where(zero, 0.0, 3.0 * qz / pz)
         root[rep] = np.maximum(simple, -simple / 2.0) - shift[rep]
+    if huge.size:
+        root[huge] = np.ldexp(root[huge], e)
     return root
 
 

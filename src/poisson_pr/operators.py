@@ -8,7 +8,6 @@ carries a nonnegative mean background vector b, so the measurement mean is
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field as dc_field
 
@@ -249,13 +248,13 @@ def gram(model: ForwardModel, w, field: FieldTag) -> NDArray:
     Formed as c A'A + A_S' diag(w_S - c) A_S, with c = min w and S the rows
     where w > c, which is exact for any w >= 0. A'A comes from the model's
     memo, so a weight that sits at its minimum on most rows (MM's curvature
-    is 2 on every zero count) costs only the rows above it. A scalar w is
-    w A'A, and where c = 0 (the spectral initializer's y/(y+1)) A'A is not
-    formed.
+    is 2 on every zero count) costs only the rows above it. A scalar w is w
+    times the memo's A'A, and where c = 0 (the spectral initializer's
+    y/(y+1)) A'A is not formed.
     """
-    a = model.densify()
     if np.ndim(w) == 0:
-        return w * _normal_gram(model, field, a)
+        return w * _normal_gram(model, field)
+    a = model.densify()
     c = np.min(w)
     rows = np.flatnonzero(w > c)
     h = _weighted_gram(a[rows], np.sqrt(w[rows] - c), field.is_real)
@@ -297,9 +296,6 @@ class DenseGram:
 
     def __matmul__(self, z):
         return self.h @ z
-
-    def __rmul__(self, c):
-        return type(self)(c * self.h, self.field)
 
     def solve(self, rhs, iters, tol):
         if not self.checked:
@@ -393,9 +389,6 @@ class NormalOp:
     def __call__(self, z):
         return self @ z
 
-    def __rmul__(self, c):
-        return NormalOp(self.model, c * self.w, self.field)
-
     def solve(self, rhs, iters, tol):
         return cg_solve(self, rhs, iters=iters, tol=tol)
 
@@ -403,7 +396,7 @@ class NormalOp:
 class CirculantGram(NormalOp):
     """z -> scale^2 sum_l D_l F'diag(w_l)F D_l z, F the unnormalized DFT on a
     grid into whose corner z (shaped `dims`) is zero-padded, D_l a mask; a
-    `NormalOp` with its own product and scaling.
+    `NormalOp` with its own product.
 
     `w` is (L, *grid) with masks of shape (L, *dims), or `grid` alone
     without masks. F'WF is Toeplitz along each axis, with lags
@@ -461,17 +454,13 @@ class CirculantGram(NormalOp):
             f = np.sum(self.masks * f, axis=0)
         return f.ravel()
 
-    def __rmul__(self, c):
-        scaled = copy.copy(self)
-        scaled.spectrum = c * self.spectrum
-        return scaled
-
 
 def quad_form(model: ForwardModel, w, field: FieldTag):
-    """A'diag(w)A as `q @ z`, `c * q` and `q.solve(rhs, iters, tol)`, the one
-    choice of its form: a `DiagonalGram` for a scalar w where A'A is diagonal,
-    a `DenseGram` up to DIRECT_MAX_COLS columns, the FFT models'
-    `toeplitz_gram`, else a NormalOp."""
+    """A'diag(w)A as `q @ z` and `q.solve(rhs, iters, tol)`, the one choice of
+    its form: a `DiagonalGram` for a scalar w where A'A is diagonal, a
+    `DenseGram` up to DIRECT_MAX_COLS columns, the FFT models'
+    `toeplitz_gram`, else a NormalOp. A scalar w (ADMM's rho) scales the
+    model's remembered A'A, and the rank check reads its remembered spectrum."""
     diag = model.normal_diag() if np.ndim(w) == 0 else None
     if diag is not None:
         return DiagonalGram(w * diag, field)

@@ -24,7 +24,6 @@ from poisson_pr.operators import (
     SignalVector,
     calibrate_scale,
     make_masks,
-    quad_form,
     random_gaussian_model,
     simulate_poisson,
 )
@@ -204,8 +203,8 @@ class TestXUpdate:
     def test_identity_passthrough(self):
         m = DenseModel(np.eye(3))
         v = np.array([1.0, 2.0j, -1.0 + 0.5j])
-        out = update_x(m, v, np.zeros(3, dtype=complex), FieldTag.COMPLEX,
-                       quad_form(m, 1.0, FieldTag.COMPLEX), np.zeros(3, dtype=complex))
+        x0 = np.zeros(3, dtype=complex)
+        out = update_x(m, m.apply(x0), v, np.zeros(3, dtype=complex), FieldTag.COMPLEX, x0)
         assert np.allclose(out, v, atol=1e-12)
 
     def test_masked_dft_diagonal_vs_cg(self):
@@ -213,13 +212,13 @@ class TestXUpdate:
         rng = np.random.default_rng(5)
         v = rng.standard_normal(m.rows) + 1j * rng.standard_normal(m.rows)
         zero = np.zeros(m.cols, dtype=complex)
-        fast = update_x(m, v, np.zeros(m.rows, dtype=complex), FieldTag.COMPLEX,
-                        quad_form(m, 1.0, FieldTag.COMPLEX), zero)
+        fast = update_x(m, m.apply(zero), v, np.zeros(m.rows, dtype=complex),
+                        FieldTag.COMPLEX, zero)
         # force the CG path (N > DIRECT_MAX_COLS) by hiding the diagonal
         diag_fn = m.normal_diag
         m.normal_diag = lambda: None
-        slow = update_x(m, v, np.zeros(m.rows, dtype=complex), FieldTag.COMPLEX,
-                        quad_form(m, 1.0, FieldTag.COMPLEX), zero)
+        slow = update_x(m, m.apply(zero), v, np.zeros(m.rows, dtype=complex),
+                        FieldTag.COMPLEX, zero)
         m.normal_diag = diag_fn
         assert np.linalg.norm(fast - slow) < 1e-8 * max(1.0, np.linalg.norm(fast))
 
@@ -239,17 +238,17 @@ class TestXUpdate:
         rng = np.random.default_rng(8)
         v = rng.standard_normal(m.rows) + 1j * rng.standard_normal(m.rows)
         reg = HuberTV(0.8, 0.2, DiffOp(m.cols))
-        out = update_x(m, v, np.zeros(m.rows, dtype=complex), FieldTag.REAL,
-                       quad_form(m, 1.0, FieldTag.REAL), np.zeros(m.cols, dtype=complex),
-                       reg=reg, rho=2.0)
+        x0 = np.zeros(m.cols, dtype=complex)
+        out = update_x(m, m.apply(x0), v, np.zeros(m.rows, dtype=complex), FieldTag.REAL,
+                       x0, reg=reg, rho=2.0)
         assert not built
         assert np.all(np.isfinite(out))
 
     def test_real_field_uses_real_part(self):
         m = DenseModel(np.eye(2))
         v = np.array([1.0 + 2.0j, -3.0 + 1.0j])
-        out = update_x(m, v, np.zeros(2, dtype=complex), FieldTag.REAL,
-                       quad_form(m, 1.0, FieldTag.REAL), np.zeros(2, dtype=complex))
+        x0 = np.zeros(2, dtype=complex)
+        out = update_x(m, m.apply(x0), v, np.zeros(2, dtype=complex), FieldTag.REAL, x0)
         assert np.allclose(out, [1.0, -3.0])
 
     def test_huber_regularized_solves_normal_condition(self):
@@ -258,12 +257,33 @@ class TestXUpdate:
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         reg = HuberTV(0.8, 0.2, DiffOp(4))
         rho = 2.0
-        out = update_x(m, v, np.zeros(12, dtype=complex), FieldTag.COMPLEX,
-                       quad_form(m, 1.0, FieldTag.COMPLEX), np.zeros(4, dtype=complex),
-                       reg=reg, rho=rho)
+        x0 = np.zeros(4, dtype=complex)
+        out = update_x(m, m.apply(x0), v, np.zeros(12, dtype=complex), FieldTag.COMPLEX,
+                       x0, reg=reg, rho=rho)
         # stationarity of (rho/2)||Ax - v||^2 + beta R(x)
         g = rho * m.adjoint(m.apply_linear(out) - v) + reg.gradient(out)
         assert np.linalg.norm(g) < 1e-6 * max(1.0, np.linalg.norm(v))
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize("rho", [1.0, 3.0])
+    def test_canonical_dft_offset_from_a_nonzero_start(self, field, rho):
+        # A x = scale (F x + offset): the x-update is the least-squares fit of
+        # the linear part to v + eta - scale * offset, whatever x0 and rho.
+        # The reference lies off the image's columns, so A' offset is zero up
+        # to rounding, and `ax`, which carries the offset, must not add it
+        rng = np.random.default_rng(12)
+        m = CanonicalDftModel((4, 3), rng.uniform(0.0, 1.0, (4, 2)), scale=0.7)
+        v = rng.standard_normal(m.rows) + 1j * rng.standard_normal(m.rows)
+        eta = 0.1 * (rng.standard_normal(m.rows) + 1j * rng.standard_normal(m.rows))
+        x0 = rng.uniform(0.5, 1.5, m.cols) + 0j
+        if not field.is_real:
+            x0 += 1j * rng.standard_normal(m.cols)
+        out = update_x(m, m.apply(x0), v, eta, field, x0, rho=rho)
+        a, target = m.densify(), v + eta - m.scale * m.offset_raw
+        if field.is_real:
+            a, target = np.vstack([a.real, a.imag]), np.r_[target.real, target.imag]
+        expected = np.linalg.lstsq(a, target, rcond=None)[0]
+        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestDualAndRho:
@@ -362,14 +382,17 @@ class TestRunAdmm:
     @pytest.mark.parametrize("seed", range(6))
     def test_huge_counts_end_in_a_defined_status(self, seed, field):
         # at y = 1e150 an overflowed discriminant passed for a repeated root,
-        # and the update raised RuntimeError (no nonnegative root)
+        # and the update raised RuntimeError (no nonnegative root); then the
+        # magnitude cubic's powers overflowed once |A x - eta| reached about
+        # 1e74, and every run ended `terminated: non-finite cost`
         model = random_gaussian_model(64, 8, seed=seed, background=0.1)
         calibrate_scale(model, blocks(8).values, 0.25)
         for y in (1e300, 1e200, 1e150):
             obj = PoissonObjective(model, np.full(64, y), field=field)
             with np.errstate(all="ignore"):
                 state = run_admm(obj, SignalVector(np.full(8, 1e-3), field), 5)
-            assert state.status == "ok" or state.status.startswith("terminated: ")
+            assert state.status == "ok" and len(state.trace) == 5, (y, state.status)
+            assert np.all(np.isfinite(state.costs()))
 
     def test_rho_bounded_by_update_schedule(self):
         # after n iterations, rho stays within the doubling/halving envelope

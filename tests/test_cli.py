@@ -300,13 +300,21 @@ class TestExitContract:
         {"model": {"n": 8}},
         {"algorithm": {"truncation": {}}},
         {"n_iter": 3},
+        # these ran to exit 0 doing something other than what was asked: MM
+        # and ADMM solve the Poisson model whatever noise_model says, only WF
+        # truncates, and the string "no" turned exact-half masks on
+        {"algorithm": {"kind": "mm", "noise_model": "gaussian"}},
+        {"algorithm": {"kind": "admm", "noise_model": "gaussian"}},
+        {"algorithm": {"kind": "mm", "truncation": {"a_h": 5}}},
+        {"model": {"variant": "masked_dft", "exact_half_masks": "no"}},
     ], ids=["seed", "model-m", "alpha", "background", "disk-dims", "list",
             "step", "curvature", "kind",
             "mean-nan", "mean-inf", "rho0-0", "rho0-neg", "rho0-nan", "rho0-inf",
             "beta-nan", "beta-inf", "alpha-nan", "a_h-neg", "a_h-nan",
             "init-iters-neg", "n-iters-fraction",
             "regularizer-betaa", "algorithm-stepp", "model-n", "truncation-empty",
-            "n_iter"])
+            "n_iter", "mm-gaussian", "admm-gaussian", "mm-truncation",
+            "exact-half-string"])
     def test_malformed_config_exits_one(self, tmp_path, capsys, cfg):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(cfg))

@@ -365,8 +365,7 @@ class TestInnerSolverMatchesOperatorOracle:
         rhs = realify(model.adjoint(v + eta), field)
         expected = minimize_quad_plus_huber_by_operator(
             operator_oracle(model, rho, field), rho * rhs, x0, reg, field, 50, 1e-9)
-        out = update_x(model, v, eta, field, quad_form(model, 1.0, field), x0, reg=reg,
-                       rho=rho)
+        out = update_x(model, model.apply(x0), v, eta, field, x0, reg=reg, rho=rho)
         assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -422,8 +421,7 @@ class TestDenseNonnegativeInnerSolve:
         op = operator_oracle(model, rho, field)
         lin = rho * realify(model.adjoint(v + eta), field)
         oracle = minimize_quad_plus_huber_by_operator(op, lin, x0, reg, field, 50, 1e-8)
-        out = update_x(model, v, eta, field, quad_form(model, 1.0, field), x0, reg=reg,
-                       rho=rho)
+        out = update_x(model, model.apply(x0), v, eta, field, x0, reg=reg, rho=rho)
         value, kkt = nonnegative_huber_subproblem(op, lin, reg)
         assert np.all(out.imag == 0) and np.all(out.real >= 0)
         assert kkt(out) <= 1e-10 * np.linalg.norm(lin)

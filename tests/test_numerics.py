@@ -224,6 +224,25 @@ class TestCubicRoots:
                                       np.array([-rho * b * t]))[0]
         assert root == pytest.approx(np.sqrt(2 * y / (2 + rho) - b), rel=1e-12)
 
+    @pytest.mark.parametrize("y, t", [(1e150, 1e74), (1e150, 1e100), (1e200, 1e74),
+                                      (1e300, 1e-3), (1e300, 1e150)])
+    def test_huge_coefficients_give_a_finite_root(self, y, t):
+        # ADMM's cubic at a huge count and modulus: p^3 and q^2 overflowed
+        # (a NaN root at y = 1e150, t = 1e74, whose root is about 4.9e74);
+        # the rows of normal size mixed in are solved exactly as alone
+        rho, b = 8.0, 0.1
+        rng = np.random.default_rng(5)
+        tn, yn = rng.uniform(0, 10, 6), rng.integers(1, 6, 6).astype(float)
+        tt, yy = np.r_[t, tn], np.r_[y, yn]
+        c3, c2, c1, c0 = 2.0 + rho, -rho * tt, 2.0 * b - 2.0 * yy + rho * b, -rho * b * tt
+        root = cubic_largest_root(c3, c2, c1, c0)
+        assert np.array_equal(root[1:], cubic_largest_root(c3, c2[1:], c1[1:], c0[1:]))
+        m = root[0]
+        assert np.isfinite(m) and m > 0
+        # the residual over the size of its terms, all divided by m^3
+        terms = np.array([c3, c2[0] / m, c1[0] / m / m, c0[0] / m / m / m])
+        assert abs(np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+
 
 class TestWolfeLineSearch:
     def test_exhausted_search_returns_its_own_cost_and_gradient(self):
