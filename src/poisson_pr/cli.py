@@ -59,21 +59,22 @@ DEFAULT_CONFIG = {
     "signal": {"source": "blocks", "n": 64, "field": "real_nonnegative", "seed": 0},
     "mean_count": 0.25,
     "background": 0.1,
-    "algorithm": {
-        "kind": "wf",
-        "step": "fisher",
-        "noise_model": "poisson",
-        "curvature": "improved",
-        "rho0": 8.0,
-        "truncation": None,
-    },
+    "algorithm": {"kind": "wf", "noise_model": "poisson"},
     "regularizer": None,
     "n_iters": 100,
     "seed": 0,
     "init_iters": 300,
 }
-# the keys a section may hold beyond those DEFAULT_CONFIG gives it; any other
-# key is a config error
+# each algorithm kind's own options and their defaults, which its "algorithm"
+# section adds to DEFAULT_CONFIG's; another kind's option is a config error
+ALGORITHM_OPTIONS = {
+    "wf": {"step": "fisher", "truncation": None},
+    "mm": {"curvature": "improved"},
+    "admm": {"rho0": 8.0},
+    "lbfgs": {},
+}
+# the keys a section may hold beyond those its defaults give it; any other key
+# is a config error
 OPTIONAL_KEYS = {
     "model": {"masks", "exact_half_masks", "pad_width", "fft_dims", "reference_path",
               "path"},
@@ -125,6 +126,15 @@ def _check_keys(node: dict, default, path: str = "") -> None:
             raise ConfigError(f"unknown config key {name}")
         if isinstance(value, dict):
             _check_keys(value, default.get(key), name)
+
+
+def _algorithm_defaults(alg: dict) -> dict:
+    """DEFAULT_CONFIG's algorithm section plus the options, with their
+    defaults, of the kind `alg` names; a ConfigError for an unknown kind."""
+    kind = alg["kind"]
+    if not isinstance(kind, str) or kind not in ALGORITHM_OPTIONS:
+        raise ConfigError(f"unknown algorithm kind {kind!r}")
+    return {**DEFAULT_CONFIG["algorithm"], **ALGORITHM_OPTIONS[kind]}
 
 
 def _integer(value, key: str, positive: bool = False) -> int:
@@ -213,36 +223,31 @@ def build_regularizer(cfg: dict | None, signal: SignalVector) -> HuberTV | None:
 
 def build_solver(alg: dict):
     """The configured solver and its keyword options, every option read and
-    checked before any solve starts."""
-    kind = alg.get("kind", "wf")
-    if kind != "wf" and alg.get("truncation") is not None:
-        raise ConfigError("algorithm.truncation needs kind wf")
-    if kind in ("mm", "admm") and alg.get("noise_model", "poisson") != "poisson":
+    checked before any solve starts; `alg` is a whole algorithm section, its
+    kind's defaults filled in (`run_experiment` fills them)."""
+    kind = alg["kind"]
+    if kind in ("mm", "admm") and alg["noise_model"] != "poisson":
         raise ConfigError(f"{kind} needs noise_model poisson")
     if kind == "wf":
-        step = alg.get("step", "fisher")
         try:
-            rule = StepRule(kind=StepKind(step))
+            rule = StepRule(kind=StepKind(alg["step"]))
         except ValueError:
-            raise ConfigError(f"unknown step rule {step!r}")
-        if (rule.kind is StepKind.EXACT_GAUSSIAN
-                and alg.get("noise_model", "poisson") != "gaussian"):
+            raise ConfigError(f"unknown step rule {alg['step']!r}")
+        if rule.kind is StepKind.EXACT_GAUSSIAN and alg["noise_model"] != "gaussian":
             raise ConfigError("the exact_gaussian step needs noise_model gaussian")
-        trunc_cfg = alg.get("truncation")
+        trunc_cfg = alg["truncation"]
         if trunc_cfg is not None and "a_h" not in trunc_cfg:
             raise ConfigError("algorithm.truncation needs a_h")
         trunc = None if trunc_cfg is None else TruncationRule(a_h=float(trunc_cfg["a_h"]))
         return run_wf, {"rule": rule, "trunc": trunc}
     if kind == "mm":
         try:
-            return run_mm, {"curvature": CurvatureKind(alg.get("curvature", "improved"))}
+            return run_mm, {"curvature": CurvatureKind(alg["curvature"])}
         except ValueError:
-            raise ConfigError(f"unknown curvature {alg.get('curvature')!r}")
+            raise ConfigError(f"unknown curvature {alg['curvature']!r}")
     if kind == "admm":
-        return run_admm, {"rho0": check_rho0(alg.get("rho0", 8.0))}
-    if kind == "lbfgs":
-        return run_lbfgs, {}
-    raise ConfigError(f"unknown algorithm kind {kind!r}")
+        return run_admm, {"rho0": check_rho0(alg["rho0"])}
+    return run_lbfgs, {}
 
 
 def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
@@ -255,21 +260,23 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
     # a malformed value or a section that is not an object fails below, a config
     # error; what fails from `initialize` on is a numerical failure
     try:
-        _check_keys(cfg, DEFAULT_CONFIG)
+        defaults = {**DEFAULT_CONFIG, "algorithm": _algorithm_defaults(cfg["algorithm"])}
+        cfg = _deep_update(defaults, cfg)
+        _check_keys(cfg, defaults)
         seed = _integer(cfg["seed"], "seed")
         background, mean_count = float(cfg["background"]), float(cfg["mean_count"])
         n_iters = _integer(cfg["n_iters"], "n_iters")
         init_iters = _integer(cfg["init_iters"], "init_iters")
         if not 0 < mean_count < np.inf or mean_count <= background:
             raise ConfigError("mean_count must be finite, positive and above the background")
-        if background <= 0 and cfg["algorithm"].get("kind") == "mm":
+        if background <= 0 and cfg["algorithm"]["kind"] == "mm":
             raise ConfigError("MM needs a positive background (no majorizer at b = 0)")
 
         signal = build_signal(cfg["signal"])
         model = build_model(cfg["model"], signal, background)
         calibrate_scale(model, signal.values, mean_count)
         meas = simulate_poisson(model, signal.values, seed)
-        noise_model = cfg["algorithm"].get("noise_model", "poisson")
+        noise_model = cfg["algorithm"]["noise_model"]
         if noise_model not in _OBJECTIVE:
             raise ConfigError(f"unknown noise model {noise_model!r}")
         obj = _OBJECTIVE[noise_model](model, meas.y, field=signal.field)

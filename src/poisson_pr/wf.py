@@ -49,12 +49,12 @@ class TruncationRule:
 def step_fisher(
     obj: PoissonObjective, x: NDArray, grad: NDArray, reg: HuberTV | None = None,
     weights: NDArray | None = None,
-) -> float:
-    """mu = ||grad||^2 / (d' D1 d + beta (T grad)' D2 (T grad)), d = A grad,
-    D1 the marginal Fisher diag; with `reg`, the penalty term is
-    `reg.curvature` along grad for D2 = `weights`, the Huber majorizer
-    weights at x (`RegularizedObjective.gradient_and_weights` returns them
-    with the gradient)."""
+) -> tuple[float, NDArray]:
+    """(mu, d): mu = ||grad||^2 / (d' D1 d + beta (T grad)' D2 (T grad)),
+    d = A grad (`apply_linear`), D1 the marginal Fisher diag; with `reg`, the
+    penalty term is `reg.curvature` along grad for D2 = `weights`, the Huber
+    majorizer weights at x (`RegularizedObjective.gradient_and_weights`
+    returns them with the gradient)."""
     gnorm2 = float(np.sum(np.abs(grad) ** 2))
     if gnorm2 == 0.0:
         raise DegenerateIterateError("zero gradient")
@@ -65,7 +65,7 @@ def step_fisher(
         denom += reg.curvature(weights, grad)
     if denom <= 0.0:
         raise DegenerateIterateError("zero curvature along the gradient")
-    return gnorm2 / denom
+    return gnorm2 / denom, d
 
 
 step_fisher_reg = step_fisher  # the name the benchmark's tracer wraps
@@ -92,8 +92,9 @@ def step_backtracking(cost_fn, x: NDArray, grad: NDArray) -> tuple[float, bool]:
 
 def gaussian_line_coeffs(
     obj: GaussianObjective, x: NDArray, grad: NDArray
-) -> tuple[float, float, float, float, float]:
-    """Coefficients (a0..a4) of the quartic mu -> g(x - mu*grad)."""
+) -> tuple[tuple[float, float, float, float, float], NDArray]:
+    """((a0..a4), w): the coefficients of the quartic mu -> g(x - mu*grad),
+    and w = A grad (`apply_linear`), from which they are formed."""
     u = obj.forward(x)
     w = obj.model.apply_linear(grad)
     r = obj.y - obj.b - np.abs(u) ** 2
@@ -104,15 +105,17 @@ def gaussian_line_coeffs(
     a2 = float(np.sum(4.0 * c * c - 2.0 * r * w2))
     a3 = float(-4.0 * np.sum(c * w2))
     a4 = float(np.sum(w2 * w2))
-    return a0, a1, a2, a3, a4
+    return (a0, a1, a2, a3, a4), w
 
 
-def step_exact_gaussian(obj: GaussianObjective, x: NDArray, grad: NDArray) -> float:
-    """Global minimizer over mu >= 0 of the quartic line restriction of g;
-    its leading coefficient a4 = ||A grad||_4^4 is 0 only where A grad = 0."""
+def step_exact_gaussian(obj: GaussianObjective, x: NDArray, grad: NDArray
+                        ) -> tuple[float, NDArray]:
+    """(mu, A grad): mu the global minimizer over mu >= 0 of the quartic line
+    restriction of g, whose leading coefficient a4 = ||A grad||_4^4 is 0 only
+    where A grad = 0."""
     if np.all(grad == 0):
         raise DegenerateIterateError("zero gradient")
-    a0, a1, a2, a3, a4 = gaussian_line_coeffs(obj, x, grad)
+    (a0, a1, a2, a3, a4), w = gaussian_line_coeffs(obj, x, grad)
     if a4 == 0.0:
         raise DegenerateIterateError("degenerate line restriction")
     # with a4 > 0 the middle critical point is a local maximum; the smallest
@@ -125,7 +128,7 @@ def step_exact_gaussian(obj: GaussianObjective, x: NDArray, grad: NDArray) -> fl
         return ((a4 * m + a3) * m + a2) * m * m + a1 * m + a0
 
     best = min(candidates, key=lambda m: (line_cost(m), m))
-    return float(best)
+    return float(best), w
 
 
 def truncation_mask(obj: PoissonObjective, x: NDArray, a_h: float) -> NDArray:
@@ -189,7 +192,11 @@ def run_wf(
     """Wirtinger flow x_{k+1} = x_k - mu_k * grad, with per-iteration trace.
 
     Real-nonnegative signals are clamped to the nonnegative orthant after
-    each update.
+    each update. Where the projection moves nothing and the step rule formed
+    d = A grad (the Fisher and exact-Gaussian steps), the new iterate's
+    forward product is remembered as A x_k - mu_k d, so its cost, next
+    gradient and next step read it without an `apply`; an iterate the
+    projection moved gets its product from `apply`.
     """
     rule = rule or StepRule()
     field = obj.field
@@ -204,31 +211,38 @@ def run_wf(
     def step(k, x, warnings):
         keep = None if trunc is None else truncation_mask(obj, x, trunc.a_h)
         grad, weights = cost.gradient_and_weights(x, keep)
+        ax, d = obj.forward(x), None  # A x, and A grad where the step rule forms it
+
+        def move(mu):
+            x_lin = x - mu * grad
+            x_new = project_field(x_lin, field)
+            if d is not None and np.array_equal(x_new, x_lin):
+                obj.remember(x_new, ax - mu * d)
+            return x_new
 
         if rule.kind is StepKind.FISHER:
-            mu = step_fisher(obj, x, grad, reg, weights)
-        elif rule.kind is StepKind.BACKTRACKING:
+            mu, d = step_fisher(obj, x, grad, reg, weights)
+            # rare early-iteration overshoot safeguard: halve once; x is costed
+            # before x_new's product takes its place in the memo
+            c_old = cost_of(x)
+            x_new = move(mu)
+            if cost_of(x_new) > c_old + 10.0 * abs(c_old):
+                x_new = move(0.5 * mu)
+                warnings.append(f"iter {k}: Fisher step halved once")
+            return x_new
+        if rule.kind is StepKind.BACKTRACKING:
             mu, ok = step_backtracking(cost_of, x, grad)
             if not ok:
                 warnings.append(f"iter {k}: backtracking exhausted trials")
-        elif rule.kind is StepKind.EXACT_GAUSSIAN:
+            x_new = move(mu)
+            if np.array_equal(x_new, last[0]):
+                x_new = last[0]  # the accepted trial, costed already
+            return x_new
+        if rule.kind is StepKind.EXACT_GAUSSIAN:
             if not isinstance(obj, GaussianObjective):
                 raise TypeError("exact Gaussian line search needs a Gaussian cost")
-            mu = step_exact_gaussian(obj, x, grad)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown step rule {rule.kind}")
-
-        x_new = project_field(x - mu * grad, field)
-        if rule.kind is StepKind.BACKTRACKING and np.array_equal(x_new, last[0]):
-            x_new = last[0]  # the accepted trial, costed already
-        elif rule.kind is StepKind.FISHER:
-            # rare early-iteration overshoot safeguard: halve once
-            c_old = cost_of(x)
-            c_new = cost_of(x_new)
-            if c_new > c_old + 10.0 * abs(c_old):
-                mu *= 0.5
-                x_new = project_field(x - mu * grad, field)
-                warnings.append(f"iter {k}: Fisher step halved once")
-        return x_new
+            mu, d = step_exact_gaussian(obj, x, grad)
+            return move(mu)
+        raise ValueError(f"unknown step rule {rule.kind}")  # pragma: no cover
 
     return iterate(step, x0.values, n_iters, cost_of, x_true)

@@ -307,6 +307,10 @@ class TestExitContract:
         {"algorithm": {"kind": "admm", "noise_model": "gaussian"}},
         {"algorithm": {"kind": "mm", "truncation": {"a_h": 5}}},
         {"model": {"variant": "masked_dft", "exact_half_masks": "no"}},
+        # another kind's option, which the configured kind never reads
+        {"algorithm": {"kind": "wf", "curvature": "max"}},
+        {"algorithm": {"kind": "mm", "rho0": 2}},
+        {"algorithm": {"kind": "lbfgs", "step": "backtracking"}},
     ], ids=["seed", "model-m", "alpha", "background", "disk-dims", "list",
             "step", "curvature", "kind",
             "mean-nan", "mean-inf", "rho0-0", "rho0-neg", "rho0-nan", "rho0-inf",
@@ -314,7 +318,7 @@ class TestExitContract:
             "init-iters-neg", "n-iters-fraction",
             "regularizer-betaa", "algorithm-stepp", "model-n", "truncation-empty",
             "n_iter", "mm-gaussian", "admm-gaussian", "mm-truncation",
-            "exact-half-string"])
+            "exact-half-string", "wf-curvature", "mm-rho0", "lbfgs-step"])
     def test_malformed_config_exits_one(self, tmp_path, capsys, cfg):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(cfg))
@@ -393,6 +397,7 @@ class TestExitContract:
         assert json.loads(capsys.readouterr().out)["status"] == "terminated: zero gradient"
 
 
+NOISE_MODELS = st.sampled_from(["poisson", "gaussian"])
 # a tiny valid config, then up to two values replaced by mistyped, unknown or
 # out-of-range ones through --override
 FUZZ_CONFIG = st.fixed_dictionaries({
@@ -408,15 +413,20 @@ FUZZ_CONFIG = st.fixed_dictionaries({
         "dims": st.lists(st.integers(1, 2), min_size=2, max_size=2),
         "field": st.sampled_from(["real", "complex", "real_nonnegative"]),
     }),
-    "algorithm": st.fixed_dictionaries({
-        "kind": st.sampled_from(["wf", "mm", "admm", "lbfgs"]),
-        "step": st.sampled_from(["fisher", "backtracking", "exact_gaussian"]),
-        "noise_model": st.sampled_from(["poisson", "gaussian"]),
-        "curvature": st.sampled_from(["improved", "max"]),
-        "rho0": st.floats(0.5, 16.0),
-        "truncation": st.one_of(st.none(),
-                                st.fixed_dictionaries({"a_h": st.floats(0.5, 20.0)})),
-    }),
+    # each kind with the options it reads
+    "algorithm": st.one_of(
+        st.fixed_dictionaries({
+            "kind": st.just("wf"), "noise_model": NOISE_MODELS,
+            "step": st.sampled_from(["fisher", "backtracking", "exact_gaussian"]),
+            "truncation": st.one_of(st.none(),
+                                    st.fixed_dictionaries({"a_h": st.floats(0.5, 20.0)})),
+        }),
+        st.fixed_dictionaries({"kind": st.just("mm"), "noise_model": NOISE_MODELS,
+                               "curvature": st.sampled_from(["improved", "max"])}),
+        st.fixed_dictionaries({"kind": st.just("admm"), "noise_model": NOISE_MODELS,
+                               "rho0": st.floats(0.5, 16.0)}),
+        st.fixed_dictionaries({"kind": st.just("lbfgs"), "noise_model": NOISE_MODELS}),
+    ),
     "regularizer": st.one_of(st.none(), st.fixed_dictionaries({
         "beta": st.floats(0.0, 8.0), "alpha": st.floats(0.01, 1.0)})),
     "mean_count": st.floats(0.2, 2.0),

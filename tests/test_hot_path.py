@@ -6,12 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from poisson_pr import operators
+from poisson_pr import operators, wf
 from poisson_pr.admm import run_admm
 from poisson_pr.baselines import run_lbfgs
 from poisson_pr.init_eval import initialize
 from poisson_pr.mm import run_mm
-from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective
+from poisson_pr.objectives import DiffOp, GaussianObjective, HuberTV, PoissonObjective
 from poisson_pr.operators import (
     DIRECT_MAX_COLS,
     CanonicalDftModel,
@@ -24,20 +24,21 @@ from poisson_pr.operators import (
     random_gaussian_model,
     simulate_poisson,
 )
-from poisson_pr.phantoms import blocks, disk
+from poisson_pr.phantoms import blocks, disk, random_complex
 from poisson_pr.wf import StepKind, StepRule, run_wf
 
 N, M, ITERS = 16, 128, 20
 
 
-def instance():
-    """(objective, x0) of a small dense real-nonnegative Poisson instance."""
-    sig = blocks(N, seed=0)
+def instance(field=FieldTag.REAL_NONNEGATIVE, noise_model=PoissonObjective):
+    """(objective, x0) of a small dense instance: the blocks phantom on a real
+    field, a random complex signal on the complex one."""
+    sig = random_complex(N, seed=0) if field is FieldTag.COMPLEX else blocks(N, seed=0)
     model = random_gaussian_model(M, N, seed=5, background=0.1)
     calibrate_scale(model, sig.values, 0.25)
     y = simulate_poisson(model, sig.values, 6).y
-    x0 = initialize(model, y, field=sig.field, iters=50, seed=0)
-    return PoissonObjective(model, y, field=sig.field), x0
+    x0 = initialize(model, y, field=field, iters=50, seed=0)
+    return noise_model(model, y, field=field), x0
 
 
 def count_calls(model) -> Counter:
@@ -51,18 +52,52 @@ def count_calls(model) -> Counter:
     return counts
 
 
+def count_moved(monkeypatch) -> list:
+    """Record, per WF projection, whether it moved its point."""
+    moved = []
+    project = wf.project_field
+
+    def counted(x, field):
+        out = project(x, field)
+        moved.append(not np.array_equal(out, x))
+        return out
+    monkeypatch.setattr(wf, "project_field", counted)
+    return moved
+
+
 @pytest.mark.parametrize("huber", [False, True])
-def test_wf_fisher_one_product_of_each_kind_per_iteration(huber):
+def test_wf_fisher_one_product_of_each_kind_per_iteration(huber, monkeypatch):
     obj, x0 = instance()
     reg = HuberTV(2.0, 0.1, DiffOp(N)) if huber else None
     counts = count_calls(obj.model)
+    moved = count_moved(monkeypatch)
     state = run_wf(obj, x0, ITERS, reg=reg)
     assert state.status == "ok" and len(state.trace) == ITERS
-    assert not state.warnings  # no halved step, which costs one more apply
-    # the one extra apply is the forward product at the start
-    assert counts["apply"] <= ITERS + 1
-    assert counts["apply_linear"] <= ITERS
-    assert counts["adjoint"] <= ITERS
+    assert not state.warnings  # no halved step, which projects once more
+    assert len(moved) == ITERS and any(moved)
+    # the forward product at the start, then one apply per iterate the orthant
+    # clamp moved; an unclamped iterate's product is A x - mu A grad
+    assert counts["apply"] == 1 + sum(moved)
+    assert counts["apply_linear"] == ITERS
+    assert counts["adjoint"] == ITERS
+
+
+@pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
+@pytest.mark.parametrize("kind, noise_model", [
+    (StepKind.FISHER, PoissonObjective), (StepKind.EXACT_GAUSSIAN, GaussianObjective),
+], ids=["fisher", "exact_gaussian"])
+def test_wf_unclamped_applies_only_at_the_start(field, kind, noise_model, monkeypatch):
+    # the complex and real fields, where WF's projection never moves a point
+    obj, x0 = instance(field, noise_model)
+    counts = count_calls(obj.model)
+    moved = count_moved(monkeypatch)
+    state = run_wf(obj, x0, ITERS, rule=StepRule(kind))
+    assert state.status == "ok" and len(state.trace) == ITERS
+    assert not any(moved)
+    # the starting forward product only: each new iterate's is A x - mu A grad
+    assert counts["apply"] == 1
+    assert counts["apply_linear"] == ITERS
+    assert counts["adjoint"] == ITERS
 
 
 @pytest.mark.parametrize("huber", [False, True])

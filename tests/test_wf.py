@@ -11,6 +11,7 @@ from poisson_pr.objectives import (
     PoissonObjective,
 )
 from poisson_pr.operators import (
+    CanonicalDftModel,
     DenseModel,
     FieldTag,
     SignalVector,
@@ -18,6 +19,7 @@ from poisson_pr.operators import (
     random_gaussian_model,
     simulate_poisson,
 )
+from poisson_pr.phantoms import disk, random_complex
 from poisson_pr.wf import (
     SUFFICIENT_DECREASE,
     DegenerateIterateError,
@@ -47,7 +49,7 @@ class TestStepFisher:
         # A = I (1x1), x = 1, b = 1: Fisher marginal is 4/(1+1) = 2, mu = 1/2
         m = DenseModel(np.eye(1), background=1.0)
         obj = PoissonObjective(m, np.array([3.0]))
-        mu = step_fisher(obj, np.array([1.0 + 0j]), np.array([1.0 + 0j]))
+        mu, _ = step_fisher(obj, np.array([1.0 + 0j]), np.array([1.0 + 0j]))
         assert mu == pytest.approx(0.5)
 
     def test_invariant_to_gradient_scale(self):
@@ -55,8 +57,8 @@ class TestStepFisher:
         obj = PoissonObjective(m, np.array([1.0, 0.0, 2.0]))
         x = np.array([0.4, -0.2, 1.1], dtype=complex)
         g = np.array([0.3, 0.7, -0.1], dtype=complex)
-        assert step_fisher(obj, x, 5.0 * g) == pytest.approx(
-            step_fisher(obj, x, g), rel=1e-14)
+        assert step_fisher(obj, x, 5.0 * g)[0] == pytest.approx(
+            step_fisher(obj, x, g)[0], rel=1e-14)
 
     def test_zero_gradient_error(self):
         m = DenseModel(np.eye(2), background=1.0)
@@ -74,7 +76,8 @@ class TestStepFisher:
     def test_matches_densified_fisher_matrix(self):
         model, x, obj = small_poisson_instance(n=6, m=24, seed=1)
         g = obj.gradient(x)
-        mu = step_fisher(obj, x, g)
+        mu, d = step_fisher(obj, x, g)
+        assert np.array_equal(d, model.apply_linear(g))  # the A grad it formed
         a = model.densify()
         d1 = obj.fisher_diag(model.apply(x))
         fim = a.conj().T @ (d1[:, None] * a)
@@ -88,14 +91,14 @@ class TestStepFisherReg:
         model, x, obj = small_poisson_instance(n=5, m=20, seed=2)
         reg = HuberTV(0.0, 0.1, DiffOp(5))
         g = obj.gradient(x)
-        assert step_fisher(obj, x, g, reg, reg.weights(x)) == pytest.approx(
-            step_fisher(obj, x, g), rel=1e-15)
+        assert step_fisher(obj, x, g, reg, reg.weights(x))[0] == pytest.approx(
+            step_fisher(obj, x, g)[0], rel=1e-15)
 
     def test_denominator_matches_densified_operator(self):
         model, x, obj = small_poisson_instance(n=5, m=20, seed=3)
         reg = HuberTV(4.0, 0.2, DiffOp(5))
         g = obj.gradient(x) + reg.gradient(x)
-        mu = step_fisher(obj, x, g, reg, reg.weights(x))
+        mu, _ = step_fisher(obj, x, g, reg, reg.weights(x))
         a = model.densify()
         t = reg.diff_op.densify()
         d1 = obj.fisher_diag(model.apply(x))
@@ -136,7 +139,7 @@ class TestStepExactGaussian:
         obj = GaussianObjective(m, np.array([1.0]))
         x = np.array([2.0 + 0j])
         g = obj.gradient(x)
-        mu = step_exact_gaussian(obj, x, g)
+        mu, _ = step_exact_gaussian(obj, x, g)
         x_new = x - mu * g
         assert abs(abs(x_new[0]) - 1.0) < 1e-9
         assert obj.cost(x_new) < 1e-15
@@ -148,8 +151,8 @@ class TestStepExactGaussian:
         obj = GaussianObjective(model, y)
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         g = obj.gradient(x)
-        mu = step_exact_gaussian(obj, x, g)
-        a0, a1, a2, a3, a4 = gaussian_line_coeffs(obj, x, g)
+        mu, _ = step_exact_gaussian(obj, x, g)
+        (a0, a1, a2, a3, a4), _ = gaussian_line_coeffs(obj, x, g)
         line = lambda t: ((a4 * t + a3) * t + a2) * t * t + a1 * t + a0
         grid = np.linspace(0.0, max(2 * mu, 1.0), 10_000)
         assert line(mu) <= min(line(t) for t in grid) + 1e-9
@@ -161,11 +164,11 @@ class TestStepExactGaussian:
         obj = GaussianObjective(DenseModel(np.eye(2)), np.array([1.0, 1.0]))
         x = np.array([3.0, 2.5], dtype=complex)
         g = obj.gradient(x)
-        a0, a1, a2, a3, a4 = gaussian_line_coeffs(obj, x, g)
+        (a0, a1, a2, a3, a4), _ = gaussian_line_coeffs(obj, x, g)
         crit = np.sort(np.roots([4 * a4, 3 * a3, 2 * a2, a1]).real)
         line = lambda t: ((a4 * t + a3) * t + a2) * t * t + a1 * t + a0
         assert 0 < crit[0] < crit[2] and line(crit[0]) < line(crit[2])
-        assert step_exact_gaussian(obj, x, g) == pytest.approx(crit[0], rel=1e-9)
+        assert step_exact_gaussian(obj, x, g)[0] == pytest.approx(crit[0], rel=1e-9)
 
     def test_line_coeffs_match_cost(self):
         model, x, _ = small_poisson_instance(n=3, m=12, seed=7)
@@ -173,7 +176,9 @@ class TestStepExactGaussian:
         y = rng.poisson(0.5, 12).astype(float)
         obj = GaussianObjective(model, y)
         g = obj.gradient(x)
-        a0, a1, a2, a3, a4 = gaussian_line_coeffs(obj, x, g)
+        (a0, a1, a2, a3, a4), w = gaussian_line_coeffs(obj, x, g)
+        assert np.array_equal(w, model.apply_linear(g))
+        assert np.array_equal(step_exact_gaussian(obj, x, g)[1], w)
         for t in (0.0, 0.013, 0.2):
             poly = ((a4 * t + a3) * t + a2) * t * t + a1 * t + a0
             assert poly == pytest.approx(obj.cost(x - t * g), rel=1e-10)
@@ -320,3 +325,48 @@ class TestRunWf:
         state = run_wf(obj, x0, 10, reg=reg)
         assert state.status == "ok" and len(state.trace) == 10
         assert len(calls) == 3 * 10 + 1
+
+
+class TestForwardAlongTheStep:
+    """On an unclamped step, WF remembers A x_{k+1} = A x_k - mu A grad in
+    place of an `apply`; the rounding that accumulates stays far below the
+    cost's own."""
+
+    @staticmethod
+    def dense_instance():
+        model = random_gaussian_model(96, 12, seed=24, background=0.1)
+        sig = random_complex(12, seed=25)
+        return model, sig.values
+
+    @staticmethod
+    def canonical_instance():
+        # the reference offset makes apply's A x differ from apply_linear's
+        sig = disk(6, 6)
+        model = CanonicalDftModel((6, 6), disk(6, 4).values.real.reshape(6, 4),
+                                  background=0.1)
+        rng = np.random.default_rng(26)
+        return model, sig.values * np.exp(1j * rng.uniform(0, 2 * np.pi, 36))
+
+    @pytest.mark.parametrize("build", ["dense_instance", "canonical_instance"])
+    def test_remembered_products_match_apply(self, build, monkeypatch):
+        model, x = getattr(self, build)()
+        calibrate_scale(model, x, 0.25)
+        y = simulate_poisson(model, x, 27).y
+        obj = PoissonObjective(model, y)
+        x0 = initialize(model, y, iters=50, seed=8)
+        remembered = []
+        remember = obj.remember
+
+        def recorded(z, az):
+            remembered.append((np.array(z), az))
+            return remember(z, az)
+        monkeypatch.setattr(obj, "remember", recorded)
+        state = run_wf(obj, x0, 300)
+        assert state.status == "ok" and len(state.trace) == 300
+        # the start's product from apply, then one remembered per iterate
+        assert len(remembered) == 301
+        worst = max(np.linalg.norm(az - model.apply(z)) / np.linalg.norm(model.apply(z))
+                    for z, az in remembered)
+        assert worst <= 1e-12
+        fresh = PoissonObjective(model, y).cost(state.x)
+        assert state.trace[-1].cost == pytest.approx(fresh, rel=1e-12, abs=0)
