@@ -61,7 +61,7 @@ class MajorizerContext:
 
     obj: PoissonObjective
     x_k: NDArray
-    grad: NDArray       # A' psi_dot(A x_k), field-projected
+    grad: NDArray       # `obj.gradient(x_k)`, A' psi_dot(A x_k) field-projected
     w: NDArray          # positive diagonal curvature vector
     quad_op: object     # A'WA, the `quad_form` of w
 
@@ -73,11 +73,20 @@ class MajorizerContext:
 def build_majorizer(
     obj: PoissonObjective, x: NDArray, kind: CurvatureKind = CurvatureKind.IMPROVED
 ) -> MajorizerContext:
-    s = obj.forward(x)
+    """The majorizer at x. Its curvatures are 2 on the zero counts, where psi
+    is exactly quadratic (both kinds give 2 there), and the chosen kind's on
+    the rows P with a positive count, at s_P = `obj.positive_forward(x)`;
+    with `obj.gradient`, a dense model makes no M x N product. A zero
+    background on P leaves no majorizer: DegenerateIterateError."""
+    pos = obj.positive
+    y, b = obj.y[pos], obj.b[pos]
+    if np.any(b <= 0):
+        raise DegenerateIterateError("no quadratic majorizer exists with zero background")
+    w = np.full(obj.model.rows, 2.0)
     if kind is CurvatureKind.MAX:
-        w = curvature_max(obj.y, obj.b)
+        w[pos] = curvature_max(y, b)
     else:
-        w = curvature_improved(s, obj.y, obj.b)
+        w[pos] = curvature_improved(obj.positive_forward(x), y, b)
     grad = obj.gradient(x)
     return MajorizerContext(obj=obj, x_k=x.copy(), grad=grad, w=w,
                             quad_op=quad_form(obj.model, w, obj.field))

@@ -9,7 +9,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .numerics import DegenerateIterateError
-from .operators import FieldTag, ForwardModel, realify
+from .operators import DenseModel, FieldTag, ForwardModel, _normal_gram, realify
 
 
 def psi(v, y, b):
@@ -66,7 +66,15 @@ def fisher_marginal_gaussian(v, b):
 
 
 class PoissonObjective:
-    """Negative Poisson log-likelihood f(x) = sum_i psi((Ax)_i; y_i, b_i)."""
+    """Negative Poisson log-likelihood f(x) = sum_i psi((Ax)_i; y_i, b_i).
+
+    On a `DenseModel` the cost and gradient are formed from A'A and the
+    rows P = {y > 0}, s_P = A_P x: psi is exactly |s|^2 + b on a zero count,
+    so f(x) = Re(x'(A'A)x) + sum b - y_P' log(|s_P|^2 + b_P) and
+    grad f = 2(A'A)x - A_P'(2 y_P s_P / (|s_P|^2 + b_P)), with no M x N
+    product (`split`). On the other models they come from A x and A'.
+    On a real field x is real, and A'A is Re(A'A).
+    """
 
     def __init__(self, model: ForwardModel, y: NDArray, field: FieldTag = FieldTag.COMPLEX):
         y = np.asarray(y, dtype=float)
@@ -78,7 +86,12 @@ class PoissonObjective:
         self.y = y
         self.b = model.background
         self.field = field
+        self.positive = np.flatnonzero(y > 0)  # P, the rows with a positive count
+        self._y_pos, self._b_pos = y[self.positive], self.b[self.positive]
+        self._sum_b = float(np.sum(self.b))
         self._memo = None  # (copy of x, model.scale, read-only A x)
+        self._split = None  # (model.memo(), A_P, A'A)
+        self._pos_memo = None  # (copy of x, A_P, read-only A_P x)
 
     def forward(self, x: NDArray) -> NDArray:
         """model.apply(x), read-only. The last result is kept, keyed by a copy
@@ -87,11 +100,8 @@ class PoissonObjective:
         either `apply`'s or one handed to `remember`: WF's unclamped step
         moves it along the step as `A x - mu A grad`, which agrees with
         `apply` to rounding (within 1e-12 relative over 300 iterations)."""
-        x = np.asarray(x)
         memo = self._memo
-        if (memo is not None and memo[1] == self.model.scale
-                and memo[0].dtype == x.dtype and memo[0].shape == x.shape
-                and memo[0].tobytes() == x.tobytes()):
+        if memo is not None and memo[1] == self.model.scale and _same(memo[0], x):
             return memo[2]
         return self.remember(x, self.model.apply(x))
 
@@ -103,22 +113,99 @@ class PoissonObjective:
         self._memo = (np.array(x, copy=True), self.model.scale, ax)
         return ax
 
+    def split(self) -> tuple[NDArray, NDArray] | None:
+        """(A_P, A'A) on a `DenseModel`, None elsewhere. A_P is the rows P of
+        `densify()`, contiguous and read-only, kept in the model's `memo`
+        for every objective with the same P; A'A is `_normal_gram`'s. Both
+        are taken again when the memo is emptied (a new scale or matrix)."""
+        if not isinstance(self.model, DenseModel):
+            return None
+        memo = self.model.memo()
+        if self._split is None or self._split[0] is not memo:
+            key = ("positive rows", self.positive.tobytes())
+            a = None
+            if key not in memo:
+                a = self.model.densify()
+                memo[key] = a[self.positive]
+                memo[key].flags.writeable = False
+            self._split = (memo, memo[key], _normal_gram(self.model, self.field, a))
+        return self._split[1:]
+
+    def positive_forward(self, x: NDArray) -> NDArray:
+        """s_P = (A x)_P. On a `DenseModel` it is A_P x, read-only, the last
+        one kept keyed by a copy of x and by A_P: a function of x alone, never
+        read from `forward`'s memo, which WF moves along its step. Elsewhere
+        it is `forward(x)[P]`."""
+        split = self.split()
+        if split is None:
+            return self.forward(x)[self.positive]
+        a_p = split[0]
+        memo = self._pos_memo
+        if memo is not None and memo[1] is a_p and _same(memo[0], x):
+            return memo[2]
+        s = a_p @ np.asarray(x, dtype=complex)
+        s.flags.writeable = False
+        self._pos_memo = (np.array(x, copy=True), a_p, s)
+        return s
+
+    def _positive_rates(self, x: NDArray, where: str) -> tuple[NDArray, NDArray]:
+        """(s_P, |s_P|^2 + b_P); a zero rate on P leaves psi and its
+        derivative (named by `where`) undefined."""
+        s = self.positive_forward(x)
+        rate = np.abs(s) ** 2 + self._b_pos
+        if np.any(rate == 0):
+            raise DegenerateIterateError(f"{where} undefined: zero rate with positive count")
+        return s, rate
+
     def cost(self, x: NDArray) -> float:
-        return float(np.sum(psi(self.forward(x), self.y, self.b)))
+        split = self.split()
+        if split is None:
+            return float(np.sum(psi(self.forward(x), self.y, self.b)))
+        _, rate = self._positive_rates(x, "psi")
+        h = split[1]
+        x = np.asarray(x)
+        if self.field.is_real:
+            quad = x.real @ (h @ x.real)
+        else:
+            quad = np.vdot(x, h @ x).real
+        return float(quad + self._sum_b - self._y_pos @ np.log(rate))
 
     def marginal_grad(self, v: NDArray) -> NDArray:
         return psi_dot(v, self.y, self.b)
 
     def gradient(self, x: NDArray, keep: NDArray | None = None) -> NDArray:
         """A' psi_dot(Ax), field-projected; rows outside the boolean mask
-        `keep` contribute nothing."""
-        mg = self.marginal_grad(self.forward(x))
-        if keep is not None:
-            mg = np.where(keep, mg, 0.0)
-        return realify(self.model.adjoint(mg), self.field)
+        `keep` contribute nothing. On a `DenseModel` it is
+        2(A'A)x - A_P'(2 y_P s_P / (|s_P|^2 + b_P)) - A_D' psi_dot((Ax)_D),
+        D the rows `keep` drops, (Ax)_D from `forward`; where `keep` drops
+        none, the last term is not formed."""
+        split = self.split()
+        if split is None:
+            mg = self.marginal_grad(self.forward(x))
+            if keep is not None:
+                mg = np.where(keep, mg, 0.0)
+            return realify(self.model.adjoint(mg), self.field)
+        a_p, h = split
+        s, rate = self._positive_rates(x, "psi_dot")
+        # conj(A_P' r) = conj(r) A_P, which conjugates no M x N array
+        back = ((2.0 * self._y_pos / rate) * s).conj() @ a_p
+        drop = np.flatnonzero(~keep) if keep is not None else ()
+        if len(drop):
+            mg = psi_dot(self.forward(x)[drop], self.y[drop], self.b[drop])
+            back = back + mg.conj() @ self.model.densify()[drop]
+        x = np.asarray(x)
+        if self.field.is_real:
+            return (2.0 * (h @ x.real) - back.real).astype(complex)
+        return 2.0 * (h @ x) - back.conj()
 
     def fisher_diag(self, v: NDArray) -> NDArray:
         return fisher_marginal_poisson(v, self.b)
+
+
+def _same(kept: NDArray, x) -> bool:
+    """Whether x holds the values of the memo key `kept`."""
+    x = np.asarray(x)
+    return kept.dtype == x.dtype and kept.shape == x.shape and kept.tobytes() == x.tobytes()
 
 
 class GaussianObjective(PoissonObjective):
@@ -133,6 +220,11 @@ class GaussianObjective(PoissonObjective):
 
     def fisher_diag(self, v: NDArray) -> NDArray:
         return fisher_marginal_gaussian(v, self.b)
+
+    def split(self) -> None:
+        """None: the Gaussian residual is nonzero on every row, so its cost
+        and gradient take A x and A' on every model."""
+        return None
 
 
 def huber(t, alpha: float):

@@ -194,9 +194,10 @@ def run_wf(
     Real-nonnegative signals are clamped to the nonnegative orthant after
     each update. Where the projection moves nothing and the step rule formed
     d = A grad (the Fisher and exact-Gaussian steps), the new iterate's
-    forward product is remembered as A x_k - mu_k d, so its cost, next
-    gradient and next step read it without an `apply`; an iterate the
-    projection moved gets its product from `apply`.
+    forward product is remembered as A x_k - mu_k d, so its next step and
+    truncation mask (and, off a `DenseModel`, its Poisson cost and gradient)
+    read it without an `apply`; an iterate the projection moved gets its
+    product from `apply` when one of them reads it.
     """
     rule = rule or StepRule()
     field = obj.field
@@ -211,17 +212,18 @@ def run_wf(
     def step(k, x, warnings):
         keep = None if trunc is None else truncation_mask(obj, x, trunc.a_h)
         grad, weights = cost.gradient_and_weights(x, keep)
-        ax, d = obj.forward(x), None  # A x, and A grad where the step rule forms it
+        line = None  # (A x, A grad) where the step rule forms A grad
 
         def move(mu):
             x_lin = x - mu * grad
             x_new = project_field(x_lin, field)
-            if d is not None and np.array_equal(x_new, x_lin):
-                obj.remember(x_new, ax - mu * d)
+            if line is not None and np.array_equal(x_new, x_lin):
+                obj.remember(x_new, line[0] - mu * line[1])
             return x_new
 
         if rule.kind is StepKind.FISHER:
             mu, d = step_fisher(obj, x, grad, reg, weights)
+            line = obj.forward(x), d
             # rare early-iteration overshoot safeguard: halve once; x is costed
             # before x_new's product takes its place in the memo
             c_old = cost_of(x)
@@ -242,6 +244,7 @@ def run_wf(
             if not isinstance(obj, GaussianObjective):
                 raise TypeError("exact Gaussian line search needs a Gaussian cost")
             mu, d = step_exact_gaussian(obj, x, grad)
+            line = obj.forward(x), d
             return move(mu)
         raise ValueError(f"unknown step rule {rule.kind}")  # pragma: no cover
 

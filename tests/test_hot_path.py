@@ -76,10 +76,12 @@ def test_wf_fisher_one_product_of_each_kind_per_iteration(huber, monkeypatch):
     assert not state.warnings  # no halved step, which projects once more
     assert len(moved) == ITERS and any(moved)
     # the forward product at the start, then one apply per iterate the orthant
-    # clamp moved; an unclamped iterate's product is A x - mu A grad
-    assert counts["apply"] == 1 + sum(moved)
+    # clamp moved and whose Fisher step runs (not the last one: its cost comes
+    # from A_P); an unclamped iterate's product is A x - mu A grad
+    assert counts["apply"] == 1 + sum(moved[:-1])
     assert counts["apply_linear"] == ITERS
-    assert counts["adjoint"] == ITERS
+    # the Poisson gradient comes from A'A and the positive-count rows A_P
+    assert counts["adjoint"] == 0
 
 
 @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
@@ -97,7 +99,8 @@ def test_wf_unclamped_applies_only_at_the_start(field, kind, noise_model, monkey
     # the starting forward product only: each new iterate's is A x - mu A grad
     assert counts["apply"] == 1
     assert counts["apply_linear"] == ITERS
-    assert counts["adjoint"] == ITERS
+    # the Poisson gradient from A'A and A_P; the Gaussian one from A'
+    assert counts["adjoint"] == (0 if noise_model is PoissonObjective else ITERS)
 
 
 @pytest.mark.parametrize("huber", [False, True])
@@ -143,17 +146,26 @@ def test_wf_backtracking_costs_each_iterate_once(huber, field):
     assert len(set(costed)) == len(costed)
 
 
+def test_wf_backtracking_makes_no_full_product():
+    obj, x0 = instance()
+    counts = count_calls(obj.model)
+    state = run_wf(obj, x0, ITERS, rule=StepRule(StepKind.BACKTRACKING))
+    assert state.status == "ok" and len(state.trace) == ITERS
+    # every trial's cost and every gradient come from A'A and A_P
+    assert counts["apply"] == counts["apply_linear"] == counts["adjoint"] == 0
+
+
 def test_mm_huber_inner_solver_makes_no_operator_call():
     obj, x0 = instance()
     counts = count_calls(obj.model)
     state = run_mm(obj, x0, ITERS, reg=HuberTV(2.0, 0.1, DiffOp(N)))
     assert state.status == "ok" and len(state.trace) == ITERS
-    # one Gram per outer iteration; the inner loop multiplies by it alone
-    assert counts["densify"] == ITERS
-    assert counts["apply_linear"] == 0
-    # the majorizer's gradient, and the forward product of each new iterate
-    assert counts["adjoint"] == ITERS
-    assert counts["apply"] <= ITERS + 1
+    # one Gram per outer iteration, and A_P taken once; the inner loop
+    # multiplies by the Gram alone
+    assert counts["densify"] == ITERS + 1
+    # the majorizer's curvatures, its gradient and each new iterate's cost
+    # come from A'A and A_P
+    assert counts["apply"] == counts["apply_linear"] == counts["adjoint"] == 0
 
 
 def test_admm_huber_inner_solver_makes_no_operator_call():
@@ -161,8 +173,9 @@ def test_admm_huber_inner_solver_makes_no_operator_call():
     counts = count_calls(obj.model)
     state = run_admm(obj, x0, ITERS, reg=HuberTV(2.0, 0.1, DiffOp(N)))
     assert state.status == "ok" and len(state.trace) == ITERS
-    # one Gram per run, rescaled by the penalty in each x-update
-    assert counts["densify"] == 1
+    # one Gram per run, rescaled by the penalty in each x-update, and A_P for
+    # the cost, taken once
+    assert counts["densify"] == 2
     assert counts["apply_linear"] == 0
     # the x-update's right-hand side, and the penalty update's dual residual
     assert counts["adjoint"] <= ITERS + ITERS // 10
@@ -174,10 +187,11 @@ def test_mm_densifies_once_per_outer_iteration():
     counts = count_calls(obj.model)
     state = run_mm(obj, x0, ITERS)
     assert len(state.trace) == ITERS
-    assert counts["densify"] == ITERS
-    assert counts["apply"] <= ITERS + 1
-    # the clamp guard's curvature p'Qp comes from the Gram, not from A p
-    assert counts["apply_linear"] == 0
+    # one Gram per outer iteration, and A_P taken once
+    assert counts["densify"] == ITERS + 1
+    # curvatures, gradient and cost from A'A and A_P; the clamp guard's
+    # curvature p'Qp comes from the Gram, not from A p
+    assert counts["apply"] == counts["apply_linear"] == counts["adjoint"] == 0
 
 
 def test_unregularized_admm_densifies_once_per_solve():
@@ -185,7 +199,8 @@ def test_unregularized_admm_densifies_once_per_solve():
     counts = count_calls(obj.model)
     state = run_admm(obj, x0, ITERS)
     assert len(state.trace) == ITERS
-    assert counts["densify"] == 1
+    # the Gram, and A_P for the cost
+    assert counts["densify"] == 2
     assert counts["apply"] <= ITERS + 1
 
 
@@ -225,7 +240,7 @@ def test_unregularized_admm_reads_residuals_only_every_tenth_iteration():
     assert counts["adjoint"] <= ITERS + ITERS // 10 + 1
 
 
-def test_lbfgs_one_apply_per_gradient():
+def test_lbfgs_makes_no_full_product_per_evaluation():
     obj, x0 = instance()
     counts = count_calls(obj.model)
     gradient = obj.gradient
@@ -235,8 +250,9 @@ def test_lbfgs_one_apply_per_gradient():
         return gradient(x, keep)
     obj.gradient = counted_gradient
     state = run_lbfgs(obj, x0, ITERS)
-    assert state.trace
-    assert counts["apply"] == counts["gradient"]
+    assert state.trace and counts["gradient"] > ITERS
+    # each cost and gradient from A'A and one A_P x
+    assert counts["apply"] == counts["apply_linear"] == counts["adjoint"] == 0
 
 
 @pytest.mark.parametrize("cols", [N, DIRECT_MAX_COLS, DIRECT_MAX_COLS + 8])

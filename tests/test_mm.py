@@ -436,6 +436,31 @@ class TestRunMm:
         assert state.trace == []
         assert np.array_equal(state.x, x0.values)
 
+    @pytest.mark.parametrize("kind", list(CurvatureKind))
+    def test_zero_background_ends_terminated(self, kind):
+        # no quadratic majorizer exists at a positive count with b = 0: the
+        # run ends in a status, as every degenerate input does
+        model, x, obj = poisson_instance(n=8, m=64, seed=16, background=0.0)
+        assert np.any(obj.y > 0)
+        x0 = initialize(model, obj.y, seed=6)
+        state = run_mm(obj, x0, 10, curvature=kind)
+        assert state.status == "terminated: no quadratic majorizer exists with zero background"
+        assert state.trace == []
+        assert np.array_equal(state.x, x0.values)
+
+    @pytest.mark.parametrize("kind", list(CurvatureKind))
+    def test_zero_background_on_zero_counts_only(self, kind):
+        # psi is exactly quadratic on a zero count, so its curvature is 2
+        # whatever the background there
+        model, x, obj = poisson_instance(n=8, m=64, seed=17)
+        model.background = np.where(obj.y > 0, 0.1, 0.0)
+        obj = PoissonObjective(model, obj.y)
+        x0 = initialize(model, obj.y, seed=7)
+        state = run_mm(obj, x0, 20, curvature=kind)
+        assert state.status == "ok" and len(state.trace) == 20
+        costs = np.concatenate([[obj.cost(x0.values)], state.costs()])
+        assert np.all(np.diff(costs) <= 1e-10 * np.abs(costs[:-1]))
+
     def test_monotone_both_curvatures(self):
         model, x, obj = poisson_instance(n=12, m=72, seed=14)
         x0 = initialize(model, obj.y, seed=4)

@@ -22,7 +22,17 @@ from poisson_pr.objectives import (
     psi_ddot,
     psi_dot,
 )
-from poisson_pr.operators import DenseModel, FieldTag, random_gaussian_model
+from poisson_pr.operators import (
+    DenseModel,
+    FieldTag,
+    MaskedDftModel,
+    SignalVector,
+    calibrate_scale,
+    make_masks,
+    random_gaussian_model,
+    realify,
+)
+from poisson_pr.wf import run_wf
 
 
 class TestPsi:
@@ -153,6 +163,150 @@ class TestGradient:
             eps = 1e-6
             dd = (obj.cost(x + eps * d) - obj.cost(x - eps * d)) / (2 * eps)
             assert real_dot(g, d) == pytest.approx(dd, rel=1e-4, abs=1e-8)
+
+
+def split_instance(field, counts="low", zero_background=False, seed=0):
+    """(objective, x) of a dense 96 x 8 Poisson instance at a low mean count
+    ("low"), all-zero counts ("zero") or no zero counts ("positive"); with
+    `zero_background`, b = 0 on the zero-count rows and 0.1 on the others."""
+    rng = np.random.default_rng(seed)
+    m, n = 96, 8
+    a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
+    x = rng.standard_normal(n) + (0.0 if field.is_real else 1j * rng.standard_normal(n))
+    if field is FieldTag.REAL_NONNEGATIVE:
+        x = np.abs(x)
+    model = DenseModel(a, background=0.1)
+    calibrate_scale(model, x, 0.25)
+    y = {"low": lambda: rng.poisson(model.intensities(x)).astype(float),
+         "zero": lambda: np.zeros(m),
+         "positive": lambda: 1.0 + rng.poisson(1.0, m).astype(float)}[counts]()
+    if zero_background:
+        model.background = np.where(y > 0, 0.1, 0.0)
+    x0 = x + 0.3 * (rng.standard_normal(n) + (0.0 if field.is_real else 1j * rng.standard_normal(n)))
+    if field is FieldTag.REAL_NONNEGATIVE:
+        x0 = np.abs(x0)
+    return PoissonObjective(model, y, field=field), np.asarray(x0, dtype=complex)
+
+
+def full_cost_and_gradient(obj, x, keep=None):
+    """sum psi(Ax) and A' psi_dot(Ax) (rows outside `keep` dropped),
+    field-projected, from the full products."""
+    ax = obj.model.apply(x)
+    mg = psi_dot(ax, obj.y, obj.b)
+    if keep is not None:
+        mg = np.where(keep, mg, 0.0)
+    return float(np.sum(psi(ax, obj.y, obj.b))), realify(obj.model.adjoint(mg), obj.field)
+
+
+def relative(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
+
+
+FIELDS = [FieldTag.COMPLEX, FieldTag.REAL, FieldTag.REAL_NONNEGATIVE]
+
+
+class TestDenseSplit:
+    """On a dense model the Poisson cost and gradient come from A'A and the
+    positive-count rows A_P; they match the full sums within 1e-12."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("counts", ["low", "zero", "positive"])
+    def test_matches_the_full_products(self, field, counts):
+        obj, x = split_instance(field, counts)
+        assert obj.split() is not None
+        if counts == "low":
+            assert 0 < obj.positive.size < obj.y.size
+        cost, grad = full_cost_and_gradient(obj, x)
+        assert abs(obj.cost(x) - cost) <= 1e-12 * abs(cost)
+        g = obj.gradient(x)
+        assert g.dtype == complex
+        assert relative(g, grad) <= 1e-12
+        if field.is_real:
+            assert np.all(g.imag == 0)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_all_zero_counts_give_the_quadratic_gradient(self, field):
+        obj, x = split_instance(field, "zero")
+        assert obj.positive.size == 0
+        a = obj.model.densify()
+        gram = a.conj().T @ a
+        assert relative(obj.gradient(x), realify(2.0 * gram @ x, field)) <= 1e-12
+        quad = np.vdot(x, gram @ x).real + np.sum(obj.b)
+        assert abs(obj.cost(x) - quad) <= 1e-12 * quad
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_zero_background_on_the_zero_counts(self, field):
+        obj, x = split_instance(field, zero_background=True)
+        assert np.any(obj.b == 0) and np.all(obj.b[obj.positive] > 0)
+        cost, grad = full_cost_and_gradient(obj, x)
+        assert abs(obj.cost(x) - cost) <= 1e-12 * abs(cost)
+        assert relative(obj.gradient(x), grad) <= 1e-12
+
+    def test_zero_rate_on_a_zero_count_has_the_gradient_2s(self):
+        # a zero row of A at b = 0 with y = 0: psi = |s|^2 there, and the
+        # full product's psi_dot would be undefined at rate 0
+        obj, x = split_instance(FieldTag.COMPLEX, zero_background=True)
+        a = np.array(obj.model.entries)
+        row = np.flatnonzero(obj.y == 0)[0]
+        a[row] = 0.0
+        model = DenseModel(a, background=obj.b, scale=obj.model.scale)
+        cut = PoissonObjective(model, obj.y, field=obj.field)
+        with pytest.raises(ValueError):
+            psi_dot(model.apply(x), obj.y, obj.b)
+        keep = np.arange(obj.y.size) != row
+        rest = PoissonObjective(DenseModel(a[keep], background=obj.b[keep],
+                                           scale=model.scale), obj.y[keep])
+        assert abs(cut.cost(x) - rest.cost(x)) <= 1e-12 * abs(rest.cost(x))
+        assert relative(cut.gradient(x), rest.gradient(x)) <= 1e-12
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_truncation_mask_drops_rows(self, field):
+        obj, x = split_instance(field)
+        rng = np.random.default_rng(3)
+        keep = rng.random(obj.y.size) < 0.7
+        # dropped rows with and without a count
+        assert np.any(~keep & (obj.y > 0)) and np.any(~keep & (obj.y == 0))
+        _, grad = full_cost_and_gradient(obj, x, keep)
+        assert relative(obj.gradient(x, keep), grad) <= 1e-12
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_all_kept_mask_is_bit_identical(self, field):
+        obj, x = split_instance(field)
+        g = obj.gradient(x)
+        kept = obj.gradient(x, np.ones(obj.y.size, dtype=bool))
+        assert kept.tobytes() == g.tobytes()
+
+    def test_cost_is_a_function_of_x_alone_after_wf_moved_the_memo(self):
+        # on the complex field WF remembers each iterate's A x as
+        # A x_k - mu A grad; the cost reads A_P x from its own memo
+        obj, x = split_instance(FieldTag.COMPLEX)
+        state = run_wf(obj, SignalVector(x), 15)
+        assert state.status == "ok" and len(state.trace) == 15
+        # the kept A x is the moved one, which differs from apply's in its
+        # last bits
+        assert not np.array_equal(obj.forward(state.x), obj.model.apply(state.x))
+        fresh = PoissonObjective(obj.model, obj.y, obj.field)
+        assert obj.cost(state.x) == fresh.cost(state.x)
+        assert state.trace[-1].cost == fresh.cost(state.x)
+        assert obj.gradient(state.x).tobytes() == fresh.gradient(state.x).tobytes()
+
+    def test_shared_across_objectives_and_rebuilt_after_a_scale_change(self):
+        obj, x = split_instance(FieldTag.REAL)
+        other = PoissonObjective(obj.model, obj.y.copy(), field=FieldTag.COMPLEX)
+        assert other.split()[0] is obj.split()[0]  # one A_P per (model, P)
+        before = obj.cost(x)
+        obj.model.scale *= 2.0
+        fresh = PoissonObjective(obj.model, obj.y, obj.field)
+        assert obj.cost(x) == fresh.cost(x) != before
+        cost, grad = full_cost_and_gradient(obj, x)
+        assert abs(obj.cost(x) - cost) <= 1e-12 * abs(cost)
+        assert relative(obj.gradient(x), grad) <= 1e-12
+
+    def test_full_products_elsewhere(self):
+        dft = MaskedDftModel(make_masks(3, 8, seed=1), background=0.1)
+        assert PoissonObjective(dft, np.zeros(dft.rows)).split() is None
+        dense = random_gaussian_model(16, 4, seed=1, background=0.1)
+        assert GaussianObjective(dense, np.zeros(16)).split() is None
 
 
 class TestHuber:
