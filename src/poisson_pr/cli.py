@@ -83,6 +83,12 @@ OPTIONAL_KEYS = {
     "regularizer": {"kind", "beta", "alpha"},
 }
 
+# the phases of `run_experiment` whose wall times summary.json gives: build
+# (config checks, signal, calibrated model, regularizer, solver), simulate (the
+# counts and the objective on them), init, solve (`wall_time_s`), and write (the
+# initial point's cost and metrics, trace.csv and xhat.csv)
+PHASES = ("build", "simulate", "init", "solve", "write")
+
 _FIELD = {
     "real": FieldTag.REAL,
     "complex": FieldTag.COMPLEX,
@@ -254,6 +260,7 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
     """Run one configured experiment; write trace CSV, summary JSON, and the
     reconstructed signal; return the summary dict and the rows of the trace
     CSV as a float array (row 0 the initial point)."""
+    marks = [time.perf_counter()]  # the start, then the end of each of PHASES
     cfg = _deep_update(DEFAULT_CONFIG, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -275,20 +282,22 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
         signal = build_signal(cfg["signal"])
         model = build_model(cfg["model"], signal, background)
         calibrate_scale(model, signal.values, mean_count)
-        meas = simulate_poisson(model, signal.values, seed)
         noise_model = cfg["algorithm"]["noise_model"]
         if noise_model not in _OBJECTIVE:
             raise ConfigError(f"unknown noise model {noise_model!r}")
-        obj = _OBJECTIVE[noise_model](model, meas.y, field=signal.field)
         reg = build_regularizer(cfg["regularizer"], signal)
         solver, options = build_solver(cfg["algorithm"])
+        marks.append(time.perf_counter())
+        meas = simulate_poisson(model, signal.values, seed)
+        obj = _OBJECTIVE[noise_model](model, meas.y, field=signal.field)
+        marks.append(time.perf_counter())
     except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
     x0 = initialize(model, meas.y, field=signal.field, iters=init_iters, seed=seed)
-    t_start = time.perf_counter()
+    marks.append(time.perf_counter())
     state = solver(obj, x0, n_iters, reg=reg, x_true=signal.values, **options)
-    wall = time.perf_counter() - t_start
+    marks.append(time.perf_counter())
 
     init_cost = RegularizedObjective(obj, reg).cost(x0.values)
     rows = [(0, 0.0, init_cost, _nrmse(x0.values, signal.values),
@@ -304,13 +313,16 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
     with open(xhat_path, "w") as f:
         for z in state.x:
             f.write(f"{z.real:.17g}:{z.imag:.17g}\n")
+    marks.append(time.perf_counter())
+    phase_s = dict(zip(PHASES, np.diff(marks).tolist()))
 
     summary = {
         "version": __version__,
         "config": cfg,
         "status": state.status,
         "warnings": state.warnings,
-        "wall_time_s": wall,
+        "wall_time_s": phase_s["solve"],
+        "phase_wall_time_s": phase_s,
         "final_cost": state.trace[-1].cost if state.trace else init_cost,
         "final_nrmse": _nrmse(state.x, signal.values),
         "final_psnr": _psnr(state.x, signal.values),

@@ -40,7 +40,8 @@ def spectral_init(
     model: ForwardModel, y: NDArray, iters: int = 300, seed: int = 0
 ) -> tuple[NDArray, list[str]]:
     """Unit-norm leading eigenvector of A' diag{y / (y+1)} A via power method
-    on its `quad_form`."""
+    on its `quad_form`, `iters` iterations at most: the method stops once its
+    iterate settles (`numerics.power_method`)."""
     y = np.asarray(y, dtype=float)
     warns: list[str] = []
     if np.all(y == 0):
@@ -86,7 +87,8 @@ def initialize(
     iters: int = 300,
     seed: int = 0,
 ) -> SignalVector:
-    """Spectral init + scale fit + field finalization."""
+    """Spectral init (at most `iters` power iterations) + scale fit + field
+    finalization."""
     v, warns = spectral_init(model, y, iters=iters, seed=seed)
     alpha, more = scale_fit(model, y, v)
     for msg in warns + more:

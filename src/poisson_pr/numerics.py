@@ -19,6 +19,15 @@ def real_dot(a: NDArray, b: NDArray) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
+# the power method tests every POWER_CHECK_EVERY-th iterate against the one
+# before it and stops once they differ by at most POWER_SETTLED_TOL in norm:
+# a unit vector settled to rounding moves by about sqrt(n) ulp per step
+# (2e-15 at n = 256, 7e-15 at n = 4096); the test is sparse so that it costs
+# nothing beside the small dense Gram products
+POWER_SETTLED_TOL = 1e-14
+POWER_CHECK_EVERY = 8
+
+
 def power_method(
     op: Callable[[NDArray], NDArray],
     n: int,
@@ -27,24 +36,28 @@ def power_method(
 ) -> tuple[float, NDArray]:
     """Leading eigenpair of a Hermitian PSD operator given as a callable.
 
-    Returns (eigenvalue, unit-norm eigenvector). The Rayleigh quotient is
-    non-decreasing across iterations for PSD operators. One product per
-    iteration, `iters` + 1 in all: op(v) gives both the Rayleigh quotient at
-    v and the next iterate.
+    Returns (eigenvalue, unit-norm eigenvector). `iters` is a cap: the
+    iteration stops at the first k, a multiple of POWER_CHECK_EVERY, where
+    the iterate moved by at most POWER_SETTLED_TOL, and its result is then
+    bit-identical to that of `iters=k`. One product per iteration, k + 1 in
+    all: op(v) gives both the next iterate and, for the last v, the Rayleigh
+    quotient, which is non-decreasing across iterations for PSD operators.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    lam = 0.0
-    w = op(v) if iters > 0 else None
-    for _ in range(iters):
+    if iters <= 0:
+        return 0.0, v
+    w = op(v)
+    for k in range(1, iters + 1):
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0, v
-        v = w / nw
+        prev, v = v, w / nw
         w = op(v)
-        lam = real_dot(v, w)
-    return lam, v
+        if k % POWER_CHECK_EVERY == 0 and np.linalg.norm(v - prev) <= POWER_SETTLED_TOL:
+            break
+    return real_dot(v, w), v
 
 
 def cg_solve(

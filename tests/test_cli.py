@@ -118,6 +118,14 @@ class TestRunExperiment:
         assert "metric_conventions" in on_disk
         assert "version" in on_disk
 
+    def test_summary_phase_wall_times(self, tmp_path):
+        summary, _ = run_experiment(TINY, tmp_path)
+        with open(tmp_path / "summary.json") as f:
+            phases = json.load(f)["phase_wall_time_s"]
+        assert list(phases) == ["build", "simulate", "init", "solve", "write"]
+        assert all(np.isfinite(t) and t >= 0.0 for t in phases.values())
+        assert phases["solve"] == summary["wall_time_s"]
+
     def test_xhat_roundtrip(self, tmp_path):
         run_experiment(TINY, tmp_path)
         lines = (tmp_path / "xhat.csv").read_text().strip().splitlines()

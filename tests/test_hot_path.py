@@ -6,10 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from poisson_pr import operators, wf
+from poisson_pr import init_eval, operators, wf
 from poisson_pr.admm import run_admm
 from poisson_pr.baselines import run_lbfgs
-from poisson_pr.init_eval import initialize
+from poisson_pr.init_eval import finalize_init, initialize, scale_fit
 from poisson_pr.mm import run_mm
 from poisson_pr.objectives import DiffOp, GaussianObjective, HuberTV, PoissonObjective
 from poisson_pr.operators import (
@@ -49,6 +49,22 @@ def count_calls(model) -> Counter:
             counts[_name] += 1
             return _fn(*args)
         setattr(model, name, counted)
+    return counts
+
+
+def count_gram_products(monkeypatch) -> Counter:
+    """Count the products of every Gram form the initializer builds."""
+    counts = Counter()
+    quad_form = init_eval.quad_form
+
+    class Counted:
+        def __init__(self, q):
+            self.q = q
+
+        def __matmul__(self, z):
+            counts["gram"] += 1
+            return self.q @ z
+    monkeypatch.setattr(init_eval, "quad_form", lambda *args: Counted(quad_form(*args)))
     return counts
 
 
@@ -256,11 +272,14 @@ def test_lbfgs_makes_no_full_product_per_evaluation():
 
 
 @pytest.mark.parametrize("cols", [N, DIRECT_MAX_COLS, DIRECT_MAX_COLS + 8])
-def test_initialize_power_method_on_the_gram_up_to_the_direct_width(cols):
+def test_initialize_power_method_on_the_gram_up_to_the_direct_width(cols, monkeypatch):
     model = random_gaussian_model(4 * cols, cols, seed=7, background=0.1)
     y = simulate_poisson(model, np.ones(cols), 8).y
     counts = count_calls(model)
+    products = count_gram_products(monkeypatch)
     initialize(model, y, iters=30, seed=0)
+    # the power iterate has not settled by the cap
+    assert products["gram"] == 30 + 1
     # scale_fit's one forward product
     assert counts["apply"] == 1
     if cols <= DIRECT_MAX_COLS:
@@ -290,13 +309,49 @@ def fft_instance(kind):
 
 
 @pytest.mark.parametrize("kind", ["masked", "canonical"])
-def test_initialize_power_method_on_the_circulant_gram(kind):
+def test_initialize_power_method_on_the_circulant_gram(kind, monkeypatch):
     obj, _ = fft_instance(kind)
     counts = count_calls(obj.model)
+    products = count_gram_products(monkeypatch)
     initialize(obj.model, obj.y, field=obj.field, iters=30, seed=0)
-    # scale_fit's one forward product; the 31 Gram products call no operator
+    # scale_fit's one forward product; the 31 Gram products, the cap's (the
+    # iterate has not settled by then), call no operator
+    assert products["gram"] == 30 + 1
     assert counts["apply"] == 1
     assert counts["apply_linear"] == counts["adjoint"] == counts["densify"] == 0
+
+
+def capped_initialize(model, y, field, iters, seed):
+    """`initialize` with a power method that always runs to its cap."""
+    q = operators.quad_form(model, y / (y + 1.0), FieldTag.COMPLEX)
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal(model.cols) + 1j * gen.standard_normal(model.cols)
+    v /= np.linalg.norm(v)
+    for _ in range(iters):
+        w = q @ v
+        v = w / np.linalg.norm(w)
+    alpha, _ = scale_fit(model, y, v)
+    return finalize_init(v, alpha, field)
+
+
+def test_initialize_stops_once_the_power_iterate_settles(monkeypatch):
+    obj, _ = fft_instance("masked")
+    products = count_gram_products(monkeypatch)
+    x0 = initialize(obj.model, obj.y, field=obj.field, iters=300, seed=0)
+    # the masked DFT's spectral gap settles the iterate to rounding by the
+    # check at iteration 72
+    assert products["gram"] == 72 + 1
+    ref = capped_initialize(obj.model, obj.y, obj.field, 300, seed=0)
+    assert np.linalg.norm(x0.values - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_initialize_runs_to_its_cap_while_the_iterate_moves(monkeypatch):
+    model = random_gaussian_model(4 * DIRECT_MAX_COLS, DIRECT_MAX_COLS, seed=7,
+                                  background=0.1)
+    y = simulate_poisson(model, np.ones(DIRECT_MAX_COLS), 8).y
+    products = count_gram_products(monkeypatch)
+    initialize(model, y, iters=300, seed=0)
+    assert products["gram"] == 300 + 1
 
 
 @pytest.mark.parametrize("kind", ["masked", "canonical"])

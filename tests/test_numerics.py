@@ -41,6 +41,31 @@ def lbfgs_last(fg, x0, n_iters):
 
 
 class TestPowerMethod:
+    @staticmethod
+    def counted(h):
+        """(op, calls): the product with h, and the list it appends to per call."""
+        calls = []
+
+        def op(z):
+            calls.append(1)
+            return h @ z
+        return op, calls
+
+    @staticmethod
+    def hermitian(eigenvalues, seed):
+        """A Hermitian PSD matrix with the given spectrum and random eigenvectors."""
+        rng = np.random.default_rng(seed)
+        n = len(eigenvalues)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return (u * np.asarray(eigenvalues, float)) @ u.conj().T
+
+    @staticmethod
+    def start(n, seed):
+        """The power method's random unit start vector for `seed`."""
+        gen = np.random.default_rng(seed)
+        v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        return v / np.linalg.norm(v)
+
     def test_diagonal_operator(self):
         d = np.array([3.0, 1.0])
         lam, v = power_method(lambda z: d * z, 2, iters=200, seed=0)
@@ -61,9 +86,36 @@ class TestPowerMethod:
         assert np.linalg.norm(h @ v - lam * v) < 1e-6
 
     def test_zero_operator(self):
-        lam, v = power_method(lambda z: 0.0 * z, 4, iters=10, seed=0)
-        assert lam == 0.0
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        op, calls = self.counted(np.zeros((4, 4)))
+        lam, v = power_method(op, 4, iters=10, seed=0)
+        assert len(calls) == 1 and lam == 0.0
+        assert v.tobytes() == self.start(4, 0).tobytes()
+
+    def test_no_iterations_return_the_start(self):
+        op, calls = self.counted(np.eye(4))
+        lam, v = power_method(op, 4, iters=0, seed=7)
+        assert not calls and lam == 0.0
+        assert v.tobytes() == self.start(4, 7).tobytes()
+
+    def test_settles_before_the_cap_bit_identical_to_its_stop(self):
+        h = self.hermitian([4.0, 2.0, 1.0, 0.5, 0.25, 0.1], seed=5)
+        op, calls = self.counted(h)
+        lam, v = power_method(op, 6, iters=300, seed=3)
+        stop = len(calls) - 1
+        assert stop < 300 and stop % numerics.POWER_CHECK_EVERY == 0
+        op_k, calls_k = self.counted(h)
+        lam_k, v_k = power_method(op_k, 6, iters=stop, seed=3)
+        assert len(calls_k) == stop + 1
+        assert lam == lam_k and v.tobytes() == v_k.tobytes()
+        lam_big, v_big = power_method(lambda z: h @ z, 6, iters=1000, seed=3)
+        assert lam == lam_big and v.tobytes() == v_big.tobytes()
+        assert lam == pytest.approx(4.0, rel=1e-14)
+
+    def test_small_gap_runs_to_its_cap(self):
+        h = self.hermitian([1.0, 0.9999, 0.5, 0.25], seed=6)
+        op, calls = self.counted(h)
+        power_method(op, 4, iters=300, seed=1)
+        assert len(calls) == 300 + 1
 
     @pytest.mark.parametrize("iters", [0, 1, 7, 60])
     def test_one_product_per_iteration_bit_identical_to_two(self, iters):
