@@ -10,7 +10,7 @@ from numpy.typing import NDArray
 from .init_eval import RunState
 from .mm import minimize_quad_plus_huber
 # cg_solve, power_method: only for the benchmark's tracer
-from .numerics import cg_solve, cubic_largest_root, power_method  # noqa: F401
+from .numerics import cg_solve, cubic_largest_root, power_method, real_dot  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
 from .operators import FieldTag, ForwardModel, SignalVector, quad_form, realify
 from .wf import DegenerateIterateError, iterate
@@ -28,8 +28,10 @@ def update_v_magnitude_bpos(t, y, b, rho: float):
     sqrt(max(0, 2y/(2+rho) - b)), and at b = 0 the cubic is m times the
     quadratic (2+rho) m^2 - rho t m - 2y. A root that is not finite (a
     coefficient such as 2y or rho t overflowed) or not nonnegative raises
-    DegenerateIterateError.
+    DegenerateIterateError. A scalar t gives a float, an array of any length
+    (none included) an array.
     """
+    scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, float))
     y = np.broadcast_to(np.asarray(y, float), t.shape)
     b = np.broadcast_to(np.asarray(b, float), t.shape)
@@ -46,7 +48,7 @@ def update_v_magnitude_bpos(t, y, b, rho: float):
         if np.any(m < 0):
             raise DegenerateIterateError("magnitude update found no nonnegative root")
         out[pos] = m
-    return out if out.shape[0] > 1 else float(out[0])
+    return float(out[0]) if scalar else out
 
 
 def update_v(ax: NDArray, eta: NDArray, y: NDArray, b: NDArray, rho: float) -> NDArray:
@@ -57,7 +59,7 @@ def update_v(ax: NDArray, eta: NDArray, y: NDArray, b: NDArray, rho: float) -> N
     t = 0: no complex division."""
     u = ax - eta
     t = np.abs(u)
-    m = np.atleast_1d(update_v_magnitude_bpos(t, y, b, rho))
+    m = update_v_magnitude_bpos(t, y, b, rho)
     nonzero = t > 0
     v = u * np.divide(m, t, out=np.zeros_like(t), where=nonzero)
     zero = np.flatnonzero(~nonzero)
@@ -93,14 +95,24 @@ def update_x(
     x0: NDArray,
     reg: HuberTV | None = None,
     rho: float = 1.0,
+    quad=None,
+    adjoint=None,
+    rest: NDArray | None = None,
 ) -> NDArray:
     """Least-squares x update, with optional Huber regularization: MM's step
     (`minimize_quad_plus_huber`) on (rho/2)||Ax - v - eta||^2 [+ beta R(x)]
     from x0, with Gram `quad_form(model, rho)` and gradient rho A'(ax - v - eta),
-    `ax` = A x0 with the canonical DFT's offset."""
-    return minimize_quad_plus_huber(quad_form(model, rho, field),
-                                    realify(model.adjoint(rho * (ax - v - eta)), field),
-                                    x0, reg, field)
+    `ax` = A x0 with the canonical DFT's offset.
+
+    `quad` is that Gram where the caller has formed it. Where the split keeps
+    only some rows R explicit, ax, v and eta are those rows', `adjoint` is
+    A_R' and `rest` the gradient's part from the other rows."""
+    if quad is None:
+        quad = quad_form(model, rho, field)
+    grad = (model.adjoint if adjoint is None else adjoint)(rho * (ax - v - eta))
+    if rest is not None:
+        grad = grad + rest
+    return minimize_quad_plus_huber(quad, realify(grad, field), x0, reg, field)
 
 
 def check_rho0(rho0) -> float:
@@ -120,27 +132,68 @@ def run_admm(
     x_true: NDArray | None = None,
 ) -> RunState:
     """ADMM outer loop: v (`update_v`: one modulus of A x - eta for both the
-    phase and the magnitude, whose zero-count rows are closed-form), x, dual,
-    penalty update. The x update is MM's step on `quad_form(model, rho)`,
-    rho times the model's remembered A'A; a singular A'A ends the run
-    `terminated`."""
-    model = obj.model
-    ax = obj.forward(x0.values)
+    phase and the magnitude), x, dual, penalty update. The x update is MM's
+    step on `quad_form(model, rho)`, rho times the model's remembered A'A,
+    formed once per rho; a singular A'A ends the run `terminated`.
+
+    The split is kept explicitly on the rows R alone. On a zero count the
+    magnitude update is linear, v_Z = c (A_Z x - eta_Z) with c = rho/(2+rho),
+    so from eta = 0 the dual stays in the range of A_Z: eta_Z = A_Z omega and
+    v_Z = A_Z z, with z = c (x - omega) and omega <- omega + z - x_new. Each
+    zero-count term is then a product with G_Z = A_Z'A_Z
+    (`PoissonObjective.zero_count_split`): the x-update gradient's
+    rho G_Z (x - z - omega) = rho (1 - c) G_Z (x - omega), formed in the
+    second way, which cancels nothing as c nears 1, the primal residual's
+    ||A_Z(x_new - z)||^2 =
+    (x_new - z)'G_Z(x_new - z) and the dual residual's A_Z'(v_Z - v_Z_old) =
+    G_Z(z - z_old). On a `DenseModel` R = P, the positive counts, and
+    A_P x is `positive_forward`'s, which the trace cost reads too: an
+    iteration makes no `apply`, no `adjoint` and no M-length array. On
+    other models R is every row and Z is empty."""
+    model, field = obj.model, obj.field
+    split = obj.zero_count_split()
+    if split is None:
+        y, b, forward, adjoint, g_z = obj.y, obj.b, obj.forward, model.adjoint, None
+    else:
+        a_p, g_z = split
+        y, b, forward = obj.y[obj.positive], obj.b[obj.positive], obj.positive_forward
+
+        def adjoint(r):
+            # conj(A_P' r) = conj(r) A_P, which conjugates no matrix
+            return (r.conj() @ a_p).conj()
+    ax = forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
+    z, omega = x0.values, np.zeros(model.cols, dtype=complex)  # v_Z = A_Z x0, eta_Z = 0
     rho = check_rho0(rho0)
+    quad = quad_form(model, rho, field)
 
     def step(k, x, warnings):
-        nonlocal ax, v, eta, rho
-        v_old = v
-        v = update_v(ax, eta, obj.y, obj.b, rho)
-        x = update_x(model, ax, v, eta, field=obj.field, x0=x, reg=reg, rho=rho)
-        ax = obj.forward(x)
+        nonlocal ax, v, eta, z, omega, rho, quad
+        v_old, z_old = v, z
+        v = update_v(ax, eta, y, b, rho)
+        rest = None
+        if g_z is not None:
+            d = x - omega
+            z = rho / (2.0 + rho) * d
+            rest = (2.0 * rho / (2.0 + rho)) * (g_z @ d)  # rho G_Z (x - z - omega)
+        x = update_x(model, ax, v, eta, field=field, x0=x, reg=reg, rho=rho, quad=quad,
+                     adjoint=adjoint, rest=rest)
+        ax = forward(x)
         eta = update_dual(eta, v, ax)
+        if g_z is not None:
+            omega = omega + z - x
         if k % 10 == 0:  # the only iterations whose residuals update_rho reads
             primal = float(np.linalg.norm(ax - v))
-            dual = float(np.linalg.norm(rho * model.adjoint(v - v_old)))
-            rho = update_rho(rho, primal, dual, k)
+            back = adjoint(v - v_old)
+            if g_z is not None:
+                u = x - z
+                primal = float(np.hypot(primal, np.sqrt(max(real_dot(u, g_z @ u), 0.0))))
+                back = back + g_z @ (z - z_old)
+            dual = float(np.linalg.norm(rho * back))
+            new_rho = update_rho(rho, primal, dual, k)
+            if new_rho != rho:
+                rho, quad = new_rho, quad_form(model, new_rho, field)
         return x
 
     return iterate(step, x0.values, n_iters, RegularizedObjective(obj, reg).cost, x_true)

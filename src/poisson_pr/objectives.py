@@ -113,23 +113,42 @@ class PoissonObjective:
         self._memo = (np.array(x, copy=True), self.model.scale, ax)
         return ax
 
-    def split(self) -> tuple[NDArray, NDArray] | None:
+    def split(self, a: NDArray | None = None) -> tuple[NDArray, NDArray] | None:
         """(A_P, A'A) on a `DenseModel`, None elsewhere. A_P is the rows P of
-        `densify()`, contiguous and read-only, kept in the model's `memo`
-        for every objective with the same P; A'A is `_normal_gram`'s. Both
-        are taken again when the memo is emptied (a new scale or matrix)."""
+        `densify()` (or of `a`, where the caller has densified A), contiguous
+        and read-only, kept in the model's `memo` for every objective with
+        the same P; A'A is `_normal_gram`'s. Both are taken again when the
+        memo is emptied (a new scale or matrix)."""
         if not isinstance(self.model, DenseModel):
             return None
         memo = self.model.memo()
         if self._split is None or self._split[0] is not memo:
             key = ("positive rows", self.positive.tobytes())
-            a = None
             if key not in memo:
-                a = self.model.densify()
+                a = self.model.densify() if a is None else a
                 memo[key] = a[self.positive]
                 memo[key].flags.writeable = False
             self._split = (memo, memo[key], _normal_gram(self.model, self.field, a))
         return self._split[1:]
+
+    def zero_count_split(self) -> tuple[NDArray, NDArray] | None:
+        """(A_P, G_Z) on a `DenseModel`, None where `split` is: A_P is
+        `split`'s, and G_Z = A_Z'A_Z, Z the rows with a zero count, is A'A
+        minus A_P'A_P, so that no row of Z is taken. G_Z is complex on every
+        field; on a real one its real part starts from `split`'s Re(A'A) and
+        its imaginary part from Im(A'A) = Re(A)'Im(A) - Im(A)'Re(A). A is
+        densified once for both."""
+        if not isinstance(self.model, DenseModel):
+            return None
+        a = self.model.densify()
+        split = self.split(a)
+        if split is None:
+            return None
+        a_p, h = split
+        if self.field.is_real:
+            k = a.real.T @ a.imag
+            h = h + 1j * (k - k.T)
+        return a_p, h - a_p.conj().T @ a_p
 
     def positive_forward(self, x: NDArray) -> NDArray:
         """s_P = (A x)_P. On a `DenseModel` it is A_P x, read-only, the last
@@ -221,7 +240,7 @@ class GaussianObjective(PoissonObjective):
     def fisher_diag(self, v: NDArray) -> NDArray:
         return fisher_marginal_gaussian(v, self.b)
 
-    def split(self) -> None:
+    def split(self, a: NDArray | None = None) -> None:
         """None: the Gaussian residual is nonzero on every row, so its cost
         and gradient take A x and A' on every model."""
         return None

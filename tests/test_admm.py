@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import admm_full_rows
 
 from poisson_pr import admm, operators
 from poisson_pr.admm import (
@@ -27,7 +28,7 @@ from poisson_pr.operators import (
     random_gaussian_model,
     simulate_poisson,
 )
-from poisson_pr.phantoms import blocks, disk
+from poisson_pr.phantoms import blocks, disk, random_complex
 
 
 def _lagrangian(m, y, b, rho, t):
@@ -183,6 +184,18 @@ class TestMagnitudeBpos:
                 want[i] = min(pos, key=lambda r: _lagrangian(r, y[i], b[i], rho, t[i]))
             m = update_v_magnitude_bpos(t, y, b, rho)
             assert np.all(np.abs(m - want) <= 1e-13 * np.maximum(np.abs(want), 1e-300))
+
+    def test_empty_and_one_row_arrays_give_arrays(self):
+        # no positive count leaves the split's rows empty; only a scalar t
+        # gives a float
+        empty = update_v_magnitude_bpos(np.zeros(0), np.zeros(0), np.zeros(0), 8.0)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        one = update_v_magnitude_bpos(np.array([2.0]), np.array([1.0]), np.array([0.1]), 8.0)
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert one[0] == update_v_magnitude_bpos(2.0, 1.0, 0.1, 8.0)
+        assert isinstance(update_v_magnitude_bpos(2.0, 1.0, 0.1, 8.0), float)
+        v = update_v(np.zeros(0, complex), np.zeros(0, complex), np.zeros(0), np.zeros(0), 8.0)
+        assert v.shape == (0,)
 
     def test_all_zero_counts_solve_no_cubic(self, monkeypatch):
         calls = []
@@ -426,3 +439,74 @@ class TestRunAdmm:
         assert state.status == "ok"
         assert len(state.trace) == 10
         assert np.all(np.isfinite(state.costs()))
+
+
+def oracle_instance(field, counts, m=96, n=12, seed=0):
+    """(objective, x0) of a small dense instance whose counts are mostly zero
+    (mean 0.25), all positive, or all zero; x0 is the spectral start of the
+    mean-0.25 counts, which all-zero counts would make zero."""
+    sig = random_complex(n, seed=seed) if field is FieldTag.COMPLEX else blocks(n, seed=seed)
+    model = random_gaussian_model(m, n, seed=seed + 5, background=0.1)
+    calibrate_scale(model, sig.values, 0.25)
+    y = simulate_poisson(model, sig.values, seed + 6).y
+    x0 = initialize(model, y, field=field, iters=50, seed=seed)
+    if counts == "positive":
+        y = y + 1.0
+    elif counts == "zero":
+        y = np.zeros(m)
+    return PoissonObjective(model, y, field=field), x0
+
+
+class TestAgainstFullRowOracle:
+    """`run_admm` keeps the zero-count rows of its split in N-space on a dense
+    model; `oracles.admm_full_rows` keeps v and eta on every row. They agree
+    to rounding, and the adaptive penalty moves at the same iterations."""
+
+    ITERS = 40
+
+    def _compare(self, obj, x0, rho0, reg, monkeypatch):
+        """Run both; return the oracle's penalty after each iteration."""
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return update_rho(*args)
+        monkeypatch.setattr(admm, "update_rho", recorded)
+        state = run_admm(obj, x0, self.ITERS, rho0=rho0, reg=reg)
+        got_calls = calls[:]
+        calls.clear()
+        # the oracle imports update_rho when called, so it is recorded too
+        costs, x, rhos = admm_full_rows(obj, x0.values, self.ITERS, rho0, reg)
+        assert state.status == "ok" and len(state.trace) == self.ITERS
+        got = state.costs()
+        assert np.all(np.abs(got - costs) <= 1e-12 * np.abs(costs))
+        assert np.linalg.norm(state.x - x) <= 1e-12 * np.linalg.norm(x)
+        # the penalty and the residual norms that update_rho reads, k = 10,
+        # 20, ..., to rounding of the larger norm, which the rule compares
+        assert len(got_calls) == len(calls) == self.ITERS // 10
+        for mine, theirs in zip(got_calls, calls):
+            assert mine[0] == theirs[0] and mine[3] == theirs[3]
+            err = np.abs(np.subtract(mine[1:3], theirs[1:3]))
+            assert np.all(err <= 1e-10 * max(theirs[1:3]))
+        return rhos
+
+    @pytest.mark.parametrize("counts", ["sparse", "positive", "zero"])
+    @pytest.mark.parametrize("huber", [False, True], ids=["plain", "huber"])
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_costs_and_iterate(self, field, huber, counts, monkeypatch):
+        obj, x0 = oracle_instance(field, counts)
+        if counts == "positive":
+            assert obj.positive.size == obj.model.rows
+        reg = HuberTV(2.0, 0.1, DiffOp(obj.model.cols)) if huber else None
+        self._compare(obj, x0, 8.0, reg, monkeypatch)
+
+    @pytest.mark.parametrize("huber", [False, True], ids=["plain", "huber"])
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_penalty_moves_at_the_same_iterations(self, field, huber, monkeypatch):
+        # from rho0 = 128 the primal residual is small against the dual one,
+        # and the rule halves rho at k = 10, 20, ...: each x-update's Gram is
+        # then a new multiple of A'A
+        obj, x0 = oracle_instance(field, "sparse")
+        reg = HuberTV(2.0, 0.1, DiffOp(obj.model.cols)) if huber else None
+        rhos = self._compare(obj, x0, 128.0, reg, monkeypatch)
+        assert rhos[9::10][:2] == [64.0, 32.0]

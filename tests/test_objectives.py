@@ -302,11 +302,27 @@ class TestDenseSplit:
         assert abs(obj.cost(x) - cost) <= 1e-12 * abs(cost)
         assert relative(obj.gradient(x), grad) <= 1e-12
 
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("counts", ["low", "zero", "positive"])
+    def test_zero_count_gram_matches_the_zero_count_rows(self, field, counts):
+        # complex on every field: ADMM's dual residual is the norm of a
+        # complex N-vector
+        obj, _ = split_instance(field, counts)
+        a_p, g_z = obj.zero_count_split()
+        assert a_p is obj.split()[0]
+        a = obj.model.densify()[obj.y == 0]
+        expected = a.conj().T @ a
+        assert g_z.dtype == complex and g_z.shape == expected.shape
+        scale = np.linalg.norm(obj.model.densify()) ** 2
+        assert np.linalg.norm(g_z - expected) <= 1e-14 * scale
+
     def test_full_products_elsewhere(self):
         dft = MaskedDftModel(make_masks(3, 8, seed=1), background=0.1)
         assert PoissonObjective(dft, np.zeros(dft.rows)).split() is None
+        assert PoissonObjective(dft, np.zeros(dft.rows)).zero_count_split() is None
         dense = random_gaussian_model(16, 4, seed=1, background=0.1)
         assert GaussianObjective(dense, np.zeros(16)).split() is None
+        assert GaussianObjective(dense, np.zeros(16)).zero_count_split() is None
 
 
 class TestHuber:
