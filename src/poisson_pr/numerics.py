@@ -173,7 +173,8 @@ def _wolfe_line_search(
     with constants WOLFE_C1 and WOLFE_C2.
 
     Returns (t, f, g) with (f, g) = fg(x + t p); when WOLFE_MAX_EVALS trials
-    find no Wolfe point, the last trial is returned.
+    find no Wolfe point, the last trial is returned, and `lbfgs_minimize`
+    takes it only where its cost is below f0 or non-finite.
     """
     d0 = real_dot(g0, p)
     lo, hi = 0.0, np.inf
@@ -213,6 +214,12 @@ def lbfgs_minimize(
     product, so gradients may be Wirtinger ascent directions. A step from a
     non-finite cost or a zero gradient, the start's included, raises
     DegenerateIterateError.
+
+    A search that ends at a finite cost not below the current one is a stall:
+    LBFGS clears its pairs, when it holds any, and searches once more along
+    -g (the restart of L-BFGS-B, Byrd et al. 1995). Where that search stalls
+    too, the cost has settled to rounding: this `next` and every later one
+    yield the current (x, f), the same array, and call `fg` no more.
     """
     x = x0.copy()
     f, g = fg(x)
@@ -238,12 +245,21 @@ def lbfgs_minimize(
         p = -q
         if real_dot(g, p) >= 0.0:
             p = -g  # fall back to steepest descent
-        t, f, g_new = _wolfe_line_search(fg, x, f, g, p)
+        t, f_t, g_new = _wolfe_line_search(fg, x, f, g, p)
+        # a stall: f <= f_t < inf, false for a NaN or infinite trial cost,
+        # which is taken and ends the run as before
+        if f <= f_t < np.inf and pairs:
+            pairs.clear()
+            p = -g
+            t, f_t, g_new = _wolfe_line_search(fg, x, f, g, p)
+        if f <= f_t < np.inf:
+            while True:
+                yield x, f
         s_vec = t * p
         y_vec = g_new - g
         ys = real_dot(y_vec, s_vec)
         if ys > 1e-14:  # keep positive-curvature pairs only
             pairs.append((s_vec, y_vec, ys))
         x = x + s_vec
-        g = g_new
+        f, g = f_t, g_new
         yield x, f

@@ -220,7 +220,8 @@ def _weighted_gram(a: NDArray, sw, real: bool) -> NDArray:
     if np.ndim(sw):
         sw = sw[:, None]
     if not real:
-        c = sw * a
+        # at sw = 1 (`_normal_gram`) C is a itself: one M x N copy, the conj
+        c = a if np.isscalar(sw) and sw == 1.0 else sw * a
         return c.conj().T @ c
     m = a.shape[0]
     c = np.empty((2 * m, a.shape[1]))

@@ -251,6 +251,28 @@ def test_lbfgs_makes_no_full_product_per_evaluation():
     assert counts["apply"] == counts["apply_linear"] == counts["adjoint"] == 0
 
 
+@pytest.mark.parametrize("huber", [False, True])
+def test_lbfgs_holds_once_its_cost_cannot_fall(huber):
+    # the cost settles by iteration 25-29, and holding from there takes 58
+    # gradients in all (70 with Huber-TV); searching on took about 4 per
+    # iteration and raised the cost where a trial it had to take rose
+    obj, x0 = instance()
+    reg = HuberTV(2.0, 0.1, DiffOp(N)) if huber else None
+    calls = []
+    gradient = obj.gradient
+    obj.gradient = lambda x, keep=None: calls.append(1) or gradient(x, keep)
+    state = run_lbfgs(obj, x0, 200, reg=reg)
+    assert state.status == "ok" and len(state.trace) == 200
+    costs = state.costs()
+    assert np.all(np.diff(costs) <= 0.0)
+    assert len(calls) < 100
+    # one warning, at the first held iterate, whose cost the later rows repeat
+    assert len(state.warnings) == 1
+    k = int(state.warnings[0].split()[1].rstrip(":"))
+    assert state.warnings[0] == f"iter {k}: LBFGS search found no lower cost; iterate held"
+    assert costs[k - 2] == costs[-1] and costs[k - 3] > costs[k - 2]
+
+
 @pytest.mark.parametrize("cols", [N, DIRECT_MAX_COLS, DIRECT_MAX_COLS + 8])
 def test_initialize_power_method_on_the_gram_up_to_the_direct_width(cols, monkeypatch):
     model = random_gaussian_model(4 * cols, cols, seed=7, background=0.1)

@@ -380,6 +380,76 @@ class TestLbfgs:
         assert len(dots) <= 2 * LBFGS_MEMORY + 4 + len(evals)
 
 
+    @staticmethod
+    def offset_bowl(evals):
+        """fg of a quadratic whose minimum, 100, is far above its rounding, so
+        the cost settles while the gradient stays nonzero; counts its calls."""
+        h = np.linspace(1.0, 50.0, 8)
+        target = np.linspace(-1.0, 2.0, 8)
+
+        def fg(x):
+            evals.append(1)
+            r = x - target
+            return 100.0 + 0.5 * float(r @ (h * r)), h * r
+        return fg
+
+    @staticmethod
+    def until_held(steps, n_iters=200):
+        """(number of `next` calls, x) at the first yield that repeats the
+        previous iterate, the same array."""
+        prev = None
+        for k in range(1, n_iters + 1):
+            x, _ = next(steps)
+            if x is prev:
+                return k, x
+            prev = x
+        raise AssertionError(f"no iterate held in {n_iters} steps")
+
+    def test_holds_without_evaluating_once_the_cost_is_settled(self):
+        evals = []
+        fg = self.offset_bowl(evals)
+        steps = lbfgs_minimize(fg, np.zeros(8))
+        k, x = self.until_held(steps)
+        f, g = fg(x)
+        assert np.linalg.norm(g) > 0.0  # a stall, not a zero gradient
+        evals.clear()
+        for _ in range(5):
+            x_k, f_k = next(steps)
+            assert x_k is x and f_k == f
+        assert not evals
+
+    def test_a_stall_with_pairs_retries_along_minus_g(self, monkeypatch):
+        searches = []
+        search = numerics._wolfe_line_search
+
+        def recorded(fg, x, f0, g0, p):
+            searches.append((x, g0, p))
+            return search(fg, x, f0, g0, p)
+        monkeypatch.setattr(numerics, "_wolfe_line_search", recorded)
+        _, x = self.until_held(lbfgs_minimize(self.offset_bowl([]), np.zeros(8)))
+        # the two searches from the held x: the LBFGS direction, then -g
+        (x1, g1, p1), (x2, g2, p2) = searches[-2:]
+        assert x1 is x and x2 is x
+        assert not np.array_equal(p1, -g1)
+        assert np.array_equal(p2, -g2)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_trial_cost_still_ends_the_run(self, bad):
+        # every point but the start has a non-finite cost: an infinite one
+        # exhausts the search, a NaN one passes it; either is taken, not held
+        x0 = np.ones(3)
+
+        def fg(x):
+            f = float(np.sum(x**2)) if np.array_equal(x, x0) else bad
+            return f, 2.0 * x
+
+        steps = lbfgs_minimize(fg, x0)
+        x, f = next(steps)
+        assert not np.array_equal(x, x0) and not np.isfinite(f)
+        with pytest.raises(DegenerateIterateError, match="non-finite cost"):
+            next(steps)
+
+
 class TestFiniteDiffGrad:
     def test_norm_squared(self):
         g = finite_diff_grad(lambda x: float(np.sum(np.abs(x) ** 2)),

@@ -21,6 +21,7 @@ from poisson_pr.operators import (
     MeasurementSet,
     NormalOp,
     SignalVector,
+    _normal_gram,
     calibrate_scale,
     gram,
     load_file_matrix,
@@ -201,6 +202,15 @@ class TestGram:
         w = np.random.default_rng(23).uniform(0.5, 2.0, model.rows)
         h = gram(model, w, FieldTag.REAL)
         assert np.array_equal(h, h.T)
+
+    def test_complex_normal_gram_is_the_plain_product(self):
+        # at unit weights the complex branch multiplies A itself, with no
+        # scaled copy, and gives the plain product bit for bit
+        model = random_gaussian_model(96, 7, seed=4)
+        a = model.densify()
+        h = _normal_gram(model, FieldTag.COMPLEX)
+        assert h.dtype == complex and not h.flags.writeable
+        assert np.array_equal(h, a.conj().T @ a)
 
 
 class TestGramMemo:
