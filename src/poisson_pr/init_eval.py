@@ -119,3 +119,20 @@ def psnr(x_hat: NDArray, x_true: NDArray, peak: float | None = None) -> float:
         return PSNR_CAP_DB
     val = 10.0 * np.log10(peak**2 * x_true.size / err2)
     return float(min(val, PSNR_CAP_DB))
+
+
+def error_metrics(x_true: NDArray):
+    """x_hat -> (`nrmse`, `psnr`) of x_hat against x_true, from one phase
+    correction and one error norm per call; x_true's norm and peak are taken
+    once. Agrees with the two functions to rounding."""
+    true_norm = float(np.linalg.norm(x_true))
+    peak2n = float(np.max(np.abs(x_true))) ** 2 * x_true.size
+
+    def metrics(x_hat: NDArray) -> tuple[float, float]:
+        err = phase_correct(x_hat, x_true) - x_true
+        err2 = float(np.vdot(err, err).real)
+        nr = float(np.sqrt(err2) / true_norm)
+        if err2 == 0.0:
+            return nr, PSNR_CAP_DB
+        return nr, float(min(10.0 * np.log10(peak2n / err2), PSNR_CAP_DB))
+    return metrics

@@ -65,19 +65,25 @@ def cg_solve(
     rhs: NDArray,
     iters: int = 30,
     tol: float = 1e-9,
+    precond: Callable[[NDArray], NDArray] | None = None,
 ) -> NDArray:
-    """Conjugate gradient for Hermitian positive-semidefinite `op`.
+    """Preconditioned conjugate gradient for Hermitian positive-semidefinite
+    `op`, `precond` z -> M^{-1} z for a Hermitian positive-semidefinite M^{-1},
+    or None for plain CG.
 
-    Starts from x = 0 (residual rhs); stops when the relative residual drops
-    below `tol` or after `iters` iterations, one product each. Exact in <= N
-    steps in exact arithmetic.
+    Starts from x = 0 (residual rhs); stops when the unpreconditioned
+    residual meets ||r|| <= tol ||rhs|| or after `iters` iterations, one
+    product each. Exact in <= N steps in exact arithmetic. Without a
+    preconditioner r'z is r'r, and the arithmetic is plain CG's.
     """
     x = np.zeros_like(rhs)
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return x
-    r, p = rhs, rhs.copy()
-    rs = real_dot(r, r)
+    r = rhs
+    p = z = r if precond is None else precond(r)
+    rz = real_dot(r, z)
+    rs = rz if precond is None else real_dot(r, r)
     for _ in range(iters):
         if np.sqrt(rs) <= tol * rhs_norm:
             break
@@ -85,12 +91,14 @@ def cg_solve(
         denom = real_dot(p, ap)
         if denom <= 0.0:
             break  # operator numerically indefinite along p
-        alpha = rs / denom
+        alpha = rz / denom
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = real_dot(r, r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = r if precond is None else precond(r)
+        rz_new = real_dot(r, z)
+        rs = rz_new if precond is None else real_dot(r, r)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return x
 
 

@@ -68,12 +68,17 @@ def fisher_marginal_gaussian(v, b):
 class PoissonObjective:
     """Negative Poisson log-likelihood f(x) = sum_i psi((Ax)_i; y_i, b_i).
 
-    On a `DenseModel` the cost and gradient are formed from A'A and the
-    rows P = {y > 0}, s_P = A_P x: psi is exactly |s|^2 + b on a zero count,
-    so f(x) = Re(x'(A'A)x) + sum b - y_P' log(|s_P|^2 + b_P) and
+    psi is exactly |s|^2 + b on a zero count, so with s = A x and P = {y > 0}
+    the rows with a positive count, on every model
+    f(x) = ||s||^2 + sum b - y_P' log(|s_P|^2 + b_P), whose log is taken on P
+    alone. On a `DenseModel` ||s||^2 is Re(x'(A'A)x) and s_P = A_P x, and
     grad f = 2(A'A)x - A_P'(2 y_P s_P / (|s_P|^2 + b_P)), with no M x N
-    product (`split`). On the other models they come from A x and A'.
-    On a real field x is real, and A'A is Re(A'A).
+    product (`split`). On the other models s is `forward(x)`, and the
+    gradient is A' applied to the marginal gradient 2s, less
+    2 y_P s_P / (|s_P|^2 + b_P) on P (`marginal_grad`), whose division is
+    taken on P alone. A zero rate on a zero count is no error there (its
+    marginal gradient is 2s); on P it is. On a real field x is real, and
+    A'A is Re(A'A).
     """
 
     def __init__(self, model: ForwardModel, y: NDArray, field: FieldTag = FieldTag.COMPLEX):
@@ -167,30 +172,38 @@ class PoissonObjective:
         self._pos_memo = (np.array(x, copy=True), a_p, s)
         return s
 
-    def _positive_rates(self, x: NDArray, where: str) -> tuple[NDArray, NDArray]:
-        """(s_P, |s_P|^2 + b_P); a zero rate on P leaves psi and its
+    def _positive_rate(self, s: NDArray, where: str) -> NDArray:
+        """|s_P|^2 + b_P for s_P = (A x)_P; a zero rate on P leaves psi and its
         derivative (named by `where`) undefined."""
-        s = self.positive_forward(x)
         rate = np.abs(s) ** 2 + self._b_pos
         if np.any(rate == 0):
             raise DegenerateIterateError(f"{where} undefined: zero rate with positive count")
-        return s, rate
+        return rate
 
     def cost(self, x: NDArray) -> float:
         split = self.split()
         if split is None:
-            return float(np.sum(psi(self.forward(x), self.y, self.b)))
-        _, rate = self._positive_rates(x, "psi")
-        h = split[1]
-        x = np.asarray(x)
-        if self.field.is_real:
-            quad = x.real @ (h @ x.real)
+            s = self.forward(x)
+            quad = np.vdot(s, s).real
+            rate = self._positive_rate(s[self.positive], "psi")
         else:
-            quad = np.vdot(x, h @ x).real
+            rate = self._positive_rate(self.positive_forward(x), "psi")
+            h = split[1]
+            x = np.asarray(x)
+            if self.field.is_real:
+                quad = x.real @ (h @ x.real)
+            else:
+                quad = np.vdot(x, h @ x).real
         return float(quad + self._sum_b - self._y_pos @ np.log(rate))
 
     def marginal_grad(self, v: NDArray) -> NDArray:
-        return psi_dot(v, self.y, self.b)
+        """psi_dot(v; y, b) for v = A x, one entry per row, a fresh array:
+        2v, less 2 y_P v_P / (|v_P|^2 + b_P) on the rows P."""
+        s = v[self.positive]
+        rate = self._positive_rate(s, "psi_dot")
+        mg = 2.0 * v
+        mg[self.positive] -= (2.0 * self._y_pos / rate) * s
+        return mg
 
     def gradient(self, x: NDArray, keep: NDArray | None = None) -> NDArray:
         """A' psi_dot(Ax), field-projected; rows outside the boolean mask
@@ -205,7 +218,8 @@ class PoissonObjective:
                 mg = np.where(keep, mg, 0.0)
             return realify(self.model.adjoint(mg), self.field)
         a_p, h = split
-        s, rate = self._positive_rates(x, "psi_dot")
+        s = self.positive_forward(x)
+        rate = self._positive_rate(s, "psi_dot")
         # conj(A_P' r) = conj(r) A_P, which conjugates no M x N array
         back = ((2.0 * self._y_pos / rate) * s).conj() @ a_p
         drop = np.flatnonzero(~keep) if keep is not None else ()

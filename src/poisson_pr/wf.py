@@ -11,7 +11,9 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .init_eval import RunState, TraceRow, nrmse as _nrmse, psnr as _psnr
+from .init_eval import RunState, TraceRow, error_metrics
+# nrmse, psnr: only for the benchmark's tracer
+from .init_eval import nrmse as _nrmse, psnr as _psnr  # noqa: F401
 from .numerics import DegenerateIterateError, cubic_largest_root, real_dot
 from .objectives import (
     GaussianObjective, HuberTV, PoissonObjective, RegularizedObjective,
@@ -145,12 +147,6 @@ def truncation_mask(obj: PoissonObjective, x: NDArray, a_h: float) -> NDArray:
     return resid <= level
 
 
-def _metrics(x, x_true):
-    if x_true is None:
-        return float("nan"), float("nan")
-    return _nrmse(x, x_true), _psnr(x, x_true)
-
-
 def iterate(step: Callable, x0: NDArray, n_iters: int, cost: Callable,
             x_true: NDArray | None = None) -> RunState:
     """The solver loop x_k = step(k, x_{k-1}, warnings), k = 1..n_iters.
@@ -161,6 +157,8 @@ def iterate(step: Callable, x0: NDArray, n_iters: int, cost: Callable,
     before it."""
     x = x0.copy()
     state = RunState(x=x)
+    metrics = (error_metrics(x_true) if x_true is not None
+               else lambda _: (float("nan"), float("nan")))
     elapsed = 0.0
     for k in range(1, n_iters + 1):
         t0 = time.perf_counter()
@@ -174,7 +172,7 @@ def iterate(step: Callable, x0: NDArray, n_iters: int, cost: Callable,
             state.status = f"terminated: {exc}"
             break
         x = x_new
-        nr, ps = _metrics(x, x_true)
+        nr, ps = metrics(x)
         state.trace.append(TraceRow(k, elapsed, c, nr, ps))
     state.x = x
     return state

@@ -119,3 +119,30 @@ def admm_full_rows(obj, x0: NDArray, n_iters: int, rho0: float = 8.0,
         costs.append(cost(x))
         rhos.append(rho)
     return np.array(costs), x, rhos
+
+
+def cg_plain(op: Callable[[NDArray], NDArray], rhs: NDArray, iters: int = 30,
+             tol: float = 1e-9) -> NDArray:
+    """Conjugate gradient without a preconditioner, from x = 0, stopping at
+    ||r|| <= tol ||rhs|| or after `iters` products: the oracle, bit for bit,
+    for `numerics.cg_solve` without `precond`."""
+    x = np.zeros_like(rhs)
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0.0:
+        return x
+    r, p = rhs, rhs.copy()
+    rs = real_dot(r, r)
+    for _ in range(iters):
+        if np.sqrt(rs) <= tol * rhs_norm:
+            break
+        ap = op(p)
+        denom = real_dot(p, ap)
+        if denom <= 0.0:
+            break
+        alpha = rs / denom
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs_new = real_dot(r, r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x

@@ -5,6 +5,7 @@ import pytest
 
 from poisson_pr.init_eval import (
     PSNR_CAP_DB,
+    error_metrics,
     finalize_init,
     initialize,
     nrmse,
@@ -174,6 +175,22 @@ class TestMetrics:
         err2 = np.sum(np.abs(phase_correct(x_hat, x) - x) ** 2)
         expected = 10 * np.log10(1.0 * 2 / err2)
         assert psnr(x_hat, x) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_error_metrics_agree_with_nrmse_and_psnr(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        metrics = error_metrics(x)
+        for x_hat in (np.exp(0.7j) * x + 0.1 * rng.standard_normal(64),
+                      rng.standard_normal(64).astype(complex), np.zeros(64, complex)):
+            nr, ps = metrics(x_hat)
+            assert abs(nr - nrmse(x_hat, x)) <= 1e-14 * nrmse(x_hat, x)
+            assert abs(ps - psnr(x_hat, x)) <= 1e-14 * abs(psnr(x_hat, x))
+
+    def test_error_metrics_of_an_exact_recovery(self):
+        x = np.array([1.0, -2.0, 0.5], dtype=complex)
+        assert error_metrics(x)(np.exp(0.3j) * x)[1] == psnr(np.exp(0.3j) * x, x)
+        assert error_metrics(x)(x) == (0.0, PSNR_CAP_DB)
 
     def test_psnr_custom_peak(self):
         x = np.array([2.0, 0.0], dtype=complex)

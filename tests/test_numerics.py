@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import finite_diff_grad
+from oracles import cg_plain, finite_diff_grad
 from poisson_pr import numerics
 from poisson_pr.numerics import (
     LBFGS_MEMORY,
@@ -186,6 +186,48 @@ class TestCgSolve:
         rhs = (rng.standard_normal(4) + 1j * rng.standard_normal(4))
         x = cg_solve(lambda z: h @ z, rhs, iters=8, tol=1e-14)
         assert np.linalg.norm(h @ x - rhs) < 1e-9 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("iters, tol", [(3, 1e-9), (40, 1e-9), (40, 0.0)])
+    def test_without_a_preconditioner_bit_identical_to_plain_cg(self, real, iters, tol):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((20, 12)) + (0.0 if real else 1j * rng.standard_normal((20, 12)))
+        h = a.conj().T @ a
+        rhs = rng.standard_normal(12) + (0.0 if real else 1j * rng.standard_normal(12))
+        x = cg_solve(lambda z: h @ z, rhs, iters, tol)
+        assert x.tobytes() == cg_plain(lambda z: h @ z, rhs, iters, tol).tobytes()
+
+    def test_preconditioned_stop_reads_the_unpreconditioned_residual(self):
+        # M^{-1} = 1e-30 I makes r'z tiny from the start; the stop test on
+        # ||r|| still runs CG to the tolerance
+        d = np.linspace(1.0, 5.0, 8)
+        rhs = np.ones(8)
+        x = cg_solve(lambda z: d * z, rhs, 50, 1e-10, precond=lambda z: 1e-30 * z)
+        assert np.linalg.norm(d * x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    def test_exact_preconditioner_solves_in_one_product(self):
+        rng = np.random.default_rng(7)
+        d = np.exp(rng.uniform(-6.0, 6.0, 50))
+        rhs = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        calls = []
+
+        def op(z):
+            calls.append(1)
+            return d * z
+        x = cg_solve(op, rhs, 50, 1e-12, precond=lambda z: z / d)
+        assert len(calls) == 1
+        assert np.linalg.norm(d * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        plain = []
+        cg_solve(lambda z: plain.append(1) or d * z, rhs, 50, 1e-12)
+        assert len(plain) == 50
+
+    def test_zero_preconditioned_residual_stops_without_dividing(self):
+        # an unknown the preconditioner zeroes (an uncovered one) holds the
+        # whole residual: no step is taken, and nothing divides by 0
+        with np.errstate(all="raise"):
+            x = cg_solve(lambda z: 2.0 * z, np.array([0.0, 1.0]), 10, 1e-9,
+                         precond=lambda z: np.array([1.0, 0.0]) * z)
+        assert np.all(x == 0)
 
 
 class TestCubicRealRoots:

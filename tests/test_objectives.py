@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import finite_diff_grad
-from poisson_pr.numerics import real_dot
+from poisson_pr.numerics import DegenerateIterateError, real_dot
 from poisson_pr.objectives import (
     DiffOp,
     GaussianObjective,
@@ -23,6 +23,7 @@ from poisson_pr.objectives import (
     psi_dot,
 )
 from poisson_pr.operators import (
+    CanonicalDftModel,
     DenseModel,
     FieldTag,
     MaskedDftModel,
@@ -165,17 +166,25 @@ class TestGradient:
             assert real_dot(g, d) == pytest.approx(dd, rel=1e-4, abs=1e-8)
 
 
-def split_instance(field, counts="low", zero_background=False, seed=0):
-    """(objective, x) of a dense 96 x 8 Poisson instance at a low mean count
-    ("low"), all-zero counts ("zero") or no zero counts ("positive"); with
-    `zero_background`, b = 0 on the zero-count rows and 0.1 on the others."""
+def split_instance(field, counts="low", zero_background=False, seed=0, kind="dense"):
+    """(objective, x) of a Poisson instance at a low mean count ("low"),
+    all-zero counts ("zero") or no zero counts ("positive"), on a dense
+    96 x 8 model, a masked DFT of 4 masks at N = 12 ("masked") or a
+    canonical DFT of a 4 x 3 image with its reference offset ("canonical");
+    with `zero_background`, b = 0 on the zero-count rows and 0.1 on the
+    others."""
     rng = np.random.default_rng(seed)
-    m, n = 96, 8
-    a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
+    if kind == "dense":
+        a = (rng.standard_normal((96, 8)) + 1j * rng.standard_normal((96, 8))) / np.sqrt(2.0)
+        model = DenseModel(a, background=0.1)
+    elif kind == "masked":
+        model = MaskedDftModel(make_masks(4, 12, seed=seed), background=0.1)
+    else:
+        model = CanonicalDftModel((4, 3), rng.uniform(0.0, 1.0, (4, 2)), background=0.1)
+    m, n = model.rows, model.cols
     x = rng.standard_normal(n) + (0.0 if field.is_real else 1j * rng.standard_normal(n))
     if field is FieldTag.REAL_NONNEGATIVE:
         x = np.abs(x)
-    model = DenseModel(a, background=0.1)
     calibrate_scale(model, x, 0.25)
     y = {"low": lambda: rng.poisson(model.intensities(x)).astype(float),
          "zero": lambda: np.zeros(m),
@@ -323,6 +332,70 @@ class TestDenseSplit:
         dense = random_gaussian_model(16, 4, seed=1, background=0.1)
         assert GaussianObjective(dense, np.zeros(16)).split() is None
         assert GaussianObjective(dense, np.zeros(16)).zero_count_split() is None
+
+
+class TestDftDataTerm:
+    """On the DFT models the log and the division are taken on the rows P
+    alone, from s = A x; cost and gradient match the psi and psi_dot sums."""
+
+    @pytest.mark.parametrize("kind", ["masked", "canonical"])
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_matches_the_full_sums(self, kind, field, truncated):
+        obj, x = split_instance(field, kind=kind)
+        assert obj.split() is None
+        assert 0 < obj.positive.size < obj.y.size
+        if kind == "canonical":
+            assert obj.model.offset_raw is not None
+        keep = None
+        if truncated:
+            keep = np.random.default_rng(3).random(obj.y.size) < 0.7
+            assert np.any(~keep & (obj.y > 0)) and np.any(~keep & (obj.y == 0))
+        cost, grad = full_cost_and_gradient(obj, x, keep)
+        assert abs(obj.cost(x) - cost) <= 1e-13 * abs(cost)
+        g = obj.gradient(x, keep)
+        assert g.dtype == complex
+        assert relative(g, grad) <= 1e-13
+        if field.is_real:
+            assert np.all(g.imag == 0)
+
+    def test_marginal_gradient_matches_psi_dot(self):
+        obj, x = split_instance(FieldTag.COMPLEX, kind="canonical")
+        v = obj.model.apply(x)
+        expected = psi_dot(v, obj.y, obj.b)
+        mg = obj.marginal_grad(v)
+        assert np.all(np.abs(mg - expected) <= 1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_zero_rate_on_a_zero_count_runs_as_on_a_dense_model(self, field):
+        # b = 0 on the zero counts and s = 0 at x = 0: psi is |s|^2 there,
+        # whose gradient 2s is 0, as on a `DenseModel` of the same matrix
+        dft, x = split_instance(field, zero_background=True, kind="masked")
+        model = dft.model
+        dense = PoissonObjective(DenseModel(model.densify(), background=model.background),
+                                 dft.y, field=field)
+        zero = np.zeros(model.cols, dtype=complex)
+        with pytest.raises(DegenerateIterateError):
+            psi_dot(model.apply(zero), dft.y, model.background)
+        for point in (zero, x):
+            assert abs(dft.cost(point) - dense.cost(point)) <= 1e-12 * abs(dense.cost(point))
+            g = dft.gradient(point)
+            assert np.all(np.isfinite(g))
+            assert np.linalg.norm(g - dense.gradient(point)) <= 1e-12 * max(
+                1.0, np.linalg.norm(dense.gradient(point)))
+        assert np.all(dft.gradient(zero) == 0)
+
+    @pytest.mark.parametrize("kind", ["masked", "canonical"])
+    def test_zero_rate_on_a_positive_count_raises(self, kind):
+        obj, _ = split_instance(FieldTag.COMPLEX, kind=kind)
+        obj.model.background = np.zeros(obj.model.rows)
+        obj.model.offset_raw = None
+        zero_obj = PoissonObjective(obj.model, obj.y, field=obj.field)
+        zero = np.zeros(obj.model.cols, dtype=complex)
+        with pytest.raises(DegenerateIterateError, match="zero rate with positive count"):
+            zero_obj.cost(zero)
+        with pytest.raises(DegenerateIterateError, match="zero rate with positive count"):
+            zero_obj.gradient(zero)
 
 
 class TestHuber:

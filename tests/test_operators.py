@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import cg_plain
+from poisson_pr.mm import curvature_improved
 from poisson_pr.numerics import DegenerateIterateError
 from poisson_pr.operators import (
     ACTIVE_SET_TIE,
@@ -32,6 +34,7 @@ from poisson_pr.operators import (
     save_file_matrix,
     simulate_poisson,
 )
+from poisson_pr.phantoms import blocks, disk
 
 
 def _rand_vec(rng, n):
@@ -95,6 +98,24 @@ class TestApply:
     def test_scale_applied(self):
         m = DenseModel(np.eye(2), scale=3.0)
         assert np.allclose(m.apply(np.array([1.0, 2.0])), [3.0, 6.0])
+
+    @pytest.mark.parametrize("name,model", all_variants())
+    def test_offset_and_scale_in_place_bit_identical(self, name, model):
+        # `apply` and `apply_linear` add the offset and scale `_apply`'s fresh
+        # result in place: the values of scale * (A x + offset), and x and
+        # the offset are left as they were
+        model.scale = 0.37
+        rng = np.random.default_rng(17)
+        x = _rand_vec(rng, model.cols)
+        keep = x.copy()
+        raw = model._apply(x.copy())
+        offset = 0.0 if model.offset_raw is None else model.offset_raw
+        offset_before = np.copy(offset)
+        assert model.apply(x).tobytes() == (model.scale * (raw + offset)).tobytes()
+        assert model.apply_linear(x).tobytes() == (model.scale * raw).tobytes()
+        assert x.tobytes() == keep.tobytes()
+        assert np.array_equal(offset, offset_before)
+        assert model.apply(x) is not model.apply(x)
 
 
 class TestAdjoint:
@@ -296,6 +317,156 @@ class TestCirculantGram:
         canon = CanonicalDftModel((64, 64), np.ones((64, 64)))
         assert canon.fft_dims == (64, 192)
         assert canon.toeplitz_gram(1.0, FieldTag.REAL).sizes == (64, 128)
+
+
+def mm_curvature_instance(kind):
+    """(model, w): a masked DFT of 21 masks (N = 128) or a canonical DFT of a
+    24 x 24 disk with a disk reference, at mean count 0.25 and b = 0.1, with
+    MM's improved curvatures at the true signal as w."""
+    if kind == "masked":
+        sig = blocks(128, seed=0)
+        model = MaskedDftModel(make_masks(21, 128, seed=3), background=0.1)
+    else:
+        sig = disk(24, 24)
+        model = CanonicalDftModel(sig.dims, sig.values.real.reshape(sig.dims),
+                                  background=0.1)
+    calibrate_scale(model, sig.values, 0.25)
+    y = simulate_poisson(model, sig.values, 4).y
+    return model, curvature_improved(model.apply(sig.values), y, model.background)
+
+
+class CountedSolve:
+    """Gram products of one `solve`, counted on its class."""
+
+    def __init__(self, q):
+        self.q, self.products = q, 0
+        product = type(q).__matmul__
+
+        def counted(gram, z):
+            self.products += 1
+            return product(gram, z)
+        q.__class__ = type("Counted", (type(q),), {"__matmul__": counted})
+
+
+class TestPreconditionedSolve:
+    @pytest.mark.parametrize("kind", ["masked", "canonical"])
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_meets_its_tolerance(self, kind, field):
+        model, w = mm_curvature_instance(kind)
+        q = quad_form(model, w, field)
+        assert isinstance(q, CirculantGram)
+        rng = np.random.default_rng(5)
+        rhs = _rand_vec(rng, model.cols)
+        if field.is_real:
+            rhs = rhs.real.astype(complex)
+        x = q.solve(rhs, 50, 1e-9)
+        assert x.dtype == complex and x.shape == (model.cols,)
+        if field.is_real:
+            assert np.all(x.imag == 0)
+        assert np.linalg.norm(q @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("kind, field, products", [
+        # unpreconditioned CG took 17, 18, 16 and 19 products
+        ("masked", FieldTag.REAL, 10), ("masked", FieldTag.COMPLEX, 10),
+        ("canonical", FieldTag.REAL, 11), ("canonical", FieldTag.COMPLEX, 13),
+    ])
+    def test_gram_products_per_solve(self, kind, field, products):
+        model, w = mm_curvature_instance(kind)
+        q = model.toeplitz_gram(w, field)
+        rng = np.random.default_rng(8)
+        rhs = _rand_vec(rng, model.cols)
+        if field.is_real:
+            rhs = rhs.real.astype(complex)
+        counted = CountedSolve(q)
+        q.solve(rhs, 50, 1e-9)
+        assert counted.products <= products
+
+    @pytest.mark.parametrize("name", [n for n in toeplitz_models() if "canonical" in n])
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_chan_spectrum_is_the_optimal_circulant_and_positive(self, name, field):
+        # T. Chan's circulant C minimizes ||C - Q||_F over the circulants on
+        # the unknowns' grid, so its eigenvalues are f_k'Q f_k / N for the
+        # grid's Fourier vectors f_k: Rayleigh quotients of a positive
+        # definite Q, hence positive
+        model = toeplitz_models()[name]
+        rng = np.random.default_rng(12)
+        q = model.toeplitz_gram(rng.uniform(0.5, 3.0, model.rows), field)
+        h, w = model.image_dims
+        gram = np.stack([q @ e for e in np.eye(model.cols)], axis=1)
+        f = np.kron(np.fft.fft(np.eye(h)), np.fft.fft(np.eye(w)))
+        expected = np.einsum("ki,ij,kj->k", f, gram, f.conj()).real.reshape(h, w) / (h * w)
+        if field.is_real:
+            expected = expected[:, : w // 2 + 1]
+        assert q.chan_spectrum.shape == expected.shape
+        assert np.all(q.chan_spectrum > 0)
+        assert np.allclose(q.chan_spectrum, expected, rtol=1e-12, atol=0.0)
+
+    def test_workload_chan_spectrum_is_positive(self):
+        model, w = mm_curvature_instance("canonical")
+        for field in (FieldTag.REAL, FieldTag.COMPLEX):
+            assert np.all(model.toeplitz_gram(w, field).chan_spectrum > 0)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_a_spectrum_not_positive_leaves_cg_plain(self, field):
+        # one weighted frequency: Q has rank one, and Chan's circulant is 0
+        # on every other Fourier vector of the grid
+        model = toeplitz_models()["canonical"]
+        w = np.zeros(model.rows)
+        w[0] = 1.0
+        q = model.toeplitz_gram(w, field)
+        assert q.chan_spectrum is None
+        rhs = _rand_vec(np.random.default_rng(16), model.cols)
+        if field.is_real:
+            rhs = rhs.real.astype(complex)
+        plain = cg_plain(q, rhs.real.copy() if field.is_real else rhs, 10, 1e-9)
+        assert q.solve(rhs, 10, 1e-9).tobytes() == plain.astype(complex).tobytes()
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_exact_where_the_grid_is_the_image(self, field):
+        # no reference and no zero block: the DFT grid is the image, Q is
+        # circulant on both axes and Chan's preconditioner is Q itself
+        model = CanonicalDftModel((6, 5), np.zeros((6, 0)), pad_width=0)
+        assert model.fft_dims == model.image_dims
+        rng = np.random.default_rng(13)
+        q = model.toeplitz_gram(rng.uniform(0.5, 3.0, model.rows), field)
+        rhs = _rand_vec(rng, model.cols)
+        if field.is_real:
+            rhs = rhs.real.astype(complex)
+        counted = CountedSolve(q)
+        x = q.solve(rhs, 50, 1e-10)
+        assert counted.products == 1
+        assert np.linalg.norm(q @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_an_unknown_no_mask_covers_gives_a_finite_solve(self, field):
+        masks = make_masks(3, 80, seed=9)
+        masks[:, 17] = 0.0
+        model = MaskedDftModel(masks, background=0.1)
+        rng = np.random.default_rng(14)
+        q = model.toeplitz_gram(rng.uniform(2.0, 6.0, model.rows), field)
+        assert q.inv_diag[17] == 0.0 and np.all(q.inv_diag[np.arange(80) != 17] > 0)
+        z = _rand_vec(rng, model.cols)
+        rhs = np.asarray(q @ (z.real if field.is_real else z), dtype=complex)
+        with np.errstate(all="raise"):
+            x = q.solve(rhs, 50, 1e-9)
+        assert np.all(np.isfinite(x)) and x[17] == 0.0
+        assert np.linalg.norm(q @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        # a right-hand side on the uncovered unknown alone takes no step
+        e = np.zeros(model.cols, dtype=complex)
+        e[17] = 1.0
+        assert np.all(q.solve(e, 50, 1e-9) == 0)
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_normal_op_solve_is_plain_cg_bit_for_bit(self, field):
+        model = random_gaussian_model(40, DIRECT_MAX_COLS + 6, seed=4)
+        rng = np.random.default_rng(15)
+        q = quad_form(model, rng.uniform(0.5, 3.0, model.rows), field)
+        assert type(q) is NormalOp
+        rhs = _rand_vec(rng, model.cols)
+        if field.is_real:
+            rhs = rhs.real.astype(complex)
+        for iters in (3, 30):
+            assert q.solve(rhs, iters, 1e-9).tobytes() == cg_plain(q, rhs, iters, 1e-9).tobytes()
 
 
 class TestQuadForm:

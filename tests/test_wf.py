@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from poisson_pr.init_eval import initialize
+from poisson_pr import wf
+from poisson_pr.init_eval import initialize, nrmse, psnr
 from poisson_pr.objectives import (
     DiffOp,
     GaussianObjective,
@@ -311,6 +312,22 @@ class TestRunWf:
         times = [r.time_s for r in state.trace]
         assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
         assert all(np.isfinite(r.nrmse) for r in state.trace)
+
+    def test_trace_metrics_are_those_of_each_iterate(self, monkeypatch):
+        # one phase correction and one error norm per row, which agree with
+        # nrmse and psnr of the iterate to rounding
+        model, x, obj = small_poisson_instance(seed=22)
+        x0 = initialize(model, obj.y, seed=6)
+        iterates = []
+        project = wf.project_field
+        monkeypatch.setattr(wf, "project_field",
+                            lambda z, field: iterates.append(project(z, field)) or iterates[-1])
+        state = run_wf(obj, x0, 8, x_true=x)
+        assert len(state.trace) == len(iterates) == 8
+        for row, xk in zip(state.trace, iterates):
+            assert abs(row.nrmse - nrmse(xk, x)) <= 1e-14 * nrmse(xk, x)
+            assert abs(row.psnr - psnr(xk, x)) <= 1e-14 * abs(psnr(xk, x))
+        assert all(np.isnan([r.nrmse for r in run_wf(obj, x0, 2).trace]))
 
     def test_huber_fisher_forms_tx_twice_per_iterate(self, monkeypatch):
         # per iterate, T x for the cost and for the gradient, whose Huber
