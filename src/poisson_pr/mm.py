@@ -47,9 +47,13 @@ def curvature_improved(s, y, b):
     return out if out.ndim else float(out)
 
 
-# budget of the x-subproblem solve: the Gram's `solve` (CG where it iterates)
-# and the Huber nonlinear CG
+# budget of the x-subproblem solves: the Gram's `solve` (CG where it
+# iterates), the Huber nonlinear CG and `minimize_dense_nonnegative`'s KKT
+# stop. INNER_TOL is `minimize_quad_plus_huber`'s default tolerance; MM's
+# unregularized step passes STEP_TOL, as it needs only to lower its
+# majorizer, which CG from 0 does at every iterate (Steihaug 1983)
 INNER_ITERS, INNER_TOL = 50, 1e-9
+STEP_TOL = 1e-3
 # steps (Newton or half-quadratic) of the Huber solve on the orthant with a
 # `DenseGram`, in place of INNER_ITERS there
 HQ_STEPS = 30
@@ -92,28 +96,24 @@ def build_majorizer(
                             quad_op=quad_form(obj.model, w, obj.field))
 
 
-def majorizer_value(ctx: MajorizerContext, x: NDArray) -> float:
-    """q(x; x_k) = f(x_k) + Re<dx, grad> + 1/2 dx' A'WA dx."""
-    dx = x - ctx.x_k
-    ad = ctx.obj.model.apply_linear(dx)
-    quad = 0.5 * float(np.sum(ctx.w * np.abs(ad) ** 2))
-    return ctx.obj.cost(ctx.x_k) + real_dot(ctx.grad, dx) + quad
-
-
 def mm_update_unregularized(ctx: MajorizerContext) -> NDArray:
     """MM's step without a penalty: q(x; x_k) minimized over the field by
-    `minimize_quad_plus_huber`."""
-    return minimize_quad_plus_huber(ctx.quad_op, ctx.grad, ctx.x_k, None, ctx.field)
+    `minimize_quad_plus_huber` to the relative residual STEP_TOL. Only the
+    CG Grams (`CirculantGram`, `NormalOp`) see that tolerance; a dense or
+    diagonal Gram solves exactly. The step lowers q however early CG stops,
+    and the segment guard keeps a clamped step from raising it."""
+    return minimize_quad_plus_huber(ctx.quad_op, ctx.grad, ctx.x_k, None, ctx.field,
+                                    STEP_TOL)
 
 
 def minimize_dense_nonnegative(quad: DenseGram, c: NDArray, x0: NDArray,
-                               reg: HuberTV) -> NDArray:
+                               reg: HuberTV, tol: float = INNER_TOL) -> NDArray:
     """argmin over x >= 0 of F(x) = 1/2 x'Qx - c'x + beta 1'h.(Tx; alpha), Q
     = `quad.h` positive definite, from max(x0, 0); floats in and out.
 
     Each step forms the Huber weights D = `reg.weights(x)` and F's gradient
     g = (Q + beta T'DT) x - c, and the loop ends at a KKT point,
-    ||min(x, g)|| <= INNER_TOL max(1, ||c||), or after HQ_STEPS steps. A
+    ||min(x, g)|| <= tol max(1, ||c||), or after HQ_STEPS steps. A
     step first tries the Newton point of F, whose pieces are quadratic
     within the Huber knee and affine outside it: the minimizer over x >= 0
     of F's second-order model at x, Hessian Q + `reg.hessian_matrix(D)`. It
@@ -128,7 +128,7 @@ def minimize_dense_nonnegative(quad: DenseGram, c: NDArray, x0: NDArray,
 
     x = np.maximum(x0.real, 0.0)
     f = value(x)
-    stop = INNER_TOL * max(1.0, np.linalg.norm(c))
+    stop = tol * max(1.0, np.linalg.norm(c))
     for _ in range(HQ_STEPS):
         d = reg.weights(x)
         majorizer = DenseGram(quad.h + reg.curvature_matrix(d), quad.field)
@@ -150,7 +150,7 @@ def minimize_dense_nonnegative(quad: DenseGram, c: NDArray, x0: NDArray,
 
 
 def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | None,
-                             field: FieldTag) -> NDArray:
+                             field: FieldTag, tol: float = INNER_TOL) -> NDArray:
     """The x-subproblem of MM and ADMM, the one place that keeps a step in its
     field: minimize F(x) = Re<grad, x - x0> + 1/2 (x - x0)'Q(x - x0)
     [+ beta 1'h.(Tx; alpha)] over the field, Q a `quad_form`, grad F's
@@ -172,10 +172,13 @@ def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | No
       descent.
 
     `quad.solve` (where it runs CG) and the nonlinear CG stop after
-    INNER_ITERS iterations or at INNER_TOL.
+    INNER_ITERS iterations or at the relative tolerance `tol`, which is also
+    the KKT stop of `minimize_dense_nonnegative`. ADMM and the penalized
+    MM step keep the default INNER_TOL; `mm_update_unregularized` passes
+    STEP_TOL.
     """
     if reg is None:
-        z = x0 - quad.solve(grad, INNER_ITERS, INNER_TOL)
+        z = x0 - quad.solve(grad, INNER_ITERS, tol)
         x = project_field(z, field)
         if field is not FieldTag.REAL_NONNEGATIVE or not np.any(z.real < 0):
             return x
@@ -189,7 +192,7 @@ def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | No
         return project_field(x0 + t * p, field)
     lin = quad @ x0 - grad
     if type(quad) is DenseGram and field is FieldTag.REAL_NONNEGATIVE:
-        return minimize_dense_nonnegative(quad, lin.real, x0, reg).astype(complex)
+        return minimize_dense_nonnegative(quad, lin.real, x0, reg, tol).astype(complex)
     dot = np.dot if field.is_real else real_dot
     lin, x = (lin.real, x0.real) if field.is_real else (lin, x0)
 
@@ -200,7 +203,7 @@ def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | No
     g, d = grad_weights(x)
     p = -g
     g2 = dot(g, g)
-    stop = INNER_TOL * max(1.0, np.linalg.norm(lin))
+    stop = tol * max(1.0, np.linalg.norm(lin))
     for _ in range(INNER_ITERS):
         if np.sqrt(g2) <= stop:
             break

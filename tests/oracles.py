@@ -45,6 +45,16 @@ def finite_diff_grad(
     return g
 
 
+def majorizer_value(ctx, x: NDArray) -> float:
+    """q(x; x_k) = f(x_k) + Re<dx, grad> + 1/2 dx' A'WA dx for an
+    `mm.MajorizerContext` ctx, from the model's products rather than the
+    Gram."""
+    dx = x - ctx.x_k
+    ad = ctx.obj.model.apply_linear(dx)
+    quad = 0.5 * float(np.sum(ctx.w * np.abs(ad) ** 2))
+    return ctx.obj.cost(ctx.x_k) + real_dot(ctx.grad, dx) + quad
+
+
 def minimize_quad_plus_huber_by_operator(
     quad_op: Callable[[NDArray], NDArray],
     lin: NDArray,

@@ -26,6 +26,7 @@ from poisson_pr.operators import (
     calibrate_scale,
     make_masks,
     random_gaussian_model,
+    realify,
     simulate_poisson,
 )
 from poisson_pr.phantoms import blocks, disk, random_complex
@@ -263,6 +264,22 @@ class TestXUpdate:
         x0 = np.zeros(2, dtype=complex)
         out = update_x(m, m.apply(x0), v, np.zeros(2, dtype=complex), FieldTag.REAL, x0)
         assert np.allclose(out, [1.0, -3.0])
+
+    @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
+    def test_unregularized_cg_solve_meets_the_inner_tolerance(self, field):
+        # a NormalOp Gram solves by CG: ADMM keeps INNER_TOL there, whatever
+        # tolerance MM's unregularized step uses
+        n, rho = DIRECT_MAX_COLS + 8, 2.0
+        m = random_gaussian_model(4 * n, n, seed=9)
+        quad = operators.quad_form(m, rho, field)
+        assert type(quad) is operators.NormalOp
+        rng = np.random.default_rng(10)
+        v = rng.standard_normal(m.rows) + 1j * rng.standard_normal(m.rows)
+        x0 = np.zeros(n, dtype=complex)
+        out = update_x(m, m.apply(x0), v, np.zeros(m.rows, dtype=complex), field, x0,
+                       rho=rho)
+        rhs = realify(rho * m.adjoint(v), field)
+        assert np.linalg.norm(quad @ out - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_huber_regularized_solves_normal_condition(self):
         m = random_gaussian_model(12, 4, seed=6)

@@ -292,12 +292,14 @@ def test_initialize_power_method_on_the_gram_up_to_the_direct_width(cols, monkey
         assert counts["apply_linear"] == counts["adjoint"] == 30 + 1
 
 
-def fft_instance(kind):
-    """(objective, x0) of a real-nonnegative Poisson instance on an FFT model
-    wider than DIRECT_MAX_COLS: masked DFTs of a 1D phantom, or the canonical
-    DFT of a disk with a disk reference."""
+def fft_instance(kind, field=FieldTag.REAL_NONNEGATIVE):
+    """(objective, x0) of a Poisson instance on an FFT model wider than
+    DIRECT_MAX_COLS: masked DFTs of a 1D phantom (a random complex signal on
+    the complex field), or the canonical DFT of a disk with a disk
+    reference."""
     if kind == "masked":
-        sig = blocks(DIRECT_MAX_COLS + 8, seed=0)
+        n = DIRECT_MAX_COLS + 8
+        sig = random_complex(n, seed=0) if field is FieldTag.COMPLEX else blocks(n, seed=0)
         model = MaskedDftModel(make_masks(5, sig.n, seed=3), background=0.1)
     else:
         sig = disk(12, 8)
@@ -306,8 +308,8 @@ def fft_instance(kind):
     assert model.cols > DIRECT_MAX_COLS
     calibrate_scale(model, sig.values, 0.25)
     y = simulate_poisson(model, sig.values, 4).y
-    x0 = initialize(model, y, field=sig.field, iters=50, seed=0)
-    return PoissonObjective(model, y, field=sig.field), x0
+    x0 = initialize(model, y, field=field, iters=50, seed=0)
+    return PoissonObjective(model, y, field=field), x0
 
 
 @pytest.mark.parametrize("kind", ["masked", "canonical"])
@@ -370,9 +372,19 @@ def test_unregularized_mm_cg_makes_no_operator_call(kind, monkeypatch):
         inside["solves"] += 1
         return out
     monkeypatch.setattr(operators, "cg_solve", counted_cg)
+    products = Counter()
+    matmul = operators.CirculantGram.__matmul__
+
+    def counted_matmul(self, z):
+        products["gram"] += 1
+        return matmul(self, z)
+    monkeypatch.setattr(operators.CirculantGram, "__matmul__", counted_matmul)
     state = run_mm(obj, x0, ITERS)
     assert state.status == "ok" and len(state.trace) == ITERS
     assert inside["solves"] == ITERS and inside["calls"] == 0
+    # CG stops at mm.STEP_TOL: 117 Gram products on the masked DFT and 100 on
+    # the canonical one, the clamp guard's included; 240 and 201 at INNER_TOL
+    assert products["gram"] < 7 * ITERS
     # build_majorizer's forward product (remembered from the last cost) and
     # gradient adjoint; the clamp guard multiplies by the Gram
     assert counts["apply"] <= ITERS + 1

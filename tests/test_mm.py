@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from oracles import (
     curvature_optimal_numeric,
     finite_diff_grad,
+    majorizer_value,
     minimize_quad_plus_huber_by_operator,
 )
+from test_hot_path import fft_instance
 from poisson_pr.admm import run_admm, update_x
 from poisson_pr.init_eval import initialize
 from poisson_pr.mm import (
@@ -19,7 +21,6 @@ from poisson_pr.mm import (
     build_majorizer,
     curvature_improved,
     curvature_max,
-    majorizer_value,
     minimize_quad_plus_huber,
     mm_update_unregularized,
     run_mm,
@@ -271,6 +272,28 @@ class TestMmUpdateUnregularized:
             z_new = mm_update_unregularized(ctx)
             assert obj.cost(z_new) <= obj.cost(z) + 1e-10 * abs(obj.cost(z))
             z = z_new
+
+    @pytest.mark.parametrize("kind", ["masked", "canonical"])
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_truncated_cg_step_lowers_the_majorizer_on_the_dft_models(self, kind, field):
+        # CG stops at STEP_TOL there; from 0 each CG iterate lowers q(.; x_k)
+        obj, x0 = fft_instance(kind, field)
+        z = x0.values
+        for _ in range(20):
+            ctx = build_majorizer(obj, z)
+            z_new = mm_update_unregularized(ctx)
+            f_k = obj.cost(z)
+            assert majorizer_value(ctx, z_new) <= f_k + 1e-12 * abs(f_k)
+            z = z_new
+
+    @pytest.mark.parametrize("kind", ["masked", "canonical"])
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_truncated_cg_run_never_rises_on_the_dft_models(self, kind, field):
+        obj, x0 = fft_instance(kind, field)
+        state = run_mm(obj, x0, 60)
+        assert state.status == "ok" and len(state.trace) == 60
+        costs = np.concatenate([[obj.cost(x0.values)], state.costs()])
+        assert np.all(np.diff(costs) <= 1e-8 * np.abs(costs[:-1]))
 
 
 class TestMmUpdateHuber:
