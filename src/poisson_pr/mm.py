@@ -49,9 +49,9 @@ def curvature_improved(s, y, b):
 
 # budget of the x-subproblem solves: the Gram's `solve` (CG where it
 # iterates), the Huber nonlinear CG and `minimize_dense_nonnegative`'s KKT
-# stop. INNER_TOL is `minimize_quad_plus_huber`'s default tolerance; MM's
-# unregularized step passes STEP_TOL, as it needs only to lower its
-# majorizer, which CG from 0 does at every iterate (Steihaug 1983)
+# stop. Only MM's unregularized step solves to STEP_TOL instead of
+# INNER_TOL, as it needs only to lower its majorizer, which CG from 0 does
+# at every iterate (Steihaug 1983)
 INNER_ITERS, INNER_TOL = 50, 1e-9
 STEP_TOL = 1e-3
 # steps (Newton or half-quadratic) of the Huber solve on the orthant with a
@@ -107,13 +107,13 @@ def mm_update_unregularized(ctx: MajorizerContext) -> NDArray:
 
 
 def minimize_dense_nonnegative(quad: DenseGram, c: NDArray, x0: NDArray,
-                               reg: HuberTV, tol: float = INNER_TOL) -> NDArray:
+                               reg: HuberTV) -> NDArray:
     """argmin over x >= 0 of F(x) = 1/2 x'Qx - c'x + beta 1'h.(Tx; alpha), Q
     = `quad.h` positive definite, from max(x0, 0); floats in and out.
 
     Each step forms the Huber weights D = `reg.weights(x)` and F's gradient
     g = (Q + beta T'DT) x - c, and the loop ends at a KKT point,
-    ||min(x, g)|| <= tol max(1, ||c||), or after HQ_STEPS steps. A
+    ||min(x, g)|| <= INNER_TOL max(1, ||c||), or after HQ_STEPS steps. A
     step first tries the Newton point of F, whose pieces are quadratic
     within the Huber knee and affine outside it: the minimizer over x >= 0
     of F's second-order model at x, Hessian Q + `reg.hessian_matrix(D)`. It
@@ -128,7 +128,7 @@ def minimize_dense_nonnegative(quad: DenseGram, c: NDArray, x0: NDArray,
 
     x = np.maximum(x0.real, 0.0)
     f = value(x)
-    stop = tol * max(1.0, np.linalg.norm(c))
+    stop = INNER_TOL * max(1.0, np.linalg.norm(c))
     for _ in range(HQ_STEPS):
         d = reg.weights(x)
         majorizer = DenseGram(quad.h + reg.curvature_matrix(d), quad.field)
@@ -172,10 +172,10 @@ def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | No
       descent.
 
     `quad.solve` (where it runs CG) and the nonlinear CG stop after
-    INNER_ITERS iterations or at the relative tolerance `tol`, which is also
-    the KKT stop of `minimize_dense_nonnegative`. ADMM and the penalized
-    MM step keep the default INNER_TOL; `mm_update_unregularized` passes
-    STEP_TOL.
+    INNER_ITERS iterations, `quad.solve` at the relative tolerance `tol` and
+    the nonlinear CG at INNER_TOL. `tol` applies only to the unpenalized
+    branch: `mm_update_unregularized` passes STEP_TOL, ADMM keeps the
+    default INNER_TOL.
     """
     if reg is None:
         z = x0 - quad.solve(grad, INNER_ITERS, tol)
@@ -192,7 +192,7 @@ def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | No
         return project_field(x0 + t * p, field)
     lin = quad @ x0 - grad
     if type(quad) is DenseGram and field is FieldTag.REAL_NONNEGATIVE:
-        return minimize_dense_nonnegative(quad, lin.real, x0, reg, tol).astype(complex)
+        return minimize_dense_nonnegative(quad, lin.real, x0, reg).astype(complex)
     dot = np.dot if field.is_real else real_dot
     lin, x = (lin.real, x0.real) if field.is_real else (lin, x0)
 
@@ -203,7 +203,7 @@ def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | No
     g, d = grad_weights(x)
     p = -g
     g2 = dot(g, g)
-    stop = tol * max(1.0, np.linalg.norm(lin))
+    stop = INNER_TOL * max(1.0, np.linalg.norm(lin))
     for _ in range(INNER_ITERS):
         if np.sqrt(g2) <= stop:
             break

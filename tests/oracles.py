@@ -1,13 +1,26 @@
-"""Reference implementations that tests compare the library against."""
+"""Reference implementations that tests compare the library against, and
+the instances that more than one test module solves."""
 
 from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
+from poisson_pr.init_eval import initialize
 from poisson_pr.numerics import real_dot
-from poisson_pr.objectives import HuberTV, psi, psi_dot
-from poisson_pr.operators import FieldTag, project_field, realify
+from poisson_pr.objectives import HuberTV, PoissonObjective, psi, psi_dot
+from poisson_pr.operators import (
+    DIRECT_MAX_COLS,
+    CanonicalDftModel,
+    FieldTag,
+    MaskedDftModel,
+    calibrate_scale,
+    make_masks,
+    project_field,
+    realify,
+    simulate_poisson,
+)
+from poisson_pr.phantoms import blocks, disk, random_complex
 
 
 def curvature_optimal_numeric(
@@ -156,3 +169,23 @@ def cg_plain(op: Callable[[NDArray], NDArray], rhs: NDArray, iters: int = 30,
         p = r + (rs_new / rs) * p
         rs = rs_new
     return x
+
+
+def fft_instance(kind, field=FieldTag.REAL_NONNEGATIVE):
+    """(objective, x0) of a Poisson instance on an FFT model wider than
+    DIRECT_MAX_COLS: masked DFTs of a 1D phantom (a random complex signal on
+    the complex field), or the canonical DFT of a disk with a disk
+    reference."""
+    if kind == "masked":
+        n = DIRECT_MAX_COLS + 8
+        sig = random_complex(n, seed=0) if field is FieldTag.COMPLEX else blocks(n, seed=0)
+        model = MaskedDftModel(make_masks(5, sig.n, seed=3), background=0.1)
+    else:
+        sig = disk(12, 8)
+        model = CanonicalDftModel(sig.dims, disk(12, 8).values.real.reshape(12, 8),
+                                  background=0.1)
+    assert model.cols > DIRECT_MAX_COLS
+    calibrate_scale(model, sig.values, 0.25)
+    y = simulate_poisson(model, sig.values, 4).y
+    x0 = initialize(model, y, field=field, iters=50, seed=0)
+    return PoissonObjective(model, y, field=field), x0

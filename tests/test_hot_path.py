@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import fft_instance
 from poisson_pr import init_eval, operators, wf
 from poisson_pr.admm import run_admm
 from poisson_pr.baselines import run_lbfgs
@@ -14,17 +15,14 @@ from poisson_pr.mm import run_mm
 from poisson_pr.objectives import DiffOp, GaussianObjective, HuberTV, PoissonObjective
 from poisson_pr.operators import (
     DIRECT_MAX_COLS,
-    CanonicalDftModel,
     DenseModel,
     FieldTag,
     ForwardModel,
-    MaskedDftModel,
     calibrate_scale,
-    make_masks,
     random_gaussian_model,
     simulate_poisson,
 )
-from poisson_pr.phantoms import blocks, disk, random_complex
+from poisson_pr.phantoms import blocks, random_complex
 from poisson_pr.wf import StepKind, StepRule, run_wf
 
 N, M, ITERS = 16, 128, 20
@@ -290,26 +288,6 @@ def test_initialize_power_method_on_the_gram_up_to_the_direct_width(cols, monkey
     else:
         assert counts["densify"] == 0
         assert counts["apply_linear"] == counts["adjoint"] == 30 + 1
-
-
-def fft_instance(kind, field=FieldTag.REAL_NONNEGATIVE):
-    """(objective, x0) of a Poisson instance on an FFT model wider than
-    DIRECT_MAX_COLS: masked DFTs of a 1D phantom (a random complex signal on
-    the complex field), or the canonical DFT of a disk with a disk
-    reference."""
-    if kind == "masked":
-        n = DIRECT_MAX_COLS + 8
-        sig = random_complex(n, seed=0) if field is FieldTag.COMPLEX else blocks(n, seed=0)
-        model = MaskedDftModel(make_masks(5, sig.n, seed=3), background=0.1)
-    else:
-        sig = disk(12, 8)
-        model = CanonicalDftModel(sig.dims, disk(12, 8).values.real.reshape(12, 8),
-                                  background=0.1)
-    assert model.cols > DIRECT_MAX_COLS
-    calibrate_scale(model, sig.values, 0.25)
-    y = simulate_poisson(model, sig.values, 4).y
-    x0 = initialize(model, y, field=field, iters=50, seed=0)
-    return PoissonObjective(model, y, field=field), x0
 
 
 @pytest.mark.parametrize("kind", ["masked", "canonical"])

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     curvature_optimal_numeric,
+    fft_instance,
     finite_diff_grad,
     majorizer_value,
     minimize_quad_plus_huber_by_operator,
 )
-from test_hot_path import fft_instance
 from poisson_pr.admm import run_admm, update_x
 from poisson_pr.init_eval import initialize
 from poisson_pr.mm import (
