@@ -4,13 +4,16 @@
     python3 scripts/compare_traces.py A.solves.jsonl B.solves.jsonl
 
 Solves are matched by (pass, instance, solver); passes that only one run
-reached are skipped. Prints one summary line (solves compared, how many
-differ, the largest relative difference of a `final_cost` among them and how
-many differ in `iters_to_gap`), then the name of every differing solve, that
-is one whose `cost_trace_sha1` or `iters_to_gap` differs, with the relative
-difference of its `final_cost`, and exits 1 on any difference, so that a
-change meant to leave the mathematics alone can show that its cost traces
-are bit-identical, or how far they moved.
+reached are skipped. A solve's final-cost change is the signed relative
+change (b - a) / max(|a|, |b|) of its `final_cost` from run A to run B:
+negative where B ended lower. Prints one summary line (solves compared, how
+many differ, the final-cost change of the largest magnitude among them, how
+many of them ended higher and how many lower in B, and how many differ in
+`iters_to_gap`), then the name of every differing solve, that is one whose
+`cost_trace_sha1` or `iters_to_gap` differs, with its final-cost change, and
+exits 1 on any difference, so that a change meant to leave the mathematics
+alone can show that its cost traces are bit-identical, or how far and which
+way they moved.
 """
 
 import argparse
@@ -29,10 +32,10 @@ def load(path):
 
 
 def relative_change(a, b):
-    """|a - b| / max(|a|, |b|), 0 when equal, None when either is missing."""
+    """(b - a) / max(|a|, |b|), 0 when equal, None when either is missing."""
     if a is None or b is None:
         return None
-    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+    return 0.0 if a == b else (b - a) / max(abs(a), abs(b))
 
 
 def differences(a, b):
@@ -55,14 +58,16 @@ def main(argv=None):
     args = p.parse_args(argv)
     n, diff = differences(load(args.a), load(args.b))
     rels = [rel for _, _, rel in diff if rel is not None]
-    largest = f"{max(rels):.2e}" if rels else "n/a"
+    largest = f"{max(rels, key=abs):+.2e}" if rels else "n/a"
+    higher, lower = sum(rel > 0 for rel in rels), sum(rel < 0 for rel in rels)
     hits = sum("iters_to_gap" in fields for _, fields, _ in diff)
     lines = [f"compared {n} solves; {len(diff)} differ; largest final_cost relative "
-             f"difference {largest}; iters_to_gap differs in {hits}"]
+             f"change {largest}; final_cost higher in B in {higher}, lower in {lower}; "
+             f"iters_to_gap differs in {hits}"]
     for (pass_, instance, solver), fields, rel in diff:
-        moved = "n/a" if rel is None else f"{rel:.2e}"
+        moved = "n/a" if rel is None else f"{rel:+.2e}"
         lines.append(f"  pass {pass_} {instance} {solver}: {', '.join(fields)}; "
-                     f"final_cost relative difference {moved}")
+                     f"final_cost relative change {moved}")
     try:
         print("\n".join(lines))
         sys.stdout.flush()

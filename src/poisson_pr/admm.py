@@ -1,6 +1,6 @@
 """ADMM for the Poisson ML problem with the v = Ax splitting: closed-form
-phase/magnitude updates, a least-squares x update, dual ascent, and an
-adaptive penalty heuristic."""
+phase/magnitude updates, a least-squares x update and dual ascent, at a
+fixed penalty."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from numpy.typing import NDArray
 from .init_eval import RunState
 from .mm import minimize_quad_plus_huber
 # cg_solve, power_method: only for the benchmark's tracer
-from .numerics import cg_solve, cubic_largest_root, power_method, real_dot  # noqa: F401
+from .numerics import cg_solve, cubic_largest_root, power_method  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
 from .operators import FieldTag, ForwardModel, SignalVector, quad_form, realify
 from .wf import DegenerateIterateError, iterate
@@ -73,19 +73,6 @@ def update_dual(eta: NDArray, v: NDArray, ax: NDArray) -> NDArray:
     return eta + (v - ax)
 
 
-def update_rho(rho: float, primal_res_norm: float, dual_res_norm: float, k: int) -> float:
-    """Adaptive penalty: every 10th iteration, double/halve when one residual
-    exceeds ten times the other (Boyd et al. 2011, section 3.4.1, mu = 10).
-    The dual residual ||rho A'(v - v_old)|| carries rho already."""
-    if k % 10 != 0:
-        return rho
-    if primal_res_norm > 10.0 * dual_res_norm:
-        return 2.0 * rho
-    if dual_res_norm > 10.0 * primal_res_norm:
-        return rho / 2.0
-    return rho
-
-
 def update_x(
     model: ForwardModel,
     ax: NDArray,
@@ -131,25 +118,23 @@ def run_admm(
     reg: HuberTV | None = None,
     x_true: NDArray | None = None,
 ) -> RunState:
-    """ADMM outer loop: v (`update_v`: one modulus of A x - eta for both the
-    phase and the magnitude), x, dual, penalty update. The x update is MM's
-    step on `quad_form(model, rho)`, rho times the model's remembered A'A,
-    formed once per rho; a singular A'A ends the run `terminated`.
+    """ADMM outer loop at the fixed penalty rho0: v (`update_v`: one modulus
+    of A x - eta for both the phase and the magnitude), x, dual. The x update
+    is MM's step on `quad_form(model, rho0)`, rho0 times the model's
+    remembered A'A, formed once per run; a singular A'A ends the run
+    `terminated`.
 
     The split is kept explicitly on the rows R alone. On a zero count the
     magnitude update is linear, v_Z = c (A_Z x - eta_Z) with c = rho/(2+rho),
     so from eta = 0 the dual stays in the range of A_Z: eta_Z = A_Z omega and
-    v_Z = A_Z z, with z = c (x - omega) and omega <- omega + z - x_new. Each
-    zero-count term is then a product with G_Z = A_Z'A_Z
-    (`PoissonObjective.zero_count_split`): the x-update gradient's
+    v_Z = A_Z z, with z = c (x - omega) and omega <- omega + z - x_new. The
+    zero-count share of the x-update gradient is then a product with
+    G_Z = A_Z'A_Z (`PoissonObjective.zero_count_split`):
     rho G_Z (x - z - omega) = rho (1 - c) G_Z (x - omega), formed in the
-    second way, which cancels nothing as c nears 1, the primal residual's
-    ||A_Z(x_new - z)||^2 =
-    (x_new - z)'G_Z(x_new - z) and the dual residual's A_Z'(v_Z - v_Z_old) =
-    G_Z(z - z_old). On a `DenseModel` R = P, the positive counts, and
-    A_P x is `positive_forward`'s, which the trace cost reads too: an
-    iteration makes no `apply`, no `adjoint` and no M-length array. On
-    other models R is every row and Z is empty."""
+    second way, which cancels nothing as c nears 1. On a `DenseModel` R = P,
+    the positive counts, and A_P x is `positive_forward`'s, which the trace
+    cost reads too: an iteration makes no `apply`, no `adjoint` and no
+    M-length array. On other models R is every row and Z is empty."""
     model, field = obj.model, obj.field
     split = obj.zero_count_split()
     if split is None:
@@ -164,13 +149,12 @@ def run_admm(
     ax = forward(x0.values)
     v = ax.copy()
     eta = v - ax  # zero by initialization
-    z, omega = x0.values, np.zeros(model.cols, dtype=complex)  # v_Z = A_Z x0, eta_Z = 0
+    omega = np.zeros(model.cols, dtype=complex)  # v_Z = A_Z x0, eta_Z = 0
     rho = check_rho0(rho0)
     quad = quad_form(model, rho, field)
 
     def step(k, x, warnings):
-        nonlocal ax, v, eta, z, omega, rho, quad
-        v_old, z_old = v, z
+        nonlocal ax, v, eta, omega
         v = update_v(ax, eta, y, b, rho)
         rest = None
         if g_z is not None:
@@ -183,17 +167,6 @@ def run_admm(
         eta = update_dual(eta, v, ax)
         if g_z is not None:
             omega = omega + z - x
-        if k % 10 == 0:  # the only iterations whose residuals update_rho reads
-            primal = float(np.linalg.norm(ax - v))
-            back = adjoint(v - v_old)
-            if g_z is not None:
-                u = x - z
-                primal = float(np.hypot(primal, np.sqrt(max(real_dot(u, g_z @ u), 0.0))))
-                back = back + g_z @ (z - z_old)
-            dual = float(np.linalg.norm(rho * back))
-            new_rho = update_rho(rho, primal, dual, k)
-            if new_rho != rho:
-                rho, quad = new_rho, quad_form(model, new_rho, field)
         return x
 
     return iterate(step, x0.values, n_iters, RegularizedObjective(obj, reg).cost, x_true)

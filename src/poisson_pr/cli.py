@@ -143,13 +143,22 @@ def _algorithm_defaults(alg: dict) -> dict:
     return {**DEFAULT_CONFIG["algorithm"], **ALGORITHM_OPTIONS[kind]}
 
 
+def _real(value, key: str, kind: str = "number") -> float:
+    """value as a float; a ConfigError, naming `key` and `kind`, for a JSON
+    boolean or string, which float() would take as 1.0 or parse."""
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{key} must be a {kind}, not {json.dumps(value)}")
+    return float(value)
+
+
 def _integer(value, key: str, positive: bool = False) -> int:
     """value as an int; a ConfigError unless it is a nonnegative integer (a
     positive one if `positive`), so that 2.0 passes and 2.5 is not truncated."""
+    kind = ("positive" if positive else "nonnegative") + " integer"
+    real = _real(value, key, kind)
     n = int(value)
-    if n < (1 if positive else 0) or n != float(value):
-        kind = "positive" if positive else "nonnegative"
-        raise ConfigError(f"{key} must be a {kind} integer")
+    if n < (1 if positive else 0) or n != real:
+        raise ConfigError(f"{key} must be a {kind}")
     return n
 
 
@@ -224,7 +233,8 @@ def build_regularizer(cfg: dict | None, signal: SignalVector) -> HuberTV | None:
     if cfg.get("kind", "huber_tv") != "huber_tv":
         raise ConfigError(f"unknown regularizer {cfg.get('kind')!r}")
     diff = DiffOp(signal.n, dims=signal.dims)
-    return HuberTV(float(cfg.get("beta", 32.0)), float(cfg.get("alpha", 0.1)), diff)
+    return HuberTV(_real(cfg.get("beta", 32.0), "regularizer.beta"),
+                   _real(cfg.get("alpha", 0.1), "regularizer.alpha"), diff)
 
 
 def build_solver(alg: dict):
@@ -244,7 +254,8 @@ def build_solver(alg: dict):
         trunc_cfg = alg["truncation"]
         if trunc_cfg is not None and "a_h" not in trunc_cfg:
             raise ConfigError("algorithm.truncation needs a_h")
-        trunc = None if trunc_cfg is None else TruncationRule(a_h=float(trunc_cfg["a_h"]))
+        trunc = (None if trunc_cfg is None else
+                 TruncationRule(a_h=_real(trunc_cfg["a_h"], "algorithm.truncation.a_h")))
         return run_wf, {"rule": rule, "trunc": trunc}
     if kind == "mm":
         try:
@@ -252,7 +263,7 @@ def build_solver(alg: dict):
         except ValueError:
             raise ConfigError(f"unknown curvature {alg['curvature']!r}")
     if kind == "admm":
-        return run_admm, {"rho0": check_rho0(alg["rho0"])}
+        return run_admm, {"rho0": check_rho0(_real(alg["rho0"], "algorithm.rho0"))}
     return run_lbfgs, {}
 
 
@@ -271,7 +282,8 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
         cfg = _deep_update(defaults, cfg)
         _check_keys(cfg, defaults)
         seed = _integer(cfg["seed"], "seed")
-        background, mean_count = float(cfg["background"]), float(cfg["mean_count"])
+        background = _real(cfg["background"], "background")
+        mean_count = _real(cfg["mean_count"], "mean_count")
         n_iters = _integer(cfg["n_iters"], "n_iters")
         init_iters = _integer(cfg["init_iters"], "init_iters")
         if not 0 < mean_count < np.inf or mean_count <= background:

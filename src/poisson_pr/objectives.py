@@ -139,21 +139,17 @@ class PoissonObjective:
     def zero_count_split(self) -> tuple[NDArray, NDArray] | None:
         """(A_P, G_Z) on a `DenseModel`, None where `split` is: A_P is
         `split`'s, and G_Z = A_Z'A_Z, Z the rows with a zero count, is A'A
-        minus A_P'A_P, so that no row of Z is taken. G_Z is complex on every
-        field; on a real one its real part starts from `split`'s Re(A'A) and
-        its imaginary part from Im(A'A) = Re(A)'Im(A) - Im(A)'Re(A). A is
+        minus A_P'A_P, so that no row of Z is taken; on a real field, where
+        `split`'s A'A is Re(A'A), it is the real Re(A'A) - Re(A_P'A_P). A is
         densified once for both."""
         if not isinstance(self.model, DenseModel):
             return None
-        a = self.model.densify()
-        split = self.split(a)
+        split = self.split(self.model.densify())
         if split is None:
             return None
         a_p, h = split
-        if self.field.is_real:
-            k = a.real.T @ a.imag
-            h = h + 1j * (k - k.T)
-        return a_p, h - a_p.conj().T @ a_p
+        g_p = a_p.conj().T @ a_p
+        return a_p, h - (g_p.real if self.field.is_real else g_p)
 
     def positive_forward(self, x: NDArray) -> NDArray:
         """s_P = (A x)_P. On a `DenseModel` it is A_P x, read-only, the last

@@ -115,33 +115,27 @@ def minimize_quad_plus_huber_by_operator(
 
 
 def admm_full_rows(obj, x0: NDArray, n_iters: int, rho0: float = 8.0,
-                   reg: HuberTV | None = None) -> tuple[NDArray, NDArray, list]:
-    """ADMM with the split variable v and the dual eta on every row: each
-    iteration one `apply`, one `adjoint` in the x-update and another in the
-    dual residual every 10th iteration, the penalty's Gram formed in every
-    x-update. The oracle for `admm.run_admm`, which keeps the zero-count rows
-    in N-space. Returns (the cost of each iterate, the last iterate, the
-    penalty after each iteration)."""
-    from poisson_pr.admm import update_dual, update_rho, update_v, update_x
+                   reg: HuberTV | None = None) -> tuple[NDArray, NDArray]:
+    """ADMM at the fixed penalty rho0 with the split variable v and the dual
+    eta on every row: each iteration one `apply` and one `adjoint` in the
+    x-update, the penalty's Gram formed in every x-update. The oracle for
+    `admm.run_admm`, which keeps the zero-count rows in N-space. Returns
+    (the cost of each iterate, the last iterate)."""
+    from poisson_pr.admm import update_dual, update_v, update_x
     from poisson_pr.objectives import RegularizedObjective
 
     model, cost = obj.model, RegularizedObjective(obj, reg).cost
     x = np.array(x0, dtype=complex)
     ax = model.apply(x)
     v, eta = ax.copy(), np.zeros_like(ax)
-    rho, costs, rhos = rho0, [], []
-    for k in range(1, n_iters + 1):
-        v_old = v
-        v = update_v(ax, eta, obj.y, obj.b, rho)
-        x = update_x(model, ax, v, eta, obj.field, x, reg, rho)
+    costs = []
+    for _ in range(n_iters):
+        v = update_v(ax, eta, obj.y, obj.b, rho0)
+        x = update_x(model, ax, v, eta, obj.field, x, reg, rho0)
         ax = model.apply(x)
         eta = update_dual(eta, v, ax)
-        if k % 10 == 0:
-            rho = update_rho(rho, float(np.linalg.norm(ax - v)),
-                             float(np.linalg.norm(rho * model.adjoint(v - v_old))), k)
         costs.append(cost(x))
-        rhos.append(rho)
-    return np.array(costs), x, rhos
+    return np.array(costs), x
 
 
 def cg_plain(op: Callable[[NDArray], NDArray], rhs: NDArray, iters: int = 30,

@@ -8,7 +8,6 @@ from poisson_pr import admm, operators
 from poisson_pr.admm import (
     run_admm,
     update_dual,
-    update_rho,
     update_v,
     update_v_magnitude_bpos,
     update_x,
@@ -316,7 +315,7 @@ class TestXUpdate:
         assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-class TestDualAndRho:
+class TestDualUpdate:
     def test_dual_unchanged_when_feasible(self):
         eta = np.array([0.1 + 0.2j])
         v = np.array([1.0 + 1.0j])
@@ -329,25 +328,6 @@ class TestDualAndRho:
         eta = update_dual(eta, v1, ax1)
         eta = update_dual(eta, v2, ax2)
         assert np.allclose(eta, (v1 - ax1) + (v2 - ax2))
-
-    def test_rho_unchanged_off_schedule(self):
-        assert update_rho(8.0, 100.0, 0.0, 7) == 8.0
-
-    def test_rho_doubles_on_large_primal(self):
-        assert update_rho(8.0, 1.0, 0.01, 10) == 16.0
-
-    def test_rho_halves_on_large_dual(self):
-        rho = 2.0
-        assert update_rho(rho, 1.0, 100 * rho * 1.0 + 1e-9, 20) == 1.0
-
-    def test_rho_balanced_unchanged(self):
-        assert update_rho(8.0, 1.0, 1.0, 10) == 8.0
-
-    def test_rho_halves_on_ten_times_the_primal(self):
-        # the dual residual ||rho A'(v - v_old)|| carries rho already: halve
-        # at dual > 10 primal, whatever rho is
-        assert update_rho(8.0, 1.0, 20.0, 10) == 4.0
-        assert update_rho(8.0, 1.0, 9.0, 10) == 8.0
 
 
 class TestRunAdmm:
@@ -372,13 +352,14 @@ class TestRunAdmm:
     def test_primal_residual_decreases_noiseless(self):
         model, x, obj = self._instance(n=8, m=64, seed=1, noiseless=True)
         x0 = initialize(model, obj.y, seed=1)
-        state = run_admm(obj, x0, 300, rho0=8.0)
+        state = run_admm(obj, x0, 600, rho0=8.0)
         assert state.trace[-1].cost <= state.trace[0].cost
         assert state.status == "ok"
         # noiseless counts: x minimizes the cost, and ADMM converges to it
-        # (NRMSE 6.5e-16, and x's cost to every printed digit), so the
-        # primal residual Ax - v vanishes too; from iteration 10 on the cost
-        # rises by rounding at most
+        # (NRMSE 9.6e-8 at 300 iterations, 7.1e-12 at 500, 6.1e-14 at 600,
+        # and x's cost to every printed digit), so the primal residual
+        # Ax - v vanishes too; from iteration 10 on the cost rises by
+        # rounding at most
         assert nrmse(state.x, x) <= 1e-8
         assert state.trace[-1].cost == pytest.approx(obj.cost(x), rel=1e-10)
         costs = state.costs()[9:]
@@ -424,14 +405,6 @@ class TestRunAdmm:
             assert state.status == "ok" and len(state.trace) == 5, (y, state.status)
             assert np.all(np.isfinite(state.costs()))
 
-    def test_rho_bounded_by_update_schedule(self):
-        # after n iterations, rho stays within the doubling/halving envelope
-        model, x, obj = self._instance(seed=2)
-        x0 = initialize(model, obj.y, seed=2)
-        n = 50
-        state = run_admm(obj, x0, n, rho0=8.0)
-        assert state.status == "ok"  # rho stays finite and positive throughout
-
     def test_huber_regularized_run_decreases_cost(self):
         model, x, obj = self._instance(n=8, m=64, seed=3)
         reg = HuberTV(2.0, 0.1, DiffOp(8))
@@ -476,54 +449,46 @@ def oracle_instance(field, counts, m=96, n=12, seed=0):
 
 class TestAgainstFullRowOracle:
     """`run_admm` keeps the zero-count rows of its split in N-space on a dense
-    model; `oracles.admm_full_rows` keeps v and eta on every row. They agree
-    to rounding, and the adaptive penalty moves at the same iterations."""
+    model; `oracles.admm_full_rows` keeps v and eta on every row. At the
+    same fixed penalty they agree to rounding."""
 
     ITERS = 40
 
-    def _compare(self, obj, x0, rho0, reg, monkeypatch):
-        """Run both; return the oracle's penalty after each iteration."""
-        calls = []
-
-        def recorded(*args):
-            calls.append(args)
-            return update_rho(*args)
-        monkeypatch.setattr(admm, "update_rho", recorded)
+    def _compare(self, obj, x0, rho0, reg):
         state = run_admm(obj, x0, self.ITERS, rho0=rho0, reg=reg)
-        got_calls = calls[:]
-        calls.clear()
-        # the oracle imports update_rho when called, so it is recorded too
-        costs, x, rhos = admm_full_rows(obj, x0.values, self.ITERS, rho0, reg)
+        costs, x = admm_full_rows(obj, x0.values, self.ITERS, rho0, reg)
         assert state.status == "ok" and len(state.trace) == self.ITERS
         got = state.costs()
         assert np.all(np.abs(got - costs) <= 1e-12 * np.abs(costs))
         assert np.linalg.norm(state.x - x) <= 1e-12 * np.linalg.norm(x)
-        # the penalty and the residual norms that update_rho reads, k = 10,
-        # 20, ..., to rounding of the larger norm, which the rule compares
-        assert len(got_calls) == len(calls) == self.ITERS // 10
-        for mine, theirs in zip(got_calls, calls):
-            assert mine[0] == theirs[0] and mine[3] == theirs[3]
-            err = np.abs(np.subtract(mine[1:3], theirs[1:3]))
-            assert np.all(err <= 1e-10 * max(theirs[1:3]))
-        return rhos
 
     @pytest.mark.parametrize("counts", ["sparse", "positive", "zero"])
     @pytest.mark.parametrize("huber", [False, True], ids=["plain", "huber"])
     @pytest.mark.parametrize("field", list(FieldTag))
-    def test_costs_and_iterate(self, field, huber, counts, monkeypatch):
+    def test_costs_and_iterate(self, field, huber, counts):
         obj, x0 = oracle_instance(field, counts)
         if counts == "positive":
             assert obj.positive.size == obj.model.rows
         reg = HuberTV(2.0, 0.1, DiffOp(obj.model.cols)) if huber else None
-        self._compare(obj, x0, 8.0, reg, monkeypatch)
+        self._compare(obj, x0, 8.0, reg)
 
     @pytest.mark.parametrize("huber", [False, True], ids=["plain", "huber"])
     @pytest.mark.parametrize("field", list(FieldTag))
-    def test_penalty_moves_at_the_same_iterations(self, field, huber, monkeypatch):
-        # from rho0 = 128 the primal residual is small against the dual one,
-        # and the rule halves rho at k = 10, 20, ...: each x-update's Gram is
-        # then a new multiple of A'A
+    def test_large_penalty_stays_fixed(self, field, huber, monkeypatch):
+        # from rho0 = 128 the dual residual is large against the primal one,
+        # where a residual-balancing rule would halve rho at k = 10, 20, ...
+        # and form a new Gram each time; the penalty is fixed, so the run
+        # forms its Gram once
         obj, x0 = oracle_instance(field, "sparse")
         reg = HuberTV(2.0, 0.1, DiffOp(obj.model.cols)) if huber else None
-        rhos = self._compare(obj, x0, 128.0, reg, monkeypatch)
-        assert rhos[9::10][:2] == [64.0, 32.0]
+        penalties = []
+        quad_form = admm.quad_form
+
+        def counted(model, w, field):
+            penalties.append(w)
+            return quad_form(model, w, field)
+        monkeypatch.setattr(admm, "quad_form", counted)
+        run_admm(obj, x0, self.ITERS, rho0=128.0, reg=reg)
+        assert penalties == [128.0]
+        monkeypatch.undo()
+        self._compare(obj, x0, 128.0, reg)

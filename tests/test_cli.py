@@ -293,13 +293,13 @@ class TestExitContract:
         {"mean_count": float("inf")},
         {"algorithm": {"kind": "admm", "rho0": 0}},
         {"algorithm": {"kind": "admm", "rho0": -1}},
-        {"algorithm": {"kind": "admm", "rho0": "nan"}},
+        {"algorithm": {"kind": "admm", "rho0": float("nan")}},
         {"algorithm": {"kind": "admm", "rho0": float("inf")}},
-        {"regularizer": {"beta": "nan"}},
+        {"regularizer": {"beta": float("nan")}},
         {"regularizer": {"beta": float("inf")}},
-        {"regularizer": {"alpha": "nan"}},
+        {"regularizer": {"alpha": float("nan")}},
         {"algorithm": {"truncation": {"a_h": -1}}},
-        {"algorithm": {"truncation": {"a_h": "nan"}}},
+        {"algorithm": {"truncation": {"a_h": float("nan")}}},
         {"init_iters": -1},
         {"n_iters": 2.5},
         # these were ignored without a word
@@ -345,6 +345,28 @@ class TestExitContract:
                    "signal.dims": ["signal.source=disk"],
                    "model.pad_width": ["signal.source=disk", "signal.dims=[8,8]",
                                        "model.variant=canonical_dft"]}
+        argv = ["run", "--out", str(tmp_path / "o")]
+        for kv in ["model.m=48", "signal.n=8", "n_iters=2", "init_iters=20",
+                   *context.get(key, []), f"{key}={value}"]:
+            argv += ["--override", kv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert one_config_error_line(err) and f"{key} must be a" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_iters", "true"), ("n_iters", '"5"'), ("seed", "false"),
+        ("mean_count", '"0.5"'), ("mean_count", "true"), ("background", "true"),
+        ("algorithm.rho0", "true"), ("algorithm.rho0", '"8"'),
+        ("regularizer.beta", '"2"'), ("regularizer.alpha", "true"),
+        ("algorithm.truncation.a_h", '"5"'),
+    ])
+    def test_boolean_and_string_numbers_exit_one(self, tmp_path, capsys, key, value):
+        # float() and int() take true as 1 and parse "5": n_iters=true ran one
+        # iteration, rho0=true ran at rho 1, and background=true failed on
+        # mean_count
+        context = {"algorithm.rho0": ["algorithm.kind=admm"],
+                   "regularizer.beta": ["regularizer.kind=huber_tv"],
+                   "regularizer.alpha": ["regularizer.kind=huber_tv"]}
         argv = ["run", "--out", str(tmp_path / "o")]
         for kv in ["model.m=48", "signal.n=8", "n_iters=2", "init_iters=20",
                    *context.get(key, []), f"{key}={value}"]:

@@ -53,9 +53,12 @@ def test_differing_solves_show_how_far_the_final_cost_moved(tmp_path, capsys):
     assert compare_traces.main([a, b]) == 1
     out = capsys.readouterr().out
     assert "compared 4 solves; 3 differ" in out
-    moved = "cost_trace_sha1; final_cost relative difference"
-    assert f"pass 0 dense mm: {moved} 2.00e-01" in out
-    assert f"pass 0 dense admm: {moved} 0.00e+00" in out
+    # an unchanged or missing final cost is neither higher nor lower
+    assert "final_cost higher in B in 0, lower in 1;" in out
+    moved = "cost_trace_sha1; final_cost relative change"
+    # (b - a) / max(|a|, |b|): B's mm ended lower, -5 against -4
+    assert f"pass 0 dense mm: {moved} -2.00e-01" in out
+    assert f"pass 0 dense admm: {moved} +0.00e+00" in out
     # a failed solve records no final cost
     assert f"pass 0 dense lbfgs: {moved} n/a" in out
 
@@ -69,15 +72,18 @@ def test_summary_line_gives_the_largest_final_cost_change_and_moved_hits(tmp_pat
                                      record(1, "wf")])
     assert compare_traces.main([a, b]) == 1
     first = capsys.readouterr().out.splitlines()[0]
+    # mm ended lower in B, admm higher; the largest change is mm's
     assert first == ("compared 4 solves; 2 differ; largest final_cost relative "
-                     "difference 9.09e-02; iters_to_gap differs in 1")
+                     "change -9.09e-02; final_cost higher in B in 1, lower in 1; "
+                     "iters_to_gap differs in 1")
 
 
 def test_summary_line_of_identical_runs(tmp_path, capsys):
     a = write(tmp_path / "a.jsonl", [record(0, "wf")])
     assert compare_traces.main([a, a]) == 0
     assert capsys.readouterr().out == ("compared 1 solves; 0 differ; largest "
-                                       "final_cost relative difference n/a; "
+                                       "final_cost relative change n/a; final_cost "
+                                       "higher in B in 0, lower in 0; "
                                        "iters_to_gap differs in 0\n")
 
 

@@ -314,14 +314,16 @@ class TestDenseSplit:
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("counts", ["low", "zero", "positive"])
     def test_zero_count_gram_matches_the_zero_count_rows(self, field, counts):
-        # complex on every field: ADMM's dual residual is the norm of a
-        # complex N-vector
+        # A_Z'A_Z on a complex field, its real part on a real one, where the
+        # x-update's gradient keeps only the real part
         obj, _ = split_instance(field, counts)
         a_p, g_z = obj.zero_count_split()
         assert a_p is obj.split()[0]
         a = obj.model.densify()[obj.y == 0]
         expected = a.conj().T @ a
-        assert g_z.dtype == complex and g_z.shape == expected.shape
+        if field.is_real:
+            expected = expected.real
+        assert g_z.dtype == expected.dtype and g_z.shape == expected.shape
         scale = np.linalg.norm(obj.model.densify()) ** 2
         assert np.linalg.norm(g_z - expected) <= 1e-14 * scale
 
