@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .admm import check_rho0, run_admm
 from .baselines import run_lbfgs
-from .init_eval import initialize, nrmse as _nrmse, psnr as _psnr
+from .init_eval import error_metrics, initialize
 from .mm import CurvatureKind, run_mm
 from .objectives import (
     DiffOp, GaussianObjective, HuberTV, PoissonObjective, RegularizedObjective,
@@ -89,11 +89,6 @@ OPTIONAL_KEYS = {
 # initial point's cost and metrics, trace.csv and xhat.csv)
 PHASES = ("build", "simulate", "init", "solve", "write")
 
-_FIELD = {
-    "real": FieldTag.REAL,
-    "complex": FieldTag.COMPLEX,
-    "real_nonnegative": FieldTag.REAL_NONNEGATIVE,
-}
 _OBJECTIVE = {"poisson": PoissonObjective, "gaussian": GaussianObjective}
 
 
@@ -162,27 +157,32 @@ def _integer(value, key: str, positive: bool = False) -> int:
     return n
 
 
+def _dims(value, key: str) -> tuple[int, int]:
+    """value as two positive integers; a ConfigError, naming `key`, for
+    anything but a list of two."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{key} must be a list of two positive integers, not {value!r}")
+    return tuple(_integer(d, key, positive=True) for d in value)
+
+
 def build_signal(cfg: dict) -> SignalVector:
     src = cfg.get("source", "blocks")
-    field = _FIELD.get(cfg.get("field", "real_nonnegative"))
-    if field is None:
+    try:
+        field = FieldTag(cfg.get("field", "real_nonnegative"))
+    except ValueError:
         raise ConfigError(f"unknown field {cfg.get('field')!r}")
     if src in ("blocks", "random_complex"):
         n = _integer(cfg.get("n", 64), "signal.n", positive=True)
         seed = _integer(cfg.get("seed", 0), "signal.seed")
         sig = (blocks if src == "blocks" else random_complex)(n, seed=seed)
     elif src == "disk":
-        h, w = cfg.get("dims", [16, 16])
-        sig = disk(*(_integer(d, "signal.dims", positive=True) for d in (h, w)))
+        sig = disk(*_dims(cfg.get("dims", [16, 16]), "signal.dims"))
     elif src == "pgm":
         img = load_pgm(cfg["path"])
-        sig = SignalVector(
-            img.ravel().astype(complex), field=FieldTag.REAL_NONNEGATIVE,
-            dims=img.shape,
-        )
+        sig = SignalVector(img.ravel().astype(complex), field=field, dims=img.shape)
     else:
         raise ConfigError(f"unknown signal source {src!r}")
-    if src != "pgm" and field is not sig.field:
+    if field is not sig.field:
         sig = SignalVector(sig.values, field=field, dims=sig.dims)
     return sig
 
@@ -214,7 +214,7 @@ def build_model(cfg: dict, signal: SignalVector, background: float):
             signal.dims, ref,
             pad_width=(None if cfg.get("pad_width") is None
                        else _integer(cfg["pad_width"], "model.pad_width")),
-            fft_dims=tuple(cfg["fft_dims"]) if "fft_dims" in cfg else None,
+            fft_dims=_dims(cfg["fft_dims"], "model.fft_dims") if "fft_dims" in cfg else None,
             background=background,
         )
     if variant == "file":
@@ -267,6 +267,15 @@ def build_solver(alg: dict):
     return run_lbfgs, {}
 
 
+def _write_trace(path: Path, rows) -> None:
+    """A trace CSV: the header, then each row's iteration and the `repr` of
+    its time, cost, NRMSE and PSNR, so that every value reads back exactly."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["iter", "time_s", "cost", "nrmse", "psnr"])
+        writer.writerows([int(k)] + [repr(float(v)) for v in rest] for k, *rest in rows)
+
+
 def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
     """Run one configured experiment; write trace CSV, summary JSON, and the
     reconstructed signal; return the summary dict and the rows of the trace
@@ -312,14 +321,11 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
     marks.append(time.perf_counter())
 
     init_cost = RegularizedObjective(obj, reg).cost(x0.values)
-    rows = [(0, 0.0, init_cost, _nrmse(x0.values, signal.values),
-             _psnr(x0.values, signal.values))]
+    metrics = error_metrics(signal.values)  # the kernel of the solvers' trace
+    rows = [(0, 0.0, init_cost, *metrics(x0.values))]
     rows += [(r.k, r.time_s, r.cost, r.nrmse, r.psnr) for r in state.trace]
     trace_path = out / "trace.csv"
-    with open(trace_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iter", "time_s", "cost", "nrmse", "psnr"])
-        writer.writerows([k] + [repr(v) for v in rest] for k, *rest in rows)
+    _write_trace(trace_path, rows)
 
     xhat_path = out / "xhat.csv"
     with open(xhat_path, "w") as f:
@@ -327,6 +333,7 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
             f.write(f"{z.real:.17g}:{z.imag:.17g}\n")
     marks.append(time.perf_counter())
     phase_s = dict(zip(PHASES, np.diff(marks).tolist()))
+    final_nrmse, final_psnr = metrics(state.x)
 
     summary = {
         "version": __version__,
@@ -336,8 +343,8 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
         "wall_time_s": phase_s["solve"],
         "phase_wall_time_s": phase_s,
         "final_cost": state.trace[-1].cost if state.trace else init_cost,
-        "final_nrmse": _nrmse(state.x, signal.values),
-        "final_psnr": _psnr(state.x, signal.values),
+        "final_nrmse": final_nrmse,
+        "final_psnr": final_psnr,
         "metric_conventions": {
             "nrmse": "phase-corrected l2 error over ||x_true||",
             "psnr_peak": "max |x_true|, capped at 300 dB",
@@ -416,11 +423,7 @@ def run_suite(
         stacked = np.stack([t[:n_rows] for t in traces])
         median = np.median(stacked, axis=0)
         agg_path = out / f"{name}_median_trace.csv"
-        with open(agg_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["iter", "time_s", "cost", "nrmse", "psnr"])
-            for row in median:
-                writer.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
+        _write_trace(agg_path, median)
         finals = {
             "algorithm": name,
             "median_final_cost": float(np.median([p["final_cost"] for p in per_seed])),

@@ -41,15 +41,11 @@ def spectral_init(
 ) -> tuple[NDArray, list[str]]:
     """Unit-norm leading eigenvector of A' diag{y / (y+1)} A via power method
     on its `quad_form`, `iters` iterations at most: the method stops once its
-    iterate settles (`numerics.power_method`)."""
+    iterate settles (`numerics.power_method`). An all-zero y makes the
+    operator zero, and the method's random unit start is returned."""
     y = np.asarray(y, dtype=float)
-    warns: list[str] = []
-    if np.all(y == 0):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(model.cols) + 1j * rng.standard_normal(model.cols)
-        warns.append("all-zero measurements: spectral operator is zero, "
-                     "returning a random unit vector")
-        return v / np.linalg.norm(v), warns
+    warns = (["all-zero measurements: spectral operator is zero, "
+              "returning a random unit vector"] if np.all(y == 0) else [])
     q = quad_form(model, y / (y + 1.0), FieldTag.COMPLEX)
     _, v = power_method(lambda x: q @ x, model.cols, iters=iters, seed=seed)
     return v, warns
@@ -103,30 +99,15 @@ def phase_correct(x_hat: NDArray, x_true: NDArray) -> NDArray:
     return s * np.asarray(x_hat, complex)
 
 
-def nrmse(x_hat: NDArray, x_true: NDArray) -> float:
-    """Phase-corrected ||x_hat - x_true|| / ||x_true||."""
-    xc = phase_correct(x_hat, x_true)
-    return float(np.linalg.norm(xc - x_true) / np.linalg.norm(x_true))
-
-
-def psnr(x_hat: NDArray, x_true: NDArray, peak: float | None = None) -> float:
-    """Phase-corrected PSNR in dB, capped at 300 for exact recovery."""
+def error_metrics(x_true: NDArray, peak: float | None = None):
+    """x_hat -> (NRMSE, PSNR) against x_true: the phase-corrected ||x_hat -
+    x_true|| / ||x_true||, and the PSNR in dB of `peak` (max |x_true| by
+    default) capped at 300, from one phase correction and one error norm."""
+    x_true = np.asarray(x_true)
+    true_norm = float(np.linalg.norm(x_true))
     if peak is None:
         peak = float(np.max(np.abs(x_true)))
-    xc = phase_correct(x_hat, x_true)
-    err2 = float(np.sum(np.abs(xc - x_true) ** 2))
-    if err2 == 0.0:
-        return PSNR_CAP_DB
-    val = 10.0 * np.log10(peak**2 * x_true.size / err2)
-    return float(min(val, PSNR_CAP_DB))
-
-
-def error_metrics(x_true: NDArray):
-    """x_hat -> (`nrmse`, `psnr`) of x_hat against x_true, from one phase
-    correction and one error norm per call; x_true's norm and peak are taken
-    once. Agrees with the two functions to rounding."""
-    true_norm = float(np.linalg.norm(x_true))
-    peak2n = float(np.max(np.abs(x_true))) ** 2 * x_true.size
+    peak2n = peak**2 * x_true.size
 
     def metrics(x_hat: NDArray) -> tuple[float, float]:
         err = phase_correct(x_hat, x_true) - x_true
@@ -136,3 +117,13 @@ def error_metrics(x_true: NDArray):
             return nr, PSNR_CAP_DB
         return nr, float(min(10.0 * np.log10(peak2n / err2), PSNR_CAP_DB))
     return metrics
+
+
+def nrmse(x_hat: NDArray, x_true: NDArray) -> float:
+    """Phase-corrected ||x_hat - x_true|| / ||x_true|| (`error_metrics`)."""
+    return error_metrics(x_true)(x_hat)[0]
+
+
+def psnr(x_hat: NDArray, x_true: NDArray, peak: float | None = None) -> float:
+    """Phase-corrected PSNR in dB, capped at 300 (`error_metrics`)."""
+    return error_metrics(x_true, peak)(x_hat)[1]

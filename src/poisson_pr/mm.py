@@ -33,7 +33,8 @@ def curvature_max(y: NDArray, b: NDArray) -> NDArray:
 
 def curvature_improved(s, y, b):
     """Sharper curvature psi_ddot(u), u = (b + r)/|s|, r = sqrt(b^2 + b|s|^2), in
-    the closed form 2 + y|s|^2 (b + r) / (b (b + |s|^2 + r)^2).
+    the closed form 2 + y|s|^2 (b + r) / (b (b + |s|^2 + r)^2); psi_ddot is the
+    marginal's second derivative 2 + 2y(u^2 - b)/(u^2 + b)^2 at u >= 0.
 
     Continuous in s with value 2 at s = 0; never exceeds curvature_max. |s| is
     capped at 1e75, where the value is 2 in double precision, so |s|^4 is finite.

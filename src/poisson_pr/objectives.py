@@ -12,46 +12,6 @@ from .numerics import DegenerateIterateError
 from .operators import DenseModel, FieldTag, ForwardModel, _normal_gram, realify
 
 
-def psi(v, y, b):
-    """Marginal Poisson negative log-likelihood (|v|^2+b) - y log(|v|^2+b).
-
-    0 log 0 is treated as 0: a zero-mean Poisson draw is always 0.
-    """
-    v, y, b = np.asarray(v), np.asarray(y, float), np.asarray(b, float)
-    rate = np.abs(v) ** 2 + b
-    if np.any((rate == 0) & (y > 0)):
-        raise DegenerateIterateError("psi undefined: zero rate with positive count")
-    out = rate - y * np.log(np.where(rate > 0, rate, 1.0))
-    return out if out.ndim else float(out)
-
-
-def psi_dot(v, y, b):
-    """Ascent direction of psi: 2v(1 - y/(|v|^2 + b))."""
-    v, y, b = np.asarray(v, complex), np.asarray(y, float), np.asarray(b, float)
-    rate = np.abs(v) ** 2 + b
-    if np.any(rate == 0):
-        raise DegenerateIterateError("psi_dot undefined at |v|^2 + b = 0")
-    out = 2.0 * v * (1.0 - y / rate)
-    return out if out.ndim else complex(out)
-
-
-def psi_ddot(v, y, b):
-    """Second derivative sign(v) (2 + 2y(|v|^2 - b)/(|v|^2 + b)^2).
-
-    For b > 0 it is bounded above by 2 + y/(4b); the maximum is attained at
-    |v|^2 = 3b. (The lower end can exceed that magnitude: at v = 0 the value
-    is 2 - 2y/b.)
-    """
-    v, y, b = np.asarray(v), np.asarray(y, float), np.asarray(b, float)
-    av2 = np.abs(v) ** 2
-    rate = av2 + b
-    if np.any(rate == 0):
-        raise ValueError("psi_ddot undefined at |v|^2 + b = 0")
-    sign = np.where(np.real(v) < 0, -1.0, 1.0)
-    out = sign * (2.0 + 2.0 * y * (av2 - b) / rate**2)
-    return out if out.ndim else float(out)
-
-
 def fisher_marginal_poisson(v, b):
     """Marginal Poisson Fisher information 4|v|^2/(|v|^2 + b)."""
     av2 = np.abs(np.asarray(v)) ** 2
@@ -66,7 +26,9 @@ def fisher_marginal_gaussian(v, b):
 
 
 class PoissonObjective:
-    """Negative Poisson log-likelihood f(x) = sum_i psi((Ax)_i; y_i, b_i).
+    """Negative Poisson log-likelihood f(x) = sum_i psi((Ax)_i; y_i, b_i), with
+    the marginal psi(v; y, b) = (|v|^2 + b) - y log(|v|^2 + b) (0 log 0 := 0)
+    and its ascent direction psi_dot(v; y, b) = 2v(1 - y/(|v|^2 + b)).
 
     psi is exactly |s|^2 + b on a zero count, so with s = A x and P = {y > 0}
     the rows with a positive count, on every model
@@ -205,8 +167,9 @@ class PoissonObjective:
         """A' psi_dot(Ax), field-projected; rows outside the boolean mask
         `keep` contribute nothing. On a `DenseModel` it is
         2(A'A)x - A_P'(2 y_P s_P / (|s_P|^2 + b_P)) - A_D' psi_dot((Ax)_D),
-        D the rows `keep` drops, (Ax)_D from `forward`; where `keep` drops
-        none, the last term is not formed."""
+        D the rows `keep` drops, psi_dot((Ax)_D) the rows D of `marginal_grad`
+        on `forward(x)`; where `keep` drops none, the last term is not
+        formed."""
         split = self.split()
         if split is None:
             mg = self.marginal_grad(self.forward(x))
@@ -220,7 +183,7 @@ class PoissonObjective:
         back = ((2.0 * self._y_pos / rate) * s).conj() @ a_p
         drop = np.flatnonzero(~keep) if keep is not None else ()
         if len(drop):
-            mg = psi_dot(self.forward(x)[drop], self.y[drop], self.b[drop])
+            mg = self.marginal_grad(self.forward(x))[drop]
             back = back + mg.conj() @ self.model.densify()[drop]
         x = np.asarray(x)
         if self.field.is_real:

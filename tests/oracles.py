@@ -7,8 +7,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from poisson_pr.init_eval import initialize
-from poisson_pr.numerics import real_dot
-from poisson_pr.objectives import HuberTV, PoissonObjective, psi, psi_dot
+from poisson_pr.numerics import DegenerateIterateError, real_dot
+from poisson_pr.objectives import HuberTV, PoissonObjective
 from poisson_pr.operators import (
     DIRECT_MAX_COLS,
     CanonicalDftModel,
@@ -21,6 +21,46 @@ from poisson_pr.operators import (
     simulate_poisson,
 )
 from poisson_pr.phantoms import blocks, disk, random_complex
+
+
+def psi(v, y, b):
+    """Marginal Poisson negative log-likelihood (|v|^2+b) - y log(|v|^2+b).
+
+    0 log 0 is treated as 0: a zero-mean Poisson draw is always 0.
+    """
+    v, y, b = np.asarray(v), np.asarray(y, float), np.asarray(b, float)
+    rate = np.abs(v) ** 2 + b
+    if np.any((rate == 0) & (y > 0)):
+        raise DegenerateIterateError("psi undefined: zero rate with positive count")
+    out = rate - y * np.log(np.where(rate > 0, rate, 1.0))
+    return out if out.ndim else float(out)
+
+
+def psi_dot(v, y, b):
+    """Ascent direction of psi: 2v(1 - y/(|v|^2 + b))."""
+    v, y, b = np.asarray(v, complex), np.asarray(y, float), np.asarray(b, float)
+    rate = np.abs(v) ** 2 + b
+    if np.any(rate == 0):
+        raise DegenerateIterateError("psi_dot undefined at |v|^2 + b = 0")
+    out = 2.0 * v * (1.0 - y / rate)
+    return out if out.ndim else complex(out)
+
+
+def psi_ddot(v, y, b):
+    """Second derivative sign(v) (2 + 2y(|v|^2 - b)/(|v|^2 + b)^2).
+
+    For b > 0 it is bounded above by 2 + y/(4b); the maximum is attained at
+    |v|^2 = 3b. (The lower end can exceed that magnitude: at v = 0 the value
+    is 2 - 2y/b.)
+    """
+    v, y, b = np.asarray(v), np.asarray(y, float), np.asarray(b, float)
+    av2 = np.abs(v) ** 2
+    rate = av2 + b
+    if np.any(rate == 0):
+        raise ValueError("psi_ddot undefined at |v|^2 + b = 0")
+    sign = np.where(np.real(v) < 0, -1.0, 1.0)
+    out = sign * (2.0 + 2.0 * y * (av2 - b) / rate**2)
+    return out if out.ndim else float(out)
 
 
 def curvature_optimal_numeric(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import curvature_optimal_numeric, finite_diff_grad
+from oracles import curvature_optimal_numeric, finite_diff_grad, psi_dot
 from poisson_pr.admm import update_v_magnitude_bpos
 from poisson_pr.init_eval import (
     finalize_init,
@@ -34,7 +34,6 @@ from poisson_pr.objectives import (
     HuberTV,
     PoissonObjective,
     RegularizedObjective,
-    psi_dot,
 )
 from poisson_pr.operators import (
     CanonicalDftModel,

@@ -20,7 +20,7 @@ from poisson_pr.cli import (
     run_experiment,
     run_suite,
 )
-from poisson_pr.operators import save_file_matrix
+from poisson_pr.operators import FieldTag, save_file_matrix
 
 TINY = {
     "model": {"variant": "dense", "m": 48, "seed": 1},
@@ -63,6 +63,15 @@ class TestBuilders:
     def test_unknown_field(self):
         with pytest.raises(ConfigError):
             build_signal({"source": "blocks", "field": "quaternion"})
+
+    @pytest.mark.parametrize("field", [FieldTag.COMPLEX, FieldTag.REAL])
+    def test_pgm_signal_takes_the_configured_field(self, tmp_path, field):
+        # a pgm image ran on the nonnegative orthant whatever signal.field said
+        (tmp_path / "x.pgm").write_text("P2\n2 2\n255\n0 64 128 255\n")
+        sig = build_signal({"source": "pgm", "path": str(tmp_path / "x.pgm"),
+                            "field": field.value})
+        assert sig.field is field and sig.dims == (2, 2)
+        np.testing.assert_array_equal(sig.values, np.array([0, 64, 128, 255]) / 255)
 
     def test_unknown_model_variant(self):
         sig = build_signal({"source": "blocks", "n": 8})
@@ -145,6 +154,24 @@ class TestRunExperiment:
             cfg = dict(TINY, algorithm=alg, n_iters=3)
             summary, _ = run_experiment(cfg, tmp_path / alg["kind"])
             assert summary["status"] == "ok", alg
+
+    def test_summary_metrics_are_the_last_trace_row(self, tmp_path):
+        # summary.json's final metrics are those of the trace's last row, bit
+        # for bit, on every solver; they were rounded apart on some runs
+        for kind in ("wf", "mm", "admm", "lbfgs"):
+            for seed in range(4):
+                cfg = {"model": {"variant": "dense", "m": 256},
+                       "signal": {"source": "blocks", "n": 32},
+                       "algorithm": {"kind": kind}, "n_iters": 20, "seed": seed}
+                out = tmp_path / f"{kind}{seed}"
+                summary, rows = run_experiment(cfg, out)
+                _, written = read_trace(out / "trace.csv")
+                with open(out / "summary.json") as f:
+                    on_disk = json.load(f)
+                for last in (rows[-1], written[-1]):
+                    assert on_disk["final_cost"] == last[2], (kind, seed)
+                    assert on_disk["final_nrmse"] == last[3], (kind, seed)
+                    assert on_disk["final_psnr"] == last[4], (kind, seed)
 
     def test_regularized_run(self, tmp_path):
         cfg = dict(TINY, regularizer={"kind": "huber_tv", "beta": 4.0, "alpha": 0.1})
@@ -387,6 +414,25 @@ class TestExitContract:
         assert rc == 1
         err = capsys.readouterr().err
         assert one_config_error_line(err) and key in err
+
+    @pytest.mark.parametrize("key, value, rc", [
+        ("model.fft_dims", "40", 1), ("model.fft_dims", "[40.5,40]", 1),
+        ("model.fft_dims", '["40",40]', 1), ("model.fft_dims", "[40.0,40]", 0),
+        ("signal.dims", "[8]", 1), ("signal.dims", "8", 1), ("signal.dims", "[8,8,8]", 1),
+    ])
+    def test_dims_are_two_positive_integers(self, tmp_path, capsys, key, value, rc):
+        # these exited 1 with a message naming no key, and [40.0,40] was
+        # refused although every other integer key takes 40.0
+        argv = ["run", "--out", str(tmp_path / "o")]
+        for kv in ["signal.source=disk", "signal.dims=[8,8]", "model.variant=canonical_dft",
+                   "n_iters=2", "init_iters=20", f"{key}={value}"]:
+            argv += ["--override", kv]
+        assert main(argv) == rc
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert err == ""
+        else:
+            assert one_config_error_line(err) and f"{key} must be a" in err
 
     def test_file_matrix_column_mismatch_exits_one(self, tmp_path, capsys):
         save_file_matrix(tmp_path / "a.csv", np.ones((48, 6)))

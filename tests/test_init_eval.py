@@ -1,5 +1,7 @@
 """Spectral initialization, scale fitting, phase correction, and metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,18 @@ from poisson_pr.init_eval import (
     scale_fit,
     spectral_init,
 )
+from poisson_pr.numerics import power_method
 from poisson_pr.operators import (
+    CanonicalDftModel,
     DenseModel,
     FieldTag,
+    MaskedDftModel,
     calibrate_scale,
+    make_masks,
     random_gaussian_model,
     simulate_poisson,
 )
+from poisson_pr.phantoms import disk
 
 
 class TestSpectralInit:
@@ -37,6 +44,24 @@ class TestSpectralInit:
         v, warns = spectral_init(m, np.zeros(3), seed=5)
         assert len(warns) == 1
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_gaussian_model(48, 8, seed=0),  # a DenseGram
+        lambda: random_gaussian_model(160, 80, seed=0),  # a NormalOp
+        lambda: MaskedDftModel(make_masks(3, 80, seed=0)),  # a CirculantGram
+        lambda: CanonicalDftModel((8, 8), disk(8, 8).values.real.reshape(8, 8)),
+    ], ids=["dense-gram", "normal-op", "masked-dft", "canonical-dft"])
+    def test_all_zero_counts_return_the_power_method_start(self, build):
+        # the zero operator leaves power_method at its random unit start, bit
+        # for bit, with the one warning and no numpy warning
+        model = build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, warns = spectral_init(model, np.zeros(model.rows), seed=5)
+        _, start = power_method(lambda z: z, model.cols, iters=0, seed=5)
+        assert v.dtype == start.dtype and v.tobytes() == start.tobytes()
+        assert warns == ["all-zero measurements: spectral operator is zero, "
+                         "returning a random unit vector"]
 
     def test_rayleigh_residual_small(self):
         m = random_gaussian_model(128, 16, seed=0, background=0.1)

@@ -13,6 +13,8 @@ from oracles import (
     finite_diff_grad,
     majorizer_value,
     minimize_quad_plus_huber_by_operator,
+    psi_ddot,
+    psi_dot,
 )
 from poisson_pr.admm import run_admm, update_x
 from poisson_pr.init_eval import initialize
@@ -26,13 +28,7 @@ from poisson_pr.mm import (
     run_mm,
 )
 from poisson_pr.numerics import DegenerateIterateError, cg_solve, lbfgs_minimize, real_dot
-from poisson_pr.objectives import (
-    DiffOp,
-    HuberTV,
-    PoissonObjective,
-    psi_ddot,
-    psi_dot,
-)
+from poisson_pr.objectives import DiffOp, HuberTV, PoissonObjective
 from poisson_pr.operators import (
     DIRECT_MAX_COLS,
     DenseModel,

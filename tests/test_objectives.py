@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, psi, psi_ddot, psi_dot
 from poisson_pr.numerics import DegenerateIterateError, real_dot
 from poisson_pr.objectives import (
     DiffOp,
@@ -18,9 +18,6 @@ from poisson_pr.objectives import (
     fisher_marginal_poisson,
     huber,
     huber_weight,
-    psi,
-    psi_ddot,
-    psi_dot,
 )
 from poisson_pr.operators import (
     CanonicalDftModel,

@@ -17,6 +17,7 @@ from poisson_pr.operators import (
     FieldTag,
     SignalVector,
     calibrate_scale,
+    project_field,
     random_gaussian_model,
     simulate_poisson,
 )
@@ -328,6 +329,30 @@ class TestRunWf:
             assert abs(row.nrmse - nrmse(xk, x)) <= 1e-14 * nrmse(xk, x)
             assert abs(row.psnr - psnr(xk, x)) <= 1e-14 * abs(psnr(xk, x))
         assert all(np.isnan([r.nrmse for r in run_wf(obj, x0, 2).trace]))
+
+    def test_fisher_overshoot_is_halved_once(self, monkeypatch):
+        # a Fisher step 1000 times too long raises the cost past the guard's
+        # bound c + 10|c| on every iteration, and each step is halved once
+        model = random_gaussian_model(128, 16, seed=24, background=0.1)
+        x = np.abs(np.random.default_rng(25).standard_normal(16))
+        calibrate_scale(model, x, 0.25)
+        y = simulate_poisson(model, x, 26).y
+        obj = PoissonObjective(model, y, field=FieldTag.REAL_NONNEGATIVE)
+        x0 = initialize(model, y, field=FieldTag.REAL_NONNEGATIVE, seed=8)
+        g = obj.gradient(x0.values)
+        mu, _ = step_fisher(obj, x0.values, g)
+        fisher = wf.step_fisher
+
+        def overshoot(*args):
+            mu_k, d = fisher(*args)
+            return 1000.0 * mu_k, d
+
+        monkeypatch.setattr(wf, "step_fisher", overshoot)
+        state = run_wf(obj, x0, 3)
+        assert state.status == "ok" and len(state.trace) == 3
+        assert state.warnings == [f"iter {k}: Fisher step halved once" for k in (1, 2, 3)]
+        x1 = project_field(x0.values - (0.5 * (1000.0 * mu)) * g, obj.field)
+        np.testing.assert_array_equal(run_wf(obj, x0, 1).x, x1)
 
     def test_huber_fisher_forms_tx_twice_per_iterate(self, monkeypatch):
         # per iterate, T x for the cost and for the gradient, whose Huber
