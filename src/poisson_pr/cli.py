@@ -54,33 +54,38 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-DEFAULT_CONFIG = {
-    "model": {"variant": "dense", "m": 512, "seed": 12345},
-    "signal": {"source": "blocks", "n": 64, "field": "real_nonnegative", "seed": 0},
-    "mean_count": 0.25,
-    "background": 0.1,
-    "algorithm": {"kind": "wf", "noise_model": "poisson"},
-    "regularizer": None,
-    "n_iters": 100,
-    "seed": 0,
-    "init_iters": 300,
-}
-# each algorithm kind's own options and their defaults, which its "algorithm"
-# section adds to DEFAULT_CONFIG's; another kind's option is a config error
-ALGORITHM_OPTIONS = {
-    "wf": {"step": "fisher", "truncation": None},
-    "mm": {"curvature": "improved"},
-    "admm": {"rho0": 8.0},
-    "lbfgs": {},
-}
-# the keys a section may hold beyond those its defaults give it; any other key
-# is a config error
-OPTIONAL_KEYS = {
-    "model": {"masks", "exact_half_masks", "pad_width", "fft_dims", "reference_path",
-              "path"},
-    "signal": {"dims", "path"},
-    "algorithm.truncation": {"a_h"},
-    "regularizer": {"kind", "beta", "alpha"},
+MODEL_SEED = 12345
+PHANTOM_KEYS = {"n": 64, "seed": 0}
+# every config key and its default, by section ("" the whole config): the key
+# naming the section's kind and its default (None, None where the section has
+# one kind, kinds[None]), the keys every kind takes, and each kind's own keys.
+# A default of ... means none: the key must be set. A section whose default is
+# None (the regularizer, WF's truncation) is off where it is None.
+SECTIONS = {
+    "": (None, None, {}, {None: {
+        "model": {}, "signal": {}, "mean_count": 0.25, "background": 0.1,
+        "algorithm": {}, "regularizer": None, "n_iters": 100, "seed": 0,
+        "init_iters": 300,
+    }}),
+    "model": ("variant", "dense", {}, {
+        "dense": {"m": 512, "seed": MODEL_SEED},
+        "masked_dft": {"masks": 21, "seed": MODEL_SEED, "exact_half_masks": False},
+        "canonical_dft": {"pad_width": None, "fft_dims": None, "reference_path": None},
+        "file": {"path": ...},
+    }),
+    "signal": ("source", "blocks", {"field": "real_nonnegative"}, {
+        "blocks": PHANTOM_KEYS, "random_complex": PHANTOM_KEYS,
+        "disk": {"dims": [16, 16]},
+        "pgm": {"path": ...},
+    }),
+    "algorithm": ("kind", "wf", {"noise_model": "poisson"}, {
+        "wf": {"step": "fisher", "truncation": None},
+        "mm": {"curvature": "improved"},
+        "admm": {"rho0": 8.0},
+        "lbfgs": {},
+    }),
+    "algorithm.truncation": (None, None, {}, {None: {"a_h": ...}}),
+    "regularizer": ("kind", "huber_tv", {}, {"huber_tv": {"beta": 32.0, "alpha": 0.1}}),
 }
 
 # the phases of `run_experiment` whose wall times summary.json gives: build
@@ -116,26 +121,32 @@ def _apply_override(cfg: dict, key: str, raw: str) -> None:
     node[parts[-1]] = val
 
 
-def _check_keys(node: dict, default, path: str = "") -> None:
-    """A ConfigError for the first key of `node`, the config or its section at
-    `path`, that is neither in `default` nor in OPTIONAL_KEYS[path]."""
-    default = default if isinstance(default, dict) else {}
-    known = set(default) | OPTIONAL_KEYS.get(path, set())
-    for key, value in node.items():
-        name = f"{path}.{key}" if path else key
-        if key not in known:
-            raise ConfigError(f"unknown config key {name}")
-        if isinstance(value, dict):
-            _check_keys(value, default.get(key), name)
-
-
-def _algorithm_defaults(alg: dict) -> dict:
-    """DEFAULT_CONFIG's algorithm section plus the options, with their
-    defaults, of the kind `alg` names; a ConfigError for an unknown kind."""
-    kind = alg["kind"]
-    if not isinstance(kind, str) or kind not in ALGORITHM_OPTIONS:
-        raise ConfigError(f"unknown algorithm kind {kind!r}")
-    return {**DEFAULT_CONFIG["algorithm"], **ALGORITHM_OPTIONS[kind]}
+def fill_section(path: str, section) -> dict:
+    """`section`, the config's section at the dotted `path` ("" the whole
+    config), with its kind's defaults from SECTIONS and its own sections filled
+    in; a ConfigError naming the key for a section that is not a JSON object,
+    an unknown kind, a key the kind does not take or an unset key with no default."""
+    kind_key, default_kind, shared, kinds = SECTIONS[path]
+    prefix = f"{path}." if path else ""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path or 'the config'} must be a JSON object, not {section!r}")
+    kind = section.get(kind_key, default_kind)
+    if not isinstance(kind, (str, type(None))) or kind not in kinds:
+        raise ConfigError(f"unknown {prefix}{kind_key} {kind!r}")
+    defaults = {**({kind_key: kind} if kind_key else {}), **shared, **kinds[kind]}
+    for key in section:
+        if key not in defaults:
+            of_kind = f" for {prefix}{kind_key} {kind}" if kind_key else ""
+            raise ConfigError(f"unknown config key {prefix}{key}{of_kind}")
+    filled = {}
+    for key, default in defaults.items():
+        name, value = prefix + key, copy.deepcopy(section.get(key, default))
+        if value is ...:
+            raise ConfigError(f"missing config key {name}")
+        if name in SECTIONS and not (value is None and default is None):
+            value = fill_section(name, value)
+        filled[key] = value
+    return filled
 
 
 def _real(value, key: str, kind: str = "number") -> float:
@@ -166,81 +177,77 @@ def _dims(value, key: str) -> tuple[int, int]:
 
 
 def build_signal(cfg: dict) -> SignalVector:
-    src = cfg.get("source", "blocks")
+    cfg = fill_section("signal", cfg)
+    src = cfg["source"]
     try:
-        field = FieldTag(cfg.get("field", "real_nonnegative"))
+        field = FieldTag(cfg["field"])
     except ValueError:
-        raise ConfigError(f"unknown field {cfg.get('field')!r}")
+        raise ConfigError(f"unknown signal.field {cfg['field']!r}")
     if src in ("blocks", "random_complex"):
-        n = _integer(cfg.get("n", 64), "signal.n", positive=True)
-        seed = _integer(cfg.get("seed", 0), "signal.seed")
+        n = _integer(cfg["n"], "signal.n", positive=True)
+        seed = _integer(cfg["seed"], "signal.seed")
         sig = (blocks if src == "blocks" else random_complex)(n, seed=seed)
     elif src == "disk":
-        sig = disk(*_dims(cfg.get("dims", [16, 16]), "signal.dims"))
-    elif src == "pgm":
+        sig = disk(*_dims(cfg["dims"], "signal.dims"))
+    else:  # pgm
         img = load_pgm(cfg["path"])
         sig = SignalVector(img.ravel().astype(complex), field=field, dims=img.shape)
-    else:
-        raise ConfigError(f"unknown signal source {src!r}")
     if field is not sig.field:
         sig = SignalVector(sig.values, field=field, dims=sig.dims)
     return sig
 
 
 def build_model(cfg: dict, signal: SignalVector, background: float):
-    variant = cfg.get("variant", "dense")
+    cfg = fill_section("model", cfg)
+    variant = cfg["variant"]
     n = signal.n
     if variant == "dense":
         m = _integer(cfg["m"], "model.m", positive=True)
-        seed = _integer(cfg.get("seed", 12345), "model.seed")
+        seed = _integer(cfg["seed"], "model.seed")
         return random_gaussian_model(m, n, seed=seed, background=background)
     if variant == "masked_dft":
-        exact_half = cfg.get("exact_half_masks", False)
+        exact_half = cfg["exact_half_masks"]
         if not isinstance(exact_half, bool):
             raise ConfigError("model.exact_half_masks must be true or false")
         masks = make_masks(
-            _integer(cfg.get("masks", 21), "model.masks", positive=True), n,
-            seed=_integer(cfg.get("seed", 12345), "model.seed"), exact_half=exact_half,
+            _integer(cfg["masks"], "model.masks", positive=True), n,
+            seed=_integer(cfg["seed"], "model.seed"), exact_half=exact_half,
         )
         return MaskedDftModel(masks, background=background)
     if variant == "canonical_dft":
         if signal.dims is None:
             raise ConfigError("canonical_dft needs an image-shaped signal")
-        if "reference_path" in cfg:
-            ref = load_pgm(cfg["reference_path"])
-        else:
+        if cfg["reference_path"] is None:
             ref = disk(*signal.dims).values.real.reshape(signal.dims)
+        else:
+            ref = load_pgm(cfg["reference_path"])
         return CanonicalDftModel(
             signal.dims, ref,
-            pad_width=(None if cfg.get("pad_width") is None
+            pad_width=(None if cfg["pad_width"] is None
                        else _integer(cfg["pad_width"], "model.pad_width")),
-            fft_dims=_dims(cfg["fft_dims"], "model.fft_dims") if "fft_dims" in cfg else None,
+            fft_dims=(None if cfg["fft_dims"] is None
+                      else _dims(cfg["fft_dims"], "model.fft_dims")),
             background=background,
         )
-    if variant == "file":
-        model = load_file_matrix(cfg["path"], background=background)
-        if model.cols != n:
-            raise ConfigError(
-                f"file matrix has {model.cols} columns, signal has {n}"
-            )
-        return model
-    raise ConfigError(f"unknown model variant {variant!r}")
+    model = load_file_matrix(cfg["path"], background=background)  # the file variant
+    if model.cols != n:
+        raise ConfigError(f"file matrix has {model.cols} columns, signal has {n}")
+    return model
 
 
 def build_regularizer(cfg: dict | None, signal: SignalVector) -> HuberTV | None:
     if cfg is None:
         return None
-    if cfg.get("kind", "huber_tv") != "huber_tv":
-        raise ConfigError(f"unknown regularizer {cfg.get('kind')!r}")
+    cfg = fill_section("regularizer", cfg)
     diff = DiffOp(signal.n, dims=signal.dims)
-    return HuberTV(_real(cfg.get("beta", 32.0), "regularizer.beta"),
-                   _real(cfg.get("alpha", 0.1), "regularizer.alpha"), diff)
+    return HuberTV(_real(cfg["beta"], "regularizer.beta"),
+                   _real(cfg["alpha"], "regularizer.alpha"), diff)
 
 
 def build_solver(alg: dict):
     """The configured solver and its keyword options, every option read and
-    checked before any solve starts; `alg` is a whole algorithm section, its
-    kind's defaults filled in (`run_experiment` fills them)."""
+    checked before any solve starts; `alg` is an algorithm section filled by
+    `fill_section` (`run_experiment` fills it)."""
     kind = alg["kind"]
     if kind in ("mm", "admm") and alg["noise_model"] != "poisson":
         raise ConfigError(f"{kind} needs noise_model poisson")
@@ -251,11 +258,9 @@ def build_solver(alg: dict):
             raise ConfigError(f"unknown step rule {alg['step']!r}")
         if rule.kind is StepKind.EXACT_GAUSSIAN and alg["noise_model"] != "gaussian":
             raise ConfigError("the exact_gaussian step needs noise_model gaussian")
-        trunc_cfg = alg["truncation"]
-        if trunc_cfg is not None and "a_h" not in trunc_cfg:
-            raise ConfigError("algorithm.truncation needs a_h")
-        trunc = (None if trunc_cfg is None else
-                 TruncationRule(a_h=_real(trunc_cfg["a_h"], "algorithm.truncation.a_h")))
+        trunc = alg["truncation"]
+        if trunc is not None:
+            trunc = TruncationRule(a_h=_real(trunc["a_h"], "algorithm.truncation.a_h"))
         return run_wf, {"rule": rule, "trunc": trunc}
     if kind == "mm":
         try:
@@ -281,15 +286,12 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> tuple[dict, np.ndarray]:
     reconstructed signal; return the summary dict and the rows of the trace
     CSV as a float array (row 0 the initial point)."""
     marks = [time.perf_counter()]  # the start, then the end of each of PHASES
-    cfg = _deep_update(DEFAULT_CONFIG, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # a malformed value or a section that is not an object fails below, a config
     # error; what fails from `initialize` on is a numerical failure
     try:
-        defaults = {**DEFAULT_CONFIG, "algorithm": _algorithm_defaults(cfg["algorithm"])}
-        cfg = _deep_update(defaults, cfg)
-        _check_keys(cfg, defaults)
+        cfg = fill_section("", cfg)
         seed = _integer(cfg["seed"], "seed")
         background = _real(cfg["background"], "background")
         mean_count = _real(cfg["mean_count"], "mean_count")
@@ -467,15 +469,13 @@ def main(argv=None) -> int:
             try:
                 with open(args.config) as f:
                     cfg = json.load(f)
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 1
+            except json.JSONDecodeError as exc:
+                raise ConfigError(str(exc)) from exc
             if not isinstance(cfg, dict):
                 raise ConfigError("the config must be a JSON object")
         for ov in args.override:
             if "=" not in ov:
-                print(f"config error: bad override {ov!r}", file=sys.stderr)
-                return 1
+                raise ConfigError(f"bad override {ov!r}")
             k, _, v = ov.partition("=")
             _apply_override(cfg, k, v)
         if args.verb == "run":

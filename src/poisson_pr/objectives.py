@@ -80,19 +80,19 @@ class PoissonObjective:
         self._memo = (np.array(x, copy=True), self.model.scale, ax)
         return ax
 
-    def split(self, a: NDArray | None = None) -> tuple[NDArray, NDArray] | None:
+    def split(self) -> tuple[NDArray, NDArray] | None:
         """(A_P, A'A) on a `DenseModel`, None elsewhere. A_P is the rows P of
-        `densify()` (or of `a`, where the caller has densified A), contiguous
-        and read-only, kept in the model's `memo` for every objective with
-        the same P; A'A is `_normal_gram`'s. Both are taken again when the
-        memo is emptied (a new scale or matrix)."""
+        `densify()`, contiguous and read-only, kept in the model's `memo` for
+        every objective with the same P; A'A is `_normal_gram`'s. Both are
+        taken again when the memo is emptied (a new scale or matrix)."""
         if not isinstance(self.model, DenseModel):
             return None
         memo = self.model.memo()
         if self._split is None or self._split[0] is not memo:
             key = ("positive rows", self.positive.tobytes())
+            a = None
             if key not in memo:
-                a = self.model.densify() if a is None else a
+                a = self.model.densify()
                 memo[key] = a[self.positive]
                 memo[key].flags.writeable = False
             self._split = (memo, memo[key], _normal_gram(self.model, self.field, a))
@@ -104,9 +104,7 @@ class PoissonObjective:
         minus A_P'A_P, so that no row of Z is taken; on a real field, where
         `split`'s A'A is Re(A'A), it is the real Re(A'A) - Re(A_P'A_P). A is
         densified once for both."""
-        if not isinstance(self.model, DenseModel):
-            return None
-        split = self.split(self.model.densify())
+        split = self.split()
         if split is None:
             return None
         a_p, h = split

@@ -9,6 +9,7 @@ carries a nonnegative mean background vector b, so the measurement mean is
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -682,29 +683,30 @@ def save_file_matrix(path: str, entries: NDArray) -> None:
             f.write(",".join(f"{z.real:.17g}:{z.imag:.17g}" for z in row) + "\n")
 
 
+# a PGM header token, after the whitespace and comments before it
+_PGM_TOKEN = re.compile(rb"(?:\s+|#[^\n]*)*(\S*)")
+
+
 def load_pgm(path: str) -> NDArray:
     """Grayscale PGM (P2 or P5) as a float image normalized to [0, 1]."""
     with open(path, "rb") as f:
         data = f.read()
-    tokens = []
-    i = 0
-    while len(tokens) < 4 and i < len(data):
-        # skip whitespace and comments
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < len(data) and not data[j : j + 1].isspace():
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    magic = tokens[0].decode()
+    tokens, i = [], 0
+    while len(tokens) < 4 and (m := _PGM_TOKEN.match(data, i)).group(1):
+        tokens.append(m.group(1))
+        i = m.end()
+    header = b" ".join(tokens).decode(errors="replace")
+    if len(tokens) < 4:
+        raise ValueError(f"PGM header {header!r}: magic, width, height and maxval expected")
+    magic = tokens[0].decode(errors="replace")
     if magic not in ("P2", "P5"):
         raise ValueError(f"not a PGM file: magic {magic!r}")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if not all(t.isdigit() and int(t) > 0 for t in tokens[1:]):
+        raise ValueError(f"PGM header {header!r}: width, height and maxval "
+                         "must be positive integers")
+    w, h, maxval = (int(t) for t in tokens[1:])
+    if maxval > 65535:
+        raise ValueError(f"PGM header {header!r}: maxval above 65535")
     if magic == "P5":
         i += 1  # single whitespace after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.uint8

@@ -173,6 +173,20 @@ class TestRunExperiment:
                     assert on_disk["final_nrmse"] == last[3], (kind, seed)
                     assert on_disk["final_psnr"] == last[4], (kind, seed)
 
+    def test_summary_config_holds_the_keys_the_run_read(self, tmp_path):
+        # a masked-DFT run recorded the dense model's "m": 512, never read
+        cfg = {"model": {"variant": "masked_dft", "masks": 2}, "signal": {"n": 8},
+               "n_iters": 2, "init_iters": 20}
+        summary, _ = run_experiment(cfg, tmp_path)
+        with open(tmp_path / "summary.json") as f:
+            on_disk = json.load(f)["config"]
+        assert on_disk == summary["config"]
+        assert on_disk["model"] == {"variant": "masked_dft", "masks": 2, "seed": 12345,
+                                    "exact_half_masks": False}
+        assert set(on_disk["signal"]) == {"source", "field", "n", "seed"}
+        assert set(on_disk["algorithm"]) == {"kind", "noise_model", "step", "truncation"}
+        assert on_disk["regularizer"] is None
+
     def test_regularized_run(self, tmp_path):
         cfg = dict(TINY, regularizer={"kind": "huber_tv", "beta": 4.0, "alpha": 0.1})
         summary, _ = run_experiment(cfg, tmp_path)
@@ -368,13 +382,15 @@ class TestExitContract:
     def test_fractional_integers_exit_one(self, tmp_path, capsys, key, value):
         # a fractional count or seed is an error, not truncated: model.m=48.7
         # must not run m = 48 while summary.json records 48.7
-        context = {"model.masks": ["model.variant=masked_dft"],
-                   "signal.dims": ["signal.source=disk"],
+        # each case sets only the keys of its own model variant and signal
+        # source; the others run a 48x8 dense model on blocks
+        context = {"model.masks": ["model.variant=masked_dft", "signal.n=8"],
+                   "signal.dims": ["model.m=48", "signal.source=disk"],
                    "model.pad_width": ["signal.source=disk", "signal.dims=[8,8]",
                                        "model.variant=canonical_dft"]}
         argv = ["run", "--out", str(tmp_path / "o")]
-        for kv in ["model.m=48", "signal.n=8", "n_iters=2", "init_iters=20",
-                   *context.get(key, []), f"{key}={value}"]:
+        for kv in [*context.get(key, ["model.m=48", "signal.n=8"]), "n_iters=2",
+                   "init_iters=20", f"{key}={value}"]:
             argv += ["--override", kv]
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -434,6 +450,44 @@ class TestExitContract:
         else:
             assert one_config_error_line(err) and f"{key} must be a" in err
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["model.variant=masked_dft", "signal.n=8", "model.m=7.5"],
+         "unknown config key model.m for model.variant masked_dft"),
+        (["model.m=48", "signal.n=8", "signal.dims=[8]"],
+         "unknown config key signal.dims for signal.source blocks"),
+        (["model.m=48", "signal.source=disk", "signal.n=-3"],
+         "unknown config key signal.n for signal.source disk"),
+        (["model.m=48", "signal.n=8", "model.path=/nope"],
+         "unknown config key model.path for model.variant dense"),
+        (["model=5"], "model must be a JSON object"),
+        (["signal=[1]"], "signal must be a JSON object"),
+        (["regularizer=5"], "regularizer must be a JSON object"),
+        (["algorithm.truncation=5"], "algorithm.truncation must be a JSON object"),
+        (["model.variant=file"], "missing config key model.path"),
+        (["model.m=48", "signal.source=pgm"], "missing config key signal.path"),
+    ], ids=["masked-m", "blocks-dims", "disk-n", "dense-path", "model-5", "signal-list",
+            "regularizer-5", "truncation-5", "file-no-path", "pgm-no-path"])
+    def test_config_errors_name_the_key(self, tmp_path, capsys, overrides, message):
+        # the first four ran to exit 0, the key never read; the next four
+        # named no section ("'int' object has no attribute 'get'"), and the
+        # missing paths were named only as 'path'
+        argv = ["run", "--out", str(tmp_path / "o")]
+        for kv in ["n_iters=2", "init_iters=20", *overrides]:
+            argv += ["--override", kv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert one_config_error_line(err) and message in err
+
+    def test_malformed_pgm_header_exits_one(self, tmp_path, capsys):
+        # a header of fewer than four tokens ended in an IndexError traceback
+        (tmp_path / "x.pgm").write_text("P2\n4")
+        assert main(["run", "--out", str(tmp_path / "o"),
+                     "--override", "signal.source=pgm",
+                     "--override", f"signal.path={tmp_path / 'x.pgm'}"]) == 1
+        err = capsys.readouterr().err
+        assert one_config_error_line(err) and "PGM header 'P2 4'" in err
+        assert "Traceback" not in err
+
     def test_file_matrix_column_mismatch_exits_one(self, tmp_path, capsys):
         save_file_matrix(tmp_path / "a.csv", np.ones((48, 6)))
         assert main(["run", "--out", str(tmp_path / "o"),
@@ -474,21 +528,24 @@ class TestExitContract:
 
 
 NOISE_MODELS = st.sampled_from(["poisson", "gaussian"])
+FIELDS = st.sampled_from(["real", "complex", "real_nonnegative"])
 # a tiny valid config, then up to two values replaced by mistyped, unknown or
 # out-of-range ones through --override
 FUZZ_CONFIG = st.fixed_dictionaries({
-    "model": st.fixed_dictionaries({
-        "variant": st.sampled_from(["dense", "masked_dft", "canonical_dft"]),
-        "m": st.integers(1, 16),
-        "masks": st.integers(1, 3),
-        "seed": st.integers(0, 3),
-    }),
-    "signal": st.fixed_dictionaries({
-        "source": st.sampled_from(["random_complex", "disk", "blocks"]),
-        "n": st.integers(1, 4),
-        "dims": st.lists(st.integers(1, 2), min_size=2, max_size=2),
-        "field": st.sampled_from(["real", "complex", "real_nonnegative"]),
-    }),
+    # each model variant and signal source with the keys it reads
+    "model": st.one_of(
+        st.fixed_dictionaries({"variant": st.just("dense"), "m": st.integers(1, 16),
+                               "seed": st.integers(0, 3)}),
+        st.fixed_dictionaries({"variant": st.just("masked_dft"), "masks": st.integers(1, 3),
+                               "seed": st.integers(0, 3)}),
+        st.fixed_dictionaries({"variant": st.just("canonical_dft")}),
+    ),
+    "signal": st.one_of(
+        st.fixed_dictionaries({"source": st.sampled_from(["random_complex", "blocks"]),
+                               "n": st.integers(1, 4), "field": FIELDS}),
+        st.fixed_dictionaries({"source": st.just("disk"), "field": FIELDS,
+                               "dims": st.lists(st.integers(1, 2), min_size=2, max_size=2)}),
+    ),
     # each kind with the options it reads
     "algorithm": st.one_of(
         st.fixed_dictionaries({

@@ -809,3 +809,27 @@ class TestPgm:
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
         with pytest.raises(ValueError, match="magic"):
             load_pgm(path)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("", "expected"), ("P2\n4", "expected"), ("P2\n4 4\n# 255\n", "expected"),
+        ("P2\n4 4\n0\n0 0 0 0", "positive integers"),
+        ("P2\n0 4\n255\n", "positive integers"),
+        ("P2\n4 -4\n255\n0 0 0 0", "positive integers"),
+        ("P2\n2.5 1\n255\n0 0", "positive integers"),
+        ("P2\nfour 1\n255\n0 0 0 0", "positive integers"),
+        ("P2\n1 1\n65536\n0", "65535"),
+    ], ids=["empty", "short", "comment", "maxval-0", "width-0", "height-neg",
+            "width-fraction", "width-word", "maxval-high"])
+    def test_malformed_header(self, tmp_path, text, problem):
+        # these ended in an IndexError, a ValueError from int() naming no
+        # header, or, at maxval 0, a division by zero and non-finite pixels
+        path = tmp_path / "bad.pgm"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"PGM header .*{problem}"):
+            load_pgm(path)
+
+    def test_sixteen_bit_p5_and_comments_between_tokens(self, tmp_path):
+        path = tmp_path / "img16.pgm"
+        path.write_bytes(b"P5 # magic\n2\n# width\n 1 # height\n65535\n"
+                         + np.array([1, 65535], dtype=">u2").tobytes())
+        np.testing.assert_array_equal(load_pgm(path), [[1 / 65535, 1.0]])
