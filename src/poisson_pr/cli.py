@@ -176,6 +176,14 @@ def _dims(value, key: str) -> tuple[int, int]:
     return tuple(_integer(d, key, positive=True) for d in value)
 
 
+def _path(value, key: str) -> str:
+    """value as a file path; a ConfigError, naming `key`, for anything but a
+    string: open() takes an integer as a file descriptor, and 0 is stdin."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, a file path, not {json.dumps(value)}")
+    return value
+
+
 def build_signal(cfg: dict) -> SignalVector:
     cfg = fill_section("signal", cfg)
     src = cfg["source"]
@@ -190,7 +198,7 @@ def build_signal(cfg: dict) -> SignalVector:
     elif src == "disk":
         sig = disk(*_dims(cfg["dims"], "signal.dims"))
     else:  # pgm
-        img = load_pgm(cfg["path"])
+        img = load_pgm(_path(cfg["path"], "signal.path"))
         sig = SignalVector(img.ravel().astype(complex), field=field, dims=img.shape)
     if field is not sig.field:
         sig = SignalVector(sig.values, field=field, dims=sig.dims)
@@ -220,7 +228,7 @@ def build_model(cfg: dict, signal: SignalVector, background: float):
         if cfg["reference_path"] is None:
             ref = disk(*signal.dims).values.real.reshape(signal.dims)
         else:
-            ref = load_pgm(cfg["reference_path"])
+            ref = load_pgm(_path(cfg["reference_path"], "model.reference_path"))
         return CanonicalDftModel(
             signal.dims, ref,
             pad_width=(None if cfg["pad_width"] is None
@@ -229,7 +237,8 @@ def build_model(cfg: dict, signal: SignalVector, background: float):
                       else _dims(cfg["fft_dims"], "model.fft_dims")),
             background=background,
         )
-    model = load_file_matrix(cfg["path"], background=background)  # the file variant
+    # the file variant
+    model = load_file_matrix(_path(cfg["path"], "model.path"), background=background)
     if model.cols != n:
         raise ConfigError(f"file matrix has {model.cols} columns, signal has {n}")
     return model

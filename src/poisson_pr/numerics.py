@@ -1,7 +1,8 @@
-"""Shared numerical kernels: power method, CG, a cubic's largest root, LBFGS."""
+"""Shared numerical kernels: Lanczos, CG, a cubic's largest root, LBFGS."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Iterator
 
@@ -19,45 +20,168 @@ def real_dot(a: NDArray, b: NDArray) -> float:
     return float(np.real(np.vdot(a, b)))
 
 
-# the power method tests every POWER_CHECK_EVERY-th iterate against the one
-# before it and stops once they differ by at most POWER_SETTLED_TOL in norm:
-# a unit vector settled to rounding moves by about sqrt(n) ulp per step
-# (2e-15 at n = 256, 7e-15 at n = 4096); the test is sparse so that it costs
-# nothing beside the small dense Gram products
-POWER_SETTLED_TOL = 1e-14
-POWER_CHECK_EVERY = 8
+# Lanczos: the Ritz residual bound at which the top pair counts as converged,
+# relative to its Ritz value, and the steps between two tests of it; a test
+# solves the step's tridiagonal matrix in O(steps) scalar operations
+LANCZOS_TOL = 1e-14
+LANCZOS_CHECK_EVERY = 4
 
 
-def power_method(
+def _lanczos_vectors(op, q, alpha, beta):
+    """The Lanczos vectors q_1 = q, q_2, ... of the Hermitian `op` (three-term
+    recurrence, no reorthogonalization). Making q_{j+1} takes one product and
+    appends alpha_j and beta_j to `alpha` and `beta`; the generator ends after
+    beta_j = 0. The same calls give the same vectors, bit for bit."""
+    q_prev = None
+    while True:
+        yield q
+        w = op(q)
+        alpha.append(real_dot(q, w))
+        w = w - alpha[-1] * q
+        if q_prev is not None:
+            w = w - beta[-1] * q_prev
+        beta.append(float(np.linalg.norm(w)))
+        if beta[-1] == 0.0:
+            return
+        q_prev, q = q, w / beta[-1]
+
+
+def _tridiagonal_top(alpha, beta, lower):
+    """Largest eigenvalue and its unit eigenvector of the symmetric
+    tridiagonal T with diagonal `alpha` and positive off-diagonal `beta`,
+    given a lower bound on the eigenvalue; no LAPACK routine is called.
+
+    The eigenvalue is the largest root of the first pivot e_1(u) of uI - T
+    eliminated from the bottom, e_k = u - alpha_k, e_j = u - alpha_j -
+    beta_j^2 / e_{j+1}. Above the largest eigenvalue of T without its first
+    row and column every other pivot is positive, and e_1 is increasing and
+    concave there, so Newton from below climbs to the root; a point where
+    another pivot is not positive lies below it, and the bracket up to
+    Gershgorin's bound is bisected where Newton cannot step.
+
+    The eigenvector is formed by products alone, outward from its largest
+    entry s_r = 1, where every ratio is below one: upward by the pivots d_j
+    of uI - T eliminated from the top, s_j = s_{j+1} beta_j / d_j, and
+    downward by s_{j+1} = s_j beta_j / e_{j+1} (a twisted factorization,
+    Dhillon & Parlett 2004). Its entries are positive, and the small last
+    ones, which give the Ritz residual, are accurate relative to their size.
+    """
+    if not beta:
+        return alpha[0], [1.0]
+    beta2 = [b * b for b in beta]
+    tail = list(zip(reversed(alpha[1:-1]), reversed(beta2[1:])))
+
+    def sweep(u):
+        """The pivots e_k, ..., e_2 at u and the derivative of e_2, or None
+        where one of them is not positive."""
+        e, de = u - alpha[-1], 1.0
+        pivots = [e]
+        for a, b2 in tail:
+            if e <= 0.0:
+                return None
+            r = b2 / e
+            de = 1.0 + r * de / e
+            e = u - a - r
+            pivots.append(e)
+        return (pivots, de) if e > 0.0 else None
+
+    # Gershgorin's bound, raised by a margin so that every pivot there
+    # stays at least the off-diagonal above it, rounding included
+    hi = max(a + l + r for a, l, r in zip(alpha, [0.0, *beta], [*beta, 0.0]))
+    hi += 1e-12 * max(abs(hi), *map(abs, alpha))
+    lo = u = min(max(lower, *alpha), hi)
+    best = None
+    for _ in range(200):
+        swept = sweep(u)
+        if swept is None:  # below the largest root of e_1
+            lo, u = u, 0.5 * (u + hi)
+            continue
+        pivots, de = best = swept
+        r = beta2[0] / pivots[-1]
+        e1 = u - alpha[0] - r
+        if e1 <= 0.0:
+            lo = u
+        else:
+            hi = u
+        step = -e1 / (1.0 + r * de / pivots[-1])
+        nxt = u + step if lo < u + step < hi else 0.5 * (lo + hi)
+        if e1 == 0.0 or abs(step) <= 4e-16 * abs(u) or nxt == u:
+            break
+        u = nxt
+    else:
+        u, best = hi, sweep(hi)
+    e = best[0][::-1]  # e_2, ..., e_k
+    # the largest entry of the vector the e alone give, from s_1 = 1
+    z, peak, r = 1.0, 1.0, 0
+    for j, (b, ej) in enumerate(zip(beta, e), 1):
+        z *= b / ej
+        if z > peak:
+            peak, r = z, j
+    s = [1.0]
+    d = u - alpha[0]
+    up = []
+    for j in range(r):
+        up.append(beta[j] / d)
+        d = u - alpha[j + 1] - beta2[j] / d
+    for ratio in reversed(up):
+        s.append(s[-1] * ratio)
+    s.reverse()
+    for b, ej in zip(beta[r:], e[r:]):
+        s.append(s[-1] * b / ej)
+    norm = math.sqrt(sum(x * x for x in s))
+    return u, [x / norm for x in s]
+
+
+def lanczos_top(
     op: Callable[[NDArray], NDArray],
     n: int,
-    iters: int = 200,
+    max_steps: int = 300,
     seed: int = 0,
 ) -> tuple[float, NDArray]:
-    """Leading eigenpair of a Hermitian PSD operator given as a callable.
+    """Leading eigenpair of a Hermitian PSD operator given as a callable, by
+    Lanczos from a random complex unit start (Paige 1971; Golub & Van Loan,
+    Matrix Computations, ch. 10).
 
-    Returns (eigenvalue, unit-norm eigenvector). `iters` is a cap: the
-    iteration stops at the first k, a multiple of POWER_CHECK_EVERY, where
-    the iterate moved by at most POWER_SETTLED_TOL, and its result is then
-    bit-identical to that of `iters=k`. One product per iteration, k + 1 in
-    all: op(v) gives both the next iterate and, for the last v, the Rayleigh
-    quotient, which is non-decreasing across iterations for PSD operators.
+    Returns (Ritz value, unit Ritz vector), the vector's phase set so that
+    vdot(v, start) is real and positive, the power method's limit. The first
+    pass runs at most `max_steps` steps of the three-term recurrence, one
+    product each, and keeps only its coefficients. Every
+    LANCZOS_CHECK_EVERY-th step, and at the cap, the top pair (theta, s) of
+    the step's tridiagonal T_k is found (`_tridiagonal_top`), and the pass
+    stops once the Ritz residual ||op(v) - theta v|| = beta_k s_k is at most
+    LANCZOS_TOL theta, or at once where beta_k alone is (an invariant
+    subspace). The second pass reruns the recurrence, bit for bit, to sum v
+    = sum_j s_j q_j: 2k - 1 products in all, and no stored basis. Without
+    reorthogonalization a converged Ritz value grows copies from rounding;
+    the test stops near where they would start. A zero operator, a start
+    that is an eigenvector and `max_steps` <= 0 return the start itself.
     """
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start /= np.linalg.norm(start)
+    if max_steps <= 0:
+        return 0.0, start
+    alpha: list[float] = []
+    beta: list[float] = []
+    steps = _lanczos_vectors(op, start, alpha, beta)
+    next(steps)
+    theta = top = 0.0
+    for k in range(1, max_steps + 1):
+        next(steps, None)
+        top = max(top, alpha[-1])  # at most theta
+        invariant = beta[-1] <= LANCZOS_TOL * top
+        if invariant or k % LANCZOS_CHECK_EVERY == 0 or k == max_steps:
+            theta, s = _tridiagonal_top(alpha, beta[:-1], theta)
+            if invariant or beta[-1] * s[-1] <= LANCZOS_TOL * theta:
+                break
+    if k == 1:
+        return theta, start
+    v = np.zeros(n, complex)
+    for sj, q in zip(s, _lanczos_vectors(op, start, [], [])):
+        v += sj * q
     v /= np.linalg.norm(v)
-    if iters <= 0:
-        return 0.0, v
-    w = op(v)
-    for k in range(1, iters + 1):
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, v
-        prev, v = v, w / nw
-        w = op(v)
-        if k % POWER_CHECK_EVERY == 0 and np.linalg.norm(v - prev) <= POWER_SETTLED_TOL:
-            break
-    return real_dot(v, w), v
+    c = np.vdot(v, start)
+    return theta, v * (c / abs(c)) if c != 0 else v
 
 
 def cg_solve(

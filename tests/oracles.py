@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from poisson_pr.init_eval import initialize
+from poisson_pr.init_eval import finalize_init, initialize, scale_fit
 from poisson_pr.numerics import DegenerateIterateError, real_dot
 from poisson_pr.objectives import HuberTV, PoissonObjective
 from poisson_pr.operators import (
@@ -17,6 +17,7 @@ from poisson_pr.operators import (
     calibrate_scale,
     make_masks,
     project_field,
+    quad_form,
     realify,
     simulate_poisson,
 )
@@ -176,6 +177,35 @@ def admm_full_rows(obj, x0: NDArray, n_iters: int, rho0: float = 8.0,
         eta = update_dual(eta, v, ax)
         costs.append(cost(x))
     return np.array(costs), x
+
+
+def random_unit_start(n: int, seed: int) -> NDArray:
+    """The random complex unit vector `numerics.lanczos_top` starts from."""
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def power_iterate(op: Callable[[NDArray], NDArray], n: int, iters: int,
+                  seed: int) -> NDArray:
+    """The power method's unit iterate after `iters` products from
+    `random_unit_start(n, seed)`; for a simple top eigenvalue it tends to the
+    eigenvector whose inner product with the start is real and positive."""
+    v = random_unit_start(n, seed)
+    for _ in range(iters):
+        w = op(v)
+        v = w / np.linalg.norm(w)
+    return v
+
+
+def power_initialize(model, y: NDArray, field: FieldTag, iters: int,
+                     seed: int) -> NDArray:
+    """`initialize` with the power method's iterate after `iters` products in
+    place of the Lanczos vector."""
+    q = quad_form(model, y / (y + 1.0), FieldTag.COMPLEX)
+    v = power_iterate(lambda z: q @ z, model.cols, iters, seed)
+    alpha, _ = scale_fit(model, y, v)
+    return finalize_init(v, alpha, field)
 
 
 def cg_plain(op: Callable[[NDArray], NDArray], rhs: NDArray, iters: int = 30,

@@ -397,6 +397,26 @@ class TestExitContract:
         assert one_config_error_line(err) and f"{key} must be a" in err
 
     @pytest.mark.parametrize("key, value", [
+        ("model.path", "0"), ("model.path", "1.5"), ("model.path", "true"),
+        ("model.path", "null"), ("model.path", '["m.csv"]'),
+        ("model.reference_path", "0"), ("model.reference_path", "{}"),
+        ("signal.path", "0"), ("signal.path", "false"),
+    ])
+    def test_path_keys_must_be_strings_exit_one(self, tmp_path, capsys, key, value):
+        # open() takes an integer as a file descriptor: model.path=0 read the
+        # matrix from stdin
+        context = {"model.path": ["model.variant=file", "signal.n=8"],
+                   "model.reference_path": ["signal.source=disk", "signal.dims=[8,8]",
+                                            "model.variant=canonical_dft"],
+                   "signal.path": ["model.m=48", "signal.source=pgm"]}
+        argv = ["run", "--out", str(tmp_path / "o")]
+        for kv in [*context[key], "n_iters=2", "init_iters=20", f"{key}={value}"]:
+            argv += ["--override", kv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert one_config_error_line(err) and f"{key} must be a string" in err
+
+    @pytest.mark.parametrize("key, value", [
         ("n_iters", "true"), ("n_iters", '"5"'), ("seed", "false"),
         ("mean_count", '"0.5"'), ("mean_count", "true"), ("background", "true"),
         ("algorithm.rho0", "true"), ("algorithm.rho0", '"8"'),

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import fft_instance
+from oracles import fft_instance, power_initialize, random_unit_start
 from poisson_pr import init_eval, operators, wf
 from poisson_pr.admm import run_admm
 from poisson_pr.baselines import run_lbfgs
@@ -271,15 +271,18 @@ def test_lbfgs_holds_once_its_cost_cannot_fall(huber):
     assert costs[k - 2] == costs[-1] and costs[k - 3] > costs[k - 2]
 
 
-@pytest.mark.parametrize("cols", [N, DIRECT_MAX_COLS, DIRECT_MAX_COLS + 8])
-def test_initialize_power_method_on_the_gram_up_to_the_direct_width(cols, monkeypatch):
+@pytest.mark.parametrize("cols, steps", [(N, N), (DIRECT_MAX_COLS, 30),
+                                         (DIRECT_MAX_COLS + 8, 30)])
+def test_initialize_lanczos_on_the_gram_up_to_the_direct_width(cols, steps, monkeypatch):
     model = random_gaussian_model(4 * cols, cols, seed=7, background=0.1)
     y = simulate_poisson(model, np.ones(cols), 8).y
     counts = count_calls(model)
     products = count_gram_products(monkeypatch)
     initialize(model, y, iters=30, seed=0)
-    # the power iterate has not settled by the cap
-    assert products["gram"] == 30 + 1
+    # Lanczos takes `steps` products, the cap's 30 where it has not converged
+    # (at N columns the Krylov space is whole by step N), and its second pass
+    # `steps` - 1 more for the Ritz vector
+    assert products["gram"] == 2 * steps - 1
     # scale_fit's one forward product
     assert counts["apply"] == 1
     if cols <= DIRECT_MAX_COLS:
@@ -287,53 +290,50 @@ def test_initialize_power_method_on_the_gram_up_to_the_direct_width(cols, monkey
         assert counts["apply_linear"] == counts["adjoint"] == 0
     else:
         assert counts["densify"] == 0
-        assert counts["apply_linear"] == counts["adjoint"] == 30 + 1
+        assert counts["apply_linear"] == counts["adjoint"] == 2 * steps - 1
 
 
-@pytest.mark.parametrize("kind", ["masked", "canonical"])
-def test_initialize_power_method_on_the_circulant_gram(kind, monkeypatch):
+@pytest.mark.parametrize("kind, steps", [("masked", 20), ("canonical", 28)])
+def test_initialize_lanczos_on_the_circulant_gram(kind, steps, monkeypatch):
     obj, _ = fft_instance(kind)
     counts = count_calls(obj.model)
     products = count_gram_products(monkeypatch)
     initialize(obj.model, obj.y, field=obj.field, iters=30, seed=0)
-    # scale_fit's one forward product; the 31 Gram products, the cap's (the
-    # iterate has not settled by then), call no operator
-    assert products["gram"] == 30 + 1
+    # scale_fit's one forward product; Lanczos converges below the cap of 30,
+    # at its test after `steps` steps, and its 2 steps - 1 Gram products call
+    # no operator
+    assert products["gram"] == 2 * steps - 1
     assert counts["apply"] == 1
     assert counts["apply_linear"] == counts["adjoint"] == counts["densify"] == 0
 
 
-def capped_initialize(model, y, field, iters, seed):
-    """`initialize` with a power method that always runs to its cap."""
-    q = operators.quad_form(model, y / (y + 1.0), FieldTag.COMPLEX)
-    gen = np.random.default_rng(seed)
-    v = gen.standard_normal(model.cols) + 1j * gen.standard_normal(model.cols)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = q @ v
-        v = w / np.linalg.norm(w)
-    alpha, _ = scale_fit(model, y, v)
-    return finalize_init(v, alpha, field)
-
-
-def test_initialize_stops_once_the_power_iterate_settles(monkeypatch):
+def test_initialize_stops_once_the_ritz_residual_is_at_rounding(monkeypatch):
     obj, _ = fft_instance("masked")
     products = count_gram_products(monkeypatch)
     x0 = initialize(obj.model, obj.y, field=obj.field, iters=300, seed=0)
-    # the masked DFT's spectral gap settles the iterate to rounding by the
-    # check at iteration 72
-    assert products["gram"] == 72 + 1
-    ref = capped_initialize(obj.model, obj.y, obj.field, 300, seed=0)
+    # the masked DFT's spectral gap (lambda_2 / lambda_1 = 0.61) brings the
+    # Ritz residual to rounding by the test at step 20
+    assert products["gram"] == 2 * 20 - 1
+    # the power iterate settles there too, to the same vector and phase
+    ref = power_initialize(obj.model, obj.y, obj.field, 300, seed=0)
     assert np.linalg.norm(x0.values - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_initialize_runs_to_its_cap_while_the_iterate_moves(monkeypatch):
+def test_initialize_stops_where_the_power_iterate_never_settles(monkeypatch):
+    # lambda_2 / lambda_1 = 0.976: 300 power iterations leave a residual
+    # that Lanczos passes at step 44
     model = random_gaussian_model(4 * DIRECT_MAX_COLS, DIRECT_MAX_COLS, seed=7,
                                   background=0.1)
     y = simulate_poisson(model, np.ones(DIRECT_MAX_COLS), 8).y
     products = count_gram_products(monkeypatch)
-    initialize(model, y, iters=300, seed=0)
-    assert products["gram"] == 300 + 1
+    x0 = initialize(model, y, iters=300, seed=0)
+    assert products["gram"] == 2 * 44 - 1
+    h = operators.gram(model, y / (y + 1.0), FieldTag.COMPLEX)
+    _, u = np.linalg.eigh(h)
+    start = random_unit_start(DIRECT_MAX_COLS, 0)
+    u = u[:, -1] * np.exp(1j * np.angle(np.vdot(u[:, -1], start)))
+    ref = finalize_init(u, scale_fit(model, y, u)[0], FieldTag.COMPLEX)
+    assert np.linalg.norm(x0.values - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("kind", ["masked", "canonical"])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import fft_instance
 from poisson_pr.init_eval import (
     PSNR_CAP_DB,
     error_metrics,
@@ -16,7 +17,7 @@ from poisson_pr.init_eval import (
     scale_fit,
     spectral_init,
 )
-from poisson_pr.numerics import power_method
+from poisson_pr.numerics import lanczos_top, real_dot
 from poisson_pr.operators import (
     CanonicalDftModel,
     DenseModel,
@@ -24,6 +25,7 @@ from poisson_pr.operators import (
     MaskedDftModel,
     calibrate_scale,
     make_masks,
+    quad_form,
     random_gaussian_model,
     simulate_poisson,
 )
@@ -51,17 +53,39 @@ class TestSpectralInit:
         lambda: MaskedDftModel(make_masks(3, 80, seed=0)),  # a CirculantGram
         lambda: CanonicalDftModel((8, 8), disk(8, 8).values.real.reshape(8, 8)),
     ], ids=["dense-gram", "normal-op", "masked-dft", "canonical-dft"])
-    def test_all_zero_counts_return_the_power_method_start(self, build):
-        # the zero operator leaves power_method at its random unit start, bit
+    def test_all_zero_counts_return_the_lanczos_start(self, build):
+        # the zero operator leaves lanczos_top at its random unit start, bit
         # for bit, with the one warning and no numpy warning
         model = build()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             v, warns = spectral_init(model, np.zeros(model.rows), seed=5)
-        _, start = power_method(lambda z: z, model.cols, iters=0, seed=5)
+        _, start = lanczos_top(lambda z: z, model.cols, max_steps=0, seed=5)
         assert v.dtype == start.dtype and v.tobytes() == start.tobytes()
         assert warns == ["all-zero measurements: spectral operator is zero, "
                          "returning a random unit vector"]
+
+    def test_ritz_residual_on_the_canonical_dft(self):
+        obj, _ = fft_instance("canonical")
+        v, _ = spectral_init(obj.model, obj.y, seed=0)
+        q = quad_form(obj.model, obj.y / (obj.y + 1.0), FieldTag.COMPLEX)
+        qv = q @ v
+        theta = real_dot(v, qv)
+        assert np.linalg.norm(qv - theta * v) <= 1e-10 * theta
+
+    @pytest.mark.parametrize("kind", ["masked", "canonical"])
+    def test_calls_no_lapack_routine(self, kind, monkeypatch):
+        # LAPACK's code is paged in on its first call; no FFT-model path
+        # makes one, and the initializer keeps it so
+        obj, _ = fft_instance(kind)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK call")
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "solve", "inv", "svd",
+                     "qr", "cholesky", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        v, warns = spectral_init(obj.model, obj.y, seed=0)
+        assert warns == [] and np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
 
     def test_rayleigh_residual_small(self):
         m = random_gaussian_model(128, 16, seed=0, background=0.1)

@@ -1,4 +1,4 @@
-"""Numerical kernels: power method, CG, a cubic's largest root, LBFGS, finite
+"""Numerical kernels: Lanczos, CG, a cubic's largest root, LBFGS, finite
 differences."""
 
 from itertools import islice
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cg_plain, finite_diff_grad
+from oracles import cg_plain, finite_diff_grad, power_iterate, random_unit_start
 from poisson_pr import numerics
 from poisson_pr.numerics import (
     LBFGS_MEMORY,
@@ -17,8 +17,9 @@ from poisson_pr.numerics import (
     _wolfe_line_search,
     cg_solve,
     cubic_largest_root,
+    lanczos_top,
     lbfgs_minimize,
-    power_method,
+    real_dot,
 )
 
 
@@ -40,16 +41,17 @@ def lbfgs_last(fg, x0, n_iters):
     return x
 
 
-class TestPowerMethod:
+class TestLanczosTop:
     @staticmethod
     def counted(h):
-        """(op, calls): the product with h, and the list it appends to per call."""
-        calls = []
+        """(op, inputs): the product with h, and the list of the vectors it
+        was called with, copied."""
+        inputs = []
 
         def op(z):
-            calls.append(1)
+            inputs.append(z.copy())
             return h @ z
-        return op, calls
+        return op, inputs
 
     @staticmethod
     def hermitian(eigenvalues, seed):
@@ -59,88 +61,101 @@ class TestPowerMethod:
         u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         return (u * np.asarray(eigenvalues, float)) @ u.conj().T
 
-    @staticmethod
-    def start(n, seed):
-        """The power method's random unit start vector for `seed`."""
-        gen = np.random.default_rng(seed)
-        v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        return v / np.linalg.norm(v)
-
     def test_diagonal_operator(self):
         d = np.array([3.0, 1.0])
-        lam, v = power_method(lambda z: d * z, 2, iters=200, seed=0)
-        assert lam == pytest.approx(3.0, abs=1e-10)
-        assert abs(abs(v[0]) - 1.0) < 1e-8
-        assert abs(v[1]) < 1e-8
+        lam, v = lanczos_top(lambda z: d * z, 2, max_steps=50, seed=0)
+        assert lam == pytest.approx(3.0, rel=1e-14)
+        assert abs(abs(v[0]) - 1.0) < 1e-14 and abs(v[1]) < 1e-14
 
-    def test_identity_operator(self):
-        lam, v = power_method(lambda z: z, 5, iters=50, seed=1)
-        assert lam == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("eigenvalues", [
+        [4.0, 2.0, 1.0, 0.5, 0.25, 0.1],
+        # the canonical DFT's eigengap: lambda_2 / lambda_1 = 0.97
+        [1.0, 0.97, *np.linspace(0.95, 0.0, 198)],
+        [1.0, 0.97, *np.random.default_rng(8).random(398) * 0.96],
+    ], ids=["separated", "gap-0.97-even", "gap-0.97-random"])
+    def test_known_spectrum(self, eigenvalues):
+        h = self.hermitian(eigenvalues, seed=5)
+        op, inputs = self.counted(h)
+        lam, v = lanczos_top(op, len(eigenvalues), max_steps=300, seed=3)
+        w, u = np.linalg.eigh(h)
+        assert lam == pytest.approx(w[-1], rel=1e-14)
+        assert np.linalg.norm(h @ v - lam * v) <= 1e-13 * lam
+        assert 1.0 - abs(np.vdot(u[:, -1], v)) <= 1e-13
+        # the first pass stopped at a test, k steps; the second reran k - 1
+        k = (len(inputs) + 1) // 2
+        assert len(inputs) == 2 * k - 1 and k % numerics.LANCZOS_CHECK_EVERY == 0
+        assert k < 300
 
-    def test_random_psd_residual(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        h = a.conj().T @ a
-        lam, v = power_method(lambda z: h @ z, 8, iters=200, seed=2)
-        assert np.linalg.norm(h @ v - lam * v) < 1e-6
+    def test_second_pass_reruns_the_first_bit_for_bit(self):
+        h = self.hermitian([1.0, 0.97, *np.linspace(0.95, 0.0, 58)], seed=2)
+        op, inputs = self.counted(h)
+        lanczos_top(op, 60, max_steps=300, seed=4)
+        k = (len(inputs) + 1) // 2
+        first, second = inputs[:k], inputs[k:]
+        assert len(second) == k - 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
 
-    def test_zero_operator(self):
-        op, calls = self.counted(np.zeros((4, 4)))
-        lam, v = power_method(op, 4, iters=10, seed=0)
-        assert len(calls) == 1 and lam == 0.0
-        assert v.tobytes() == self.start(4, 0).tobytes()
-
-    def test_no_iterations_return_the_start(self):
-        op, calls = self.counted(np.eye(4))
-        lam, v = power_method(op, 4, iters=0, seed=7)
-        assert not calls and lam == 0.0
-        assert v.tobytes() == self.start(4, 7).tobytes()
-
-    def test_settles_before_the_cap_bit_identical_to_its_stop(self):
-        h = self.hermitian([4.0, 2.0, 1.0, 0.5, 0.25, 0.1], seed=5)
-        op, calls = self.counted(h)
-        lam, v = power_method(op, 6, iters=300, seed=3)
-        stop = len(calls) - 1
-        assert stop < 300 and stop % numerics.POWER_CHECK_EVERY == 0
-        op_k, calls_k = self.counted(h)
-        lam_k, v_k = power_method(op_k, 6, iters=stop, seed=3)
-        assert len(calls_k) == stop + 1
-        assert lam == lam_k and v.tobytes() == v_k.tobytes()
-        lam_big, v_big = power_method(lambda z: h @ z, 6, iters=1000, seed=3)
+    def test_result_is_independent_of_a_cap_it_stops_below(self):
+        h = self.hermitian([1.0, 0.97, *np.linspace(0.95, 0.0, 58)], seed=2)
+        lam, v = lanczos_top(lambda z: h @ z, 60, max_steps=300, seed=4)
+        lam_big, v_big = lanczos_top(lambda z: h @ z, 60, max_steps=1000, seed=4)
         assert lam == lam_big and v.tobytes() == v_big.tobytes()
-        assert lam == pytest.approx(4.0, rel=1e-14)
 
-    def test_small_gap_runs_to_its_cap(self):
-        h = self.hermitian([1.0, 0.9999, 0.5, 0.25], seed=6)
-        op, calls = self.counted(h)
-        power_method(op, 4, iters=300, seed=1)
-        assert len(calls) == 300 + 1
+    def test_zero_operator_returns_its_start(self):
+        op, inputs = self.counted(np.zeros((4, 4)))
+        lam, v = lanczos_top(op, 4, max_steps=10, seed=0)
+        assert len(inputs) == 1 and lam == 0.0
+        assert v.tobytes() == random_unit_start(4, 0).tobytes()
 
-    @pytest.mark.parametrize("iters", [0, 1, 7, 60])
-    def test_one_product_per_iteration_bit_identical_to_two(self, iters):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
-        h = a.conj().T @ a
-        calls = []
+    def test_no_steps_return_the_start(self):
+        op, inputs = self.counted(np.eye(4))
+        lam, v = lanczos_top(op, 4, max_steps=0, seed=7)
+        assert not inputs and lam == 0.0
+        assert v.tobytes() == random_unit_start(4, 7).tobytes()
 
-        def op(z):
-            calls.append(1)
-            return h @ z
+    def test_an_eigenvector_start_returns_itself(self):
+        op, inputs = self.counted(2.0 * np.eye(5))
+        lam, v = lanczos_top(op, 5, max_steps=10, seed=1)
+        assert len(inputs) == 1 and lam == 2.0
+        assert v.tobytes() == random_unit_start(5, 1).tobytes()
 
-        lam, v = power_method(op, 6, iters=iters, seed=9)
-        assert len(calls) == (iters + 1 if iters else 0)
-        # the loop with a second product for the Rayleigh quotient
-        gen = np.random.default_rng(9)
-        ref_v = gen.standard_normal(6) + 1j * gen.standard_normal(6)
-        ref_v /= np.linalg.norm(ref_v)
-        ref_lam = 0.0
-        for _ in range(iters):
-            w = h @ ref_v
-            ref_v = w / np.linalg.norm(w)
-            ref_lam = float(np.real(np.vdot(ref_v, h @ ref_v)))
-        assert lam == ref_lam
-        assert v.tobytes() == ref_v.tobytes()
+    @pytest.mark.parametrize("eigenvalues, steps", [
+        ([3.0, 2.0, 1.5, 1.0, 0.5, 0.2], 6),
+        # rank 2: the start's two eigen-directions and its null-space part
+        ([2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 3),
+    ], ids=["full-rank", "rank-2"])
+    def test_breakdown_below_the_cap_returns_the_exact_pair(self, eigenvalues, steps):
+        n = len(eigenvalues)
+        h = self.hermitian(eigenvalues, seed=9)
+        op, inputs = self.counted(h)
+        lam, v = lanczos_top(op, n, max_steps=50, seed=2)
+        # the Krylov space is invariant after `steps` steps, and beta there is
+        # rounding: the pass stops at once, between two tests
+        assert len(inputs) == 2 * steps - 1
+        w, u = np.linalg.eigh(h)
+        assert lam == pytest.approx(w[-1], rel=1e-14)
+        assert np.linalg.norm(h @ v - lam * v) <= 1e-14 * lam
+        assert 1.0 - abs(np.vdot(u[:, -1], v)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_phase_is_the_power_methods(self, seed):
+        h = self.hermitian([4.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.05, 0.0], seed=seed)
+        lam, v = lanczos_top(lambda z: h @ z, 8, max_steps=50, seed=seed)
+        c = np.vdot(v, random_unit_start(8, seed))
+        assert c.real > 0.0 and abs(c.imag) <= 1e-15 * c.real
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+        ref = power_iterate(lambda z: h @ z, 8, 200, seed)
+        assert np.linalg.norm(v - ref) <= 1e-13
+
+    def test_capped_before_convergence_returns_its_ritz_pair(self):
+        h = self.hermitian([1.0, 0.97, *np.linspace(0.95, 0.0, 98)], seed=1)
+        op, inputs = self.counted(h)
+        lam, v = lanczos_top(op, 100, max_steps=10, seed=0)
+        assert len(inputs) == 2 * 10 - 1
+        # a Ritz pair: its value is the unit vector's Rayleigh quotient
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        assert real_dot(v, h @ v) == pytest.approx(lam, rel=1e-13)
+        assert 0.9 < lam < 1.0
 
 
 class TestCgSolve:
