@@ -137,11 +137,15 @@ def run_admm(
     second way, which cancels nothing as c nears 1. On a `DenseModel` R = P,
     the positive counts, and A_P x is `positive_forward`'s, which the trace
     cost reads too: an iteration makes no `apply`, no `adjoint` and no
-    M-length array. On other models R is every row and Z is empty."""
+    M-length array. On other models R is every row and Z is empty, since
+    the cubic of the magnitude update is not affine in y; the objective's
+    rows of A x, its half spectrum on a real-field DFT model, are what the
+    trace cost reads (`forward_every_row`)."""
     model, field = obj.model, obj.field
     split = obj.zero_count_split()
     if split is None:
-        y, b, forward, adjoint, g_z = obj.y, obj.b, obj.forward, model.adjoint, None
+        y, b, adjoint, g_z = obj.y, obj.b, model.adjoint, None
+        forward = obj.forward_every_row
     else:
         a_p, g_z = split
         y, b, forward = obj.y[obj.positive], obj.b[obj.positive], obj.positive_forward

@@ -85,16 +85,22 @@ def build_majorizer(
     is exactly quadratic (both kinds give 2 there), and the chosen kind's on
     the rows P with a positive count, at s_P = `obj.positive_forward(x)`;
     with `obj.gradient`, a dense model makes no M x N product. A zero
-    background on P leaves no majorizer: DegenerateIterateError."""
-    pos = obj.positive
-    y, b = obj.y[pos], obj.b[pos]
+    background on P leaves no majorizer: DegenerateIterateError.
+
+    The curvatures are taken on the objective's rows, at its mean counts
+    ybar. Both kinds are affine in y, so on a half spectrum the curvature
+    at ybar is the mean of a pair's two, and Re(A'WA) with each row weighted
+    by its pair's mean (`every_row`) equals the Gram of every row's own
+    curvature."""
+    pos, y, b = obj.positive, obj.y_pos, obj.b_pos
     if np.any(b <= 0):
         raise DegenerateIterateError("no quadratic majorizer exists with zero background")
-    w = np.full(obj.model.rows, 2.0)
+    w = np.full(obj.b_rows.size, 2.0)
     if kind is CurvatureKind.MAX:
         w[pos] = curvature_max(y, b)
     else:
         w[pos] = curvature_improved(obj.positive_forward(x), y, b)
+    w = obj.every_row(w)
     grad = obj.gradient(x)
     return MajorizerContext(obj=obj, x_k=x.copy(), grad=grad, w=w,
                             quad_op=quad_form(obj.model, w, obj.field))

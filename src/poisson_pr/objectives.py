@@ -3,13 +3,16 @@ Huber-smoothed anisotropic TV regularizer."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .numerics import DegenerateIterateError
-from .operators import DenseModel, FieldTag, ForwardModel, _normal_gram, realify
+from .operators import (
+    DenseModel, FieldTag, ForwardModel, HalfSpectrum, _normal_gram, realify,
+)
 
 
 def fisher_marginal_poisson(v, b):
@@ -30,17 +33,27 @@ class PoissonObjective:
     the marginal psi(v; y, b) = (|v|^2 + b) - y log(|v|^2 + b) (0 log 0 := 0)
     and its ascent direction psi_dot(v; y, b) = 2v(1 - y/(|v|^2 + b)).
 
-    psi is exactly |s|^2 + b on a zero count, so with s = A x and P = {y > 0}
-    the rows with a positive count, on every model
-    f(x) = ||s||^2 + sum b - y_P' log(|s_P|^2 + b_P), whose log is taken on P
-    alone. On a `DenseModel` ||s||^2 is Re(x'(A'A)x) and s_P = A_P x, and
-    grad f = 2(A'A)x - A_P'(2 y_P s_P / (|s_P|^2 + b_P)), with no M x N
-    product (`split`). On the other models s is `forward(x)`, and the
-    gradient is A' applied to the marginal gradient 2s, less
-    2 y_P s_P / (|s_P|^2 + b_P) on P (`marginal_grad`), whose division is
-    taken on P alone. A zero rate on a zero count is no error there (its
-    marginal gradient is 2s); on P it is. On a real field x is real, and
-    A'A is Re(A'A).
+    f sums c_k psi(s_k; ybar_k, b_k) over the objective's rows, built once
+    here: every row (c = 1, ybar = y), or, on a real field with a DFT model
+    whose background is equal on the rows of each pair, the model's `half`
+    spectrum. A x is conjugate-symmetric there, so a pair shares |s|^2 + b:
+    a half row and its mirror have c = 2 and the mean of their counts, a row
+    whose mirror is itself or a half row c = 1 and its own count, and
+    Re(A' psi_dot) is `adjoint(., half=True)` of psi_dot at ybar. `forward`,
+    `marginal_grad`, `fisher_diag` (c-weighted) and `positive` take the
+    objective's rows; `y` and `b` stay every row's.
+
+    psi is exactly |s|^2 + b on a zero count, so with s = A x and P =
+    `positive`, the rows with a positive count, on every model f(x) =
+    sum c|s|^2 + sum b - (c ybar)_P' log(|s_P|^2 + b_P), whose log is taken
+    on P alone. On a `DenseModel` (whose rows are every row) sum |s|^2 is
+    Re(x'(A'A)x) and s_P = A_P x, and grad f = 2(A'A)x - A_P'(2 y_P s_P /
+    (|s_P|^2 + b_P)), with no M x N product (`split`). On the other models s
+    is `forward(x)`, and the gradient is A' applied to the marginal
+    gradient 2s, less 2 ybar_P s_P / (|s_P|^2 + b_P) on P (`marginal_grad`),
+    whose division is taken on P alone. A zero rate on a zero count is no
+    error there (its marginal gradient is 2s); on P it is. On a real field x
+    is real, and A'A is Re(A'A).
     """
 
     def __init__(self, model: ForwardModel, y: NDArray, field: FieldTag = FieldTag.COMPLEX):
@@ -53,24 +66,78 @@ class PoissonObjective:
         self.y = y
         self.b = model.background
         self.field = field
-        self.positive = np.flatnonzero(y > 0)  # P, the rows with a positive count
-        self._y_pos, self._b_pos = y[self.positive], self.b[self.positive]
         self._sum_b = float(np.sum(self.b))
-        self._memo = None  # (copy of x, model.scale, read-only A x)
         self._split = None  # (model.memo(), A_P, A'A)
+        self._use_rows(self._half_spectrum())
+
+    def _half_spectrum(self) -> HalfSpectrum | None:
+        """The model's half spectrum where the data term folds onto it: on a
+        real field, with a background equal on the rows of each pair."""
+        if not self.field.is_real or self.model.half is None:
+            return None
+        half = self.model.half
+        return half if np.array_equal(self.b[half.rows][half.pair], self.b) else None
+
+    def _use_rows(self, half: HalfSpectrum | None) -> None:
+        """Sum the data term over the half spectrum `half`, or over every row
+        where it is None: the weights c, the background `b_rows` of those
+        rows, the rows P with their summed and mean counts, and empty
+        memos."""
+        self.half = half
+        if half is None:
+            self.c, counts, self.b_rows = 1.0, self.y, self.b
+        else:
+            self.c = half.c
+            counts = np.bincount(half.pair, weights=self.y, minlength=half.c.size)
+            self.b_rows = self.b[half.rows]
+        self.positive = np.flatnonzero(counts > 0)  # P, the rows with a positive count
+        self._count_pos = counts[self.positive]  # (c ybar)_P, each pair's summed count
+        # the mean counts ybar_P and the background b_P
+        self.y_pos = self._count_pos / (1.0 if half is None else self.c[self.positive])
+        self.b_pos = self.b_rows[self.positive]
+        self._memo = None  # (copy of x, model.scale, read-only A x)
         self._pos_memo = None  # (copy of x, A_P, read-only A_P x)
 
+    def full_rows(self) -> PoissonObjective:
+        """This objective over every row: itself where it sums over them
+        already, else a copy that does (for WF's truncation mask, which is
+        per row)."""
+        if self.half is None:
+            return self
+        full = copy.copy(self)
+        full._use_rows(None)
+        return full
+
+    def every_row(self, w: NDArray) -> NDArray:
+        """w, one entry per row of the objective, at each row of the model:
+        each row takes its half row's entry."""
+        return w if self.half is None else w[self.half.pair]
+
     def forward(self, x: NDArray) -> NDArray:
-        """model.apply(x), read-only. The last result is kept, keyed by a copy
-        of x's values and by model.scale, so that the cost, gradient and step
-        rules of one iterate share one forward product. The kept product is
-        either `apply`'s or one handed to `remember`: WF's unclamped step
-        moves it along the step as `A x - mu A grad`, which agrees with
-        `apply` to rounding (within 1e-12 relative over 300 iterations)."""
+        """model.apply(x) over the objective's rows, read-only. The last
+        result is kept, keyed by a copy of x's values and by model.scale, so
+        that the cost, gradient and step rules of one iterate share one
+        forward product. The kept product is either `apply`'s or one handed
+        to `remember`: WF's unclamped step moves it along the step as
+        `A x - mu A grad`, which agrees with `apply` to rounding (within
+        1e-12 relative over 300 iterations)."""
         memo = self._memo
         if memo is not None and memo[1] == self.model.scale and _same(memo[0], x):
             return memo[2]
-        return self.remember(x, self.model.apply(x))
+        return self.remember(x, self.model.apply(x, half=self.half is not None))
+
+    def forward_linear(self, p: NDArray) -> NDArray:
+        """model.apply_linear(p) over the objective's rows."""
+        return self.model.apply_linear(p, half=self.half is not None)
+
+    def forward_every_row(self, x: NDArray) -> NDArray:
+        """model.apply(x) over every row, whose rows of the objective become
+        `forward(x)`'s memo; `forward(x)` itself where those are every row."""
+        if self.half is None:
+            return self.forward(x)
+        ax = self.model.apply(x)
+        self.remember(x, ax[self.half.rows])
+        return ax
 
     def remember(self, x: NDArray, ax: NDArray) -> NDArray:
         """Keep `ax`, made read-only, as `forward(x)` until the next miss or
@@ -131,7 +198,7 @@ class PoissonObjective:
     def _positive_rate(self, s: NDArray, where: str) -> NDArray:
         """|s_P|^2 + b_P for s_P = (A x)_P; a zero rate on P leaves psi and its
         derivative (named by `where`) undefined."""
-        rate = np.abs(s) ** 2 + self._b_pos
+        rate = np.abs(s) ** 2 + self.b_pos
         if np.any(rate == 0):
             raise DegenerateIterateError(f"{where} undefined: zero rate with positive count")
         return rate
@@ -140,7 +207,7 @@ class PoissonObjective:
         split = self.split()
         if split is None:
             s = self.forward(x)
-            quad = np.vdot(s, s).real
+            quad = np.vdot(s, self.c * s).real
             rate = self._positive_rate(s[self.positive], "psi")
         else:
             rate = self._positive_rate(self.positive_forward(x), "psi")
@@ -150,35 +217,40 @@ class PoissonObjective:
                 quad = x.real @ (h @ x.real)
             else:
                 quad = np.vdot(x, h @ x).real
-        return float(quad + self._sum_b - self._y_pos @ np.log(rate))
+        return float(quad + self._sum_b - self._count_pos @ np.log(rate))
 
     def marginal_grad(self, v: NDArray) -> NDArray:
-        """psi_dot(v; y, b) for v = A x, one entry per row, a fresh array:
-        2v, less 2 y_P v_P / (|v_P|^2 + b_P) on the rows P."""
+        """psi_dot(v; ybar, b) for v = A x, one entry per row of the
+        objective, a fresh array: 2v, less 2 ybar_P v_P / (|v_P|^2 + b_P) on
+        the rows P."""
         s = v[self.positive]
         rate = self._positive_rate(s, "psi_dot")
         mg = 2.0 * v
-        mg[self.positive] -= (2.0 * self._y_pos / rate) * s
+        mg[self.positive] -= (2.0 * self.y_pos / rate) * s
         return mg
 
     def gradient(self, x: NDArray, keep: NDArray | None = None) -> NDArray:
-        """A' psi_dot(Ax), field-projected; rows outside the boolean mask
-        `keep` contribute nothing. On a `DenseModel` it is
+        """A' psi_dot(Ax), field-projected (Re(A' psi_dot) from the half rows
+        of a half spectrum); rows outside the boolean mask `keep` contribute
+        nothing. On a `DenseModel` it is
         2(A'A)x - A_P'(2 y_P s_P / (|s_P|^2 + b_P)) - A_D' psi_dot((Ax)_D),
         D the rows `keep` drops, psi_dot((Ax)_D) the rows D of `marginal_grad`
         on `forward(x)`; where `keep` drops none, the last term is not
-        formed."""
+        formed. `keep` is per row of the model, so where the objective's rows
+        are a half spectrum, a gradient with `keep` takes every row."""
+        if keep is not None and self.half is not None:
+            return self.full_rows().gradient(x, keep)
         split = self.split()
         if split is None:
             mg = self.marginal_grad(self.forward(x))
             if keep is not None:
                 mg = np.where(keep, mg, 0.0)
-            return realify(self.model.adjoint(mg), self.field)
+            return realify(self.model.adjoint(mg, half=self.half is not None), self.field)
         a_p, h = split
         s = self.positive_forward(x)
         rate = self._positive_rate(s, "psi_dot")
         # conj(A_P' r) = conj(r) A_P, which conjugates no M x N array
-        back = ((2.0 * self._y_pos / rate) * s).conj() @ a_p
+        back = ((2.0 * self.y_pos / rate) * s).conj() @ a_p
         drop = np.flatnonzero(~keep) if keep is not None else ()
         if len(drop):
             mg = self.marginal_grad(self.forward(x))[drop]
@@ -189,7 +261,10 @@ class PoissonObjective:
         return 2.0 * (h @ x) - back.conj()
 
     def fisher_diag(self, v: NDArray) -> NDArray:
-        return fisher_marginal_poisson(v, self.b)
+        """c times the marginal Fisher information at v = A x, one entry per
+        row of the objective, so that d' diag(.) d over its rows is the sum
+        over every row for a conjugate-symmetric d."""
+        return self.c * fisher_marginal_poisson(v, self.b_rows)
 
 
 def _same(kept: NDArray, x) -> bool:
@@ -214,6 +289,11 @@ class GaussianObjective(PoissonObjective):
     def split(self, a: NDArray | None = None) -> None:
         """None: the Gaussian residual is nonzero on every row, so its cost
         and gradient take A x and A' on every model."""
+        return None
+
+    def _half_spectrum(self) -> None:
+        """None: the Gaussian cost sums over every row, whose residuals a
+        pair of rows does not share."""
         return None
 
 

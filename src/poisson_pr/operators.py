@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -65,17 +66,37 @@ def project_field(x: NDArray, field: FieldTag) -> NDArray:
     return x
 
 
+@dataclass(frozen=True)
+class HalfSpectrum:
+    """The half spectrum of a DFT model whose A x is conjugate-symmetric for
+    every real x: each row i holds the value of half row `pair[i]`, or its
+    conjugate. `rows` (an index array, or a slice where the half rows are
+    the first rows) takes the half rows out of a vector over every row, in
+    the order of the half product, and `c[k]` counts the rows that `pair`
+    maps to k: 2 for a row and its conjugate mirror, 1 for a row whose
+    mirror is itself or also in the half spectrum."""
+
+    rows: NDArray | slice
+    pair: NDArray
+    c: NDArray
+
+
 class ForwardModel:
     """Base class: linear map with scale factor, background, and an optional
     fixed additive offset (the known reference in the canonical-DFT model).
 
     `apply` returns the scaled field including the offset; `apply_linear`
     and `adjoint` are the exact linear/adjoint pair used in all gradient and
-    quadratic-form computations.
+    quadratic-form computations. With `half`, the DFT models (`half` not
+    None) take them over their `HalfSpectrum`: `apply` and `apply_linear`
+    give the half rows of A x for the real part of x, and `adjoint` the real
+    Re(A' v), v the Hermitian extension of a half vector (each mirror row
+    the conjugate of its half row).
     """
 
     rows: int
     cols: int
+    half: HalfSpectrum | None = None
 
     def __init__(
         self,
@@ -97,44 +118,65 @@ class ForwardModel:
         self.offset_raw = None if offset_raw is None else np.asarray(offset_raw, complex)
         self._memo = None  # (scale, {name: value derived from the densified A})
 
-    # subclasses implement the unscaled linear map
+    # subclasses implement the unscaled linear map; those with a `half`
+    # also `_apply_half` (of a float x) and `_adjoint_half` (a float result)
     def _apply(self, x: NDArray) -> NDArray:
         raise NotImplementedError
 
     def _adjoint(self, v: NDArray) -> NDArray:
         raise NotImplementedError
 
-    def _check_x(self, x) -> NDArray:
+    def _check_x(self, x, half: bool = False) -> NDArray:
+        """x as the product takes it: complex, or with `half` its real part."""
         x = np.asarray(x)
         if x.shape != (self.cols,):
             raise ValueError(
                 f"apply: x has shape {x.shape}, operator expects ({self.cols},)"
             )
+        if half:
+            self._half_spectrum()
+            return x.real
         return x.astype(complex, copy=False)
 
-    def apply(self, x: NDArray) -> NDArray:
+    def _half_spectrum(self) -> HalfSpectrum:
+        """`half`; a ValueError on a model without one."""
+        if self.half is None:
+            raise ValueError(f"{type(self).__name__} has no half spectrum")
+        return self.half
+
+    def _linear(self, x, half: bool) -> NDArray:
+        """The unscaled A x, a fresh complex array: over the half spectrum,
+        for x's real part, with `half`."""
+        x = self._check_x(x, half)
+        return self._apply_half(x) if half else self._apply(x)
+
+    def apply(self, x: NDArray, half: bool = False) -> NDArray:
         """Scaled field c * (A x), including the fixed offset if present.
         The offset and the scale act in place on `_apply`'s result, which
         must be a fresh complex array."""
-        out = self._apply(self._check_x(x))
+        out = self._linear(x, half)
         if self.offset_raw is not None:
-            out += self.offset_raw
+            out += self.offset_raw[self.half.rows] if half else self.offset_raw
         out *= self.scale
         return out
 
-    def apply_linear(self, x: NDArray) -> NDArray:
+    def apply_linear(self, x: NDArray, half: bool = False) -> NDArray:
         """Scaled linear part only; the Jacobian action."""
-        out = self._apply(self._check_x(x))
+        out = self._linear(x, half)
         out *= self.scale
         return out
 
-    def adjoint(self, v: NDArray) -> NDArray:
+    def adjoint(self, v: NDArray, half: bool = False) -> NDArray:
+        """scale * A' v; with `half`, the float scale * Re(A' v) of the
+        Hermitian extension of the half vector v."""
         v = np.asarray(v)
-        if v.shape != (self.rows,):
+        rows = self._half_spectrum().c.size if half else self.rows
+        if v.shape != (rows,):
             raise ValueError(
-                f"adjoint: v has shape {v.shape}, operator expects ({self.rows},)"
+                f"adjoint: v has shape {v.shape}, operator expects ({rows},)"
             )
-        return self.scale * self._adjoint(v.astype(complex, copy=False))
+        v = v.astype(complex, copy=False)
+        return self.scale * (self._adjoint_half(v) if half else self._adjoint(v))
 
     def intensities(self, x: NDArray) -> NDArray:
         """Measurement means |c (A x)_i|^2 + b_i."""
@@ -529,6 +571,17 @@ def quad_form(model: ForwardModel, w, field: FieldTag):
     return NormalOp(model, w, field) if op is None else op
 
 
+def _real_array(a, name: str) -> NDArray:
+    """a as floats; a ValueError where an entry has a nonzero imaginary part,
+    which a float cast would drop."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        if np.any(a.imag != 0):
+            raise ValueError(f"{name} must be real")
+        a = a.real
+    return np.asarray(a, dtype=float)
+
+
 def random_gaussian_model(
     rows: int, cols: int, seed: int = 0, background=0.0
 ) -> DenseModel:
@@ -556,7 +609,7 @@ class CanonicalDftModel(ForwardModel):
         scale: float = 1.0,
     ):
         h, w = image_dims
-        reference = np.asarray(reference, dtype=float)
+        reference = _real_array(reference, "reference")
         if reference.ndim != 2 or reference.shape[0] != h:
             raise ValueError("reference height must match image height")
         if not np.all(np.isfinite(reference)):
@@ -580,6 +633,20 @@ class CanonicalDftModel(ForwardModel):
         super().__init__(
             self.fft_dims[0] * self.fft_dims[1], h * w, background, scale, offset
         )
+        self.half_dims = (self.fft_dims[0] // 2 + 1, self.fft_dims[1])
+
+    @cached_property
+    def half(self) -> HalfSpectrum:
+        """Axis 0 halved: grid rows 0..P//2 of P, the first rows, each row's
+        mirror (-p, -q); rows 0 and P/2 (even P) mirror within themselves.
+        Built on first use."""
+        p_len, q_len = self.fft_dims
+        p, q = np.arange(p_len), np.arange(q_len)
+        pair = np.where(p[:, None] < self.half_dims[0], q, -q % q_len)
+        pair += (np.minimum(p, p_len - p) * q_len)[:, None]
+        c = np.full(self.half_dims, 2.0)
+        c[[0, -1] if p_len % 2 == 0 else 0] = 1.0
+        return HalfSpectrum(slice(c.size), pair.ravel(), c.ravel())
 
     def _apply(self, x):
         # the image's columns, then its rows padded: the zero block and the
@@ -592,6 +659,20 @@ class CanonicalDftModel(ForwardModel):
         h, w = self.image_dims
         rows = np.fft.ifft(v.reshape(self.fft_dims), axis=1)[:, :w]
         return (np.fft.ifft(rows, axis=0) * self.rows)[:h].ravel()
+
+    def _apply_half(self, x):
+        # the real transform down the columns, whose half the row transforms
+        # then take; halving axis 1 instead leaves axis 0's full transform
+        # on complex columns, which is slower than the full product
+        cols = np.fft.rfft(x.reshape(self.image_dims), n=self.fft_dims[0], axis=0)
+        return np.fft.fft(cols, n=self.fft_dims[1], axis=1).ravel()
+
+    def _adjoint_half(self, v):
+        # unnormalized inverses ("forward" puts the 1/n on the forward
+        # transform): rows, then the real inverse of the image's columns
+        h, w = self.image_dims
+        rows = np.fft.ifft(v.reshape(self.half_dims), axis=1, norm="forward")[:, :w]
+        return np.fft.irfft(rows, n=self.fft_dims[0], axis=0, norm="forward")[:h].ravel()
 
     def normal_diag(self):
         return np.full(self.cols, self.scale**2 * self.rows)
@@ -609,7 +690,7 @@ class MaskedDftModel(ForwardModel):
     """
 
     def __init__(self, masks: NDArray, background=0.0, scale: float = 1.0):
-        masks = np.asarray(masks, dtype=float)
+        masks = _real_array(masks, "masks")
         if masks.ndim != 2:
             raise ValueError("masks must be an (L, N) array")
         if not np.all(np.isfinite(masks)):
@@ -619,12 +700,34 @@ class MaskedDftModel(ForwardModel):
         self.n_tilde = 2 * n - 1
         super().__init__(self.num_masks * self.n_tilde, n, background, scale)
 
+    @cached_property
+    def half(self) -> HalfSpectrum:
+        """Each block's frequencies 0..N-1 of 2N-1, the rest mirroring
+        1..N-1; frequency 0 is its own mirror. Built on first use."""
+        n, block = self.cols, np.arange(self.num_masks)[:, None]
+        k = np.arange(self.n_tilde)
+        c = np.full((self.num_masks, n), 2.0)
+        c[:, 0] = 1.0
+        return HalfSpectrum((block * self.n_tilde + k[:n]).ravel(),
+                            (block * n + np.minimum(k, self.n_tilde - k)).ravel(),
+                            c.ravel())
+
     def _apply(self, x):
         return np.fft.fft(self.masks * x[None, :], n=self.n_tilde, axis=1).ravel()
 
     def _adjoint(self, v):
         blocks = v.reshape(self.num_masks, self.n_tilde)
         w = np.fft.ifft(blocks, axis=1) * self.n_tilde
+        return np.sum(self.masks * w[:, : self.cols], axis=0)
+
+    def _apply_half(self, x):
+        return np.fft.rfft(self.masks * x[None, :], n=self.n_tilde, axis=1).ravel()
+
+    def _adjoint_half(self, v):
+        # the unnormalized real inverse ("forward" puts the 1/n on the
+        # forward transform)
+        blocks = v.reshape(self.num_masks, self.cols)
+        w = np.fft.irfft(blocks, n=self.n_tilde, axis=1, norm="forward")
         return np.sum(self.masks * w[:, : self.cols], axis=0)
 
     def normal_diag(self):

@@ -53,14 +53,15 @@ def step_fisher(
     weights: NDArray | None = None,
 ) -> tuple[float, NDArray]:
     """(mu, d): mu = ||grad||^2 / (d' D1 d + beta (T grad)' D2 (T grad)),
-    d = A grad (`apply_linear`), D1 the marginal Fisher diag; with `reg`, the
+    d = A grad over the objective's rows (`forward_linear`), D1 its
+    `fisher_diag`; with `reg`, the
     penalty term is `reg.curvature` along grad for D2 = `weights`, the Huber
     majorizer weights at x (`RegularizedObjective.gradient_and_weights`
     returns them with the gradient)."""
     gnorm2 = float(np.sum(np.abs(grad) ** 2))
     if gnorm2 == 0.0:
         raise DegenerateIterateError("zero gradient")
-    d = obj.model.apply_linear(grad)
+    d = obj.forward_linear(grad)
     d1 = obj.fisher_diag(obj.forward(x))
     denom = float(np.sum(d1 * np.abs(d) ** 2))
     if reg is not None:
@@ -96,9 +97,9 @@ def gaussian_line_coeffs(
     obj: GaussianObjective, x: NDArray, grad: NDArray
 ) -> tuple[tuple[float, float, float, float, float], NDArray]:
     """((a0..a4), w): the coefficients of the quartic mu -> g(x - mu*grad),
-    and w = A grad (`apply_linear`), from which they are formed."""
+    and w = A grad (`forward_linear`), from which they are formed."""
     u = obj.forward(x)
-    w = obj.model.apply_linear(grad)
+    w = obj.forward_linear(grad)
     r = obj.y - obj.b - np.abs(u) ** 2
     c = np.real(np.conj(u) * w)
     w2 = np.abs(w) ** 2
@@ -196,8 +197,15 @@ def run_wf(
     truncation mask (and, off a `DenseModel`, its Poisson cost and gradient)
     read it without an `apply`; an iterate the projection moved gets its
     product from `apply` when one of them reads it.
+
+    The products, costs and gradients take the objective's rows: the half
+    spectrum of a real-field DFT model (`PoissonObjective`), every row
+    elsewhere. A truncation mask is per row, so with `trunc` the run takes
+    every row (`full_rows`).
     """
     rule = rule or StepRule()
+    if trunc is not None:
+        obj = obj.full_rows()
     field = obj.field
     cost = RegularizedObjective(obj, reg)
     last = [None, 0.0]  # the last iterate costed, shared by the guard and the trace

@@ -40,12 +40,15 @@ def instance(field=FieldTag.REAL_NONNEGATIVE, noise_model=PoissonObjective):
 
 
 def count_calls(model) -> Counter:
-    """Shadow the model's operator methods with counting instance attributes."""
+    """Shadow the model's operator methods with counting instance attributes,
+    which pass keyword arguments on; a product over the half spectrum
+    (`half=True`) counts under its name with " half" appended, apart from
+    the full-row ones."""
     counts = Counter()
     for name in ("apply", "apply_linear", "adjoint", "densify"):
-        def counted(*args, _fn=getattr(model, name), _name=name):
-            counts[_name] += 1
-            return _fn(*args)
+        def counted(*args, _fn=getattr(model, name), _name=name, **kwargs):
+            counts[_name + " half" if kwargs.get("half") else _name] += 1
+            return _fn(*args, **kwargs)
         setattr(model, name, counted)
     return counts
 
@@ -364,11 +367,48 @@ def test_unregularized_mm_cg_makes_no_operator_call(kind, monkeypatch):
     # the canonical one, the clamp guard's included; 240 and 201 at INNER_TOL
     assert products["gram"] < 7 * ITERS
     # build_majorizer's forward product (remembered from the last cost) and
-    # gradient adjoint; the clamp guard multiplies by the Gram
-    assert counts["apply"] <= ITERS + 1
-    assert counts["adjoint"] == ITERS
-    assert counts["apply_linear"] == 0
+    # gradient adjoint, both over the half spectrum of the real field; the
+    # clamp guard multiplies by the Gram
+    assert counts["apply half"] <= ITERS + 1
+    assert counts["adjoint half"] == ITERS
+    assert counts["apply"] == counts["adjoint"] == 0
+    assert counts["apply_linear"] == counts["apply_linear half"] == 0
     assert counts["densify"] == 0
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.REAL_NONNEGATIVE])
+@pytest.mark.parametrize("kind", ["masked", "canonical"])
+def test_folded_wf_fisher_makes_only_half_products(kind, field, monkeypatch):
+    obj, x0 = fft_instance(kind, field)
+    assert obj.half is obj.model.half
+    reg = HuberTV(2.0, 0.1, DiffOp(obj.model.cols, dims=getattr(obj.model, "image_dims",
+                                                                   None)))
+    counts = count_calls(obj.model)
+    moved = count_moved(monkeypatch)
+    state = run_wf(obj, x0, ITERS, reg=reg)
+    assert state.status == "ok" and len(state.trace) == ITERS
+    assert not state.warnings
+    assert counts["apply"] == counts["apply_linear"] == counts["adjoint"] == 0
+    # the start's half product, then one per iterate the orthant clamp moved,
+    # whose cost reads it; an unclamped iterate's is A x - mu A grad
+    assert counts["apply half"] == 1 + sum(moved)
+    assert counts["apply_linear half"] == counts["adjoint half"] == ITERS
+    if field is FieldTag.REAL:
+        assert not any(moved) and counts["apply half"] == 1
+
+
+@pytest.mark.parametrize("kind", ["masked", "canonical"])
+def test_dft_admm_takes_every_row(kind):
+    obj, x0 = fft_instance(kind)
+    assert obj.half is not None
+    counts = count_calls(obj.model)
+    state = run_admm(obj, x0, ITERS)
+    assert state.status == "ok" and len(state.trace) == ITERS
+    # one full apply per iterate and one full adjoint per x-update, whose
+    # half rows the trace cost reads; no half product
+    assert counts["apply"] == ITERS + 1 and counts["adjoint"] == ITERS
+    assert counts["apply half"] == counts["adjoint half"] == 0
+    assert counts["apply_linear"] == counts["apply_linear half"] == 0
 
 
 def test_masked_dft_admm_makes_one_apply_and_one_adjoint_per_iteration():

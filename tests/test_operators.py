@@ -652,6 +652,31 @@ class TestDftModelInput:
         model = CanonicalDftModel((4, 3), np.ones((4, 2)), pad_width=0)
         assert model.concat_dims == (4, 5)
 
+    @pytest.mark.parametrize("imag", [1.0, 1e-300])
+    def test_complex_masks_rejected(self, imag):
+        # a float cast would keep the real part alone, with a warning
+        masks = np.ones((2, 4)) + 0j
+        masks[1, 2] += 1j * imag
+        with pytest.raises(ValueError, match="masks must be real"):
+            MaskedDftModel(masks)
+        with pytest.raises(ValueError, match="masks must be real"):
+            MaskedDftModel(np.ones((2, 4)) * (1 + 1j))
+
+    @pytest.mark.parametrize("imag", [1.0, 1e-300])
+    def test_complex_reference_rejected(self, imag):
+        ref = np.ones((4, 2)) + 0j
+        ref[3, 0] += 1j * imag
+        with pytest.raises(ValueError, match="reference must be real"):
+            CanonicalDftModel((4, 3), ref)
+
+    def test_a_complex_dtype_with_zero_imaginary_parts_is_real(self):
+        masks = make_masks(3, 6, seed=0)
+        model = MaskedDftModel(masks + 0j)
+        assert model.masks.dtype == float and np.array_equal(model.masks, masks)
+        ref = np.ones((4, 2))
+        model = CanonicalDftModel((4, 3), ref + 0j)
+        assert model.reference.dtype == float and np.array_equal(model.reference, ref)
+
 
 class TestCalibrateScale:
     def test_identity_two_ones(self):
