@@ -88,7 +88,7 @@ class PoissonObjective:
             self.c, counts, self.b_rows = 1.0, self.y, self.b
         else:
             self.c = half.c
-            counts = np.bincount(half.pair, weights=self.y, minlength=half.c.size)
+            counts = half.fold(self.y)
             self.b_rows = self.b[half.rows]
         self.positive = np.flatnonzero(counts > 0)  # P, the rows with a positive count
         self._count_pos = counts[self.positive]  # (c ybar)_P, each pair's summed count
@@ -129,15 +129,6 @@ class PoissonObjective:
     def forward_linear(self, p: NDArray) -> NDArray:
         """model.apply_linear(p) over the objective's rows."""
         return self.model.apply_linear(p, half=self.half is not None)
-
-    def forward_every_row(self, x: NDArray) -> NDArray:
-        """model.apply(x) over every row, whose rows of the objective become
-        `forward(x)`'s memo; `forward(x)` itself where those are every row."""
-        if self.half is None:
-            return self.forward(x)
-        ax = self.model.apply(x)
-        self.remember(x, ax[self.half.rows])
-        return ax
 
     def remember(self, x: NDArray, ax: NDArray) -> NDArray:
         """Keep `ax`, made read-only, as `forward(x)` until the next miss or

@@ -74,11 +74,44 @@ class HalfSpectrum:
     the first rows) takes the half rows out of a vector over every row, in
     the order of the half product, and `c[k]` counts the rows that `pair`
     maps to k: 2 for a row and its conjugate mirror, 1 for a row whose
-    mirror is itself or also in the half spectrum."""
+    mirror is itself or also in the half spectrum.
+
+    `extend` and `fold` are exact maps between a half vector and one over
+    every row: `extend(apply(x, half=True))` is `apply(x)`, and
+    `adjoint(fold(u) / c, half=True)` is Re(A'u) for any u, both to
+    rounding. Each half row has at most one mirror row (a row outside
+    `rows`), so a fold sums at most two terms."""
 
     rows: NDArray | slice
     pair: NDArray
     c: NDArray
+
+    @cached_property
+    def _mirrors(self) -> tuple[NDArray, NDArray, NDArray]:
+        """(`rows` as an index array, the mirror rows, the half row `pair`
+        maps each mirror row to)."""
+        mirror = np.ones(self.pair.size, bool)
+        mirror[self.rows] = False
+        mirror = np.flatnonzero(mirror)
+        return np.arange(self.pair.size)[self.rows], mirror, self.pair[mirror]
+
+    def extend(self, h: NDArray) -> NDArray:
+        """The vector over every row whose row i is h[pair[i]], conjugated on
+        the mirror rows; a fresh array."""
+        _, mirror, mate = self._mirrors
+        out = np.empty(self.pair.size, h.dtype)
+        out[self.rows] = h
+        out[mirror] = h[mate].conj()
+        return out
+
+    def fold(self, u: NDArray) -> NDArray:
+        """The half vector whose row k sums the rows of u that `pair` maps
+        to k, a mirror row's conjugated; a fresh array, real for a real u,
+        where it is `np.bincount(pair, weights=u)` bit for bit."""
+        rows, mirror, mate = self._mirrors
+        out = u[rows]
+        out[mate] += u[mirror].conj()
+        return out
 
 
 class ForwardModel:
@@ -193,14 +226,24 @@ class ForwardModel:
 
     def memo(self) -> dict:
         """Values derived from the densified A (A'A and its extreme
-        eigenvalues, `DenseModel`'s A itself), kept on the model, so they die
+        eigenvalues, the densified A itself), kept on the model, so they die
         with it, and emptied when `scale` changes."""
         if self._memo is None or self._memo[0] != self.scale:
             self._memo = (self.scale, {})
         return self._memo[-1]
 
     def densify(self) -> NDArray:
-        """Explicit (rows, cols) matrix of the linear part, for small-N oracles."""
+        """Explicit (rows, cols) matrix of the linear part (`_densify`'s),
+        read-only and remembered in `memo`, so that a Gram formed on every
+        MM outer iteration densifies A once per model."""
+        memo = self.memo()
+        if "a" not in memo:
+            memo["a"] = self._densify()
+            memo["a"].flags.writeable = False
+        return memo["a"]
+
+    def _densify(self) -> NDArray:
+        """A, column by column from `apply_linear`."""
         cols = []
         for j in range(self.cols):
             e = np.zeros(self.cols, dtype=complex)
@@ -235,15 +278,11 @@ class DenseModel(ForwardModel):
             memo = self._memo = (self.scale, self.entries, {})
         return memo[-1]
 
-    def densify(self) -> NDArray:
-        """scale * entries, read-only and remembered in `memo` (a fresh M x N
-        copy per call costs page faults on the order of the Gram product that
-        reads it)."""
-        memo = self.memo()
-        if "a" not in memo:
-            memo["a"] = self.scale * self.entries
-            memo["a"].flags.writeable = False
-        return memo["a"]
+    def _densify(self) -> NDArray:
+        """scale * entries (`densify` remembers it: a fresh M x N copy per
+        call costs page faults on the order of the Gram product that reads
+        it)."""
+        return self.scale * self.entries
 
 
 # normal equations with at most DIRECT_MAX_COLS unknowns are formed explicitly

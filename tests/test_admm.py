@@ -6,6 +6,7 @@ from oracles import admm_full_rows
 
 from poisson_pr import admm, operators
 from poisson_pr.admm import (
+    MagnitudeCubic,
     run_admm,
     update_dual,
     update_v,
@@ -196,6 +197,29 @@ class TestMagnitudeBpos:
         assert isinstance(update_v_magnitude_bpos(2.0, 1.0, 0.1, 8.0), float)
         v = update_v(np.zeros(0, complex), np.zeros(0, complex), np.zeros(0), np.zeros(0), 8.0)
         assert v.shape == (0,)
+
+    def test_a_cubic_set_up_once_gives_each_update_bit_for_bit(self):
+        # `run_admm` sets the cubic up once per run: each update equals the
+        # cubic's largest root taken with every coefficient formed per call,
+        # in the same order, bit for bit
+        rng = np.random.default_rng(11)
+        y = rng.poisson(0.5, 200).astype(float)
+        b = rng.uniform(0.0, 0.3, 200)
+        rho = 8.0
+        cubic = MagnitudeCubic.of(y, b, rho, y.shape)
+        pos = np.flatnonzero(y > 0)
+        for _ in range(3):
+            t = np.abs(rng.standard_normal(200))
+            tp, yp, bp = t[pos], y[pos], b[pos]
+            want = rho * t / (2.0 + rho)
+            want[pos] = cubic_largest_root(2.0 + rho, -rho * tp, 2.0 * bp - 2.0 * yp + rho * bp,
+                                           -rho * bp * tp)
+            assert update_v_magnitude_bpos(t, cubic).tobytes() == want.tobytes()
+            assert update_v_magnitude_bpos(t, y, b, rho).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="set up for shape"):
+            update_v_magnitude_bpos(np.ones(3), cubic)
+        with pytest.raises(ValueError, match="b >= 0"):
+            MagnitudeCubic.of(y, -b, rho, y.shape)
 
     def test_all_zero_counts_solve_no_cubic(self, monkeypatch):
         calls = []

@@ -18,7 +18,9 @@ from poisson_pr.operators import (
     DenseModel,
     FieldTag,
     ForwardModel,
+    MaskedDftModel,
     calibrate_scale,
+    make_masks,
     random_gaussian_model,
     simulate_poisson,
 )
@@ -404,10 +406,12 @@ def test_dft_admm_takes_every_row(kind):
     counts = count_calls(obj.model)
     state = run_admm(obj, x0, ITERS)
     assert state.status == "ok" and len(state.trace) == ITERS
-    # one full apply per iterate and one full adjoint per x-update, whose
-    # half rows the trace cost reads; no half product
-    assert counts["apply"] == ITERS + 1 and counts["adjoint"] == ITERS
-    assert counts["apply half"] == counts["adjoint half"] == 0
+    # the split keeps every row, each row's A x the extension of the half
+    # product, which the trace cost reads too: the start's and one per
+    # iterate; one half adjoint of the folded residual per x-update; no
+    # full-row product
+    assert counts["apply half"] == ITERS + 1 and counts["adjoint half"] == ITERS
+    assert counts["apply"] == counts["adjoint"] == 0
     assert counts["apply_linear"] == counts["apply_linear half"] == 0
 
 
@@ -416,12 +420,43 @@ def test_masked_dft_admm_makes_one_apply_and_one_adjoint_per_iteration():
     counts = count_calls(obj.model)
     state = run_admm(obj, x0, ITERS)
     assert state.status == "ok" and len(state.trace) == ITERS
-    # the split keeps every row: the start's forward product and one per
-    # iterate, which the trace cost reads too; one adjoint per x-update, and
-    # none for a residual, since the penalty is fixed; A'A is diagonal
-    assert counts["apply"] == ITERS + 1
-    assert counts["adjoint"] == ITERS
+    # the start's half forward product and one per iterate, which the trace
+    # cost reads too; one half adjoint per x-update, and none for a
+    # residual, since the penalty is fixed; A'A is diagonal
+    assert counts["apply half"] == ITERS + 1
+    assert counts["adjoint half"] == ITERS
+    assert counts["apply"] == counts["adjoint"] == 0
     assert counts["apply_linear"] == counts["densify"] == 0
+
+
+@pytest.mark.parametrize("kind", ["masked", "canonical"])
+def test_complex_dft_admm_makes_one_full_apply_and_adjoint_per_iteration(kind):
+    obj, x0 = fft_instance(kind, FieldTag.COMPLEX)
+    assert obj.half is None
+    counts = count_calls(obj.model)
+    state = run_admm(obj, x0, ITERS)
+    assert state.status == "ok" and len(state.trace) == ITERS
+    # a complex field does not fold: the same products over every row
+    assert counts["apply"] == ITERS + 1 and counts["adjoint"] == ITERS
+    assert counts["apply half"] == counts["adjoint half"] == 0
+    assert counts["apply_linear"] == counts["densify"] == 0
+
+
+def test_narrow_dft_mm_densifies_once_per_run():
+    # at most DIRECT_MAX_COLS columns, the initializer's Gram and each MM
+    # Gram are `gram`'s, from the densified A, which the model remembers:
+    # densifying it again on every outer iteration took N `apply_linear`
+    # products each time, 120 over these 10 iterations
+    model = MaskedDftModel(make_masks(4, 12, seed=1), background=0.1)
+    sig = blocks(12, seed=0)
+    calibrate_scale(model, sig.values, 0.25)
+    obj = PoissonObjective(model, simulate_poisson(model, sig.values, 2).y, field=sig.field)
+    counts = count_calls(model)
+    x0 = initialize(model, obj.y, field=sig.field, iters=50, seed=0)
+    state = run_mm(obj, x0, 10)
+    assert state.status == "ok" and len(state.trace) == 10
+    assert counts["densify"] == 1 + 10
+    assert counts["apply_linear"] == model.cols
 
 
 class TestForwardMemo:
@@ -482,7 +517,7 @@ def test_dense_fast_paths_match_the_generic_ones_bit_for_bit(shape):
     rng = np.random.default_rng(sum(shape))
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     model = DenseModel(a, scale=0.37)
-    assert model.densify().tobytes() == ForwardModel.densify(model).tobytes()
+    assert model.densify().tobytes() == ForwardModel._densify(model).tobytes()
     v = rng.standard_normal(shape[0]) + 1j * rng.standard_normal(shape[0])
     expected = model.scale * (model.entries.conj().T @ v)
     assert model.adjoint(v).tobytes() == expected.tobytes()

@@ -195,7 +195,7 @@ def gram_weights(kind, rows):
 
 def explicit_gram(model, w, field):
     """A'diag(w)A from a freshly densified A, the real part for real fields."""
-    a = ForwardModel.densify(model)
+    a = ForwardModel._densify(model)
     h = a.conj().T @ (np.reshape(w, (-1, 1)) * a)
     return h.real if field.is_real else h
 
