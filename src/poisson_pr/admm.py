@@ -17,7 +17,7 @@ from .mm import minimize_quad_plus_huber
 from .numerics import cg_solve, cubic_largest_root  # noqa: F401
 from .numerics import lanczos_top as power_method  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
-from .operators import FieldTag, ForwardModel, SignalVector, quad_form, realify
+from .operators import FieldTag, ForwardModel, SignalVector, in_field, quad_form, realify
 from .wf import DegenerateIterateError, iterate
 
 
@@ -202,10 +202,11 @@ def run_admm(
             return model.adjoint(half.fold(r) * inv_c, half=True)
     rho = check_rho0(rho0)
     cubic = MagnitudeCubic.of(y, b, rho, y.shape)
-    ax = forward(x0.values)
+    x0 = in_field(x0.values, field)
+    ax = forward(x0)
     v = ax.copy()
     eta = v - ax  # zero by initialization
-    omega = np.zeros(model.cols, dtype=complex)  # v_Z = A_Z x0, eta_Z = 0
+    omega = np.zeros_like(x0)  # v_Z = A_Z x0, eta_Z = 0
     quad = quad_form(model, rho, field)
 
     def step(k, x, warnings):
@@ -215,9 +216,7 @@ def run_admm(
         if g_z is not None:
             d = x - omega
             z = rho / (2.0 + rho) * d
-            # rho G_Z (x - z - omega); a real G_Z takes the real d of a real
-            # field, not a complex cast of itself
-            rest = (2.0 * rho / (2.0 + rho)) * (g_z @ (d.real if field.is_real else d))
+            rest = (2.0 * rho / (2.0 + rho)) * (g_z @ d)  # rho G_Z (x - z - omega)
         x = update_x(model, ax, v, eta, field=field, x0=x, reg=reg, rho=rho, quad=quad,
                      adjoint=adjoint, rest=rest)
         ax = forward(x)
@@ -226,4 +225,4 @@ def run_admm(
             omega = omega + z - x
         return x
 
-    return iterate(step, x0.values, n_iters, RegularizedObjective(obj, reg).cost, x_true)
+    return iterate(step, x0, n_iters, RegularizedObjective(obj, reg).cost, x_true)

@@ -8,6 +8,7 @@ from numpy.typing import NDArray
 from .init_eval import RunState
 from .numerics import lbfgs_minimize
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
+from .operators import in_field
 from .wf import iterate
 
 
@@ -24,7 +25,8 @@ def run_lbfgs(
     `lbfgs_minimize`) the rows repeat its cost to the end of the budget, and
     one warning names the iteration where it was first held."""
     cost = RegularizedObjective(obj, reg)
-    steps = lbfgs_minimize(lambda z: (cost.cost(z), cost.gradient(z)), x0.values)
+    x0 = in_field(x0.values, obj.field)
+    steps = lbfgs_minimize(lambda z: (cost.cost(z), cost.gradient(z)), x0)
     f = None
     held = False
 
@@ -37,4 +39,4 @@ def run_lbfgs(
             warnings.append(f"iter {k}: LBFGS search found no lower cost; iterate held")
         return x_new
 
-    return iterate(step, x0.values, n_iters, lambda z: f, x_true)
+    return iterate(step, x0, n_iters, lambda z: f, x_true)

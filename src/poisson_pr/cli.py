@@ -199,7 +199,7 @@ def build_signal(cfg: dict) -> SignalVector:
         sig = disk(*_dims(cfg["dims"], "signal.dims"))
     else:  # pgm
         img = load_pgm(_path(cfg["path"], "signal.path"))
-        sig = SignalVector(img.ravel().astype(complex), field=field, dims=img.shape)
+        sig = SignalVector(img.ravel(), field=field, dims=img.shape)
     if field is not sig.field:
         sig = SignalVector(sig.values, field=field, dims=sig.dims)
     return sig
@@ -226,7 +226,7 @@ def build_model(cfg: dict, signal: SignalVector, background: float):
         if signal.dims is None:
             raise ConfigError("canonical_dft needs an image-shaped signal")
         if cfg["reference_path"] is None:
-            ref = disk(*signal.dims).values.real.reshape(signal.dims)
+            ref = disk(*signal.dims).values.reshape(signal.dims)
         else:
             ref = load_pgm(_path(cfg["reference_path"], "model.reference_path"))
         return CanonicalDftModel(

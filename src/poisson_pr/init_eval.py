@@ -12,7 +12,7 @@ from numpy.typing import NDArray
 # tracer wraps it at this name, and `spectral_init` calls it here, until the
 # benchmark change renames the patch point (ROADMAP item 7)
 from .numerics import lanczos_top as power_method
-from .operators import FieldTag, ForwardModel, SignalVector, quad_form, realify
+from .operators import FieldTag, ForwardModel, SignalVector, in_field, quad_form
 
 PSNR_CAP_DB = 300.0
 
@@ -61,7 +61,7 @@ def scale_fit(model: ForwardModel, y: NDArray, x0: NDArray) -> tuple[float, list
     Closed form sqrt((y - b)' |Ax0|^2) / ||Ax0||_4^2; clipped to 0 with a
     warning when the weighted residual sum is negative.
     """
-    ax = model.apply(np.asarray(x0, complex))
+    ax = model.apply(x0)
     a2 = np.abs(ax) ** 2
     denom = float(np.sum(a2**2))
     if denom == 0.0:
@@ -73,11 +73,10 @@ def scale_fit(model: ForwardModel, y: NDArray, x0: NDArray) -> tuple[float, list
 
 
 def finalize_init(x0: NDArray, alpha: float, field: FieldTag) -> NDArray:
-    """alpha*x0, elementwise-absolute for real-nonnegative signals."""
-    scaled = alpha * np.asarray(x0, complex)
-    if field is FieldTag.REAL_NONNEGATIVE:
-        return np.abs(scaled).astype(complex)
-    return realify(scaled, field)
+    """alpha*x0 in the field's dtype: its modulus for real-nonnegative
+    signals, its real part for real ones."""
+    scaled = alpha * np.asarray(x0)
+    return np.abs(scaled) if field is FieldTag.REAL_NONNEGATIVE else in_field(scaled, field)
 
 
 def initialize(
@@ -100,7 +99,7 @@ def phase_correct(x_hat: NDArray, x_true: NDArray) -> NDArray:
     """Remove the global phase: sign(<x_hat, x_true>) x_hat, sign(0) := 1."""
     ip = np.vdot(x_hat, x_true)
     s = ip / abs(ip) if abs(ip) > 0 else 1.0
-    return s * np.asarray(x_hat, complex)
+    return s * np.asarray(x_hat)
 
 
 def error_metrics(x_true: NDArray, peak: float | None = None):

@@ -16,7 +16,7 @@ from .init_eval import RunState
 from .numerics import DegenerateIterateError, cg_solve, real_dot  # noqa: F401
 from .numerics import lanczos_top as power_method  # noqa: F401
 from .objectives import HuberTV, PoissonObjective, RegularizedObjective
-from .operators import DenseGram, FieldTag, SignalVector, project_field, quad_form
+from .operators import DenseGram, FieldTag, SignalVector, in_field, project_field, quad_form
 from .wf import iterate
 
 
@@ -136,16 +136,16 @@ def minimize_dense_nonnegative(quad: DenseGram, c: NDArray, x0: NDArray,
     def value(z):
         return 0.5 * z @ (quad @ z) - c @ z + reg.beta * reg.value(z)
 
-    x = np.maximum(x0.real, 0.0)
+    x = np.maximum(x0, 0.0)
     f = value(x)
     stop = INNER_TOL * max(1.0, np.linalg.norm(c))
     for _ in range(HQ_STEPS):
         d = reg.weights(x)
-        majorizer = DenseGram(quad.h + reg.curvature_matrix(d), quad.field)
+        majorizer = DenseGram(quad.h + reg.curvature_matrix(d))
         g = majorizer @ x - c
         if np.linalg.norm(np.minimum(x, g)) <= stop:
             break
-        newton = DenseGram(quad.h + reg.hessian_matrix(d), quad.field)
+        newton = DenseGram(quad.h + reg.hessian_matrix(d))
         try:
             z = newton.solve_nonnegative(newton @ x - g, x)
             fz = value(z)
@@ -164,7 +164,8 @@ def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | No
     """The x-subproblem of MM and ADMM, the one place that keeps a step in its
     field: minimize F(x) = Re<grad, x - x0> + 1/2 (x - x0)'Q(x - x0)
     [+ beta 1'h.(Tx; alpha)] over the field, Q a `quad_form`, grad F's
-    gradient at x0 without the penalty; the result is complex.
+    gradient at x0 without the penalty; x0, grad and the result have the
+    field's dtype, float64 on a real field.
 
     - No penalty (reg None): x0 - Q^{-1} grad by `quad.solve`, projected onto
       the field. Where clamping onto the orthant raises F above F(x0), the
@@ -173,13 +174,12 @@ def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | No
       is called.
     - A penalty on the orthant with Q a `DenseGram`: the exact
       `minimize_dense_nonnegative`, so F does not rise.
-    - A penalty otherwise: nonlinear CG, in float64 for real fields. Its
-      line-search steps minimize a quadratic upper bound along the search
-      direction: `reg.majorize` forms the Huber majorizer weights D of Tx
-      with the penalty gradient beta T'(D Tx) once per iterate, and
-      `reg.curvature` adds beta (Tp)' D (Tp) to the step's denominator. On
-      the orthant it clamps negatives after each step, which can break
-      descent.
+    - A penalty otherwise: nonlinear CG. Its line-search steps minimize a
+      quadratic upper bound along the search direction: `reg.majorize`
+      forms the Huber majorizer weights D of Tx with the penalty gradient
+      beta T'(D Tx) once per iterate, and `reg.curvature` adds
+      beta (Tp)' D (Tp) to the step's denominator. On the orthant it clamps
+      negatives after each step, which can break descent.
 
     `quad.solve` (where it runs CG) and the nonlinear CG stop after
     INNER_ITERS iterations, `quad.solve` at the relative tolerance `tol` and
@@ -190,7 +190,7 @@ def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | No
     if reg is None:
         z = x0 - quad.solve(grad, INNER_ITERS, tol)
         x = project_field(z, field)
-        if field is not FieldTag.REAL_NONNEGATIVE or not np.any(z.real < 0):
+        if field is not FieldTag.REAL_NONNEGATIVE or not np.any(z < 0):
             return x
         # F(x0 + t p) = F(x0) + t slope + t^2 curv / 2
         p = x - x0
@@ -202,9 +202,8 @@ def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | No
         return project_field(x0 + t * p, field)
     lin = quad @ x0 - grad
     if type(quad) is DenseGram and field is FieldTag.REAL_NONNEGATIVE:
-        return minimize_dense_nonnegative(quad, lin.real, x0, reg).astype(complex)
-    dot = np.dot if field.is_real else real_dot
-    lin, x = (lin.real, x0.real) if field.is_real else (lin, x0)
+        return minimize_dense_nonnegative(quad, lin, x0, reg)
+    x = x0
 
     def grad_weights(z):
         d, g_reg = reg.majorize(z)
@@ -212,26 +211,24 @@ def minimize_quad_plus_huber(quad, grad: NDArray, x0: NDArray, reg: HuberTV | No
 
     g, d = grad_weights(x)
     p = -g
-    g2 = dot(g, g)
+    g2 = real_dot(g, g)
     stop = INNER_TOL * max(1.0, np.linalg.norm(lin))
     for _ in range(INNER_ITERS):
         if np.sqrt(g2) <= stop:
             break
-        denom = dot(p, quad @ p) + reg.curvature(d, p)
+        denom = real_dot(p, quad @ p) + reg.curvature(d, p)
         if denom <= 0:
             break
-        mu = -dot(g, p) / denom
-        x = x + mu * p
-        if field is FieldTag.REAL_NONNEGATIVE:
-            x = np.maximum(x, 0.0)
+        mu = -real_dot(g, p) / denom
+        x = project_field(x + mu * p, field)
         g_new, d = grad_weights(x)
-        g2_new = dot(g_new, g_new)
-        beta_pr = max(0.0, (g2_new - dot(g_new, g)) / g2)  # Polak-Ribiere+
+        g2_new = real_dot(g_new, g_new)
+        beta_pr = max(0.0, (g2_new - real_dot(g_new, g)) / g2)  # Polak-Ribiere+
         p = -g_new + beta_pr * p
-        if dot(g_new, p) >= 0:
+        if real_dot(g_new, p) >= 0:
             p = -g_new
         g, g2 = g_new, g2_new
-    return np.array(x, dtype=complex)
+    return x
 
 
 def run_mm(
@@ -254,4 +251,5 @@ def run_mm(
             return mm_update_unregularized(ctx)
         return minimize_quad_plus_huber(ctx.quad_op, ctx.grad, ctx.x_k, reg, ctx.field)
 
-    return iterate(step, x0.values, n_outer, RegularizedObjective(obj, reg).cost, x_true)
+    return iterate(step, in_field(x0.values, obj.field), n_outer,
+                   RegularizedObjective(obj, reg).cost, x_true)

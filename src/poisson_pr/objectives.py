@@ -53,7 +53,8 @@ class PoissonObjective:
     gradient 2s, less 2 ybar_P s_P / (|s_P|^2 + b_P) on P (`marginal_grad`),
     whose division is taken on P alone. A zero rate on a zero count is no
     error there (its marginal gradient is 2s); on P it is. On a real field x
-    is real, and A'A is Re(A'A).
+    and the gradient are float64, and A'A is Re(A'A). The counts must be
+    finite and nonnegative (a ValueError otherwise, as in `MeasurementSet`).
     """
 
     def __init__(self, model: ForwardModel, y: NDArray, field: FieldTag = FieldTag.COMPLEX):
@@ -62,6 +63,8 @@ class PoissonObjective:
             raise ValueError(
                 f"measurements have shape {y.shape}, model has {model.rows} rows"
             )
+        if not np.all(np.isfinite(y) & (y >= 0)):
+            raise ValueError("measurements must be finite and nonnegative")
         self.model = model
         self.y = y
         self.b = model.background
@@ -166,8 +169,7 @@ class PoissonObjective:
         if split is None:
             return None
         a_p, h = split
-        g_p = a_p.conj().T @ a_p
-        return a_p, h - (g_p.real if self.field.is_real else g_p)
+        return a_p, h - realify(a_p.conj().T @ a_p, self.field)
 
     def positive_forward(self, x: NDArray) -> NDArray:
         """s_P = (A x)_P. On a `DenseModel` it is A_P x, read-only, the last
@@ -181,7 +183,7 @@ class PoissonObjective:
         memo = self._pos_memo
         if memo is not None and memo[1] is a_p and _same(memo[0], x):
             return memo[2]
-        s = a_p @ np.asarray(x, dtype=complex)
+        s = a_p @ x
         s.flags.writeable = False
         self._pos_memo = (np.array(x, copy=True), a_p, s)
         return s
@@ -202,12 +204,7 @@ class PoissonObjective:
             rate = self._positive_rate(s[self.positive], "psi")
         else:
             rate = self._positive_rate(self.positive_forward(x), "psi")
-            h = split[1]
-            x = np.asarray(x)
-            if self.field.is_real:
-                quad = x.real @ (h @ x.real)
-            else:
-                quad = np.vdot(x, h @ x).real
+            quad = np.vdot(x, split[1] @ x).real
         return float(quad + self._sum_b - self._count_pos @ np.log(rate))
 
     def marginal_grad(self, v: NDArray) -> NDArray:
@@ -221,8 +218,9 @@ class PoissonObjective:
         return mg
 
     def gradient(self, x: NDArray, keep: NDArray | None = None) -> NDArray:
-        """A' psi_dot(Ax), field-projected (Re(A' psi_dot) from the half rows
-        of a half spectrum); rows outside the boolean mask `keep` contribute
+        """A' psi_dot(Ax) in the field's dtype, its float real part on a real
+        field (from the half rows of a half spectrum, whose `adjoint` gives
+        Re(A' psi_dot) alone); rows outside the boolean mask `keep` contribute
         nothing. On a `DenseModel` it is
         2(A'A)x - A_P'(2 y_P s_P / (|s_P|^2 + b_P)) - A_D' psi_dot((Ax)_D),
         D the rows `keep` drops, psi_dot((Ax)_D) the rows D of `marginal_grad`
@@ -246,10 +244,7 @@ class PoissonObjective:
         if len(drop):
             mg = self.marginal_grad(self.forward(x))[drop]
             back = back + mg.conj() @ self.model.densify()[drop]
-        x = np.asarray(x)
-        if self.field.is_real:
-            return (2.0 * (h @ x.real) - back.real).astype(complex)
-        return 2.0 * (h @ x) - back.conj()
+        return 2.0 * (h @ x) - realify(back.conj(), self.field)
 
     def fisher_diag(self, v: NDArray) -> NDArray:
         """c times the marginal Fisher information at v = A x, one entry per
@@ -446,4 +441,4 @@ class RegularizedObjective:
         if self.reg is None:
             return g, None
         d, g_reg = self.reg.majorize(x)
-        return realify(g + g_reg, self.data.field), d
+        return g + g_reg, d

@@ -33,19 +33,22 @@ class FieldTag(enum.Enum):
 
 @dataclass
 class SignalVector:
-    """The unknown signal with its field tag and optional image shape."""
+    """The unknown signal with its field tag and optional image shape.
+    `values` is float64 on a real field (its real part, where an imaginary
+    part of at most 1e-12 is given) and complex128 on the complex field."""
 
     values: NDArray
     field: FieldTag = FieldTag.COMPLEX
     dims: tuple[int, int] | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim != 1 or self.values.size == 0:
+        values = np.asarray(self.values)
+        if values.ndim != 1 or values.size == 0:
             raise ValueError("signal must be a nonempty 1D vector")
-        if self.field.is_real and np.max(np.abs(self.values.imag)) > 1e-12:
+        if self.field.is_real and np.max(np.abs(np.imag(values))) > 1e-12:
             raise ValueError("real-field signal has nonzero imaginary part")
-        if self.field is FieldTag.REAL_NONNEGATIVE and np.min(self.values.real) < 0:
+        self.values = in_field(values, self.field)
+        if self.field is FieldTag.REAL_NONNEGATIVE and np.min(self.values) < 0:
             raise ValueError("nonnegative-field signal has negative entries")
 
     @property
@@ -53,17 +56,23 @@ class SignalVector:
         return self.values.size
 
 
+def in_field(x, field: FieldTag) -> NDArray:
+    """x in its field's dtype, a fresh contiguous array: the float64 real
+    part on a real field, complex128 on the complex one. Each solver starts
+    from it."""
+    return np.array(realify(np.asarray(x), field), float if field.is_real else complex)
+
+
 def realify(x: NDArray, field: FieldTag) -> NDArray:
-    """The real part (complex dtype) for real fields, x itself otherwise; no clamp."""
-    return x.real.astype(complex) if field.is_real else x
+    """The real part of x, a float view, for real fields; x itself otherwise;
+    no clamp. For the products whose result is complex on every field."""
+    return x.real if field.is_real else x
 
 
 def project_field(x: NDArray, field: FieldTag) -> NDArray:
-    """Project an iterate onto its field: realify, clamp negatives."""
-    x = realify(x, field)
-    if field is FieldTag.REAL_NONNEGATIVE:
-        x = np.maximum(x.real, 0.0).astype(complex)
-    return x
+    """Project an iterate of its field's dtype onto the field: clamp
+    negatives on the orthant."""
+    return np.maximum(x, 0.0) if field is FieldTag.REAL_NONNEGATIVE else x
 
 
 @dataclass(frozen=True)
@@ -244,12 +253,7 @@ class ForwardModel:
 
     def _densify(self) -> NDArray:
         """A, column by column from `apply_linear`."""
-        cols = []
-        for j in range(self.cols):
-            e = np.zeros(self.cols, dtype=complex)
-            e[j] = 1.0
-            cols.append(self.apply_linear(e))
-        return np.stack(cols, axis=1)
+        return np.stack([self.apply_linear(e) for e in np.eye(self.cols)], axis=1)
 
 
 class DenseModel(ForwardModel):
@@ -373,21 +377,22 @@ def _rank_proven(model: ForwardModel, w, field: FieldTag) -> bool:
 
 
 class DenseGram:
-    """The `gram` matrix h, solved directly. The first solve checks h's
-    eigenvalues and raises DegenerateIterateError on a zero or negative one,
-    a condition number above MAX_COND, or none at all (a non-finite h),
-    unless `source`, the (model, w) whose `gram` h is, proves the check
-    passes (`_rank_proven`)."""
+    """The `gram` matrix h, solved directly, in h's dtype: float64 on a real
+    field. The first solve checks h's eigenvalues and raises
+    DegenerateIterateError on a zero or negative one, a condition number
+    above MAX_COND, or none at all (a non-finite h), unless `source`, the
+    (model, w, field) whose `gram` h is, proves the check passes
+    (`_rank_proven`)."""
 
-    def __init__(self, h: NDArray, field: FieldTag, source: tuple | None = None):
-        self.h, self.field, self.source, self.checked = h, field, source, False
+    def __init__(self, h: NDArray, source: tuple | None = None):
+        self.h, self.source, self.checked = h, source, False
 
     def __matmul__(self, z):
         return self.h @ z
 
     def solve(self, rhs, iters, tol):
         if not self.checked:
-            if self.source is None or not _rank_proven(*self.source, self.field):
+            if self.source is None or not _rank_proven(*self.source):
                 try:
                     eig = np.linalg.eigvalsh(self.h)
                 except np.linalg.LinAlgError:  # h not finite: overflowed curvatures
@@ -396,11 +401,10 @@ class DenseGram:
                 if not 0.0 < eig[-1] <= MAX_COND * eig[0]:
                     raise DegenerateIterateError("A'WA is singular: rank-deficient model")
             self.checked = True
-        return np.linalg.solve(
-            self.h, rhs.real if self.field.is_real else rhs).astype(complex)
+        return np.linalg.solve(self.h, rhs)
 
     def solve_nonnegative(self, lin, x0):
-        """argmin over x >= 0 of 1/2 x'hx - lin'x (real parts, floats out), h
+        """argmin over x >= 0 of 1/2 x'hx - lin'x, floats in and out, h
         positive definite, by a primal active-set solve (Lawson & Hanson
         1974, ch. 23) warm-started at max(x0, 0). The value never rises.
 
@@ -413,8 +417,8 @@ class DenseGram:
         its gradient is above -ACTIVE_SET_TIE times that size. A larger one,
         a singular h, a non-finite solution or 3N + 10 steps without
         settling raise DegenerateIterateError."""
-        h, c = self.h, lin.real
-        x = np.maximum(np.asarray(x0).real, 0.0)
+        h, c = self.h, lin
+        x = np.maximum(x0, 0.0)
         free = x > 0
         tied = np.zeros_like(free)
         added = -1
@@ -464,15 +468,15 @@ class DiagonalGram(DenseGram):
 
 
 class NormalOp:
-    """z -> A'diag(w)A z (its real part, as floats, for real fields), w a scalar
-    or one weight per measurement; also called as `op(z)`, and solved by CG."""
+    """z -> A'diag(w)A z (Re(A'diag(w)A) z for real fields), w a scalar or
+    one weight per measurement, in the field's dtype; also called as
+    `op(z)`, and solved by CG."""
 
     def __init__(self, model: ForwardModel, w, field: FieldTag):
         self.model, self.w, self.field = model, w, field
 
     def __matmul__(self, z):
-        out = self.model.adjoint(self.w * self.model.apply_linear(z))
-        return out.real if self.field.is_real else out
+        return realify(self.model.adjoint(self.w * self.model.apply_linear(z)), self.field)
 
     def __call__(self, z):
         return self @ z
@@ -493,11 +497,12 @@ class CirculantGram(NormalOp):
     that is shorter than 2s - 1 (its lags wrap there already), else is
     embedded at the smallest power of two >= 2s - 1. The circulant's
     spectrum is formed once; each product is an FFT, a multiply and an
-    inverse FFT, real-to-complex with a float64 result for real fields.
-    Real weights make F'WF Hermitian and the spectrum real.
+    inverse FFT, real-to-complex of a float64 z for real fields, whose
+    result is float64 too. Real weights make F'WF Hermitian and the
+    spectrum real.
 
     `solve` is CG preconditioned from the same lags (`numerics.cg_solve`),
-    in float64 for real fields, with a complex result. With masks the
+    in the field's dtype, float64 on a real field. With masks the
     preconditioner is Jacobi, the diagonal sum_l m_l^2 c_l[0], inverted
     where it is positive and 0 on an unknown no mask covers. Without, it is
     T. Chan's optimal circulant on the unknowns' grid (SIAM J. Sci. Stat.
@@ -533,15 +538,12 @@ class CirculantGram(NormalOp):
             emb[..., size - s + 1:] = c[..., n - s + 1:]
             c = np.moveaxis(emb, -1, axis)
         self.sizes = c.shape[-len(self.dims):]
-        if field.is_real:
-            self.spectrum = np.fft.rfftn(c, axes=axes).real
-        else:
-            self.spectrum = np.fft.fftn(c, axes=axes).real
+        self.spectrum = (np.fft.rfftn if field.is_real else np.fft.fftn)(c, axes=axes).real
 
     def __matmul__(self, z):
-        u = np.reshape(z, self.dims)
+        f = np.reshape(z, self.dims)
         if self.masks is not None:
-            u = self.masks * u
+            f = self.masks * f
         # one axis at a time, padded by its transform and cropped right after
         # its inverse, so no other axis transforms those zeros; rfft/irfft
         # take the last axis, first and last
@@ -549,7 +551,6 @@ class CirculantGram(NormalOp):
         steps = list(zip(range(-len(self.dims), 0), self.sizes, self.dims))
         if real:
             steps.reverse()
-        f = u.real if real else u
         for k, (axis, size, _) in enumerate(steps):
             f = (np.fft.rfft if real and k == 0 else np.fft.fft)(f, size, axis)
         f = f * self.spectrum
@@ -573,11 +574,7 @@ class CirculantGram(NormalOp):
 
     def solve(self, rhs, iters, tol):
         usable = self.inv_diag is not None or self.chan_spectrum is not None
-        precond = self.precondition if usable else None
-        if self.field.is_real:
-            x = cg_solve(self, np.ascontiguousarray(rhs.real), iters, tol, precond)
-            return x.astype(complex)
-        return cg_solve(self, rhs, iters, tol, precond)
+        return cg_solve(self, rhs, iters, tol, self.precondition if usable else None)
 
 
 def _chan_spectrum(c: NDArray, dims: tuple[int, ...], field: FieldTag) -> NDArray | None:
@@ -603,9 +600,9 @@ def quad_form(model: ForwardModel, w, field: FieldTag):
     model's remembered A'A, and the rank check reads its remembered spectrum."""
     diag = model.normal_diag() if np.ndim(w) == 0 else None
     if diag is not None:
-        return DiagonalGram(w * diag, field)
+        return DiagonalGram(w * diag)
     if model.cols <= DIRECT_MAX_COLS:
-        return DenseGram(gram(model, w, field), field, (model, w))
+        return DenseGram(gram(model, w, field), (model, w, field))
     op = model.toeplitz_gram(w, field)
     return NormalOp(model, w, field) if op is None else op
 
@@ -666,7 +663,7 @@ class CanonicalDftModel(ForwardModel):
         if len(self.fft_dims) != 2 or self.fft_dims[0] < h or self.fft_dims[1] < concat_w:
             raise ValueError("fft_dims must be two lengths, at least the "
                              "concatenated image's")
-        ref_img = np.zeros(self.concat_dims, dtype=complex)
+        ref_img = np.zeros(self.concat_dims)
         ref_img[:, w + self.pad_width:] = reference
         offset = np.fft.fft2(ref_img, s=self.fft_dims).ravel()
         super().__init__(
@@ -868,8 +865,8 @@ class MeasurementSet:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
-        if np.any(self.y < 0):
-            raise ValueError("measurements must be nonnegative")
+        if not np.all(np.isfinite(self.y) & (self.y >= 0)):
+            raise ValueError("measurements must be finite and nonnegative")
         self.mean_count = float(np.mean(self.y))
 
 
@@ -879,7 +876,7 @@ def calibrate_scale(
     """Set model.scale so the exact mean intensity equals target_mean."""
     if target_mean <= 0:
         raise ValueError("target mean count must be positive")
-    raw = model._apply(np.asarray(x_true, dtype=complex))
+    raw = model._linear(x_true, half=False)
     if model.offset_raw is not None:
         raw = raw + model.offset_raw
     m2 = float(np.mean(np.abs(raw) ** 2))
@@ -899,7 +896,7 @@ def calibrate_scale(
 def simulate_poisson(model: ForwardModel, x_true: NDArray, seed: int) -> MeasurementSet:
     """Draw y_i ~ Poisson(|c (A x)_i|^2 + b_i), reproducibly; a ValueError
     where a mean is not finite (a NaN or infinite signal or scale)."""
-    mean = model.intensities(np.asarray(x_true, dtype=complex))
+    mean = model.intensities(x_true)
     if not np.all(np.isfinite(mean) & (mean >= 0)):
         raise ValueError("Poisson means must be finite and nonnegative")
     rng = np.random.default_rng(seed)

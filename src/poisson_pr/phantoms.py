@@ -21,7 +21,7 @@ def blocks(n: int, seed: int = 0) -> SignalVector:
     for e, lv in zip(list(edges) + [n], levels):
         x[prev:e] = lv
         prev = e
-    return SignalVector(x.astype(complex), field=FieldTag.REAL_NONNEGATIVE)
+    return SignalVector(x, field=FieldTag.REAL_NONNEGATIVE)
 
 
 def disk(h: int, w: int) -> SignalVector:
@@ -30,9 +30,7 @@ def disk(h: int, w: int) -> SignalVector:
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     r = DISK_RADIUS_FRAC * min(h, w)
     img = 0.1 + 0.9 * (((yy - cy) ** 2 + (xx - cx) ** 2) <= r * r)
-    return SignalVector(
-        img.ravel().astype(complex), field=FieldTag.REAL_NONNEGATIVE, dims=(h, w)
-    )
+    return SignalVector(img.ravel(), field=FieldTag.REAL_NONNEGATIVE, dims=(h, w))
 
 
 def random_complex(n: int, seed: int = 0) -> SignalVector:

@@ -18,7 +18,7 @@ from .numerics import DegenerateIterateError, cubic_largest_root, real_dot
 from .objectives import (
     GaussianObjective, HuberTV, PoissonObjective, RegularizedObjective,
 )
-from .operators import SignalVector, project_field
+from .operators import SignalVector, in_field, project_field
 
 
 class StepKind(enum.Enum):
@@ -254,4 +254,4 @@ def run_wf(
             return move(mu)
         raise ValueError(f"unknown step rule {rule.kind}")  # pragma: no cover
 
-    return iterate(step, x0.values, n_iters, cost_of, x_true)
+    return iterate(step, in_field(x0.values, field), n_iters, cost_of, x_true)

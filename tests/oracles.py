@@ -15,6 +15,7 @@ from poisson_pr.operators import (
     FieldTag,
     MaskedDftModel,
     calibrate_scale,
+    in_field,
     make_masks,
     project_field,
     quad_form,
@@ -166,7 +167,7 @@ def admm_full_rows(obj, x0: NDArray, n_iters: int, rho0: float = 8.0,
     from poisson_pr.objectives import RegularizedObjective
 
     model, cost = obj.model, RegularizedObjective(obj, reg).cost
-    x = np.array(x0, dtype=complex)
+    x = in_field(x0, obj.field)
     ax = model.apply(x)
     v, eta = ax.copy(), np.zeros_like(ax)
     costs = []

@@ -26,6 +26,7 @@ from poisson_pr.operators import (
     MaskedDftModel,
     SignalVector,
     calibrate_scale,
+    in_field,
     make_masks,
     random_gaussian_model,
     realify,
@@ -131,6 +132,18 @@ class TestCost:
         with pytest.raises(ValueError):
             PoissonObjective(m, np.zeros(2))
 
+    @pytest.mark.parametrize("cls", [PoissonObjective, GaussianObjective])
+    @pytest.mark.parametrize("count", [-1.0, np.nan, np.inf])
+    def test_a_negative_or_non_finite_count_is_refused(self, cls, count):
+        # a negative or NaN count would drop out of the rows P, as a zero
+        # count does, and the solvers would end "ok" on nonsense data
+        m = random_gaussian_model(48, 8, seed=3, background=0.1)
+        y = np.random.default_rng(4).poisson(0.25, 48).astype(float)
+        cls(m, y)
+        y[0] = count
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            cls(m, y)
+
 
 class TestGradient:
     def test_poisson_zero_at_stationary(self):
@@ -164,12 +177,12 @@ class TestGradient:
 
 
 def split_instance(field, counts="low", zero_background=False, seed=0, kind="dense"):
-    """(objective, x) of a Poisson instance at a low mean count ("low"),
-    all-zero counts ("zero") or no zero counts ("positive"), on a dense
-    96 x 8 model, a masked DFT of 4 masks at N = 12 ("masked") or a
-    canonical DFT of a 4 x 3 image with its reference offset ("canonical");
-    with `zero_background`, b = 0 on the zero-count rows and 0.1 on the
-    others."""
+    """(objective, x in the field's dtype) of a Poisson instance at a low
+    mean count ("low"), all-zero counts ("zero") or no zero counts
+    ("positive"), on a dense 96 x 8 model, a masked DFT of 4 masks at N = 12
+    ("masked") or a canonical DFT of a 4 x 3 image with its reference offset
+    ("canonical"); with `zero_background`, b = 0 on the zero-count rows and
+    0.1 on the others."""
     rng = np.random.default_rng(seed)
     if kind == "dense":
         a = (rng.standard_normal((96, 8)) + 1j * rng.standard_normal((96, 8))) / np.sqrt(2.0)
@@ -191,7 +204,7 @@ def split_instance(field, counts="low", zero_background=False, seed=0, kind="den
     x0 = x + 0.3 * (rng.standard_normal(n) + (0.0 if field.is_real else 1j * rng.standard_normal(n)))
     if field is FieldTag.REAL_NONNEGATIVE:
         x0 = np.abs(x0)
-    return PoissonObjective(model, y, field=field), np.asarray(x0, dtype=complex)
+    return PoissonObjective(model, y, field=field), in_field(x0, field)
 
 
 def full_cost_and_gradient(obj, x, keep=None):
@@ -225,10 +238,8 @@ class TestDenseSplit:
         cost, grad = full_cost_and_gradient(obj, x)
         assert abs(obj.cost(x) - cost) <= 1e-12 * abs(cost)
         g = obj.gradient(x)
-        assert g.dtype == complex
+        assert g.dtype == x.dtype == (float if field.is_real else complex)
         assert relative(g, grad) <= 1e-12
-        if field.is_real:
-            assert np.all(g.imag == 0)
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_all_zero_counts_give_the_quadratic_gradient(self, field):
@@ -353,10 +364,8 @@ class TestDftDataTerm:
         cost, grad = full_cost_and_gradient(obj, x, keep)
         assert abs(obj.cost(x) - cost) <= 1e-13 * abs(cost)
         g = obj.gradient(x, keep)
-        assert g.dtype == complex
+        assert g.dtype == x.dtype == (float if field.is_real else complex)
         assert relative(g, grad) <= 1e-13
-        if field.is_real:
-            assert np.all(g.imag == 0)
 
     def test_marginal_gradient_matches_psi_dot(self):
         obj, x = split_instance(FieldTag.COMPLEX, kind="canonical")

@@ -26,6 +26,7 @@ from poisson_pr.operators import (
     _normal_gram,
     calibrate_scale,
     gram,
+    in_field,
     load_file_matrix,
     load_pgm,
     make_masks,
@@ -39,6 +40,11 @@ from poisson_pr.phantoms import blocks, disk
 
 def _rand_vec(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _field_vec(rng, n, field):
+    """`_rand_vec` in the field's dtype: its real part on a real field."""
+    return in_field(_rand_vec(rng, n), field)
 
 
 def all_variants():
@@ -356,13 +362,9 @@ class TestPreconditionedSolve:
         q = quad_form(model, w, field)
         assert isinstance(q, CirculantGram)
         rng = np.random.default_rng(5)
-        rhs = _rand_vec(rng, model.cols)
-        if field.is_real:
-            rhs = rhs.real.astype(complex)
+        rhs = _field_vec(rng, model.cols, field)
         x = q.solve(rhs, 50, 1e-9)
-        assert x.dtype == complex and x.shape == (model.cols,)
-        if field.is_real:
-            assert np.all(x.imag == 0)
+        assert x.dtype == rhs.dtype and x.shape == (model.cols,)
         assert np.linalg.norm(q @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("kind, field, products", [
@@ -374,9 +376,7 @@ class TestPreconditionedSolve:
         model, w = mm_curvature_instance(kind)
         q = model.toeplitz_gram(w, field)
         rng = np.random.default_rng(8)
-        rhs = _rand_vec(rng, model.cols)
-        if field.is_real:
-            rhs = rhs.real.astype(complex)
+        rhs = _field_vec(rng, model.cols, field)
         counted = CountedSolve(q)
         q.solve(rhs, 50, 1e-9)
         assert counted.products <= products
@@ -415,11 +415,8 @@ class TestPreconditionedSolve:
         w[0] = 1.0
         q = model.toeplitz_gram(w, field)
         assert q.chan_spectrum is None
-        rhs = _rand_vec(np.random.default_rng(16), model.cols)
-        if field.is_real:
-            rhs = rhs.real.astype(complex)
-        plain = cg_plain(q, rhs.real.copy() if field.is_real else rhs, 10, 1e-9)
-        assert q.solve(rhs, 10, 1e-9).tobytes() == plain.astype(complex).tobytes()
+        rhs = _field_vec(np.random.default_rng(16), model.cols, field)
+        assert q.solve(rhs, 10, 1e-9).tobytes() == cg_plain(q, rhs, 10, 1e-9).tobytes()
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     def test_exact_where_the_grid_is_the_image(self, field):
@@ -429,9 +426,7 @@ class TestPreconditionedSolve:
         assert model.fft_dims == model.image_dims
         rng = np.random.default_rng(13)
         q = model.toeplitz_gram(rng.uniform(0.5, 3.0, model.rows), field)
-        rhs = _rand_vec(rng, model.cols)
-        if field.is_real:
-            rhs = rhs.real.astype(complex)
+        rhs = _field_vec(rng, model.cols, field)
         counted = CountedSolve(q)
         x = q.solve(rhs, 50, 1e-10)
         assert counted.products == 1
@@ -445,14 +440,13 @@ class TestPreconditionedSolve:
         rng = np.random.default_rng(14)
         q = model.toeplitz_gram(rng.uniform(2.0, 6.0, model.rows), field)
         assert q.inv_diag[17] == 0.0 and np.all(q.inv_diag[np.arange(80) != 17] > 0)
-        z = _rand_vec(rng, model.cols)
-        rhs = np.asarray(q @ (z.real if field.is_real else z), dtype=complex)
+        rhs = q @ _field_vec(rng, model.cols, field)
         with np.errstate(all="raise"):
             x = q.solve(rhs, 50, 1e-9)
         assert np.all(np.isfinite(x)) and x[17] == 0.0
         assert np.linalg.norm(q @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
         # a right-hand side on the uncovered unknown alone takes no step
-        e = np.zeros(model.cols, dtype=complex)
+        e = np.zeros_like(rhs)
         e[17] = 1.0
         assert np.all(q.solve(e, 50, 1e-9) == 0)
 
@@ -462,9 +456,7 @@ class TestPreconditionedSolve:
         rng = np.random.default_rng(15)
         q = quad_form(model, rng.uniform(0.5, 3.0, model.rows), field)
         assert type(q) is NormalOp
-        rhs = _rand_vec(rng, model.cols)
-        if field.is_real:
-            rhs = rhs.real.astype(complex)
+        rhs = _field_vec(rng, model.cols, field)
         for iters in (3, 30):
             assert q.solve(rhs, iters, 1e-9).tobytes() == cg_plain(q, rhs, iters, 1e-9).tobytes()
 
@@ -762,8 +754,9 @@ class TestSimulatePoisson:
         assert abs(meas.mean_count - 0.25) < 4.0 * np.sqrt(0.25 / n)
 
     def test_measurement_set_validates(self):
-        with pytest.raises(ValueError):
-            MeasurementSet(np.array([-1.0, 2.0]), seed=0)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                MeasurementSet(np.array([bad, 2.0]), seed=0)
         ms = MeasurementSet(np.array([1.0, 3.0]), seed=0)
         assert ms.mean_count == 2.0
 

@@ -1,4 +1,5 @@
-"""Every solver reports the one penalized cost f(x) + beta R(x)."""
+"""Every solver reports the one penalized cost f(x) + beta R(x), and holds
+its iterates in its objective's field."""
 
 import numpy as np
 import pytest
@@ -15,13 +16,17 @@ from poisson_pr.objectives import (
     RegularizedObjective,
 )
 from poisson_pr.operators import (
+    DIRECT_MAX_COLS,
+    CanonicalDftModel,
     FieldTag,
+    MaskedDftModel,
     SignalVector,
     calibrate_scale,
+    make_masks,
     random_gaussian_model,
     simulate_poisson,
 )
-from poisson_pr.phantoms import blocks
+from poisson_pr.phantoms import blocks, disk, random_complex
 from poisson_pr.wf import StepKind, StepRule, TruncationRule, run_wf
 
 N = 8
@@ -69,22 +74,73 @@ def test_trace_reports_the_penalized_cost(solver, penalty):
     assert state.trace[-1].cost == RegularizedObjective(obj, reg).cost(state.x)
 
 
-@pytest.mark.parametrize("solver", ["wf-fisher", "admm"])
+@pytest.mark.parametrize("solver", list(SOLVERS))
 @pytest.mark.parametrize("penalty", ["none", "huber"])
 def test_the_field_comes_from_the_objective(solver, penalty):
     # a real-nonnegative objective started from the same values tagged complex
-    # runs exactly as from the values tagged real-nonnegative
+    # runs exactly as from the values tagged real-nonnegative: each solver
+    # takes its start in its objective's field
     sig = blocks(N, seed=0)
     model = random_gaussian_model(48, N, seed=3, background=0.1)
     calibrate_scale(model, sig.values, 0.25)
     y = simulate_poisson(model, sig.values, 4).y
-    obj = PoissonObjective(model, y, field=FieldTag.REAL_NONNEGATIVE)
+    cls = GaussianObjective if solver == "wf-exact-gaussian" else PoissonObjective
+    obj = cls(model, y, field=FieldTag.REAL_NONNEGATIVE)
     reg = None if penalty == "none" else HuberTV(0.5, 0.1, DiffOp(N))
     x0 = initialize(model, y, field=FieldTag.REAL_NONNEGATIVE, iters=50, seed=0)
     tagged = SOLVERS[solver](obj, x0, reg)
     untagged = SOLVERS[solver](obj, SignalVector(x0.values, FieldTag.COMPLEX), reg)
-    assert np.array_equal(untagged.x, tagged.x)
-    assert np.array_equal(untagged.costs(), tagged.costs())
+    assert tagged.status == "ok" and tagged.trace
+    assert untagged.x.tobytes() == tagged.x.tobytes()
+    assert untagged.costs().tobytes() == tagged.costs().tobytes()
+
+
+def field_instance(kind, field):
+    """(counts, model, start, Huber-TV penalty) of a Poisson instance in
+    `field` on a dense model, a masked DFT or a canonical DFT, the DFT ones
+    wider than DIRECT_MAX_COLS, so that their Grams are `CirculantGram`s."""
+    dims = (9, 8) if kind == "canonical" else None
+    n = N if kind == "dense" else DIRECT_MAX_COLS + 8
+    if kind == "dense":
+        model = random_gaussian_model(48, n, seed=3, background=0.1)
+    elif kind == "masked":
+        model = MaskedDftModel(make_masks(4, n, seed=1), background=0.1)
+    else:
+        model = CanonicalDftModel(dims, disk(9, 2).values.reshape(9, 2), background=0.1)
+    values = (random_complex if field is FieldTag.COMPLEX else blocks)(n, seed=0).values
+    calibrate_scale(model, values, 0.25)
+    y = simulate_poisson(model, values, 4).y
+    x0 = initialize(model, y, field=field, iters=50, seed=0)
+    return y, model, x0, HuberTV(0.5, 0.1, DiffOp(n, dims=dims))
+
+
+@pytest.mark.parametrize("kind", ["dense", "masked", "canonical"])
+@pytest.mark.parametrize("field", list(FieldTag))
+@pytest.mark.parametrize("solver,penalty", CASES)
+def test_every_iterate_has_its_fields_dtype(solver, penalty, field, kind, monkeypatch):
+    # float64 on a real field, complex128 on the complex one: the start, each
+    # iterate the solver costs, each gradient and the result
+    y, model, x0, tv = field_instance(kind, field)
+    cls = GaussianObjective if solver == "wf-exact-gaussian" else PoissonObjective
+    obj = cls(model, y, field=field)
+    dtypes = set()
+    cost, gradient = RegularizedObjective.cost, PoissonObjective.gradient
+
+    def recorded_cost(self, x):
+        dtypes.add(x.dtype)
+        return cost(self, x)
+
+    def recorded_gradient(self, x, keep=None):
+        g = gradient(self, x, keep)
+        dtypes.update((x.dtype, g.dtype))
+        return g
+
+    monkeypatch.setattr(RegularizedObjective, "cost", recorded_cost)
+    monkeypatch.setattr(PoissonObjective, "gradient", recorded_gradient)
+    state = SOLVERS[solver](obj, x0, None if penalty == "none" else tv)
+    assert state.status == "ok" and state.trace
+    dtypes.update((x0.values.dtype, state.x.dtype))
+    assert dtypes == {np.dtype(float if field.is_real else complex)}
 
 
 @pytest.mark.parametrize("solver", ["wf-fisher", "wf-backtracking", "mm-improved", "admm",
